@@ -20,6 +20,7 @@ from .errors import (
     NotRegular,
     NotWalkRegular,
     NoValidTheta,
+    SpecindError,
     TraceNotZero,
 )
 from .graphs import DistanceMatrix, Graph, distance_matrix
@@ -322,7 +323,6 @@ def pd_ratio_bound(s: Spectrum, pd: PredistanceFamily,
 def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
                 dm: DistanceMatrix | None = None,
                 reg: RegularityReport | None = None,
-                with_exact: bool = False,
                 milp: optimize.MilpConfig = optimize.MilpConfig()) -> list:
     """Run every applicable method for alpha_k and mark the minimum floor."""
     if k < 1:
@@ -345,13 +345,13 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
         try:
             sol = optimize.sign_polynomial(s, k, milp)
             out.append(pwr_inertia(s, sol.sign_mesh, k))
-        except Exception as exc:  # pragma: no cover - surfaced, not raised
+        except SpecindError as exc:
             out.append(_inapplicable("pwr_inertia", k, f"MILP failed: {exc}"))
         if reg.is_regular:
             try:
                 f = optimize.minor_polynomial(s, k)
                 out.append(pwr_ratio(s, f, k))
-            except Exception as exc:  # pragma: no cover
+            except SpecindError as exc:
                 out.append(_inapplicable("pwr_ratio", k, f"LP failed: {exc}"))
         else:
             out.append(_inapplicable("pwr_ratio", k,
@@ -375,10 +375,6 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
                                      "ratio-type bounds require a regular graph"))
         if k == d - 1 and reg.is_walk_regular:
             out.append(pd_ratio_bound(s, pd))
-    if with_exact:
-        from .exact import alpha_k_exact
-        res = alpha_k_exact(g, k, dm=dm)
-        out.append(BoundReport("exact", k, float(res.alpha_k)))
     return out
 
 

@@ -16,7 +16,14 @@ import numpy as np
 
 from . import optimize
 from .bounds import pwr_inertia, pwr_ratio
-from .errors import NegativeRadicand, NotApplicable, NotPWR, NotSRG, NotWalkRegular
+from .errors import (
+    NegativeRadicand,
+    NotApplicable,
+    NotPWR,
+    NotSRG,
+    NotWalkRegular,
+    SpecindError,
+)
 from .exact import alpha_k_exact
 from .graphs import DistanceMatrix, Graph, distance_matrix
 from .polys import MeshPolynomial
@@ -114,7 +121,8 @@ def ch_classify(g: Graph, k: int, s: Spectrum | None = None,
     """Run the optimal sign and minor polynomials and compare their bounds."""
     if s is None:
         s = spectrum(g)
-    reg = classify_regularity(g, s)
+    dm = distance_matrix(g)
+    reg = classify_regularity(g, s, dm)
     if reg.pwr_level < k:
         raise NotPWR(f"graph is only {reg.pwr_level}-partially walk-regular")
     sol = optimize.sign_polynomial(s, k)
@@ -129,9 +137,9 @@ def ch_classify(g: Graph, k: int, s: Spectrum | None = None,
     note = ""
     if with_exact:
         try:
-            exact = alpha_k_exact(g, k, timeout=timeout).alpha_k
+            exact = alpha_k_exact(g, k, dm=dm, timeout=timeout).alpha_k
             tight = is_ch and inertia == exact
-        except Exception as exc:
+        except SpecindError as exc:
             note = f"exact unavailable: {exc}"
     return CHVerdict(k, inertia, ratio, equal, related, is_ch,
                      exact, tight, note)
@@ -280,12 +288,3 @@ def srg_tightness_check(g: Graph, witness) -> bool:
     keep = sorted(set(range(g.n)) - set(witness))
     sub = g.adjacency[np.ix_(keep, keep)]
     return _srg_parameters(sub) is not None
-
-
-def corpus_scan(graphs, k: int = 1, with_exact: bool = True):
-    """Yield (label, CHVerdict-or-error-string) per graph, JSON-lines ready."""
-    for g in graphs:
-        try:
-            yield g.label, ch_classify(g, k, with_exact=with_exact)
-        except Exception as exc:
-            yield g.label, f"{type(exc).__name__}: {exc}"

@@ -8,11 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +18,7 @@ from . import bounds as bounds_mod
 from . import optimize
 from .ch import ch_classify
 from .errors import SpecindError, UnknownTable
-from .exact import alpha_k_exact, independence_number
+from .exact import alpha_k_exact
 from .graphs import (
     FamilySpec,
     Graph,
@@ -32,7 +29,7 @@ from .graphs import (
     to_graph6,
 )
 from .polys import as_fraction_string
-from .spectra import Spectrum, spectrum, srg_raw_spectrum
+from .spectra import classify_regularity, spectrum, srg_raw_spectrum
 
 TABLES = ("t1", "t2", "minor-odd", "sign-odd6", "t4", "t5")
 
@@ -60,13 +57,6 @@ def _graph_from_args(args) -> Graph:
     raise SystemExit("one of --family or --in is required")
 
 
-def _emit(payload, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(payload if isinstance(payload, str) else json.dumps(payload, indent=2))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -88,9 +78,14 @@ def cmd_bounds(args) -> int:
     g = _graph_from_args(args)
     dm = distance_matrix(g)
     ks = range(1, dm.diameter + 1) if args.k == "all" else [int(args.k)]
+    # one spectrum and regularity report serve every k; k >= diameter needs neither
+    s = reg = None
+    if any(k < dm.diameter for k in ks):
+        s = spectrum(g)
+        reg = classify_regularity(g, s, dm)
     all_reports = []
     for k in ks:
-        reps = bounds_mod.best_bounds(g, k, dm=dm)
+        reps = bounds_mod.best_bounds(g, k, s=s, dm=dm, reg=reg)
         if args.exact:
             res = alpha_k_exact(g, k, dm=dm, timeout=args.timeout)
             reps.append(bounds_mod.BoundReport("exact", k, float(res.alpha_k)))
@@ -152,7 +147,7 @@ def _t1_row(row):
                 "note": f"fixture {row['source']} not bundled"}
     s = spectrum(g)
     computed = {
-        "alpha": independence_number(g)[0],
+        "alpha": alpha_k_exact(g, 1).alpha_k,
         "inertia": bounds_mod.cvetkovic_bound(s.raw).floor_value,
         "ratio_floor": bounds_mod.hoffman_bound(
             g.n, float(s.distinct[0]), float(s.distinct[-1])).floor_value,
@@ -214,7 +209,7 @@ def _sign_odd6_rows(fix):
 
 
 def _t4_row(row):
-    from .spectra import classify_regularity, pi_products
+    from .spectra import pi_products
 
     g = generate(FamilySpec.parse(row["family"]))
     s = spectrum(g)
@@ -246,7 +241,7 @@ def _t5_row(row):
     return _row_result(row["id"], computed, expected)
 
 
-def run_table(table_id: str, rows_filter=None, jobs: int | None = None) -> list:
+def run_table(table_id: str, rows_filter=None) -> list:
     if table_id not in TABLES:
         raise UnknownTable(f"unknown table {table_id!r}; choose from {TABLES}")
     path = fixtures_dir() / "tables" / f"{table_id}.json"
@@ -262,13 +257,11 @@ def run_table(table_id: str, rows_filter=None, jobs: int | None = None) -> list:
         rows = [r for r in rows
                 if r.get("id", r.get("family", "")) in wanted
                 or f"{r.get('family', '')}-k{r.get('k', '')}" in wanted]
-    jobs = jobs or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(handler, rows))
+    return [handler(r) for r in rows]
 
 
 def cmd_table(args) -> int:
-    results = run_table(args.table, args.rows, args.jobs)
+    results = run_table(args.table, args.rows)
     if args.format == "json":
         print(json.dumps(results, indent=2))
     else:
@@ -326,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="replay a published table against computed values")
     sp.add_argument("table", choices=TABLES)
     sp.add_argument("--rows", help="comma-separated row ids to restrict to")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="concurrent row workers (default: logical cores)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_table)
     return p

@@ -96,20 +96,6 @@ def _max_clique(adj_bits, n, deadline):
     return best_size, best
 
 
-def independence_number(g: Graph, timeout: float = DEFAULT_TIMEOUT):
-    """Maximum independent set of g (size, witness) via complement clique."""
-    n = g.n
-    comp = ~g.adjacency
-    np.fill_diagonal(comp, False)
-    bits = []
-    for v in range(n):
-        row = 0
-        for u in np.flatnonzero(comp[v]):
-            row |= 1 << int(u)
-        bits.append(row)
-    return _max_clique(bits, n, time.monotonic() + timeout)
-
-
 def alpha_k_exact(g: Graph, k: int, dm: DistanceMatrix | None = None,
                   size_limit: int = DEFAULT_SIZE_LIMIT,
                   timeout: float = DEFAULT_TIMEOUT) -> ExactResult:

@@ -169,12 +169,6 @@ def hoffman_polynomial(s: Spectrum) -> CoeffPolynomial:
     return mesh_to_coeffs(MeshPolynomial(theta, values))
 
 
-def hoffman_mesh(s: Spectrum) -> MeshPolynomial:
-    values = np.zeros(s.d + 1)
-    values[0] = s.n
-    return MeshPolynomial(s.distinct, values)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form candidate minor polynomials
 

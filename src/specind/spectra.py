@@ -206,23 +206,18 @@ def diagonal_stats(g: Graph, coeffs) -> tuple:
     return float(diag.min()), float(diag.max())
 
 
-def _intersection_numbers(g: Graph, dm: DistanceMatrix):
-    """Per-vertex intersection numbers; None if they are not constant."""
+def _intersection_numbers(a: np.ndarray, dm: DistanceMatrix):
+    """Intersection numbers b_i, c_i from the products [dist = i+-1] A read at
+    the pairs at distance i; None if they are not constant."""
     D = dm.diameter
-    b = [None] * (D + 1)
-    c = [None] * (D + 1)
-    adj = g.adjacency
-    for u in range(g.n):
-        du = dm.dist[u]
-        for v in range(g.n):
-            i = int(du[v])
-            nbr_d = du[adj[v]]
-            bi = int(np.sum(nbr_d == i + 1))
-            ci = int(np.sum(nbr_d == i - 1))
-            if b[i] is None:
-                b[i], c[i] = bi, ci
-            elif (b[i], c[i]) != (bi, ci):
+    b, c = [], []
+    for i in range(D + 1):
+        at_i = dm.dist == i
+        for j, out in ((i + 1, b), (i - 1, c)):
+            counts = ((dm.dist == j).astype(float) @ a)[at_i]
+            if np.any(counts != counts[0]):
                 return None
+            out.append(int(counts[0]))
     return tuple(b[:-1]), tuple(c[1:])
 
 
@@ -244,11 +239,12 @@ def classify_regularity(g: Graph, s: Spectrum,
             pwr = level
         else:
             break
+    del power  # freed before the n x n intersection products below
     pwr = max(pwr, 1)  # every simple graph is 1-partially walk-regular
     is_wr = pwr == d
     if dm is None:
         dm = distance_matrix(g)
-    inter = _intersection_numbers(g, dm) if is_reg else None
+    inter = _intersection_numbers(a, dm) if is_reg else None
     is_dr = inter is not None and dm.diameter == d
     return RegularityReport(
         is_regular=is_reg,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specind.bounds import (
+    BoundReport,
     alpha2_bound,
     alpha3_bound,
     best_bounds,
@@ -31,6 +32,7 @@ from specind.errors import (
     NotWalkRegular,
     TraceNotZero,
 )
+from specind.exact import alpha_k_exact
 from specind.graphs import FamilySpec, generate
 from specind.optimize import minor_polynomial, sign_polynomial
 from specind.polys import (
@@ -406,7 +408,8 @@ def test_best_bounds_deterministic():
 
 def test_reports_serialization():
     g = generate(FamilySpec.parse("petersen"))
-    reps = best_bounds(g, 1, with_exact=True)
+    reps = best_bounds(g, 1)
+    reps.append(BoundReport("exact", 1, float(alpha_k_exact(g, 1).alpha_k)))
     csv = reports_to_csv(reps)
     assert csv.splitlines()[0] == "method,k,value,floor,applicable,reason"
     for r in reps:

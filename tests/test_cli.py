@@ -4,6 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from specind import bounds, cli, spectra
+from specind.graphs import FamilySpec, distance_matrix, generate
+
 
 def run_cli(*args, check=True):
     res = subprocess.run([sys.executable, "-m", "specind.cli", *args],
@@ -53,6 +58,46 @@ def test_bounds_csv_format():
 def test_bounds_all_k():
     res = run_cli("bounds", "--family", "hypercube:4", "--k", "all")
     assert res.stdout.strip()
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("the graph was analysed again")
+
+
+def test_bounds_all_k_analyses_graph_once(monkeypatch, capsys):
+    monkeypatch.setattr(bounds, "spectrum", _fail)
+    monkeypatch.setattr(bounds, "classify_regularity", _fail)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return spectra.classify_regularity(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "classify_regularity", counting, raising=False)
+    assert cli.main(["bounds", "--family", "hypercube:4", "--k", "all"]) == 0
+    assert "best floor" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def _csv_lines(capsys, *args):
+    assert cli.main(["bounds", *args, "--format", "csv"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("family", ["petersen", "hypercube:4"])
+def test_bounds_all_k_matches_per_k_runs(family, capsys):
+    diameter = distance_matrix(generate(FamilySpec.parse(family))).diameter
+    all_k = _csv_lines(capsys, "--family", family, "--k", "all")
+    per_k = [_csv_lines(capsys, "--family", family, "--k", str(k))
+             for k in range(1, diameter + 1)]
+    assert all_k == per_k[0][:1] + [row for out in per_k for row in out[1:]]
+
+
+def test_bounds_k_at_least_diameter_skips_spectrum(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "spectrum", _fail)
+    monkeypatch.setattr(bounds, "spectrum", _fail)
+    lines = _csv_lines(capsys, "--family", "complete:5", "--k", "3")
+    assert lines[1:] == ["trivial,3,1,1,True,k >= diameter"]
 
 
 def test_classify():

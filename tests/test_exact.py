@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specind.errors import SizeLimitExceeded
-from specind.exact import alpha_k_exact, independence_number, verify_independent
+from specind.exact import alpha_k_exact, verify_independent
 from specind.graphs import (
     FamilySpec,
     distance_matrix,
@@ -93,7 +93,7 @@ def test_invalid_k():
 def test_independence_number_matches_alpha1():
     for spec in ["petersen", "cycle:9", "kneser:7,3"]:
         g = generate(FamilySpec.parse(spec))
-        assert independence_number(g)[0] == alpha_k_exact(g, 1).alpha_k
+        assert brute_force_mis(g.adjacency) == alpha_k_exact(g, 1).alpha_k
 
 
 def test_verify_independent_basics():

@@ -6,6 +6,7 @@ import pytest
 from specind.errors import NoClosedForm
 from specind.graphs import FamilySpec, generate
 from specind.spectra import (
+    _intersection_numbers,
     classify_regularity,
     exact_family_spectrum,
     pi_products,
@@ -143,6 +144,37 @@ def test_petersen_intersection_array():
     g = generate(FamilySpec.parse("petersen"))
     rep = classify_regularity(g, spectrum(g))
     assert rep.intersection_array == ((3, 2), (1, 1))
+
+
+def loop_intersection_numbers(g, dm):
+    """Reference: per-vertex-pair intersection numbers; None if not constant."""
+    D = dm.diameter
+    b = [None] * (D + 1)
+    c = [None] * (D + 1)
+    adj = g.adjacency
+    for u in range(g.n):
+        du = dm.dist[u]
+        for v in range(g.n):
+            i = int(du[v])
+            nbr_d = du[adj[v]]
+            bi = int(np.sum(nbr_d == i + 1))
+            ci = int(np.sum(nbr_d == i - 1))
+            if b[i] is None:
+                b[i], c[i] = bi, ci
+            elif (b[i], c[i]) != (bi, ci):
+                return None
+    return tuple(b[:-1]), tuple(c[1:])
+
+
+def test_intersection_numbers_match_loop(corpus_spectra):
+    seen = set()
+    for label, (g, _, dm, _) in corpus_spectra.items():
+        if g.n > 200:  # the reference loop is O(n^2) in Python
+            continue
+        want = loop_intersection_numbers(g, dm)
+        assert _intersection_numbers(g.adjacency.astype(float), dm) == want, label
+        seen.add(want is None)
+    assert seen == {True, False}  # both outcomes are exercised
 
 
 def test_walk_regular_constant_poly_diagonal(corpus_spectra):

@@ -22,7 +22,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from specind.exact import alpha_k_exact, independence_number  # noqa: E402
+from specind.exact import alpha_k_exact  # noqa: E402
 from specind.graphs import from_adjacency, from_edges, to_graph6  # noqa: E402
 from specind.spectra import classify_regularity, spectrum  # noqa: E402
 
@@ -210,7 +210,7 @@ def main() -> None:
         g = from_nx(builder(), name)
         assert g.n == n, f"{name}: order {g.n} != {n}"
         if "alpha" in expect:
-            a = independence_number(g)[0]
+            a = alpha_k_exact(g, 1).alpha_k
             assert a == expect["alpha"], f"{name}: alpha {a} != {expect['alpha']}"
         if "alpha2" in expect:
             a2 = alpha_k_exact(g, 2).alpha_k
