@@ -341,15 +341,17 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
         out.append(cvetkovic_bound(s.raw))
         if reg.is_regular:
             out.append(hoffman_bound(g.n, float(s.raw[0]), float(s.raw[-1])))
+    pd = predistance_polynomials(s) if reg.pwr_level >= k else None
     if reg.pwr_level >= k and k < d:
         try:
-            sol = optimize.sign_polynomial(s, k, milp)
+            sol = optimize.sign_polynomial(s, k, milp, pd=pd)
             out.append(pwr_inertia(s, sol.sign_mesh, k))
         except SpecindError as exc:
-            out.append(_inapplicable("pwr_inertia", k, f"MILP failed: {exc}"))
+            out.append(_inapplicable("pwr_inertia", k,
+                                     f"sign search failed: {exc}"))
         if reg.is_regular:
             try:
-                f = optimize.minor_polynomial(s, k)
+                f = optimize.minor_polynomial(s, k, pd=pd)
                 out.append(pwr_ratio(s, f, k))
             except SpecindError as exc:
                 out.append(_inapplicable("pwr_ratio", k, f"LP failed: {exc}"))
@@ -365,7 +367,6 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
         pi = pi_products(s)
         out.extend(dminus1_bounds(s, pi, True, reg.diameter_equals_d))
     if reg.pwr_level >= k:
-        pd = predistance_polynomials(s)
         rep_i, rep_r = qk_bounds(g, s, pd, k)
         out.append(rep_i)
         if reg.is_regular:

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .exact import alpha_k_exact
 from .graphs import DistanceMatrix, Graph, distance_matrix
-from .polys import MeshPolynomial
+from .polys import MeshPolynomial, predistance_polynomials
 from .spectra import (
     PiProducts,
     Spectrum,
@@ -125,8 +125,9 @@ def ch_classify(g: Graph, k: int, s: Spectrum | None = None,
     reg = classify_regularity(g, s, dm)
     if reg.pwr_level < k:
         raise NotPWR(f"graph is only {reg.pwr_level}-partially walk-regular")
-    sol = optimize.sign_polynomial(s, k)
-    f = optimize.minor_polynomial(s, k)
+    pd = predistance_polynomials(s)
+    sol = optimize.sign_polynomial(s, k, pd=pd)
+    f = optimize.minor_polynomial(s, k, pd=pd)
     inertia = pwr_inertia(s, sol.sign_mesh, k).floor_value
     ratio = pwr_ratio(s, f, k).floor_value
     equal = inertia == ratio

@@ -1,20 +1,23 @@
-"""Desk-scale LP/MILP machinery and the two optimization programs:
+"""Desk-scale LP machinery and the two optimization programs:
 
-* the minor-polynomial LP (degree constraint via vanishing divided
-  differences, minimize the multiplicity-weighted trace), and
-* the sign-polynomial MILP (minimize the multiplicity-weighted count of
-  non-negative mesh values), solved by branch-and-bound over the binaries.
+* the minor-polynomial LP (minimize the multiplicity-weighted trace of a
+  degree-<= k polynomial with f(theta_0) = 1 and f >= 0 elsewhere), and
+* the sign-polynomial search (minimize the multiplicity-weighted count of
+  non-negative mesh values of a trace-zero polynomial of degree <= k), an
+  exact enumeration of the sign patterns such a polynomial can have.
 
-Both are formulated in MESH-VALUE space: the variables are the polynomial's
-values at the distinct eigenvalues, and "degree <= k" is the linear condition
-that divided differences of orders k+1..d vanish.  Vandermonde systems in the
-monomial basis are badly conditioned on spread-out spectra; the value space
-is not.
+Both are written in the predistance basis: the mesh values are
+y = sum_i c_i p_i(theta) with free coefficients c_i.  Since p_0 = 1 and the
+p_i are orthogonal under the spectral inner product, "degree <= k" is the
+span of p_0..p_k and "trace zero and degree <= k" the span of p_1..p_k, so
+no constraint is needed for either.  Divided-difference rows, the other way
+to impose the degree, are ill-conditioned on spectra with many distinct
+eigenvalues (d = 30 for the Tutte graph).
 """
 
 from __future__ import annotations
 
-import math
+import heapq
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +30,13 @@ from .errors import (
     SearchTimeout,
     Unbounded,
 )
-from .polys import CoeffPolynomial, MeshPolynomial, dd_coefficient_rows, mesh_to_coeffs
+from .polys import (
+    CoeffPolynomial,
+    MeshPolynomial,
+    PredistanceFamily,
+    mesh_to_coeffs,
+    predistance_polynomials,
+)
 from .spectra import Spectrum
 
 _TOL = 1e-9
@@ -207,45 +216,75 @@ def dump_lp(lp: LinearProgram) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Programs in the predistance basis
+
+
+def _predistance_lp(pd: PredistanceFamily, degrees: slice, objective,
+                    bounds: list, rows: list = ()):
+    """min objective . x over x = (y_0..y_d, extra...), where the mesh values
+    are y = sum_{i in degrees} c_i p_i(theta) for free c_i.
+
+    ``bounds`` covers x and ``rows`` are (row, rhs) equalities over x.  The
+    c_i sit between y and the extra variables in the LP and are dropped
+    from the returned (x, objective).
+    """
+    # each p_i scaled to max |p_i(theta_j)| = 1: the c_i are free, so the
+    # span is unchanged and the columns are comparable
+    basis = pd.mesh_values[degrees]
+    basis = basis / np.abs(basis).max(axis=1, keepdims=True)
+    nc, d1 = basis.shape
+    nx = len(objective)
+
+    def widen(row):
+        row = np.asarray(row, dtype=float)
+        return np.concatenate([row[:d1], np.zeros(nc), row[d1:]])
+
+    eqs = []
+    for j in range(d1):  # y_j - sum_i c_i p_i(theta_j) = 0
+        row = np.zeros(nx + nc)
+        row[j] = 1.0
+        row[d1:d1 + nc] = -basis[:, j]
+        eqs.append((row, 0.0))
+    eqs += [(widen(row), rhs) for row, rhs in rows]
+    lp = LinearProgram(widen(objective), eqs,
+                       bounds[:d1] + [(None, None)] * nc + bounds[d1:])
+    x, obj, _ = solve_lp(lp)
+    return np.concatenate([x[:d1], x[d1 + nc:]]), obj
+
+
+# ---------------------------------------------------------------------------
 # Minor polynomial LP
 
 
-def minor_polynomial(s: Spectrum, k: int) -> MeshPolynomial:
+def minor_polynomial(s: Spectrum, k: int,
+                     pd: PredistanceFamily | None = None) -> MeshPolynomial:
     """Optimal minor polynomial of degree <= k for this spectrum.
 
-    x_0 is fixed to 1; x_1..x_d >= 0; divided differences of orders k+1..d
-    vanish; the multiplicity-weighted trace is minimized.
+    f = sum_{i<=k} c_i p_i with f(theta_0) = 1 and f(theta_1..theta_d) >= 0;
+    the multiplicity-weighted trace is minimized.  ``pd`` is the spectrum's
+    predistance family, built here when not given.
     """
     d = s.d
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}")
-    rows = dd_coefficient_rows(s.distinct)
-    eqs = []
-    for m in range(k + 1, d + 1):
-        row = rows[m]
-        scale = np.abs(row).max()
-        eqs.append((row[1:] / scale, -row[0] / scale))
-    lp = LinearProgram(
-        objective=s.mults[1:].astype(float),
-        eq_constraints=eqs,
-        bounds=[(0.0, None)] * d,
-    )
-    x, obj, _ = solve_lp(lp)
+    if pd is None:
+        pd = predistance_polynomials(s)
+    degrees = slice(0, k + 1)
+    bounds = [(1.0, 1.0)] + [(0.0, None)] * d
+    trace = s.mults.astype(float)
+    y, obj = _predistance_lp(pd, degrees, trace, bounds)
     # the optimum can be degenerate; pin down a canonical vertex by
-    # lexicographically minimizing (x_1, ..., x_d) subject to optimality
-    trace_row = s.mults[1:].astype(float)
-    eqs = eqs + [(trace_row / np.abs(trace_row).max(), obj / np.abs(trace_row).max())]
-    for j in range(d - 1):
-        unit = np.zeros(d)
+    # lexicographically minimizing (y_1, ..., y_d) subject to optimality
+    rows = [(trace / trace.max(), obj / trace.max())]
+    for j in range(1, d):
+        unit = np.zeros(d + 1)
         unit[j] = 1.0
-        xj, vj, _ = solve_lp(LinearProgram(unit, eqs, [(0.0, None)] * d))
-        x = xj
-        eqs = eqs + [(unit, max(vj, 0.0))]
-    values = np.concatenate([[1.0], x])
-    values[np.abs(values) < 1e-11] = 0.0
-    if values[1:].min() > 1e-7:
+        y, vj = _predistance_lp(pd, degrees, unit, bounds, rows)
+        rows.append((unit, max(vj, 0.0)))
+    y[np.abs(y) < 1e-11] = 0.0
+    if y[1:].min() > 1e-7:
         raise NormalizationViolation("LP vertex has min_{i>=1} f(theta_i) > 0")
-    return MeshPolynomial(s.distinct, values)
+    return MeshPolynomial(s.distinct, y)
 
 
 def minor_trace(s: Spectrum, f: MeshPolynomial) -> float:
@@ -253,14 +292,12 @@ def minor_trace(s: Spectrum, f: MeshPolynomial) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sign polynomial MILP
+# Sign polynomial search
 
 
 @dataclass(frozen=True)
 class MilpConfig:
-    M: float | None = None   # default: 1e4 * max(1, |theta|_max)^k
-    eps: float = 1e-4
-    time_budget: float = 30.0  # wall-clock seconds for the branch-and-bound
+    time_budget: float = 30.0  # wall-clock seconds for the sign-pattern search
 
 
 @dataclass(frozen=True)
@@ -271,101 +308,95 @@ class MilpSolution:
     objective: int
 
 
-def _relaxation(s: Spectrum, k: int, M: float, eps: float, fixed: dict):
-    """LP relaxation with some binaries fixed; returns (y, b, objective)."""
-    d = s.d
-    nb = d + 1
-    # variables: y_0..y_d, b_0..b_d
-    obj = np.concatenate([np.zeros(nb), s.mults.astype(float)])
-    eqs = []
-    rows = dd_coefficient_rows(s.distinct)
-    for m in range(k + 1, d + 1):
-        row = np.concatenate([rows[m], np.zeros(nb)])
-        eqs.append((row / np.abs(row).max(), 0.0))
-    trace = np.concatenate([s.mults.astype(float), np.zeros(nb)])
-    eqs.append((trace / np.abs(trace).max(), 0.0))
-    # indicator y_j - M b_j + slack = -eps handled as bounded slack rows:
-    # express as equality with a fresh nonnegative variable per row
-    nslack = nb
-    full = lambda row: np.concatenate([row, np.zeros(nslack)])
-    eqs = [(full(r), rhs) for r, rhs in eqs]
-    for j in range(nb):
-        row = np.zeros(2 * nb + nslack)
+_MARGIN = 1e-7  # a negative set is realized when its max margin exceeds this
+
+
+def _negative_sets(mults, k: int):
+    """Yield every index set N, 0 < |N| < d+1, whose indicator changes value
+    at most k times along the mesh: heaviest multiplicity weight first, ties
+    in lexicographic order of the sorted indices.
+
+    A nonzero polynomial of degree <= k has at most k roots counted with
+    multiplicity, so its negative mesh points form such a set.  There are
+    2 sum_{i<=k} C(d, i) of them, too many to list when d and k are large,
+    so they are generated lazily: best-first over indicator prefixes ranked
+    by an upper bound on their weight (the prefix's plus all weight after
+    it), which makes complete sets leave the heap in order.
+    """
+    m = [int(v) for v in mults]
+    d1 = len(m)
+    after = [sum(m[j:]) for j in range(1, d1 + 1)]  # weight after position j
+    # entries (-bound, key, weight, changes left); the key negates the
+    # indicator prefix, so among equal weights lower indices enter N first
+    heap = [(-(b * m[0] + after[0]), (-b,), b * m[0], k) for b in (0, 1)]
+    heapq.heapify(heap)
+    while heap:
+        _, key, w, c = heapq.heappop(heap)
+        j = len(key)
+        if j == d1:
+            if 0 < -sum(key) < d1:
+                yield tuple(i for i, nb in enumerate(key) if nb)
+            continue
+        for nb in (0, 1):
+            left = c - (nb != -key[-1])
+            if left >= 0:
+                nw = w + nb * m[j]
+                heapq.heappush(heap, (-(nw + after[j]), key + (-nb,), nw, left))
+
+
+def _max_margin(pd: PredistanceFamily, k: int, neg: tuple):
+    """max t with y_j <= -t on ``neg``, |y| <= 1 and y in span(p_1..p_k);
+    returns (y, t)."""
+    d1 = len(pd.norms_sq)
+    # variables: y_0..y_d, t, one slack per margin row
+    nx = d1 + 1 + len(neg)
+    obj = np.zeros(nx)
+    obj[d1] = -1.0
+    rows = []
+    for idx, j in enumerate(neg):
+        row = np.zeros(nx)
         row[j] = 1.0
-        row[nb + j] = -M
-        row[2 * nb + j] = 1.0
-        eqs.append((row / M, -eps / M))
-    obj = np.concatenate([obj, np.zeros(nslack)])
-    bounds = [(-1.0, 1.0)] * nb
-    for j in range(nb):
-        lo, hi = 0.0, 1.0
-        if j in fixed:
-            lo = hi = float(fixed[j])
-        bounds.append((lo, hi))
-    bounds += [(0.0, None)] * nslack
-    lp = LinearProgram(obj, eqs, bounds)
-    x, val, _ = solve_lp(lp)
-    return x[:nb], x[nb:2 * nb], val
+        row[d1] = 1.0
+        row[d1 + 1 + idx] = 1.0
+        rows.append((row, 0.0))
+    bounds = [(-1.0, 1.0)] * d1 + [(0.0, None)] * (1 + len(neg))
+    x, _ = _predistance_lp(pd, slice(1, k + 1), obj, bounds, rows)
+    return x[:d1], x[d1]
 
 
-def sign_polynomial(s: Spectrum, k: int, cfg: MilpConfig = MilpConfig()) -> MilpSolution:
-    """Optimal sign polynomial via branch-and-bound over the d+1 binaries.
+def sign_polynomial(s: Spectrum, k: int, cfg: MilpConfig = MilpConfig(),
+                    pd: PredistanceFamily | None = None) -> MilpSolution:
+    """Optimal sign polynomial: the trace-zero polynomial of degree <= k
+    whose negative mesh points carry the most multiplicity.
 
-    Mesh values are normalized to the box |y|_inf <= 1 inside the program
-    (the bound is invariant under positive scaling); the returned certificate
-    is rescaled so that min_{i>=1} s(theta_i) = -1 when negative values exist.
+    The candidate negative sets are tried heaviest first; the first one a
+    polynomial in span(p_1..p_k) realizes with margin t > 1e-7 is optimal,
+    and that max-margin polynomial (in the box |y| <= 1) is the
+    certificate, rescaled so that min_{i>=1} s(theta_i) = -1.  b_j = 0
+    marks the negative set.  ``pd`` is the spectrum's predistance family,
+    built here when not given.
     """
     d = s.d
     if not 1 <= k < d:
         raise ValueError(f"need 1 <= k < d, got k={k}")
-    M = cfg.M if cfg.M is not None else 1e4 * max(1.0, float(np.abs(s.distinct).max())) ** k
-    eps = cfg.eps
-    order = sorted(range(d + 1), key=lambda j: (-s.mults[j], j))  # heavy first
-
-    best_obj = int(s.mults.sum())  # s = 0 certificate: all b_j = 1
-    best_fixed = {j: 1 for j in range(d + 1)}
+    if pd is None:
+        pd = predistance_polynomials(s)
     deadline = time.monotonic() + cfg.time_budget
-
-    def bnb(fixed):
-        nonlocal best_obj, best_fixed
+    y = np.zeros(d + 1)  # s = 0 certificate: no negative mesh value
+    best = ()
+    for neg in _negative_sets(s.mults, k):
         if time.monotonic() > deadline:
-            raise SearchTimeout(
-                "sign-polynomial branch-and-bound exceeded its time budget")
-        try:
-            _, _, val = _relaxation(s, k, M, eps, fixed)
-        except Infeasible:
-            return
-        # the big-M relaxation is weak, but every binary fixed to 1
-        # contributes its full multiplicity to the bound
-        if math.ceil(val - 1e-6) >= best_obj:
-            return
-        unfixed = [j for j in order if j not in fixed]
-        if not unfixed:
-            # relaxation feasibility with all binaries pinned IS pattern
-            # feasibility (zeros force y_j <= -eps)
-            obj = int(sum(s.mults[j] for j in range(d + 1) if fixed[j]))
-            if obj < best_obj:
-                best_obj = obj
-                best_fixed = dict(fixed)
-            return
-        # branch on the heaviest-multiplicity unfixed binary, b=0 first
-        j = unfixed[0]
-        for v in (0, 1):
-            child = dict(fixed)
-            child[j] = v
-            bnb(child)
-
-    bnb({})
-
-    # re-solve with the optimal pattern and a max-margin objective so the
-    # certificate is the clean extreme ray rather than an arbitrary point
-    y = _max_margin_certificate(s, k, best_fixed)
-    neg = y[1:].min()
-    if neg < -1e-12:
-        y = y / abs(neg)
+            raise SearchTimeout("sign-pattern search exceeded its time budget")
+        cand, t = _max_margin(pd, k, neg)
+        if t > _MARGIN:
+            y, best = cand, neg
+            break
+    low = y[1:].min()
+    if low < -1e-12:
+        y = y / abs(low)
     mesh = MeshPolynomial(s.distinct, y)
     coeff = mesh_to_coeffs(mesh)
-    bvec = tuple(best_fixed[j] for j in range(d + 1))
+    bvec = tuple(0 if j in best else 1 for j in range(d + 1))
     # indicator consistency: y_j >= 0 must imply b_j = 1
     for j, bj in enumerate(bvec):
         if y[j] >= -1e-9 * max(1.0, np.abs(y).max()) and bj != 1:
@@ -373,36 +404,5 @@ def sign_polynomial(s: Spectrum, k: int, cfg: MilpConfig = MilpConfig()) -> Milp
     tr = float(np.dot(s.mults, y))
     if abs(tr) > 1e-7 * max(1.0, np.abs(y).max()):
         raise NumericalInstability("certificate trace is not zero")
-    return MilpSolution(mesh, coeff, bvec, best_obj)
-
-
-def _max_margin_certificate(s: Spectrum, k: int, pattern: dict) -> np.ndarray:
-    """Given the optimal binary pattern, maximize the margin t with
-    y_j <= -t wherever b_j = 0, inside the unit box."""
-    d = s.d
-    nb = d + 1
-    zero = [j for j in range(nb) if pattern[j] == 0]
-    if not zero:
-        return np.zeros(nb)
-    # variables: y_0..y_d, t, one slack per margin row
-    nv = nb + 1 + len(zero)
-    obj = np.zeros(nv)
-    obj[nb] = -1.0  # maximize t
-    eqs = []
-    rows = dd_coefficient_rows(s.distinct)
-    for m in range(k + 1, d + 1):
-        row = np.zeros(nv)
-        row[:nb] = rows[m]
-        eqs.append((row / np.abs(row).max(), 0.0))
-    row = np.zeros(nv)
-    row[:nb] = s.mults
-    eqs.append((row / np.abs(row).max(), 0.0))
-    for idx, j in enumerate(zero):
-        row = np.zeros(nv)
-        row[j] = 1.0
-        row[nb] = 1.0
-        row[nb + 1 + idx] = 1.0
-        eqs.append((row, 0.0))
-    bounds = [(-1.0, 1.0)] * nb + [(0.0, None)] * (1 + len(zero))
-    x, _, _ = solve_lp(LinearProgram(obj, eqs, bounds))
-    return x[:nb]
+    objective = int(sum(m for m, bj in zip(s.mults, bvec) if bj))
+    return MilpSolution(mesh, coeff, bvec, objective)

@@ -1,9 +1,10 @@
 """Polynomials on the spectral mesh.
 
 The mesh-value representation (values at theta_0 > ... > theta_d) is primary:
-both optimization programs and every bound are linear in mesh values, and the
-conditioning is far better than the monomial basis.  Coefficient form is
-derived on demand through Newton expansion.
+every bound is linear in mesh values.  The predistance polynomials, orthogonal
+under the spectral inner product, are the basis both optimization programs
+build their polynomials in.  Coefficient form is derived on demand through
+Newton expansion.
 """
 
 from __future__ import annotations
@@ -85,24 +86,6 @@ def divided_differences(p: MeshPolynomial) -> np.ndarray:
         table = (table[1:] - table[:-1]) / (x[order:] - x[:-order])
         out.append(table[0])
     return np.array(out)
-
-
-def dd_coefficient_rows(mesh: np.ndarray) -> np.ndarray:
-    """Row m gives f[theta_0..theta_m] as a linear functional of the values.
-
-    f[theta_0..theta_m] = sum_{j<=m} x_j / prod_{l<=m, l!=j} (theta_j - theta_l).
-    """
-    d1 = len(mesh)
-    rows = np.zeros((d1, d1))
-    rows[0, 0] = 1.0
-    for m in range(1, d1):
-        for j in range(m + 1):
-            denom = 1.0
-            for l in range(m + 1):
-                if l != j:
-                    denom *= mesh[j] - mesh[l]
-            rows[m, j] = 1.0 / denom
-    return rows
 
 
 def mesh_to_coeffs(p: MeshPolynomial) -> CoeffPolynomial:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import load_fixture
 
 from specind.bounds import (
     BoundReport,
@@ -33,7 +34,7 @@ from specind.errors import (
     TraceNotZero,
 )
 from specind.exact import alpha_k_exact
-from specind.graphs import FamilySpec, generate
+from specind.graphs import FamilySpec, from_adjacency, generate
 from specind.optimize import minor_polynomial, sign_polynomial
 from specind.polys import (
     CoeffPolynomial,
@@ -164,6 +165,39 @@ def test_pwr_inertia_trace_check():
     bad = MeshPolynomial(s.distinct, np.ones(3))
     with pytest.raises(TraceNotZero):
         pwr_inertia(s, bad, 1)
+
+
+@pytest.mark.parametrize("label,k,want", [
+    ("flower-snark", 1, 10), ("flower-snark", 2, 7), ("hypercube:7", 6, 2),
+])
+def test_pwr_inertia_applicable_on_large_mesh_spread(corpus_spectra, label, k, want):
+    """Instances the big-M sign program lost to numerical trouble."""
+    g, s, dm, reg = corpus_spectra[label]
+    [rep] = [r for r in best_bounds(g, k, s=s, dm=dm, reg=reg)
+             if r.method == "pwr_inertia"]
+    assert rep.applicable, rep.reason
+    assert rep.floor_value == want
+
+
+def test_pwr_programs_on_tutte(corpus_spectra):
+    """d = 30: both programs solve in the predistance basis, and each ratio
+    floor is at least alpha_k = 19, 10, 6 (Tutte graph, k = 1, 2, 3)."""
+    _, s, _, _ = corpus_spectra["tutte"]
+    pd = predistance_polynomials(s)
+    for k, floor, alpha in [(1, 21, 19), (2, 11, 10), (3, 7, 6)]:
+        rep = pwr_ratio(s, minor_polynomial(s, k, pd=pd), k)
+        assert rep.applicable and rep.floor_value == floor >= alpha, k
+    assert sign_polynomial(s, 1, pd=pd).objective == 21
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sign_polynomial_flower_snark_relabelled(seed):
+    """The sign optimum is a graph invariant: the same under the vertex
+    relabellings the benchmark applies (one default_rng(seed) permutation)."""
+    g = load_fixture("flower-snark")
+    perm = np.random.default_rng(seed).permutation(g.n)
+    s = spectrum(from_adjacency(g.adjacency[np.ix_(perm, perm)]))
+    assert [sign_polynomial(s, k).objective for k in (1, 2, 3)] == [10, 7, 3]
 
 
 def test_pwr_ratio_known():

@@ -100,6 +100,22 @@ def test_bounds_k_at_least_diameter_skips_spectrum(monkeypatch, capsys):
     assert lines[1:] == ["trivial,3,1,1,True,k >= diameter"]
 
 
+def test_runtime_imports_numpy_only():
+    """The installed package depends on numpy alone: scipy, the test suite's
+    oracle, must not be imported by any solver on the CLI's paths."""
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from specind.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['bounds', '--family', 'petersen', '--k', 'all', '--exact']) == 0",
+        "    assert main(['classify', '--family', 'odd:4', '--k', '2']) == 0",
+        "print('scipy' in sys.modules)",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_classify():
     res = run_cli("classify", "--family", "kneser:6,2", "--k", "1")
     data = json.loads(res.stdout)

@@ -1,5 +1,9 @@
-"""LP/MILP solvers: simplex correctness against an independent solver,
-the minor-polynomial LP, and the sign-polynomial MILP."""
+"""LP solver and the two programs: simplex correctness against an
+independent solver, the minor-polynomial LP, and the sign-polynomial search,
+each checked against scipy solving the divided-difference mesh formulation."""
+
+from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from specind.errors import Infeasible, Unbounded
 from specind.graphs import FamilySpec
 from specind.optimize import (
     LinearProgram,
-    MilpConfig,
+    _negative_sets,
     dump_lp,
     minor_polynomial,
     minor_trace,
@@ -22,6 +26,27 @@ scipy_opt = pytest.importorskip("scipy.optimize")
 
 def odd_spectrum(ell):
     return exact_family_spectrum(FamilySpec.parse(f"odd:{ell}"))
+
+
+def dd_coefficient_rows(mesh: np.ndarray) -> np.ndarray:
+    """Row m gives f[theta_0..theta_m] as a linear functional of the values.
+
+    f[theta_0..theta_m] = sum_{j<=m} x_j / prod_{l<=m, l!=j} (theta_j - theta_l).
+    A polynomial has degree <= k exactly when rows k+1..d vanish on its mesh
+    values: the oracles below impose the degree this way, independently of
+    the predistance basis the package uses.
+    """
+    d1 = len(mesh)
+    rows = np.zeros((d1, d1))
+    rows[0, 0] = 1.0
+    for m in range(1, d1):
+        for j in range(m + 1):
+            denom = 1.0
+            for l in range(m + 1):
+                if l != j:
+                    denom *= mesh[j] - mesh[l]
+            rows[m, j] = 1.0 / denom
+    return rows
 
 
 def scipy_solve(lp: LinearProgram):
@@ -100,7 +125,6 @@ def test_minor_polynomial_odd_traces(ell, traces):
 
 def test_minor_polynomial_vs_scipy_oracle():
     """Same LP solved by scipy: the optimal objective must agree."""
-    from specind.polys import dd_coefficient_rows
     for ell, k in [(5, 2), (5, 3), (6, 2), (6, 4)]:
         s = odd_spectrum(ell)
         d = s.d
@@ -164,14 +188,59 @@ def test_sign_polynomial_indicator_consistency():
         assert sol.objective == int(sum(m for m, bj in zip(s.mults, sol.b) if bj))
 
 
-def test_sign_polynomial_scale_invariance():
-    """M x 10 and eps / 10 leave the optimal objective unchanged."""
-    for ell, k in [(5, 2), (6, 4)]:
-        s = odd_spectrum(ell)
-        base = sign_polynomial(s, k)
-        M0 = 1e4 * max(1.0, float(np.abs(s.distinct).max())) ** k
-        alt = sign_polynomial(s, k, MilpConfig(M=10 * M0, eps=1e-5))
-        assert alt.objective == base.objective, (ell, k)
+SIGN_ORACLE_GRAPHS = ("odd:4", "odd:5", "odd:6", "hypercube:4", "hypercube:5",
+                      "hypercube:6", "petersen", "dodecahedron", "desargues")
+
+
+def scipy_sign_milp(s, k, eps=1e-4):
+    """Optimal sign-polynomial objective by scipy's MILP on the big-M mesh
+    formulation: mesh values y in [-1, 1], divided differences of orders
+    k+1..d and the trace vanish, and y_j <= -eps unless the binary b_j = 1;
+    minimize sum m_j b_j.  M = 2 suffices inside the box."""
+    d1 = s.d + 1
+    M = 2.0
+    rows = dd_coefficient_rows(s.distinct)
+    eq = [np.concatenate([rows[m] / np.abs(rows[m]).max(), np.zeros(d1)])
+          for m in range(k + 1, d1)]
+    eq.append(np.concatenate([s.mults / s.mults.max(), np.zeros(d1)]))
+    ind = np.hstack([np.eye(d1), -M * np.eye(d1)])
+    res = scipy_opt.milp(
+        np.concatenate([np.zeros(d1), s.mults.astype(float)]),
+        constraints=[scipy_opt.LinearConstraint(np.array(eq), 0.0, 0.0),
+                     scipy_opt.LinearConstraint(ind, -np.inf, -eps)],
+        integrality=np.concatenate([np.zeros(d1), np.ones(d1)]),
+        bounds=scipy_opt.Bounds(np.concatenate([-np.ones(d1), np.zeros(d1)]),
+                                np.ones(2 * d1)))
+    assert res.status == 0, res.message
+    return round(res.fun)
+
+
+def test_sign_polynomial_vs_scipy_milp_oracle(corpus_spectra):
+    """The sign-pattern search and scipy's branch and bound on the mesh
+    formulation find the same optimum on every applicable k."""
+    checked = 0
+    for label in SIGN_ORACLE_GRAPHS:
+        _, s, _, reg = corpus_spectra[label]
+        for k in range(1, min(reg.pwr_level + 1, s.d)):
+            assert sign_polynomial(s, k).objective == scipy_sign_milp(s, k), (label, k)
+            checked += 1
+    assert checked == 30
+
+
+def test_negative_sets_enumeration():
+    """Every set with at most k changes along the mesh, each once, heaviest
+    first and lexicographic among equal weights."""
+    mults = np.array([1, 3, 2, 3, 1, 2])
+    d1 = len(mults)
+    for k in range(1, d1):
+        got = list(_negative_sets(mults, k))
+        want = [tuple(i for i in range(d1) if bits[i])
+                for bits in product((0, 1), repeat=d1)
+                if 0 < sum(bits) < d1
+                and sum(a != b for a, b in zip(bits, bits[1:])) <= k]
+        want.sort(key=lambda neg: (-sum(mults[list(neg)]), neg))
+        assert got == want, k
+        assert len(got) == 2 * sum(comb(d1 - 1, i) for i in range(k + 1)) - 2
 
 
 def test_sign_polynomial_deterministic():
