@@ -5,6 +5,12 @@ here as a maximum clique of the complement of G^k.  For k close to the
 diameter the power graph is dense and its complement sparse, which is
 exactly the regime of the hardest instances (large Odd graphs), so the
 complement-clique formulation keeps them tractable.
+
+The clique search is a bitset branch and bound after San Segundo's BBMC and
+Tomita's MCS: vertex i is the i-th of a degeneracy order, candidate sets are
+Python ints, and each node colours its candidates class by class, taking the
+lowest set bit over and over; only vertices whose colour could beat the
+incumbent are branched on.
 """
 
 from __future__ import annotations
@@ -27,80 +33,78 @@ class ExactResult:
     witness: tuple
     k: int
     elapsed: float
+    nodes: int = 0  # branch-and-bound nodes expanded
 
 
-def _degeneracy_order(adj_bits, n):
-    """Degeneracy ordering, ties by vertex index; returns vertex list."""
-    deg = [bin(adj_bits[v]).count("1") for v in range(n)]
-    alive = set(range(n))
+def _degeneracy_order(adj: np.ndarray) -> list:
+    """Degeneracy ordering of a boolean adjacency matrix: repeatedly remove a
+    vertex of least remaining degree, ties by vertex index."""
+    n = len(adj)
+    deg = adj.sum(axis=1)
     order = []
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
+    for _ in range(n):
+        v = int(np.argmin(deg))  # first minimum: the lowest index
         order.append(v)
-        alive.remove(v)
-        for u in range(n):
-            if u in alive and (adj_bits[v] >> u) & 1:
-                deg[u] -= 1
+        deg[v] = 2 * n  # above every live degree for the rest of the loop
+        deg -= adj[v]
     return order
 
 
-def _max_clique(adj_bits, n, deadline):
-    """Branch-and-bound maximum clique with greedy-coloring upper bounds."""
-    order = _degeneracy_order(adj_bits, n)
-    # search vertices in reverse degeneracy order (high-degree core first)
+def _max_clique(adj: np.ndarray, deadline: float):
+    """Maximum clique of a boolean adjacency matrix; (size, clique, nodes)."""
+    order = _degeneracy_order(adj)
+    packed = np.packbits(adj[np.ix_(order, order)], axis=1, bitorder="little")
+    bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    # a colour class takes the lowest v, then drops v and its neighbours
+    rest = [~(row | (1 << v)) for v, row in enumerate(bits)]
     best = []
     best_size = 0
+    nodes = 0
 
-    def color_sort(cand_list):
-        """Greedy coloring; returns vertices sorted by color with bounds."""
-        colors = []  # list of bitmasks, one per color class
-        colored = []
-        for v in cand_list:
-            for ci, mask in enumerate(colors):
-                if not (mask & adj_bits[v]):
-                    colors[ci] |= 1 << v
-                    colored.append((ci + 1, v))
-                    break
-            else:
-                colors.append(1 << v)
-                colored.append((len(colors), v))
-        colored.sort()
-        return colored
-
-    def expand(clique, cand_bits, cand_list):
-        nonlocal best, best_size
+    def expand(clique, cand):
+        nonlocal best, best_size, nodes
+        nodes += 1
         if time.monotonic() > deadline:
             raise SearchTimeout("exact search exceeded its wall-clock budget")
-        colored = color_sort(cand_list)
-        while colored:
-            bound, v = colored.pop()
-            if len(clique) + bound <= best_size:
+        # keep the vertices whose colour could lift the clique above the
+        # incumbent, and branch on them from the highest colour down
+        depth = len(clique)
+        floor = best_size - depth
+        branch = []
+        uncoloured = cand
+        colour = 0
+        while uncoloured:
+            colour += 1
+            q = uncoloured
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                q &= rest[v]
+                uncoloured ^= low
+                if colour > floor:
+                    branch.append((colour, v))
+        for colour, v in reversed(branch):
+            if depth + colour <= best_size:
                 return
             clique.append(v)
-            new_bits = cand_bits & adj_bits[v]
-            if new_bits:
-                new_list = [u for _, u in colored if (new_bits >> u) & 1]
-                expand(clique, new_bits, new_list)
-            elif len(clique) > best_size:
-                best_size = len(clique)
+            sub = cand & bits[v]
+            if sub:
+                expand(clique, sub)
+            elif depth + 1 > best_size:
+                best_size = depth + 1
                 best = list(clique)
             clique.pop()
-            cand_bits &= ~(1 << v)
+            cand ^= 1 << v
 
-    full = 0
-    lst = []
-    for v in reversed(order):
-        full |= 1 << v
-        lst.append(v)
-    expand([], full, list(reversed(lst)))
-    return best_size, best
+    expand([], (1 << len(order)) - 1)
+    return best_size, [order[i] for i in best], nodes
 
 
 def alpha_k_exact(g: Graph, k: int, dm: DistanceMatrix | None = None,
                   size_limit: int = DEFAULT_SIZE_LIMIT,
                   timeout: float = DEFAULT_TIMEOUT) -> ExactResult:
-    """Exact alpha_k with a witness set; deterministic size, witness canonical
-    only up to the fixed search order."""
+    """Exact alpha_k with a checked witness set; deterministic size, witness
+    canonical only up to the fixed search order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if g.n > size_limit:
@@ -108,19 +112,16 @@ def alpha_k_exact(g: Graph, k: int, dm: DistanceMatrix | None = None,
     start = time.monotonic()
     if dm is None:
         dm = distance_matrix(g)
-    n = g.n
     # clique in the complement of G^k == pairs at distance > k
     far = dm.dist > k
-    bits = []
-    for v in range(n):
-        row = 0
-        for u in np.flatnonzero(far[v]):
-            row |= 1 << int(u)
-        bits.append(row)
-    if not any(bits):  # k >= diameter
+    if not far.any():  # k >= diameter
         return ExactResult(1, (0,), k, time.monotonic() - start)
-    size, witness = _max_clique(bits, n, start + timeout)
-    return ExactResult(size, tuple(sorted(witness)), k, time.monotonic() - start)
+    size, witness, nodes = _max_clique(far, start + timeout)
+    witness = tuple(sorted(witness))
+    if len(witness) != size or not verify_independent(g, k, witness, dm):
+        # an oracle bug, not an inapplicable instance: no handler may catch it
+        raise RuntimeError(f"exact witness {witness} is not {k}-independent")
+    return ExactResult(size, witness, k, time.monotonic() - start, nodes)
 
 
 def verify_independent(g: Graph, k: int, vertices,
@@ -128,9 +129,6 @@ def verify_independent(g: Graph, k: int, vertices,
     """True iff the vertices are pairwise at distance > k."""
     if dm is None:
         dm = distance_matrix(g)
-    vs = list(vertices)
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if dm.dist[vs[i], vs[j]] <= k:
-                return False
-    return True
+    w = np.asarray(list(vertices), dtype=np.intp)
+    off_diagonal = ~np.eye(len(w), dtype=bool)
+    return bool(np.all(dm.dist[np.ix_(w, w)][off_diagonal] > k))

@@ -345,25 +345,24 @@ def generate(spec: FamilySpec) -> Graph:
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """BFS-exact hop distances; the graph is connected by construction."""
+    """Hop distances by a BFS from every source at once: row s of the 0/1
+    frontier is the level of s, and the next level is (frontier @ A > 0) among
+    the pairs not yet reached.  The product counts neighbours, at most n, so
+    float32 is exact.  The graph is connected by construction."""
     n = g.n
-    nbrs = [np.flatnonzero(g.adjacency[u]) for u in range(n)]
+    a = g.adjacency.astype(np.float32)
     dist = np.full((n, n), -1, dtype=np.int32)
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in nbrs[u]:
-                    if row[v] < 0:
-                        row[v] = d
-                        nxt.append(int(v))
-            frontier = nxt
-    return DistanceMatrix(dist, int(dist.max()))
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(n, dtype=np.float32)
+    d = 0
+    while True:
+        reached = (frontier @ a > 0) & (dist < 0)
+        if not reached.any():
+            break
+        d += 1
+        dist[reached] = d
+        frontier = reached.astype(np.float32)
+    return DistanceMatrix(dist, d)
 
 
 def power_graph(g: Graph, k: int, dm: DistanceMatrix | None = None) -> Graph:

@@ -229,13 +229,21 @@ def classify_regularity(g: Graph, s: Spectrum,
     d = s.d
     # pwr level: largest k <= d with diag(A^l) constant for all l <= k.
     # Checking beyond d is pointless: the minimal polynomial has degree d+1.
+    # Entries of A^l are at most max_deg^l: float products are exact below
+    # 2^53, and beyond that the walk counts go on in Python ints, each column
+    # of A^l the sum of the A^(l-1) columns at its neighbours.
     a = g.adjacency.astype(float)
     power = np.eye(g.n)
     pwr = 0
     for level in range(1, d + 1):
-        power = power @ a
-        diag = np.round(np.diag(power)).astype(np.int64)
-        if np.all(diag == diag[0]):
+        if int(deg.max()) ** level < 2 ** 53:
+            power = power @ a
+        else:
+            if power.dtype != object:
+                power = power.astype(np.int64).astype(object)
+                nbrs = [np.flatnonzero(col) for col in g.adjacency.T]
+            power = np.column_stack([power[:, nb].sum(axis=1) for nb in nbrs])
+        if np.all(np.diag(power) == power[0, 0]):
             pwr = level
         else:
             break

@@ -5,13 +5,20 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specind.bounds import best_bounds
 from specind.errors import SearchTimeout
 from specind.optimize import MilpConfig
 from specind.exact import alpha_k_exact
-from specind.graphs import FamilySpec, distance_matrix, generate, parse_graph6
+from specind.graphs import (
+    FamilySpec,
+    distance_matrix,
+    from_adjacency,
+    generate,
+    parse_graph6,
+)
 from specind.spectra import classify_regularity, spectrum
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "specind" / "data"
@@ -38,6 +45,14 @@ def load_fixture(name: str):
     path = FIXTURE_DIR / f"{name}.g6"
     g = parse_graph6(path.read_text())
     return type(g)(g.n, g.adjacency, name)
+
+
+def relabelled(spec: str, seed: int):
+    """A family graph under the benchmark's vertex relabelling: one
+    ``numpy.random.default_rng(seed)`` permutation."""
+    g = generate(FamilySpec.parse(spec))
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return from_adjacency(g.adjacency[np.ix_(perm, perm)], f"{spec}@{seed}")
 
 
 def fixture_names():

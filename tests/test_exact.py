@@ -3,7 +3,10 @@ known values, monotonicity, witnesses, guard rails."""
 
 import numpy as np
 import pytest
+from conftest import relabelled
 
+from specind import exact
+from specind.ch import ch_classify
 from specind.errors import SizeLimitExceeded
 from specind.exact import alpha_k_exact, verify_independent
 from specind.graphs import (
@@ -31,6 +34,126 @@ def brute_force_mis(adj: np.ndarray) -> int:
         return go(v + 1, allowed, size, best0)
 
     return go(0, (1 << n) - 1, 0, 0)
+
+
+def reference_degeneracy_order(adj_bits, n):
+    """Degeneracy ordering on bit rows, ties by vertex index (the former
+    implementation of ``exact._degeneracy_order``)."""
+    deg = [bin(adj_bits[v]).count("1") for v in range(n)]
+    alive = set(range(n))
+    order = []
+    while alive:
+        v = min(alive, key=lambda u: (deg[u], u))
+        order.append(v)
+        alive.remove(v)
+        for u in range(n):
+            if u in alive and (adj_bits[v] >> u) & 1:
+                deg[u] -= 1
+    return order
+
+
+def reference_max_clique(adj_bits, n):
+    """Reference: branch and bound over per-node candidate lists with a
+    list-based greedy colouring (the former implementation of
+    ``exact._max_clique``)."""
+    order = reference_degeneracy_order(adj_bits, n)
+    best = []
+    best_size = 0
+
+    def color_sort(cand_list):
+        colors = []
+        colored = []
+        for v in cand_list:
+            for ci, mask in enumerate(colors):
+                if not (mask & adj_bits[v]):
+                    colors[ci] |= 1 << v
+                    colored.append((ci + 1, v))
+                    break
+            else:
+                colors.append(1 << v)
+                colored.append((len(colors), v))
+        colored.sort()
+        return colored
+
+    def expand(clique, cand_bits, cand_list):
+        nonlocal best, best_size
+        colored = color_sort(cand_list)
+        while colored:
+            bound, v = colored.pop()
+            if len(clique) + bound <= best_size:
+                return
+            clique.append(v)
+            new_bits = cand_bits & adj_bits[v]
+            if new_bits:
+                new_list = [u for _, u in colored if (new_bits >> u) & 1]
+                expand(clique, new_bits, new_list)
+            elif len(clique) > best_size:
+                best_size = len(clique)
+                best = list(clique)
+            clique.pop()
+            cand_bits &= ~(1 << v)
+
+    full = 0
+    for v in order:
+        full |= 1 << v
+    expand([], full, list(order))
+    return best_size, best
+
+
+def far_bits(dm, k):
+    """Bit rows of the "distance > k" graph, one Python int per vertex."""
+    return [sum(1 << int(u) for u in np.flatnonzero(row > k)) for row in dm.dist]
+
+
+def test_oracle_vs_colour_sort_reference(corpus_spectra):
+    for label, (g, _, dm, _) in corpus_spectra.items():
+        if g.n > 64:
+            continue
+        for k in range(1, dm.diameter):
+            want, _ = reference_max_clique(far_bits(dm, k), g.n)
+            assert alpha_k_exact(g, k, dm=dm).alpha_k == want, (label, k)
+
+
+@pytest.mark.parametrize("spec,k", [("odd:6", 4), ("hypercube:7", 2),
+                                    ("kneser:10,3", 1), ("petersen", 1)])
+def test_degeneracy_order_matches_reference(spec, k):
+    for g in (generate(FamilySpec.parse(spec)), relabelled(spec, 7)):
+        dm = distance_matrix(g)
+        assert (exact._degeneracy_order(dm.dist > k)
+                == reference_degeneracy_order(far_bits(dm, k), g.n))
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+@pytest.mark.parametrize("spec,k,alpha", [("odd:6", 4, 11),
+                                          ("hypercube:7", 2, 16),
+                                          ("odd:5", 3, 7)])
+def test_known_values_relabelled(spec, k, alpha, seed):
+    g = relabelled(spec, seed)
+    dm = distance_matrix(g)
+    res = alpha_k_exact(g, k, dm=dm)
+    assert res.alpha_k == len(res.witness) == alpha
+    assert verify_independent(g, k, res.witness, dm)
+
+
+def test_node_count_repeats():
+    g = generate(FamilySpec.parse("odd:5"))
+    a = alpha_k_exact(g, 3)
+    b = alpha_k_exact(g, 3)
+    assert a.nodes == b.nodes > 0
+    assert alpha_k_exact(g, 4).nodes == 0  # k = diameter: no search
+
+
+def test_bad_witness_is_an_oracle_bug(monkeypatch):
+    """A witness that fails the post-check raises RuntimeError, which no
+    SpecindError handler turns into an "exact unavailable" note."""
+    g = generate(FamilySpec.parse("petersen"))
+    neighbour = int(g.neighbors(0)[0])
+    monkeypatch.setattr(exact, "_max_clique",
+                        lambda adj, deadline: (2, [0, neighbour], 1))
+    with pytest.raises(RuntimeError):
+        alpha_k_exact(g, 1)
+    with pytest.raises(RuntimeError):
+        ch_classify(g, 1)
 
 
 @pytest.mark.parametrize("spec", [
@@ -98,10 +221,16 @@ def test_independence_number_matches_alpha1():
 
 def test_verify_independent_basics():
     g = generate(FamilySpec.parse("petersen"))
+    assert verify_independent(g, 1, [])
     assert verify_independent(g, 1, [0])  # singleton
     u = 0
     v = int(g.neighbors(0)[0])
     assert not verify_independent(g, 1, [u, v])  # adjacent pair
+    assert not verify_independent(g, 1, [u, u])  # repeated vertex
+    far = [w for w in range(g.n) if w != u and w != v
+           and not g.adjacency[u, w] and not g.adjacency[v, w]]
+    assert verify_independent(g, 1, [u, far[0]])
+    assert not verify_independent(g, 1, [u, far[0], v])
 
 
 def test_deterministic_result():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import relabelled
 
 from specind.errors import (
     DisconnectedGraph,
@@ -105,6 +106,48 @@ def test_distance_matrix_petersen():
     assert dm.diameter == 2
     assert np.all(np.diag(dm.dist) == 0)
     assert np.array_equal(dm.dist, dm.dist.T)
+
+
+def per_source_bfs(g):
+    """Reference: a Python BFS from each source in turn (the former
+    implementation of ``distance_matrix``)."""
+    n = g.n
+    nbrs = [np.flatnonzero(g.adjacency[u]) for u in range(n)]
+    dist = np.full((n, n), -1, dtype=np.int32)
+    for s in range(n):
+        row = dist[s]
+        row[s] = 0
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for v in nbrs[u]:
+                    if row[v] < 0:
+                        row[v] = d
+                        nxt.append(int(v))
+            frontier = nxt
+    return dist, int(dist.max())
+
+
+def assert_matches_per_source_bfs(g):
+    dm = distance_matrix(g)
+    dist, diameter = per_source_bfs(g)
+    assert dm.dist.dtype == dist.dtype == np.int32, g.label
+    assert np.array_equal(dm.dist, dist), g.label
+    assert dm.diameter == diameter, g.label
+
+
+def test_distance_matrix_matches_per_source_bfs(corpus):
+    for g in corpus:
+        assert_matches_per_source_bfs(g)
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+@pytest.mark.parametrize("spec", ["odd:6", "hypercube:7"])
+def test_distance_matrix_matches_per_source_bfs_relabelled(spec, seed):
+    assert_matches_per_source_bfs(relabelled(spec, seed))
 
 
 def test_power_graph_identity_and_monotone():

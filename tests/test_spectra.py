@@ -1,5 +1,7 @@
 """Spectra, multiplicity grouping, pi products, regularity classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,20 @@ def test_regularity_ladder():
         assert rep.is_regular == want["reg"], label
         assert rep.is_walk_regular == want["wr"], label
         assert rep.is_distance_regular == want["dr"], label
+
+
+@pytest.mark.parametrize("spec,d", [("prism:60", 58), ("moebius_ladder:60", 60),
+                                    ("circulant:150,1,2", 73), ("cycle:150", 75)])
+def test_walk_regular_beyond_float_exactness(spec, d):
+    """Vertex-transitive, hence walk-regular, graphs whose closed-walk counts
+    pass 2^53 before level d, where float matrix powers stop being exact."""
+    g = generate(FamilySpec.parse(spec))
+    s = spectrum(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify_regularity(g, s)
+    assert s.d == d
+    assert rep.pwr_level == d and rep.is_walk_regular
 
 
 def test_hoffman_graph_walk_regular_not_distance_regular(corpus_spectra):
