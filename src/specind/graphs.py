@@ -213,6 +213,8 @@ def parse_edge_list(text: str, label: str = "") -> Graph:
         if len(parts) != 2:
             raise ValueError(f"bad edge line {line!r}")
         u, v = int(parts[0]), int(parts[1])
+        if min(u, v) < 0:
+            raise ValueError(f"negative vertex id in {line!r}")
         top = max(top, u, v)
         edges.append((u, v))
     return from_edges(top + 1, edges, label)
@@ -274,14 +276,11 @@ def kneser_vertices(n: int, k: int) -> list:
 def _kneser(n: int, k: int) -> Graph:
     if k < 1 or n <= 2 * k:
         raise InvalidFamilyParameters("kneser needs n > 2k >= 2 for connectivity")
-    verts = kneser_vertices(n, k)
-    sets = [frozenset(v) for v in verts]
-    nn = len(verts)
-    adj = np.zeros((nn, nn), dtype=bool)
-    for i in range(nn):
-        for j in range(i + 1, nn):
-            if not (sets[i] & sets[j]):
-                adj[i, j] = adj[j, i] = True
+    # adjacent exactly when the subsets, as n-bit masks, are disjoint; the
+    # smallest unsigned dtype that holds n bits (Python ints past 64)
+    masks = np.array([sum(1 << i for i in v) for v in kneser_vertices(n, k)],
+                     dtype=np.min_scalar_type((1 << n) - 1))
+    adj = (masks[:, None] & masks[None, :]) == 0
     return from_adjacency(adj, f"kneser:{n},{k}")
 
 

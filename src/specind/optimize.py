@@ -1,4 +1,4 @@
-"""Desk-scale LP machinery and the two optimization programs:
+"""A deterministic dense simplex and the two optimization programs:
 
 * the minor-polynomial LP (minimize the multiplicity-weighted trace of a
   degree-<= k polynomial with f(theta_0) = 1 and f >= 0 elsewhere), and
@@ -12,14 +12,16 @@ p_i are orthogonal under the spectral inner product, "degree <= k" is the
 span of p_0..p_k and "trace zero and degree <= k" the span of p_1..p_k, so
 no constraint is needed for either.  Divided-difference rows, the other way
 to impose the degree, are ill-conditioned on spectra with many distinct
-eigenvalues (d = 30 for the Tutte graph).
+eigenvalues (d = 30 for the Tutte graph).  ``_predistance_lp`` writes both
+programs' LPs directly in the standard form min c.u, Au = b, u >= 0 that
+``_simplex_standard`` solves.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,177 +44,69 @@ from .spectra import Spectrum
 _TOL = 1e-9
 
 
-@dataclass
-class LinearProgram:
-    """min objective . x  subject to  eq_constraints, variable bounds.
+def _pivot(T: np.ndarray, basis: np.ndarray, basic: np.ndarray,
+           row: int, col: int):
+    """Make column ``col`` basic in ``row``: scale the row to a unit pivot and
+    subtract its multiples from the rows with a nonzero entry in ``col``."""
+    T[row] /= T[row, col]
+    rows = np.flatnonzero(T[:, col] != 0)
+    rows = rows[rows != row]
+    T[rows] -= np.outer(T[rows, col], T[row])
+    basic[basis[row]] = False
+    basic[col] = True
+    basis[row] = col
 
-    bounds[j] = (lo, hi); None means unbounded on that side.
-    """
 
-    objective: np.ndarray
-    eq_constraints: list = field(default_factory=list)  # (row, rhs) pairs
-    bounds: list = field(default_factory=list)          # (lo, hi) per variable
-
-    def num_vars(self) -> int:
-        return len(self.objective)
+def _bland(T: np.ndarray, basis: np.ndarray, basic: np.ndarray,
+           cost: np.ndarray, ncols: int):
+    """Pivot the tableau T = [A | b] to optimality for ``cost`` over its first
+    ``ncols`` columns by Bland's rule: the first improving non-basic column
+    enters, the row of the minimum (ratio, basic index) leaves."""
+    while True:
+        reduced = cost[:ncols] - cost[basis] @ T[:, :ncols]
+        improving = (reduced < -_TOL) & ~basic[:ncols]
+        if not improving.any():
+            return
+        enter = int(improving.argmax())
+        col = T[:, enter]
+        rows = np.flatnonzero(col > _TOL)
+        if not len(rows):
+            raise Unbounded("LP objective unbounded below")
+        ratios = T[rows, -1] / col[rows]
+        tied = rows[ratios == ratios.min()]
+        _pivot(T, basis, basic, tied[basis[tied].argmin()], enter)
 
 
 def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Two-phase primal simplex with Bland's rule on min c.x, Ax=b, x>=0."""
+    """Two-phase primal simplex with Bland's rule on min c.x, Ax=b, x>=0.
+
+    Deterministic: repeated runs return bit-identical vertices."""
     m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    neg = b < 0
-    A[neg] *= -1
-    b[neg] *= -1
-
+    sign = np.where(b < 0, -1.0, 1.0)
+    A, b = A * sign[:, None], b * sign
     # scale rows for numerics (does not affect the vertex chosen by Bland)
-    for i in range(m):
-        s = max(np.abs(A[i]).max(), abs(b[i]))
-        if s > 0:
-            A[i] /= s
-            b[i] /= s
-
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = list(range(n, n + m))
+    s = np.maximum(np.abs(A).max(axis=1), np.abs(b))
+    s[s == 0] = 1.0
+    T = np.hstack([A / s[:, None], np.eye(m), (b / s)[:, None]])
+    basis = np.arange(n, n + m)
+    basic = np.arange(n + m) >= n
     cost = np.concatenate([np.zeros(n), np.ones(m)])
-
-    def pivot(T, basis, cost, ncols):
-        while True:
-            cb = cost[basis]
-            reduced = cost[:ncols] - cb @ T[:, :ncols]
-            enter = -1
-            for j in range(ncols):
-                if j not in basis and reduced[j] < -_TOL:
-                    enter = j
-                    break  # Bland: smallest index
-            if enter < 0:
-                return
-            col = T[:, enter]
-            ratios = [(T[i, -1] / col[i], basis[i], i)
-                      for i in range(len(basis)) if col[i] > _TOL]
-            if not ratios:
-                raise Unbounded("LP objective unbounded below")
-            leave_row = min(ratios)[2]  # ties: smallest basic variable index
-            T[leave_row] /= T[leave_row, enter]
-            for i in range(T.shape[0]):
-                if i != leave_row and abs(T[i, enter]) > 0:
-                    T[i] -= T[i, enter] * T[leave_row]
-            basis[leave_row] = enter
-
-    pivot(T, basis, cost, n + m)
+    _bland(T, basis, basic, cost, n + m)
     if cost[basis] @ T[:, -1] > 1e-7:
         raise Infeasible("phase-1 optimum positive: empty feasible region")
-    # drive any residual artificials out of the basis
-    for i, bi in enumerate(basis):
-        if bi >= n:
-            for j in range(n):
-                if j not in basis and abs(T[i, j]) > _TOL:
-                    T[i] /= T[i, j]
-                    for r in range(m):
-                        if r != i:
-                            T[r] -= T[r, j] * T[i]
-                    basis[i] = j
-                    break
-    keep = [i for i, bi in enumerate(basis) if bi < n]
-    if len(keep) < m:  # redundant rows left with artificial basics
-        T = T[keep]
-        basis = [basis[i] for i in keep]
-        m = len(keep)
-    T = np.hstack([T[:, :n], T[:, -1:]])
-    pivot(T, basis, np.concatenate([c, [0.0]]), n)
+    # drive the artificials left in the basis out where a real column can
+    # replace them; the rows where none can are redundant and dropped
+    for i in np.flatnonzero(basis >= n):
+        cand = np.flatnonzero((np.abs(T[i, :n]) > _TOL) & ~basic[:n])
+        if len(cand):
+            _pivot(T, basis, basic, i, cand[0])
+    keep = basis < n
+    T = np.hstack([T[keep, :n], T[keep, -1:]])
+    basis = basis[keep]
+    _bland(T, basis, basic, np.concatenate([c, [0.0]]), n)
     x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        x[bi] = T[i, -1]
+    x[basis] = T[:, -1]
     return x, float(c @ x)
-
-
-def solve_lp(lp: LinearProgram):
-    """Solve a bounded-variable LP; returns (values, objective, vertex_flag).
-
-    Deterministic: Bland's anti-cycling pivot rule throughout, so repeated
-    runs return bit-identical vertices.
-    """
-    nv = lp.num_vars()
-    bounds = lp.bounds if lp.bounds else [(0.0, None)] * nv
-    # substitute each variable into one or two nonnegative ones
-    shift = np.zeros(nv)
-    sign = np.ones(nv)
-    split = []  # indices of free variables (x = u - v)
-    ubrows = []  # (var index in transformed space, width)
-    cols = []  # transformed column index per original variable
-    ncols = 0
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            shift[j] = lo
-            cols.append(ncols)
-            ncols += 1
-            if hi is not None:
-                ubrows.append((j, hi - lo))
-        elif hi is not None:
-            shift[j] = hi
-            sign[j] = -1.0
-            cols.append(ncols)
-            ncols += 1
-        else:
-            split.append(j)
-            cols.append(ncols)
-            ncols += 2
-    rows = len(lp.eq_constraints) + len(ubrows)
-    nstd = ncols + len(ubrows)  # plus one slack per upper bound
-    A = np.zeros((rows, nstd))
-    b = np.zeros(rows)
-    c = np.zeros(nstd)
-
-    def scatter(vec, row=None, target_c=False):
-        for j in range(nv):
-            cj = cols[j]
-            val = vec[j] * sign[j]
-            if target_c:
-                c[cj] += val
-                if j in split:
-                    c[cj + 1] -= val
-            else:
-                A[row, cj] += val
-                if j in split:
-                    A[row, cj + 1] -= val
-
-    scatter(np.asarray(lp.objective, dtype=float), target_c=True)
-    for r, (row, rhs) in enumerate(lp.eq_constraints):
-        row = np.asarray(row, dtype=float)
-        scatter(row, row=r)
-        b[r] = rhs - float(row @ shift)
-    for idx, (j, width) in enumerate(ubrows):
-        r = len(lp.eq_constraints) + idx
-        A[r, cols[j]] = 1.0
-        A[r, ncols + idx] = 1.0
-        b[r] = width
-    u, _ = _simplex_standard(A, b, c)
-    x = np.zeros(nv)
-    for j in range(nv):
-        val = u[cols[j]]
-        if j in split:
-            val -= u[cols[j] + 1]
-        x[j] = shift[j] + sign[j] * val
-    return x, float(np.asarray(lp.objective) @ x), True
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text tableau dump for external cross-checking.
-
-    Line 1: ``minimize`` followed by the objective coefficients.
-    One ``eq`` line per equality constraint: coefficients then ``= rhs``.
-    One ``bounds`` line per variable: ``lo hi`` with ``-inf``/``inf``.
-    """
-    out = ["minimize " + " ".join(f"{v:.12g}" for v in lp.objective)]
-    for row, rhs in lp.eq_constraints:
-        out.append("eq " + " ".join(f"{v:.12g}" for v in row) + f" = {rhs:.12g}")
-    bounds = lp.bounds if lp.bounds else [(0.0, None)] * lp.num_vars()
-    for lo, hi in bounds:
-        lo_s = "-inf" if lo is None else f"{lo:.12g}"
-        hi_s = "inf" if hi is None else f"{hi:.12g}"
-        out.append(f"bounds {lo_s} {hi_s}")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -220,36 +114,48 @@ def dump_lp(lp: LinearProgram) -> str:
 
 
 def _predistance_lp(pd: PredistanceFamily, degrees: slice, objective,
-                    bounds: list, rows: list = ()):
-    """min objective . x over x = (y_0..y_d, extra...), where the mesh values
-    are y = sum_{i in degrees} c_i p_i(theta) for free c_i.
+                    lo: np.ndarray, hi: np.ndarray, rows=(), rhs=()):
+    """min objective . x over x = (y_0..y_d, extra...) with lo <= y <= hi
+    (hi = inf: no upper bound), extra >= 0, rows . x = rhs, and mesh values
+    y = sum_{i in degrees} c_i p_i(theta) for free c_i.  Returns (x, obj).
 
-    ``bounds`` covers x and ``rows`` are (row, rhs) equalities over x.  The
-    c_i sit between y and the extra variables in the LP and are dropped
-    from the returned (x, objective).
+    Standard form: columns y - lo, then each c_i as two adjacent columns
+    (+, -), then the extra variables, then one slack per finite upper bound;
+    rows y_j - sum_i c_i p_i(theta_j) = 0, then ``rows``, then
+    y_j + slack = hi_j.
     """
     # each p_i scaled to max |p_i(theta_j)| = 1: the c_i are free, so the
     # span is unchanged and the columns are comparable
     basis = pd.mesh_values[degrees]
     basis = basis / np.abs(basis).max(axis=1, keepdims=True)
     nc, d1 = basis.shape
-    nx = len(objective)
-
-    def widen(row):
-        row = np.asarray(row, dtype=float)
-        return np.concatenate([row[:d1], np.zeros(nc), row[d1:]])
-
-    eqs = []
-    for j in range(d1):  # y_j - sum_i c_i p_i(theta_j) = 0
-        row = np.zeros(nx + nc)
-        row[j] = 1.0
-        row[d1:d1 + nc] = -basis[:, j]
-        eqs.append((row, 0.0))
-    eqs += [(widen(row), rhs) for row, rhs in rows]
-    lp = LinearProgram(widen(objective), eqs,
-                       bounds[:d1] + [(None, None)] * nc + bounds[d1:])
-    x, obj, _ = solve_lp(lp)
-    return np.concatenate([x[:d1], x[d1 + nc:]]), obj
+    objective = np.asarray(objective, dtype=float)
+    R = np.asarray(rows, dtype=float).reshape(len(rhs), len(objective))
+    ext = slice(d1 + 2 * nc, len(objective) + 2 * nc)  # extra variables
+    ub = np.flatnonzero(np.isfinite(hi))
+    nr = d1 + len(R)
+    A = np.zeros((nr + len(ub), ext.stop + len(ub)))
+    b = np.zeros(len(A))
+    c = np.zeros(A.shape[1])
+    # += onto zeros: 0.0 + v keeps -0.0 out of the LP's coefficients
+    A[np.arange(d1), np.arange(d1)] = 1.0
+    A[:d1, d1:ext.start:2] -= basis.T
+    A[:d1, d1 + 1:ext.start:2] += basis.T
+    b[:d1] -= lo
+    A[d1:nr, :d1] += R[:, :d1]
+    A[d1:nr, ext] += R[:, d1:]
+    b[d1:nr] = rhs - R[:, :d1] @ lo
+    r = np.arange(len(ub))
+    A[nr + r, ub] = A[nr + r, ext.stop + r] = 1.0
+    b[nr:] = hi[ub] - lo[ub]
+    c[:d1] += objective[:d1]
+    c[ext] += objective[d1:]
+    u, _ = _simplex_standard(A, b, c)
+    # the objective is summed over (y, c, extra) as laid out in the LP
+    x = np.concatenate([lo + u[:d1], u[d1:ext.start:2] - u[d1 + 1:ext.start:2],
+                        u[ext]])
+    wide = np.concatenate([objective[:d1], np.zeros(nc), objective[d1:]])
+    return np.concatenate([x[:d1], x[d1 + nc:]]), float(wide @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +176,20 @@ def minor_polynomial(s: Spectrum, k: int,
     if pd is None:
         pd = predistance_polynomials(s)
     degrees = slice(0, k + 1)
-    bounds = [(1.0, 1.0)] + [(0.0, None)] * d
+    lo = np.zeros(d + 1)
+    hi = np.full(d + 1, np.inf)
+    lo[0] = hi[0] = 1.0
     trace = s.mults.astype(float)
-    y, obj = _predistance_lp(pd, degrees, trace, bounds)
+    y, obj = _predistance_lp(pd, degrees, trace, lo, hi)
     # the optimum can be degenerate; pin down a canonical vertex by
     # lexicographically minimizing (y_1, ..., y_d) subject to optimality
-    rows = [(trace / trace.max(), obj / trace.max())]
+    rows, rhs = [trace / trace.max()], [obj / trace.max()]
     for j in range(1, d):
         unit = np.zeros(d + 1)
         unit[j] = 1.0
-        y, vj = _predistance_lp(pd, degrees, unit, bounds, rows)
-        rows.append((unit, max(vj, 0.0)))
+        y, vj = _predistance_lp(pd, degrees, unit, lo, hi, rows, rhs)
+        rows.append(unit)
+        rhs.append(max(vj, 0.0))
     y[np.abs(y) < 1e-11] = 0.0
     if y[1:].min() > 1e-7:
         raise NormalizationViolation("LP vertex has min_{i>=1} f(theta_i) > 0")
@@ -348,19 +257,13 @@ def _max_margin(pd: PredistanceFamily, k: int, neg: tuple):
     """max t with y_j <= -t on ``neg``, |y| <= 1 and y in span(p_1..p_k);
     returns (y, t)."""
     d1 = len(pd.norms_sq)
-    # variables: y_0..y_d, t, one slack per margin row
-    nx = d1 + 1 + len(neg)
-    obj = np.zeros(nx)
+    # variables: y_0..y_d, t, one slack per margin row y_j + t + slack = 0
+    rows = np.hstack([np.eye(d1)[list(neg)], np.ones((len(neg), 1)),
+                      np.eye(len(neg))])
+    obj = np.zeros(rows.shape[1])
     obj[d1] = -1.0
-    rows = []
-    for idx, j in enumerate(neg):
-        row = np.zeros(nx)
-        row[j] = 1.0
-        row[d1] = 1.0
-        row[d1 + 1 + idx] = 1.0
-        rows.append((row, 0.0))
-    bounds = [(-1.0, 1.0)] * d1 + [(0.0, None)] * (1 + len(neg))
-    x, _ = _predistance_lp(pd, slice(1, k + 1), obj, bounds, rows)
+    x, _ = _predistance_lp(pd, slice(1, k + 1), obj, -np.ones(d1),
+                           np.ones(d1), rows, np.zeros(len(neg)))
     return x[:d1], x[d1]
 
 
@@ -398,9 +301,8 @@ def sign_polynomial(s: Spectrum, k: int, cfg: MilpConfig = MilpConfig(),
     coeff = mesh_to_coeffs(mesh)
     bvec = tuple(0 if j in best else 1 for j in range(d + 1))
     # indicator consistency: y_j >= 0 must imply b_j = 1
-    for j, bj in enumerate(bvec):
-        if y[j] >= -1e-9 * max(1.0, np.abs(y).max()) and bj != 1:
-            raise NumericalInstability("indicator constraint violated by certificate")
+    if (y[list(best)] >= -1e-9 * max(1.0, np.abs(y).max())).any():
+        raise NumericalInstability("indicator constraint violated by certificate")
     tr = float(np.dot(s.mults, y))
     if abs(tr) > 1e-7 * max(1.0, np.abs(y).max()):
         raise NumericalInstability("certificate trace is not zero")

@@ -66,9 +66,9 @@ class CoeffPolynomial:
 
 @dataclass(frozen=True)
 class PredistanceFamily:
-    """Orthogonal polynomials p_0..p_d for the spectral inner product."""
+    """Orthogonal polynomials p_0..p_d for the spectral inner product, by
+    their values on the mesh."""
 
-    polys: tuple            # CoeffPolynomial per degree
     norms_sq: np.ndarray    # ||p_i||^2 = p_i(theta_0)
     mesh_values: np.ndarray  # (d+1, d+1): row i holds p_i on the mesh
 
@@ -128,7 +128,6 @@ def predistance_polynomials(s: Spectrum) -> PredistanceFamily:
                 proj = spectral_inner(s, vec, basis[j]) / spectral_inner(s, basis[j], basis[j])
                 vec = vec - proj * basis[j]
         basis[i] = vec
-    polys = []
     norms = np.zeros(d + 1)
     values = np.zeros((d + 1, d + 1))
     for i in range(d + 1):
@@ -140,8 +139,7 @@ def predistance_polynomials(s: Spectrum) -> PredistanceFamily:
         p_vals = scale * q
         values[i] = p_vals
         norms[i] = spectral_inner(s, p_vals, p_vals)
-        polys.append(mesh_to_coeffs(MeshPolynomial(theta, p_vals)))
-    return PredistanceFamily(tuple(polys), norms, values)
+    return PredistanceFamily(norms, values)
 
 
 def hoffman_polynomial(s: Spectrum) -> CoeffPolynomial:

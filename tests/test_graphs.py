@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import relabelled
+from conftest import FAMILY_SPECS, relabelled
 
 from specind.errors import (
     DisconnectedGraph,
@@ -14,6 +14,7 @@ from specind.graphs import (
     distance_matrix,
     from_edges,
     generate,
+    kneser_vertices,
     parse_edge_list,
     parse_graph6,
     power_graph,
@@ -98,6 +99,35 @@ def test_graph6_malformed(bad):
 def test_edge_list_parsing():
     g = parse_edge_list("0 1\n1 2 # comment\n\n2 0\n")
     assert g.n == 3 and g.num_edges == 3
+
+
+def test_edge_list_negative_id_rejected():
+    # numpy indexing would wrap -1 around to vertex 2 and close a triangle
+    with pytest.raises(ValueError, match="negative vertex id"):
+        parse_edge_list("0 1\n1 2\n0 -1\n")
+
+
+def kneser_pairs(spec):
+    """Reference: the disjoint pairs of k-subsets by a Python loop over
+    frozenset intersections (the former construction of ``_kneser``)."""
+    fam = FamilySpec.parse(spec)
+    n, k = {"kneser": lambda n, k: (n, k), "odd": lambda l: (2 * l - 1, l - 1),
+            "petersen": lambda: (5, 2)}[fam.family](*fam.parameters)
+    sets = [frozenset(v) for v in kneser_vertices(n, k)]
+    adj = np.zeros((len(sets), len(sets)), dtype=bool)
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if not (sets[i] & sets[j]):
+                adj[i, j] = adj[j, i] = True
+    return adj
+
+
+@pytest.mark.parametrize("spec", [s for s in FAMILY_SPECS
+                                  if s.split(":")[0] in ("kneser", "odd", "petersen")]
+                         + ["kneser:64,1", "kneser:65,1"])
+def test_kneser_matches_pair_loop(spec):
+    assert np.array_equal(generate(FamilySpec.parse(spec)).adjacency,
+                          kneser_pairs(spec))
 
 
 def test_distance_matrix_petersen():

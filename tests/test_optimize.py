@@ -1,4 +1,4 @@
-"""LP solver and the two programs: simplex correctness against an
+"""LP solver and the two programs: the standard-form simplex against an
 independent solver, the minor-polynomial LP, and the sign-polynomial search,
 each checked against scipy solving the divided-difference mesh formulation."""
 
@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 
 from specind.errors import Infeasible, Unbounded
+from specind import optimize
 from specind.graphs import FamilySpec
 from specind.optimize import (
-    LinearProgram,
     _negative_sets,
-    dump_lp,
+    _simplex_standard,
     minor_polynomial,
     minor_trace,
     sign_polynomial,
-    solve_lp,
 )
 from specind.spectra import exact_family_spectrum
 
@@ -49,63 +48,167 @@ def dd_coefficient_rows(mesh: np.ndarray) -> np.ndarray:
     return rows
 
 
-def scipy_solve(lp: LinearProgram):
-    """Independent reference solution of the same LP via scipy."""
-    A = np.array([row for row, _ in lp.eq_constraints], dtype=float)
-    b = np.array([rhs for _, rhs in lp.eq_constraints], dtype=float)
-    bounds = lp.bounds if lp.bounds else [(0.0, None)] * lp.num_vars()
-    res = scipy_opt.linprog(lp.objective, A_eq=A, b_eq=b, bounds=bounds,
+def assert_matches_scipy(A, b, c):
+    """Our vertex is feasible and optimal: scipy's objective on the same
+    standard form, min c.x subject to Ax = b, x >= 0."""
+    ref = scipy_opt.linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
                             method="highs")
-    return res
+    assert ref.status == 0
+    x, obj = _simplex_standard(A, b, c)
+    assert obj == pytest.approx(ref.fun, abs=1e-7)
+    assert np.allclose(A @ x, b, atol=1e-8) and x.min() >= 0
+    return x
 
 
-def test_simplex_vs_scipy_random_lps():
+def random_lps():
+    """25 feasible, bounded LPs: 3 random rows over 6 variables, each
+    variable at most 10 through one slack."""
     rng = np.random.default_rng(11)
-    for trial in range(25):
+    for _ in range(25):
         nv, ne = 6, 3
         rows = rng.normal(size=(ne, nv))
         x0 = rng.uniform(0.5, 2.0, size=nv)  # feasible interior point
-        lp = LinearProgram(
-            objective=rng.normal(size=nv),
-            eq_constraints=[(rows[i], float(rows[i] @ x0)) for i in range(ne)],
-            bounds=[(0.0, 10.0)] * nv,
-        )
-        ref = scipy_solve(lp)
-        assert ref.status == 0
-        _, obj, _ = solve_lp(lp)
-        assert obj == pytest.approx(ref.fun, abs=1e-7), trial
+        A = np.block([[rows, np.zeros((ne, nv))],
+                      [np.eye(nv), np.eye(nv)]])
+        b = np.concatenate([rows @ x0, np.full(nv, 10.0)])
+        yield A, b, np.concatenate([rng.normal(size=nv), np.zeros(nv)])
 
 
-def test_simplex_free_variables():
-    # min x + y  s.t.  x - y = 3, x free in [-10, 10], y free
-    lp = LinearProgram(
-        objective=np.array([1.0, 1.0]),
-        eq_constraints=[(np.array([1.0, -1.0]), 3.0)],
-        bounds=[(-10.0, 10.0), (None, None)],
-    )
-    x, obj, _ = solve_lp(lp)
-    ref = scipy_solve(lp)
-    assert obj == pytest.approx(ref.fun, abs=1e-8)
+# Beale's example: cycles under the largest-coefficient rule.  Two of the six
+# pivots Bland's rule takes tie in the ratio test, so the basic-index
+# tie-break decides them.  Optimum -5/4.
+BEALE = (np.array([[0.25, -8.0, -1.0, 9.0, 1.0, 0.0, 0.0],
+                   [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0],
+                   [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]]),
+         np.array([0.0, 0.0, 1.0]),
+         np.array([-0.75, 20.0, -0.5, 6.0, 0.0, 0.0, 0.0]))
+
+# The third row is the sum of the first two.
+_ROWS = np.array([[1.0, 1.0, 1.0, 0.0, 2.0], [1.0, 0.0, 2.0, 1.0, 0.0]])
+REDUNDANT = [(np.vstack([_ROWS, _ROWS.sum(axis=0)]), np.array([2.0, 1.0, 3.0]),
+              np.array(c)) for c in ([1.0, 2.0, -1.0, 0.5, 1.0],
+                                     [-1.0, 0.0, 0.0, 1.0, -0.5])]
+
+# Full rank, but the first two rows force x_0 = 0.
+DRIVEN_OUT = (np.array([[0.0, -1.0, -1.0, -1.0],
+                        [-1.0, 1.0, 1.0, 1.0],
+                        [0.0, 1.0, 2.0, 0.0]]),
+              np.array([-3.0, 3.0, 3.0]), np.array([-1.0, 1.0, 2.0, 1.0]))
+
+
+def test_simplex_vs_scipy_random_lps():
+    for A, b, c in random_lps():
+        assert_matches_scipy(A, b, c)
+
+
+def test_simplex_degenerate_tied_ratios():
+    """Bland's rule does not cycle on Beale's example and reaches -5/4."""
+    A, b, c = BEALE
+    x = assert_matches_scipy(A, b, c)
+    assert c @ x == pytest.approx(-1.25, abs=1e-12)
+    assert _simplex_standard(A, b, c)[0].tobytes() == x.tobytes()
+
+
+def test_simplex_redundant_row():
+    """An artificial stays basic after phase 1 and its row is dropped."""
+    for A, b, c in REDUNDANT:
+        assert_matches_scipy(A, b, c)
+
+
+def test_simplex_artificial_driven_out():
+    """Phase 1 ends with an artificial basic at level zero, and a real
+    column replaces it."""
+    x = assert_matches_scipy(*DRIVEN_OUT)
+    assert x[0] == 0.0
 
 
 def test_simplex_infeasible():
-    lp = LinearProgram(
-        objective=np.array([1.0]),
-        eq_constraints=[(np.array([1.0]), -5.0)],
-        bounds=[(0.0, None)],
-    )
     with pytest.raises(Infeasible):
-        solve_lp(lp)
+        _simplex_standard(np.array([[1.0]]), np.array([-5.0]), np.array([1.0]))
 
 
 def test_simplex_unbounded():
-    lp = LinearProgram(
-        objective=np.array([-1.0, 0.0]),
-        eq_constraints=[(np.array([0.0, 1.0]), 1.0)],
-        bounds=[(0.0, None), (0.0, None)],
-    )
     with pytest.raises(Unbounded):
-        solve_lp(lp)
+        _simplex_standard(np.array([[0.0, 1.0]]), np.array([1.0]),
+                          np.array([-1.0, 0.0]))
+
+
+def loop_simplex(A, b, c, tol=1e-9):
+    """Reference: the former per-row, per-column loop form of
+    ``_simplex_standard``, without its Infeasible and Unbounded checks."""
+    m, n = A.shape
+    A = A.copy()
+    b = b.copy()
+    neg = b < 0
+    A[neg] *= -1
+    b[neg] *= -1
+    for i in range(m):
+        s = max(np.abs(A[i]).max(), abs(b[i]))
+        if s > 0:
+            A[i] /= s
+            b[i] /= s
+    T = np.hstack([A, np.eye(m), b[:, None]])
+    basis = list(range(n, n + m))
+
+    def pivot(T, basis, cost, ncols):
+        while True:
+            reduced = cost[:ncols] - cost[basis] @ T[:, :ncols]
+            enter = next((j for j in range(ncols)
+                          if j not in basis and reduced[j] < -tol), -1)
+            if enter < 0:
+                return
+            col = T[:, enter]
+            ratios = [(T[i, -1] / col[i], basis[i], i)
+                      for i in range(len(basis)) if col[i] > tol]
+            leave = min(ratios)[2]
+            T[leave] /= T[leave, enter]
+            for i in range(T.shape[0]):
+                if i != leave and abs(T[i, enter]) > 0:
+                    T[i] -= T[i, enter] * T[leave]
+            basis[leave] = enter
+
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    pivot(T, basis, cost, n + m)
+    for i, bi in enumerate(basis):
+        if bi >= n:
+            for j in range(n):
+                if j not in basis and abs(T[i, j]) > tol:
+                    T[i] /= T[i, j]
+                    for r in range(m):
+                        if r != i:
+                            T[r] -= T[r, j] * T[i]
+                    basis[i] = j
+                    break
+    keep = [i for i, bi in enumerate(basis) if bi < n]
+    T = np.hstack([T[keep, :n], T[keep, -1:]])
+    basis = [basis[i] for i in keep]
+    pivot(T, basis, np.concatenate([c, [0.0]]), n)
+    x = np.zeros(n)
+    for i, bi in enumerate(basis):
+        x[bi] = T[i, -1]
+    return x
+
+
+def test_simplex_matches_loop_reference(corpus_spectra, monkeypatch):
+    """The array form takes the loop form's pivots: byte-identical vertices
+    on the LPs above and on every LP both programs solve on a few corpus
+    spectra, flower-snark's hard sign searches included."""
+    lps = [*random_lps(), BEALE, *REDUNDANT, DRIVEN_OUT]
+
+    def record(A, b, c):
+        lps.append((A.copy(), b.copy(), c.copy()))
+        return _simplex_standard(A, b, c)
+
+    monkeypatch.setattr(optimize, "_simplex_standard", record)
+    for label in ("petersen", "odd:5", "hypercube:5", "frucht", "flower-snark"):
+        s = corpus_spectra[label][1]
+        for k in range(1, s.d):
+            minor_polynomial(s, k)
+            sign_polynomial(s, k)
+    monkeypatch.undo()
+    for A, b, c in lps:
+        x, _ = _simplex_standard(A, b, c)
+        assert x.tobytes() == loop_simplex(A, b, c).tobytes()
 
 
 @pytest.mark.parametrize("ell,traces", [
@@ -250,16 +353,3 @@ def test_sign_polynomial_deterministic():
     assert a.sign_mesh.values.tobytes() == b.sign_mesh.values.tobytes()
     assert a.b == b.b and a.objective == b.objective
 
-
-def test_dump_lp_format():
-    lp = LinearProgram(
-        objective=np.array([1.0, 2.0]),
-        eq_constraints=[(np.array([1.0, -1.0]), 3.0)],
-        bounds=[(0.0, None), (None, None)],
-    )
-    text = dump_lp(lp)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("minimize ")
-    assert lines[1].startswith("eq ") and lines[1].endswith("= 3")
-    assert lines[2] == "bounds 0 inf"
-    assert lines[3] == "bounds -inf inf"

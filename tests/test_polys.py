@@ -81,7 +81,8 @@ def test_predistance_family_properties(corpus_spectra):
         assert total[0] == pytest.approx(s.n, rel=1e-8)
         assert np.allclose(total[1:], 0.0, atol=1e-6 * s.n)
         # degrees increase: p_i has exact degree i
-        for i, poly in enumerate(fam.polys):
+        for i in range(s.d + 1):
+            poly = mesh_to_coeffs(MeshPolynomial(s.distinct, V[i]))
             assert poly.degree == i, (label, i)
 
 
