@@ -323,8 +323,9 @@ def pd_ratio_bound(s: Spectrum, pd: PredistanceFamily,
 def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
                 dm: DistanceMatrix | None = None,
                 reg: RegularityReport | None = None,
-                milp: optimize.MilpConfig = optimize.MilpConfig()) -> list:
-    """Run every applicable method for alpha_k and mark the minimum floor."""
+                sign_budget: float = 30.0) -> list:
+    """Run every applicable method for alpha_k and mark the minimum floor.
+    ``sign_budget`` is the sign-pattern search's wall-clock budget in s."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if dm is None:
@@ -344,7 +345,7 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
     pd = predistance_polynomials(s) if reg.pwr_level >= k else None
     if reg.pwr_level >= k and k < d:
         try:
-            sol = optimize.sign_polynomial(s, k, milp, pd=pd)
+            sol = optimize.sign_polynomial(s, k, sign_budget, pd=pd)
             out.append(pwr_inertia(s, sol.sign_mesh, k))
         except SpecindError as exc:
             out.append(_inapplicable("pwr_inertia", k,

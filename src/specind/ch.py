@@ -251,8 +251,8 @@ def antipodal_check(g: Graph, s: Spectrum,
 
 
 def _srg_parameters(adj: np.ndarray):
-    """(n, k, lambda, mu) if the adjacency matrix is strongly regular,
-    else None.
+    """(n, k, lambda, mu) if the boolean adjacency matrix is strongly
+    regular, else None.
 
     Degenerate cases with no adjacent (or no non-adjacent) pairs leave the
     corresponding parameter vacuous; they still count as strongly regular.
@@ -262,22 +262,12 @@ def _srg_parameters(adj: np.ndarray):
     if n and not np.all(deg == deg[0]):
         return None
     common = adj.astype(int) @ adj.astype(int)
-    lam = mu = None
-    for u in range(n):
-        for v in range(u + 1, n):
-            c = int(common[u, v])
-            if adj[u, v]:
-                if lam is None:
-                    lam = c
-                elif lam != c:
-                    return None
-            else:
-                if mu is None:
-                    mu = c
-                elif mu != c:
-                    return None
+    lam = np.unique(common[adj])
+    mu = np.unique(common[~adj & ~np.eye(n, dtype=bool)])
+    if len(lam) > 1 or len(mu) > 1:
+        return None
     return (n, int(deg[0]) if n else 0,
-            -1 if lam is None else lam, -1 if mu is None else mu)
+            int(lam[0]) if len(lam) else -1, int(mu[0]) if len(mu) else -1)
 
 
 def srg_tightness_check(g: Graph, witness) -> bool:

@@ -1,7 +1,8 @@
 """Command-line surface: spectra, bounds, classification, and table replays.
 
 Exit codes: 0 success (and, for ``table``, every computed row matches), 1 for
-mismatches or internal failures, 2 for invalid input.
+mismatches, internal failures or a search over its time budget, 2 for invalid
+input.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import optimize
 from .ch import ch_classify
-from .errors import SpecindError, UnknownTable
+from .errors import SearchTimeout, SpecindError, UnknownTable
 from .exact import alpha_k_exact
 from .graphs import (
     FamilySpec,
@@ -41,12 +42,10 @@ def fixtures_dir() -> Path:
 
 def _load_input(path: str) -> Graph:
     text = Path(path).read_text()
-    if path.endswith(".g6"):
+    # graph6 is one whitespace-free token; anything else is an edge list
+    if path.endswith(".g6") or len(text.split()) == 1:
         return parse_graph6(text)
-    try:
-        return parse_edge_list(text, label=Path(path).stem)
-    except ValueError:
-        return parse_graph6(text)
+    return parse_edge_list(text, label=Path(path).stem)
 
 
 def _graph_from_args(args) -> Graph:
@@ -330,7 +329,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SpecindError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, SearchTimeout) else 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,15 +58,17 @@ def _pivot(T: np.ndarray, basis: np.ndarray, basic: np.ndarray,
 
 
 def _bland(T: np.ndarray, basis: np.ndarray, basic: np.ndarray,
-           cost: np.ndarray, ncols: int):
+           cost: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     """Pivot the tableau T = [A | b] to optimality for ``cost`` over its first
-    ``ncols`` columns by Bland's rule: the first improving non-basic column
-    enters, the row of the minimum (ratio, basic index) leaves."""
+    ``len(fixed)`` columns, the ``fixed`` ones excluded, by Bland's rule: the
+    first improving non-basic column enters, the row of the minimum (ratio,
+    basic index) leaves.  Returns the final reduced costs."""
+    ncols = len(fixed)
     while True:
         reduced = cost[:ncols] - cost[basis] @ T[:, :ncols]
-        improving = (reduced < -_TOL) & ~basic[:ncols]
+        improving = (reduced < -_TOL) & ~basic[:ncols] & ~fixed
         if not improving.any():
-            return
+            return reduced
         enter = int(improving.argmax())
         col = T[:, enter]
         rows = np.flatnonzero(col > _TOL)
@@ -79,8 +81,13 @@ def _bland(T: np.ndarray, basis: np.ndarray, basic: np.ndarray,
 
 def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Two-phase primal simplex with Bland's rule on min c.x, Ax=b, x>=0.
+    Returns (x, c.x).
 
-    Deterministic: repeated runs return bit-identical vertices."""
+    A stack of objectives c (shape (L, n)) is minimized lexicographically on
+    one tableau: after each row's optimum, every non-basic column with a
+    positive reduced cost is fixed at zero, which leaves exactly that row's
+    optimal face for the next row.  Deterministic: repeated runs return
+    bit-identical vertices."""
     m, n = A.shape
     sign = np.where(b < 0, -1.0, 1.0)
     A, b = A * sign[:, None], b * sign
@@ -91,7 +98,7 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     basis = np.arange(n, n + m)
     basic = np.arange(n + m) >= n
     cost = np.concatenate([np.zeros(n), np.ones(m)])
-    _bland(T, basis, basic, cost, n + m)
+    _bland(T, basis, basic, cost, np.zeros(n + m, dtype=bool))
     if cost[basis] @ T[:, -1] > 1e-7:
         raise Infeasible("phase-1 optimum positive: empty feasible region")
     # drive the artificials left in the basis out where a real column can
@@ -103,10 +110,12 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     keep = basis < n
     T = np.hstack([T[keep, :n], T[keep, -1:]])
     basis = basis[keep]
-    _bland(T, basis, basic, np.concatenate([c, [0.0]]), n)
+    fixed = np.zeros(n, dtype=bool)  # columns held at zero: off the optimal face
+    for row in np.atleast_2d(c):
+        fixed |= (_bland(T, basis, basic, row, fixed) > _TOL) & ~basic[:n]
     x = np.zeros(n)
     x[basis] = T[:, -1]
-    return x, float(c @ x)
+    return x, c @ x
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +126,8 @@ def _predistance_lp(pd: PredistanceFamily, degrees: slice, objective,
                     lo: np.ndarray, hi: np.ndarray, rows=(), rhs=()):
     """min objective . x over x = (y_0..y_d, extra...) with lo <= y <= hi
     (hi = inf: no upper bound), extra >= 0, rows . x = rhs, and mesh values
-    y = sum_{i in degrees} c_i p_i(theta) for free c_i.  Returns (x, obj).
+    y = sum_{i in degrees} c_i p_i(theta) for free c_i.  Returns x.  A stack
+    of objectives (one per row) is minimized lexicographically.
 
     Standard form: columns y - lo, then each c_i as two adjacent columns
     (+, -), then the extra variables, then one slack per finite upper bound;
@@ -130,13 +140,14 @@ def _predistance_lp(pd: PredistanceFamily, degrees: slice, objective,
     basis = basis / np.abs(basis).max(axis=1, keepdims=True)
     nc, d1 = basis.shape
     objective = np.asarray(objective, dtype=float)
-    R = np.asarray(rows, dtype=float).reshape(len(rhs), len(objective))
-    ext = slice(d1 + 2 * nc, len(objective) + 2 * nc)  # extra variables
+    nv = objective.shape[-1]
+    R = np.asarray(rows, dtype=float).reshape(len(rhs), nv)
+    ext = slice(d1 + 2 * nc, nv + 2 * nc)  # extra variables
     ub = np.flatnonzero(np.isfinite(hi))
     nr = d1 + len(R)
     A = np.zeros((nr + len(ub), ext.stop + len(ub)))
     b = np.zeros(len(A))
-    c = np.zeros(A.shape[1])
+    c = np.zeros(objective.shape[:-1] + A.shape[1:])
     # += onto zeros: 0.0 + v keeps -0.0 out of the LP's coefficients
     A[np.arange(d1), np.arange(d1)] = 1.0
     A[:d1, d1:ext.start:2] -= basis.T
@@ -148,14 +159,10 @@ def _predistance_lp(pd: PredistanceFamily, degrees: slice, objective,
     r = np.arange(len(ub))
     A[nr + r, ub] = A[nr + r, ext.stop + r] = 1.0
     b[nr:] = hi[ub] - lo[ub]
-    c[:d1] += objective[:d1]
-    c[ext] += objective[d1:]
+    c[..., :d1] += objective[..., :d1]
+    c[..., ext] += objective[..., d1:]
     u, _ = _simplex_standard(A, b, c)
-    # the objective is summed over (y, c, extra) as laid out in the LP
-    x = np.concatenate([lo + u[:d1], u[d1:ext.start:2] - u[d1 + 1:ext.start:2],
-                        u[ext]])
-    wide = np.concatenate([objective[:d1], np.zeros(nc), objective[d1:]])
-    return np.concatenate([x[:d1], x[d1 + nc:]]), float(wide @ x)
+    return np.concatenate([lo + u[:d1], u[ext]])
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +182,13 @@ def minor_polynomial(s: Spectrum, k: int,
         raise ValueError(f"need 1 <= k <= d, got k={k}")
     if pd is None:
         pd = predistance_polynomials(s)
-    degrees = slice(0, k + 1)
     lo = np.zeros(d + 1)
     hi = np.full(d + 1, np.inf)
     lo[0] = hi[0] = 1.0
-    trace = s.mults.astype(float)
-    y, obj = _predistance_lp(pd, degrees, trace, lo, hi)
-    # the optimum can be degenerate; pin down a canonical vertex by
-    # lexicographically minimizing (y_1, ..., y_d) subject to optimality
-    rows, rhs = [trace / trace.max()], [obj / trace.max()]
-    for j in range(1, d):
-        unit = np.zeros(d + 1)
-        unit[j] = 1.0
-        y, vj = _predistance_lp(pd, degrees, unit, lo, hi, rows, rhs)
-        rows.append(unit)
-        rhs.append(max(vj, 0.0))
+    # the optimum can be degenerate: the canonical vertex minimizes the
+    # trace, then y_1, ..., y_{d-1} in turn on each optimal face
+    objectives = np.vstack([s.mults.astype(float), np.eye(d + 1)[1:d]])
+    y = _predistance_lp(pd, slice(0, k + 1), objectives, lo, hi)
     y[np.abs(y) < 1e-11] = 0.0
     if y[1:].min() > 1e-7:
         raise NormalizationViolation("LP vertex has min_{i>=1} f(theta_i) > 0")
@@ -205,12 +204,7 @@ def minor_trace(s: Spectrum, f: MeshPolynomial) -> float:
 
 
 @dataclass(frozen=True)
-class MilpConfig:
-    time_budget: float = 30.0  # wall-clock seconds for the sign-pattern search
-
-
-@dataclass(frozen=True)
-class MilpSolution:
+class SignSolution:
     sign_mesh: MeshPolynomial
     sign_poly: CoeffPolynomial
     b: tuple
@@ -262,13 +256,13 @@ def _max_margin(pd: PredistanceFamily, k: int, neg: tuple):
                       np.eye(len(neg))])
     obj = np.zeros(rows.shape[1])
     obj[d1] = -1.0
-    x, _ = _predistance_lp(pd, slice(1, k + 1), obj, -np.ones(d1),
-                           np.ones(d1), rows, np.zeros(len(neg)))
+    x = _predistance_lp(pd, slice(1, k + 1), obj, -np.ones(d1), np.ones(d1),
+                        rows, np.zeros(len(neg)))
     return x[:d1], x[d1]
 
 
-def sign_polynomial(s: Spectrum, k: int, cfg: MilpConfig = MilpConfig(),
-                    pd: PredistanceFamily | None = None) -> MilpSolution:
+def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
+                    pd: PredistanceFamily | None = None) -> SignSolution:
     """Optimal sign polynomial: the trace-zero polynomial of degree <= k
     whose negative mesh points carry the most multiplicity.
 
@@ -276,15 +270,16 @@ def sign_polynomial(s: Spectrum, k: int, cfg: MilpConfig = MilpConfig(),
     polynomial in span(p_1..p_k) realizes with margin t > 1e-7 is optimal,
     and that max-margin polynomial (in the box |y| <= 1) is the
     certificate, rescaled so that min_{i>=1} s(theta_i) = -1.  b_j = 0
-    marks the negative set.  ``pd`` is the spectrum's predistance family,
-    built here when not given.
+    marks the negative set.  The search gives up with SearchTimeout after
+    ``time_budget`` wall-clock seconds.  ``pd`` is the spectrum's predistance
+    family, built here when not given.
     """
     d = s.d
     if not 1 <= k < d:
         raise ValueError(f"need 1 <= k < d, got k={k}")
     if pd is None:
         pd = predistance_polynomials(s)
-    deadline = time.monotonic() + cfg.time_budget
+    deadline = time.monotonic() + time_budget
     y = np.zeros(d + 1)  # s = 0 certificate: no negative mesh value
     best = ()
     for neg in _negative_sets(s.mults, k):
@@ -307,4 +302,4 @@ def sign_polynomial(s: Spectrum, k: int, cfg: MilpConfig = MilpConfig(),
     if abs(tr) > 1e-7 * max(1.0, np.abs(y).max()):
         raise NumericalInstability("certificate trace is not zero")
     objective = int(sum(m for m, bj in zip(s.mults, bvec) if bj))
-    return MilpSolution(mesh, coeff, bvec, objective)
+    return SignSolution(mesh, coeff, bvec, objective)

@@ -10,7 +10,6 @@ import pytest
 
 from specind.bounds import best_bounds
 from specind.errors import SearchTimeout
-from specind.optimize import MilpConfig
 from specind.exact import alpha_k_exact
 from specind.graphs import (
     FamilySpec,
@@ -99,7 +98,7 @@ def soundness_results(corpus_spectra):
                 skipped.append((label, k, "exact oracle over budget"))
                 continue
             for rep in best_bounds(g, k, s=s, dm=dm, reg=reg,
-                                   milp=MilpConfig(time_budget=5.0)):
+                                   sign_budget=5.0):
                 if rep.applicable:
                     checked.append((label, k, rep.method,
                                     rep.floor_value, exact))

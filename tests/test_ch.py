@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from specind import ch
 from specind.ch import (
     antipodal_check,
     ch_classify,
@@ -230,3 +231,49 @@ def test_srg_tightness_requires_srg():
     g = generate(FamilySpec.parse("cycle:6"))
     with pytest.raises(NotSRG):
         srg_tightness_check(g, [0])
+
+
+def loop_srg_parameters(adj):
+    """Reference: the former pair-loop form of ``ch._srg_parameters``."""
+    n = adj.shape[0]
+    deg = adj.sum(axis=1)
+    if n and not np.all(deg == deg[0]):
+        return None
+    common = adj.astype(int) @ adj.astype(int)
+    lam = mu = None
+    for u in range(n):
+        for v in range(u + 1, n):
+            c = int(common[u, v])
+            if adj[u, v]:
+                if lam is None:
+                    lam = c
+                elif lam != c:
+                    return None
+            else:
+                if mu is None:
+                    mu = c
+                elif mu != c:
+                    return None
+    return (n, int(deg[0]) if n else 0,
+            -1 if lam is None else lam, -1 if mu is None else mu)
+
+
+def test_srg_parameters_match_loop_reference(corpus, monkeypatch):
+    """The array form agrees with the pair loop on every corpus graph and on
+    the subgraph srg_tightness_check induces off a maximum independent set of
+    each strongly regular one."""
+    results = []
+    vectorized = ch._srg_parameters
+
+    def checked(adj):
+        got = loop_srg_parameters(adj)
+        assert got == vectorized(adj)
+        results.append(got)
+        return got
+
+    monkeypatch.setattr(ch, "_srg_parameters", checked)
+    srgs = [g for g in corpus if checked(g.adjacency) is not None]
+    for g in srgs:
+        srg_tightness_check(g, alpha_k_exact(g, 1).witness)
+    assert len(srgs) == 11
+    assert len(results) == len(corpus) + 2 * len(srgs)

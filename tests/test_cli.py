@@ -136,6 +136,33 @@ def test_error_exit_code():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0 1\n1 2\n0 -1\n", "negative vertex id"),
+    ("0 1\n1 1\n", "loop"),
+])
+def test_edge_list_errors_name_the_edge_list(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    res = run_cli("spectrum", "--in", str(path), check=False)
+    assert res.returncode == 2
+    assert message in res.stderr and "graph6" not in res.stderr
+
+
+def test_graph6_line_in_txt_file_loads(tmp_path):
+    path = tmp_path / "c6.txt"
+    path.write_text(run_cli("gen", "--family", "cycle:6").stdout)
+    data = json.loads(run_cli("spectrum", "--in", str(path)).stdout)
+    assert data["n"] == 6 and data["theta"][0] == 2
+
+
+def test_exact_timeout_exit_code(capsys):
+    """A search over its time budget is not invalid input: exit 1."""
+    argv = ["bounds", "--family", "odd:5", "--k", "1", "--exact",
+            "--timeout", "0.5"]
+    assert cli.main(argv) == 1
+    assert "SearchTimeout" in capsys.readouterr().err
+
+
 def test_table_t1():
     res = run_cli("table", "t1")
     assert "mismatch 0" in res.stdout

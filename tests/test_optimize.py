@@ -1,6 +1,8 @@
 """LP solver and the two programs: the standard-form simplex against an
-independent solver, the minor-polynomial LP, and the sign-polynomial search,
-each checked against scipy solving the divided-difference mesh formulation."""
+independent solver and its former loop form, the minor-polynomial LP against
+scipy on the predistance-basis LP and against its former pinned-row
+lexicographic loop, and the sign-polynomial search against scipy solving the
+divided-difference mesh formulation."""
 
 from itertools import product
 from math import comb
@@ -11,6 +13,7 @@ import pytest
 from specind.errors import Infeasible, Unbounded
 from specind import optimize
 from specind.graphs import FamilySpec
+from specind.polys import predistance_polynomials
 from specind.optimize import (
     _negative_sets,
     _simplex_standard,
@@ -96,6 +99,27 @@ DRIVEN_OUT = (np.array([[0.0, -1.0, -1.0, -1.0],
               np.array([-3.0, 3.0, 3.0]), np.array([-1.0, 1.0, 2.0, 1.0]))
 
 
+# min -(x_0 + x_1) on x_0 + x_1 + x_2 = 1, x_1 + x_3 = 1: the optimal face is
+# the segment x_0 + x_1 = 1, x_2 = 0, and a second objective on x_3 picks
+# one of its ends.
+FACE = (np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]),
+        np.array([1.0, 1.0]), np.array([-1.0, -1.0, 0.0, 0.0]))
+
+
+def scipy_lexicographic(A, b, objectives):
+    """The lexicographic vertex by scipy: each objective minimized with every
+    earlier one pinned at its optimum by an equality row."""
+    rows, rhs = [], []
+    for c in objectives:
+        ref = scipy_opt.linprog(c, A_eq=np.vstack([A, *rows]),
+                                b_eq=np.concatenate([b, rhs]),
+                                bounds=(0, None), method="highs")
+        assert ref.status == 0
+        rows.append(c)
+        rhs.append(ref.fun)
+    return ref.x
+
+
 def test_simplex_vs_scipy_random_lps():
     for A, b, c in random_lps():
         assert_matches_scipy(A, b, c)
@@ -131,6 +155,19 @@ def test_simplex_unbounded():
     with pytest.raises(Unbounded):
         _simplex_standard(np.array([[0.0, 1.0]]), np.array([1.0]),
                           np.array([-1.0, 0.0]))
+
+
+def test_simplex_lexicographic_degenerate_face():
+    """The second objective chooses the vertex on the first one's optimal
+    face, as scipy's pinned re-solves do."""
+    A, b, c = FACE
+    for second, want in (([0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]),
+                         ([0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 1.0])):
+        stack = np.array([c, second])
+        x, obj = _simplex_standard(A, b, stack)
+        assert np.allclose(x, want, atol=1e-12)
+        assert np.allclose(x, scipy_lexicographic(A, b, stack), atol=1e-9)
+        assert obj == pytest.approx(stack @ want, abs=1e-12)
 
 
 def loop_simplex(A, b, c, tol=1e-9):
@@ -191,8 +228,10 @@ def loop_simplex(A, b, c, tol=1e-9):
 
 def test_simplex_matches_loop_reference(corpus_spectra, monkeypatch):
     """The array form takes the loop form's pivots: byte-identical vertices
-    on the LPs above and on every LP both programs solve on a few corpus
-    spectra, flower-snark's hard sign searches included."""
+    on the LPs above and on every LP the sign search solves on a few corpus
+    spectra, flower-snark's hard searches included.  These all have one
+    objective; the minor LP's objective stacks are checked against the
+    pinned-row reference below."""
     lps = [*random_lps(), BEALE, *REDUNDANT, DRIVEN_OUT]
 
     def record(A, b, c):
@@ -203,7 +242,6 @@ def test_simplex_matches_loop_reference(corpus_spectra, monkeypatch):
     for label in ("petersen", "odd:5", "hypercube:5", "frucht", "flower-snark"):
         s = corpus_spectra[label][1]
         for k in range(1, s.d):
-            minor_polynomial(s, k)
             sign_polynomial(s, k)
     monkeypatch.undo()
     for A, b, c in lps:
@@ -226,8 +264,12 @@ def test_minor_polynomial_odd_traces(ell, traces):
         assert f.values[1:].min() >= -1e-9
 
 
-def test_minor_polynomial_vs_scipy_oracle():
-    """Same LP solved by scipy: the optimal objective must agree."""
+def test_minor_polynomial_vs_scipy_oracle(corpus_spectra):
+    """Same LP solved by scipy: the optimal trace must agree.  On four odd
+    graphs scipy imposes the degree by divided differences, independently of
+    the predistance basis.  On every corpus spectrum and every k <= d,
+    Tutte's d = 30 included, its variables are the coefficients c_i of
+    f = sum_{i<=k} c_i p_i."""
     for ell, k in [(5, 2), (5, 3), (6, 2), (6, 4)]:
         s = odd_spectrum(ell)
         d = s.d
@@ -241,6 +283,60 @@ def test_minor_polynomial_vs_scipy_oracle():
         f = minor_polynomial(s, k)
         ours = float(np.dot(s.mults[1:], f.values[1:]))
         assert ours == pytest.approx(res.fun, abs=1e-7), (ell, k)
+    checked = 0
+    for label, (_, s, _, _) in corpus_spectra.items():
+        pd = predistance_polynomials(s)
+        for k in range(1, s.d + 1):
+            P = pd.mesh_values[:k + 1]
+            P = P / np.abs(P).max(axis=1, keepdims=True)
+            res = scipy_opt.linprog(P @ s.mults, A_eq=P[:, :1].T, b_eq=[1.0],
+                                    A_ub=-P[:, 1:].T, b_ub=np.zeros(s.d),
+                                    bounds=(None, None), method="highs")
+            assert res.status == 0, (label, k)
+            f = minor_polynomial(s, k, pd=pd)
+            assert minor_trace(s, f) == pytest.approx(res.fun, abs=1e-6), (label, k)
+            checked += 1
+    assert checked == 269
+
+
+def pinned_minor_reference(s, k):
+    """Reference: the former ``minor_polynomial``, which fixed the canonical
+    vertex with d - 1 further LPs, each pinning the previous float optimum as
+    an equality row."""
+    d = s.d
+    pd = predistance_polynomials(s)
+    degrees = slice(0, k + 1)
+    lo = np.zeros(d + 1)
+    hi = np.full(d + 1, np.inf)
+    lo[0] = hi[0] = 1.0
+    trace = s.mults.astype(float)
+    y = optimize._predistance_lp(pd, degrees, trace, lo, hi)
+    rows, rhs = [trace / trace.max()], [trace @ y / trace.max()]
+    for j in range(1, d):
+        unit = np.zeros(d + 1)
+        unit[j] = 1.0
+        y = optimize._predistance_lp(pd, degrees, unit, lo, hi, rows, rhs)
+        rows.append(unit)
+        rhs.append(max(y[j], 0.0))
+    y[np.abs(y) < 1e-11] = 0.0
+    return y
+
+
+def test_minor_polynomial_matches_pinned_reference(corpus_spectra):
+    """The one-tableau lexicographic vertex is the pinned-row loop's vertex on
+    every corpus pair a report can reach (k <= pwr_level).  The loop fails
+    on Tutte at k = 7 and 10..29, all beyond its pwr_level of 3."""
+    checked = 0
+    for label, (_, s, _, reg) in corpus_spectra.items():
+        for k in range(1, min(reg.pwr_level, s.d) + 1):
+            try:
+                want = pinned_minor_reference(s, k)
+            except Infeasible:
+                continue
+            got = minor_polynomial(s, k).values
+            assert np.abs(got - want).max() <= 1e-9, (label, k)
+            checked += 1
+    assert checked == 210  # the reference solves every such pair
 
 
 def test_minor_polynomial_monotone_in_k():
