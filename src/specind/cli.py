@@ -82,24 +82,30 @@ def cmd_bounds(args) -> int:
     if any(k < dm.diameter for k in ks):
         s = spectrum(g)
         reg = classify_regularity(g, s, dm)
-    all_reports = []
+    by_k, bare = {}, set()
     for k in ks:
         reps = bounds_mod.best_bounds(g, k, s=s, dm=dm, reg=reg)
+        if not reps:  # every method needs pwr_level >= k
+            bare.add(k)
         if args.exact:
             res = alpha_k_exact(g, k, dm=dm, timeout=args.timeout)
             reps.append(bounds_mod.BoundReport("exact", k, float(res.alpha_k)))
-        all_reports.extend(reps)
+        by_k[k] = reps
+    all_reports = [r for reps in by_k.values() for r in reps]
     if args.format == "csv":
         sys.stdout.write(bounds_mod.reports_to_csv(all_reports))
     elif args.format == "json":
         print(json.dumps([r.to_json_dict() for r in all_reports], indent=2))
     else:
-        for r in all_reports:
-            if r.applicable:
-                extra = f"  ({r.reason})" if r.reason else ""
-                print(f"k={r.k}  {r.method:24s} {r.value:12.6g}  floor {r.floor_value}{extra}")
-            else:
-                print(f"k={r.k}  {r.method:24s} inapplicable: {r.reason}")
+        for k, reps in by_k.items():
+            if k in bare:
+                print(f"k={k}  no bound applies: pwr level {reg.pwr_level} < k")
+            for r in reps:
+                if r.applicable:
+                    extra = f"  ({r.reason})" if r.reason else ""
+                    print(f"k={r.k}  {r.method:24s} {r.value:12.6g}  floor {r.floor_value}{extra}")
+                else:
+                    print(f"k={r.k}  {r.method:24s} inapplicable: {r.reason}")
         best = [r for r in all_reports if r.applicable and r.method != "exact"]
         if best:
             print(f"best floor: {min(r.floor_value for r in best)}")

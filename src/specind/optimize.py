@@ -12,9 +12,12 @@ p_i are orthogonal under the spectral inner product, "degree <= k" is the
 span of p_0..p_k and "trace zero and degree <= k" the span of p_1..p_k, so
 no constraint is needed for either.  Divided-difference rows, the other way
 to impose the degree, are ill-conditioned on spectra with many distinct
-eigenvalues (d = 30 for the Tutte graph).  ``_predistance_lp`` writes both
-programs' LPs directly in the standard form min c.u, Au = b, u >= 0 that
-``_simplex_standard`` solves.
+eigenvalues (d = 30 for the Tutte graph).  Each program writes its LP
+directly in the standard form min c.u, Au = b, u >= 0 that
+``_simplex_standard`` solves: the minor LP over the mesh values and the
+split c_i, the sign search's max-margin LP as its dual, which has one row
+per unknown (the margin t and c_1..c_k) and reads the certificate off the
+final basis.
 """
 
 from __future__ import annotations
@@ -32,13 +35,7 @@ from .errors import (
     SearchTimeout,
     Unbounded,
 )
-from .polys import (
-    CoeffPolynomial,
-    MeshPolynomial,
-    PredistanceFamily,
-    mesh_to_coeffs,
-    predistance_polynomials,
-)
+from .polys import MeshPolynomial, PredistanceFamily, predistance_polynomials
 from .spectra import Spectrum
 
 _TOL = 1e-9
@@ -81,7 +78,8 @@ def _bland(T: np.ndarray, basis: np.ndarray, basic: np.ndarray,
 
 def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Two-phase primal simplex with Bland's rule on min c.x, Ax=b, x>=0.
-    Returns (x, c.x).
+    Returns (x, c.x, basis): ``basis`` holds the final basic columns of A,
+    one per row that is not redundant.
 
     A stack of objectives c (shape (L, n)) is minimized lexicographically on
     one tableau: after each row's optimum, every non-basic column with a
@@ -115,54 +113,7 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
         fixed |= (_bland(T, basis, basic, row, fixed) > _TOL) & ~basic[:n]
     x = np.zeros(n)
     x[basis] = T[:, -1]
-    return x, c @ x
-
-
-# ---------------------------------------------------------------------------
-# Programs in the predistance basis
-
-
-def _predistance_lp(pd: PredistanceFamily, degrees: slice, objective,
-                    lo: np.ndarray, hi: np.ndarray, rows=(), rhs=()):
-    """min objective . x over x = (y_0..y_d, extra...) with lo <= y <= hi
-    (hi = inf: no upper bound), extra >= 0, rows . x = rhs, and mesh values
-    y = sum_{i in degrees} c_i p_i(theta) for free c_i.  Returns x.  A stack
-    of objectives (one per row) is minimized lexicographically.
-
-    Standard form: columns y - lo, then each c_i as two adjacent columns
-    (+, -), then the extra variables, then one slack per finite upper bound;
-    rows y_j - sum_i c_i p_i(theta_j) = 0, then ``rows``, then
-    y_j + slack = hi_j.
-    """
-    # each p_i scaled to max |p_i(theta_j)| = 1: the c_i are free, so the
-    # span is unchanged and the columns are comparable
-    basis = pd.mesh_values[degrees]
-    basis = basis / np.abs(basis).max(axis=1, keepdims=True)
-    nc, d1 = basis.shape
-    objective = np.asarray(objective, dtype=float)
-    nv = objective.shape[-1]
-    R = np.asarray(rows, dtype=float).reshape(len(rhs), nv)
-    ext = slice(d1 + 2 * nc, nv + 2 * nc)  # extra variables
-    ub = np.flatnonzero(np.isfinite(hi))
-    nr = d1 + len(R)
-    A = np.zeros((nr + len(ub), ext.stop + len(ub)))
-    b = np.zeros(len(A))
-    c = np.zeros(objective.shape[:-1] + A.shape[1:])
-    # += onto zeros: 0.0 + v keeps -0.0 out of the LP's coefficients
-    A[np.arange(d1), np.arange(d1)] = 1.0
-    A[:d1, d1:ext.start:2] -= basis.T
-    A[:d1, d1 + 1:ext.start:2] += basis.T
-    b[:d1] -= lo
-    A[d1:nr, :d1] += R[:, :d1]
-    A[d1:nr, ext] += R[:, d1:]
-    b[d1:nr] = rhs - R[:, :d1] @ lo
-    r = np.arange(len(ub))
-    A[nr + r, ub] = A[nr + r, ext.stop + r] = 1.0
-    b[nr:] = hi[ub] - lo[ub]
-    c[..., :d1] += objective[..., :d1]
-    c[..., ext] += objective[..., d1:]
-    u, _ = _simplex_standard(A, b, c)
-    return np.concatenate([lo + u[:d1], u[ext]])
+    return x, c @ x, basis
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +133,28 @@ def minor_polynomial(s: Spectrum, k: int,
         raise ValueError(f"need 1 <= k <= d, got k={k}")
     if pd is None:
         pd = predistance_polynomials(s)
-    lo = np.zeros(d + 1)
-    hi = np.full(d + 1, np.inf)
-    lo[0] = hi[0] = 1.0
+    # each p_i scaled to max |p_i(theta_j)| = 1: the c_i are free, so the
+    # span is unchanged and the columns are comparable
+    P = pd.mesh_values[:k + 1]
+    P = P / np.abs(P).max(axis=1, keepdims=True)
+    # columns u = y - e_0 >= 0, each c_i as two adjacent columns (+, -) and
+    # one slack; rows u_j - sum_i c_i p_i(theta_j) = -[j = 0], then
+    # u_0 + slack = 0, which holds y_0 at 1
+    d1, nc = d + 1, 2 * (k + 1)
+    A = np.zeros((d1 + 1, d1 + nc + 1))
+    A[np.arange(d1), np.arange(d1)] = 1.0
+    # -= and += onto zeros: 0.0 - v keeps -0.0 out of the LP's coefficients
+    A[:d1, d1:-1:2] -= P.T
+    A[:d1, d1 + 1:-1:2] += P.T
+    A[d1, [0, -1]] = 1.0
+    b = np.zeros(d1 + 1)
+    b[0] = -1.0
     # the optimum can be degenerate: the canonical vertex minimizes the
     # trace, then y_1, ..., y_{d-1} in turn on each optimal face
-    objectives = np.vstack([s.mults.astype(float), np.eye(d + 1)[1:d]])
-    y = _predistance_lp(pd, slice(0, k + 1), objectives, lo, hi)
+    objectives = np.vstack([s.mults.astype(float), np.eye(d1)[1:d]])
+    u = _simplex_standard(A, b, np.pad(objectives, ((0, 0), (0, nc + 1))))[0]
+    y = u[:d1]
+    y[0] += 1.0
     y[np.abs(y) < 1e-11] = 0.0
     if y[1:].min() > 1e-7:
         raise NormalizationViolation("LP vertex has min_{i>=1} f(theta_i) > 0")
@@ -206,7 +172,6 @@ def minor_trace(s: Spectrum, f: MeshPolynomial) -> float:
 @dataclass(frozen=True)
 class SignSolution:
     sign_mesh: MeshPolynomial
-    sign_poly: CoeffPolynomial
     b: tuple
     objective: int
 
@@ -248,17 +213,26 @@ def _negative_sets(mults, k: int):
 
 
 def _max_margin(pd: PredistanceFamily, k: int, neg: tuple):
-    """max t with y_j <= -t on ``neg``, |y| <= 1 and y in span(p_1..p_k);
-    returns (y, t)."""
-    d1 = len(pd.norms_sq)
-    # variables: y_0..y_d, t, one slack per margin row y_j + t + slack = 0
-    rows = np.hstack([np.eye(d1)[list(neg)], np.ones((len(neg), 1)),
-                      np.eye(len(neg))])
-    obj = np.zeros(rows.shape[1])
-    obj[d1] = -1.0
-    x = _predistance_lp(pd, slice(1, k + 1), obj, -np.ones(d1), np.ones(d1),
-                        rows, np.zeros(len(neg)))
-    return x[:d1], x[d1]
+    """max t with y_j <= -t on ``neg``, |y| <= 1 and y = P^T c, where the
+    rows of P are p_1..p_k on the mesh, each scaled to max |p_i| = 1;
+    returns (y, t).
+
+    Solved as its dual, k+1 rows in the unknowns (t, c): min sum(u + v)
+    over lambda, u, v >= 0 with sum(lambda) = 1 and
+    P_N lambda + P (u - v) = 0.  It is feasible and bounded below by 0, its
+    optimum is t, and (t, c) are its duals on the final basis.  The rows
+    are independent (the p_i are), so none is dropped and that basis is
+    square.
+    """
+    P = pd.mesh_values[1:k + 1]
+    P = P / np.abs(P).max(axis=1, keepdims=True)
+    sizes = [len(neg), 2 * P.shape[1]]  # columns lambda, then u and v
+    A = np.vstack([np.repeat([1.0, 0.0], sizes),
+                   np.hstack([P[:, list(neg)], P, -P])])
+    cost = np.repeat([0.0, 1.0], sizes)
+    _, t, basis = _simplex_standard(A, np.eye(k + 1)[0], cost)
+    tc = np.linalg.solve(A[:, basis].T, cost[basis])
+    return P.T @ tc[1:], t
 
 
 def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
@@ -293,7 +267,6 @@ def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
     if low < -1e-12:
         y = y / abs(low)
     mesh = MeshPolynomial(s.distinct, y)
-    coeff = mesh_to_coeffs(mesh)
     bvec = tuple(0 if j in best else 1 for j in range(d + 1))
     # indicator consistency: y_j >= 0 must imply b_j = 1
     if (y[list(best)] >= -1e-9 * max(1.0, np.abs(y).max())).any():
@@ -302,4 +275,4 @@ def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
     if abs(tr) > 1e-7 * max(1.0, np.abs(y).max()):
         raise NumericalInstability("certificate trace is not zero")
     objective = int(sum(m for m, bj in zip(s.mults, bvec) if bj))
-    return SignSolution(mesh, coeff, bvec, objective)
+    return SignSolution(mesh, bvec, objective)

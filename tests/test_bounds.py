@@ -39,6 +39,7 @@ from specind.optimize import minor_polynomial, sign_polynomial
 from specind.polys import (
     CoeffPolynomial,
     MeshPolynomial,
+    mesh_to_coeffs,
     predistance_polynomials,
 )
 from specind.spectra import (
@@ -122,9 +123,8 @@ def test_general_bounds_on_o6_milp_lp():
     g = generate(FamilySpec.parse("odd:6"))
     s = spectrum(g)
     sol = sign_polynomial(s, 4)
-    rep = inertia_general(g, sol.sign_poly, 4, s)
+    rep = inertia_general(g, mesh_to_coeffs(sol.sign_mesh), 4, s)
     assert rep.value == 11
-    from specind.polys import mesh_to_coeffs
     f = mesh_to_coeffs(minor_polynomial(s, 4))
     rep = ratio_general(g, f, 4, s)
     assert rep.value == pytest.approx(11.0, abs=1e-6)
@@ -179,17 +179,21 @@ def test_pwr_inertia_applicable_on_large_mesh_spread(corpus_spectra, label, k, w
     assert rep.floor_value == want
 
 
-def test_pwr_programs_on_tutte(corpus_spectra):
+def test_pwr_programs_on_tutte(corpus_spectra, soundness_results):
     """d = 30: both programs solve in the predistance basis, and each ratio
     floor and sign objective is at least alpha_k = 19, 10, 6 (Tutte graph,
-    k = 1, 2, 3); the k = 3 sign search (1144 LPs) fits the default budget."""
+    k = 1, 2, 3); the k = 3 sign search (1144 LPs) fits the soundness
+    sweep's 5 s budget, so the sweep checks its floor."""
     _, s, _, _ = corpus_spectra["tutte"]
     pd = predistance_polynomials(s)
     for k, floor, sign, alpha in [(1, 21, 21, 19), (2, 11, 13, 10),
                                   (3, 7, 10, 6)]:
         rep = pwr_ratio(s, minor_polynomial(s, k, pd=pd), k)
         assert rep.applicable and rep.floor_value == floor >= alpha, k
-        assert sign_polynomial(s, k, pd=pd).objective == sign >= alpha, k
+        assert sign_polynomial(s, k, time_budget=5.0,
+                               pd=pd).objective == sign >= alpha, k
+    checked, _ = soundness_results
+    assert ("tutte", 3, "pwr_inertia", 10, 6) in checked
 
 
 @pytest.mark.parametrize("seed", range(8))

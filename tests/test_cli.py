@@ -60,6 +60,19 @@ def test_bounds_all_k():
     assert res.stdout.strip()
 
 
+@pytest.mark.parametrize("fixture,k,level", [("tutte", 4, 3), ("durer", 3, 2),
+                                              ("frucht", 3, 2)])
+def test_bounds_text_states_why_no_bound_applies(fixture, k, level):
+    """k below the diameter but above the pwr level: no method applies, and
+    the text output says so instead of printing nothing; CSV stays a bare
+    header."""
+    path = str(cli.fixtures_dir() / f"{fixture}.g6")
+    res = run_cli("bounds", "--in", path, "--k", str(k))
+    assert res.stdout == f"k={k}  no bound applies: pwr level {level} < k\n"
+    res = run_cli("bounds", "--in", path, "--k", str(k), "--format", "csv")
+    assert res.stdout == "method,k,value,floor,applicable,reason\n"
+
+
 def _fail(*args, **kwargs):
     raise AssertionError("the graph was analysed again")
 

@@ -1,8 +1,9 @@
 """LP solver and the two programs: the standard-form simplex against an
-independent solver and its former loop form, the minor-polynomial LP against
-scipy on the predistance-basis LP and against its former pinned-row
-lexicographic loop, and the sign-polynomial search against scipy solving the
-divided-difference mesh formulation."""
+independent solver and its former loop form, its final basis against LP
+duality, the minor-polynomial LP against scipy on the predistance-basis LP
+and against its former pinned-row lexicographic loop, the sign search's
+dual max-margin LP against its former primal, and the sign-polynomial search
+against scipy solving the divided-difference mesh formulation."""
 
 from itertools import product
 from math import comb
@@ -15,6 +16,7 @@ from specind import optimize
 from specind.graphs import FamilySpec
 from specind.polys import predistance_polynomials
 from specind.optimize import (
+    _MARGIN,
     _negative_sets,
     _simplex_standard,
     minor_polynomial,
@@ -57,7 +59,7 @@ def assert_matches_scipy(A, b, c):
     ref = scipy_opt.linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
                             method="highs")
     assert ref.status == 0
-    x, obj = _simplex_standard(A, b, c)
+    x, obj, _ = _simplex_standard(A, b, c)
     assert obj == pytest.approx(ref.fun, abs=1e-7)
     assert np.allclose(A @ x, b, atol=1e-8) and x.min() >= 0
     return x
@@ -125,6 +127,22 @@ def test_simplex_vs_scipy_random_lps():
         assert_matches_scipy(A, b, c)
 
 
+def test_simplex_basis_gives_optimal_duals():
+    """The final basis certifies optimality: the duals pi solving
+    A_B^T pi = c_B are dual feasible, A^T pi <= c, tight on the basic
+    columns, and b.pi equals the optimum.  On the redundant LPs one row is
+    dropped and pi is one of the least-squares solutions, all of which give
+    the same A^T pi and b.pi."""
+    for A, b, c in [*random_lps(), BEALE, *REDUNDANT]:
+        x, obj, basis = _simplex_standard(A, b, c)
+        assert len(basis) == np.linalg.matrix_rank(A)
+        pi = np.linalg.lstsq(A[:, basis].T, c[basis], rcond=None)[0]
+        assert b @ pi == pytest.approx(obj, abs=1e-9)
+        assert (A.T @ pi <= c + 1e-9).all()
+        assert np.allclose(A[:, basis].T @ pi, c[basis], atol=1e-9)
+        assert np.all(x[np.setdiff1d(np.arange(len(c)), basis)] == 0.0)
+
+
 def test_simplex_degenerate_tied_ratios():
     """Bland's rule does not cycle on Beale's example and reaches -5/4."""
     A, b, c = BEALE
@@ -164,7 +182,7 @@ def test_simplex_lexicographic_degenerate_face():
     for second, want in (([0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]),
                          ([0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 1.0])):
         stack = np.array([c, second])
-        x, obj = _simplex_standard(A, b, stack)
+        x, obj, _ = _simplex_standard(A, b, stack)
         assert np.allclose(x, want, atol=1e-12)
         assert np.allclose(x, scipy_lexicographic(A, b, stack), atol=1e-9)
         assert obj == pytest.approx(stack @ want, abs=1e-12)
@@ -245,7 +263,7 @@ def test_simplex_matches_loop_reference(corpus_spectra, monkeypatch):
             sign_polynomial(s, k)
     monkeypatch.undo()
     for A, b, c in lps:
-        x, _ = _simplex_standard(A, b, c)
+        x = _simplex_standard(A, b, c)[0]
         assert x.tobytes() == loop_simplex(A, b, c).tobytes()
 
 
@@ -299,6 +317,83 @@ def test_minor_polynomial_vs_scipy_oracle(corpus_spectra):
     assert checked == 269
 
 
+def predistance_lp_reference(pd, degrees, objective, lo, hi, rows=(), rhs=()):
+    """Reference: the former ``_predistance_lp``, the one LP builder both
+    programs shared.  min objective . x over x = (y_0..y_d, extra...) with
+    lo <= y <= hi (hi = inf: no upper bound), extra >= 0, rows . x = rhs,
+    and mesh values y = sum_{i in degrees} c_i p_i(theta) for free c_i.
+
+    Standard form: columns y - lo, then each c_i as two adjacent columns
+    (+, -), then the extra variables, then one slack per finite upper bound;
+    rows y_j - sum_i c_i p_i(theta_j) = 0, then ``rows``, then
+    y_j + slack = hi_j.
+    """
+    basis = pd.mesh_values[degrees]
+    basis = basis / np.abs(basis).max(axis=1, keepdims=True)
+    nc, d1 = basis.shape
+    objective = np.asarray(objective, dtype=float)
+    nv = objective.shape[-1]
+    R = np.asarray(rows, dtype=float).reshape(len(rhs), nv)
+    ext = slice(d1 + 2 * nc, nv + 2 * nc)  # extra variables
+    ub = np.flatnonzero(np.isfinite(hi))
+    nr = d1 + len(R)
+    A = np.zeros((nr + len(ub), ext.stop + len(ub)))
+    b = np.zeros(len(A))
+    c = np.zeros(objective.shape[:-1] + A.shape[1:])
+    A[np.arange(d1), np.arange(d1)] = 1.0
+    A[:d1, d1:ext.start:2] -= basis.T
+    A[:d1, d1 + 1:ext.start:2] += basis.T
+    b[:d1] -= lo
+    A[d1:nr, :d1] += R[:, :d1]
+    A[d1:nr, ext] += R[:, d1:]
+    b[d1:nr] = rhs - R[:, :d1] @ lo
+    r = np.arange(len(ub))
+    A[nr + r, ub] = A[nr + r, ext.stop + r] = 1.0
+    b[nr:] = hi[ub] - lo[ub]
+    c[..., :d1] += objective[..., :d1]
+    c[..., ext] += objective[..., d1:]
+    u = _simplex_standard(A, b, c)[0]
+    return np.concatenate([lo + u[:d1], u[ext]])
+
+
+def primal_max_margin(pd, k, neg):
+    """Reference: the former primal ``_max_margin``, max t with y_j <= -t on
+    ``neg``, |y| <= 1 and y in span(p_1..p_k), with d+1 definition rows,
+    d+1 box rows and one margin row per element of ``neg``."""
+    d1 = len(pd.norms_sq)
+    # variables: y_0..y_d, t, one slack per margin row y_j + t + slack = 0
+    rows = np.hstack([np.eye(d1)[list(neg)], np.ones((len(neg), 1)),
+                      np.eye(len(neg))])
+    obj = np.zeros(rows.shape[1])
+    obj[d1] = -1.0
+    x = predistance_lp_reference(pd, slice(1, k + 1), obj, -np.ones(d1),
+                                 np.ones(d1), rows, np.zeros(len(neg)))
+    return x[:d1], x[d1]
+
+
+def test_max_margin_dual_matches_primal(corpus_spectra):
+    """The (k+1)-row dual decides every candidate set the search visits as
+    the former primal LP does, with t within 1e-9, and the realized
+    certificate is the primal's vertex within 1e-9."""
+    visited = realized = 0
+    for label in ("petersen", "odd:5", "hypercube:5", "frucht", "flower-snark"):
+        s = corpus_spectra[label][1]
+        pd = predistance_polynomials(s)
+        for k in range(1, s.d):
+            for neg in _negative_sets(s.mults, k):
+                y, t = optimize._max_margin(pd, k, neg)
+                assert len(y) == s.d + 1
+                want_y, want_t = primal_max_margin(pd, k, neg)
+                assert (t > _MARGIN) == (want_t > _MARGIN), (label, k, neg)
+                assert abs(t - want_t) <= 1e-9, (label, k, neg)
+                visited += 1
+                if want_t > _MARGIN:
+                    assert np.abs(y - want_y).max() <= 1e-9, (label, k, neg)
+                    realized += 1
+                    break
+    assert (realized, visited) == (28, 249)
+
+
 def pinned_minor_reference(s, k):
     """Reference: the former ``minor_polynomial``, which fixed the canonical
     vertex with d - 1 further LPs, each pinning the previous float optimum as
@@ -310,12 +405,12 @@ def pinned_minor_reference(s, k):
     hi = np.full(d + 1, np.inf)
     lo[0] = hi[0] = 1.0
     trace = s.mults.astype(float)
-    y = optimize._predistance_lp(pd, degrees, trace, lo, hi)
+    y = predistance_lp_reference(pd, degrees, trace, lo, hi)
     rows, rhs = [trace / trace.max()], [trace @ y / trace.max()]
     for j in range(1, d):
         unit = np.zeros(d + 1)
         unit[j] = 1.0
-        y = optimize._predistance_lp(pd, degrees, unit, lo, hi, rows, rhs)
+        y = predistance_lp_reference(pd, degrees, unit, lo, hi, rows, rhs)
         rows.append(unit)
         rhs.append(max(y[j], 0.0))
     y[np.abs(y) < 1e-11] = 0.0
