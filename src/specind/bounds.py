@@ -362,8 +362,7 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
     if k == 2 and reg.pwr_level >= 2:
         out.append(alpha2_bound(s))
     if k == 3 and reg.pwr_level >= 3:
-        _, delta = diagonal_stats(g, [0.0, 0.0, 0.0, 1.0])
-        out.append(alpha3_bound(s, delta))
+        out.append(alpha3_bound(s, float(reg.closed_walks[2])))
     if k == d - 1 and reg.is_walk_regular:
         pi = pi_products(s)
         out.extend(dminus1_bounds(s, pi, True, reg.diameter_equals_d))

@@ -4,20 +4,20 @@
   degree-<= k polynomial with f(theta_0) = 1 and f >= 0 elsewhere), and
 * the sign-polynomial search (minimize the multiplicity-weighted count of
   non-negative mesh values of a trace-zero polynomial of degree <= k), an
-  exact enumeration of the sign patterns such a polynomial can have.
+  exact enumeration of its sign patterns that skips proven conflicts.
 
 Both are written in the predistance basis: the mesh values are
 y = sum_i c_i p_i(theta) with free coefficients c_i.  Since p_0 = 1 and the
 p_i are orthogonal under the spectral inner product, "degree <= k" is the
 span of p_0..p_k and "trace zero and degree <= k" the span of p_1..p_k, so
 no constraint is needed for either.  Divided-difference rows, the other way
-to impose the degree, are ill-conditioned on spectra with many distinct
-eigenvalues (d = 30 for the Tutte graph).  Each program writes its LP
-directly in the standard form min c.u, Au = b, u >= 0 that
-``_simplex_standard`` solves: the minor LP over the mesh values and the
-split c_i, the sign search's max-margin LP as its dual, which has one row
-per unknown (the margin t and c_1..c_k) and reads the certificate off the
-final basis.
+to impose the degree, are ill-conditioned when d is large (30 for Tutte).
+Each program writes its LP in the standard form min c.u, Au = b, u >= 0
+that ``_simplex_standard`` solves.  The sign search solves each max-margin
+LP as its dual, one row per unknown (t and c_1..c_k): the final basis gives
+the certificate; on an unrealized set N the vertex's lambda is a Gordan
+certificate that no polynomial of the span is negative on all of
+S = supp(lambda), so every later N' containing S is skipped.
 """
 
 from __future__ import annotations
@@ -174,6 +174,8 @@ class SignSolution:
     sign_mesh: MeshPolynomial
     b: tuple
     objective: int
+    lps: int  # max-margin LPs solved
+    skipped: int  # candidate sets pruned by a stored conflict
 
 
 _MARGIN = 1e-7  # a negative set is realized when its max margin exceeds this
@@ -212,27 +214,29 @@ def _negative_sets(mults, k: int):
                 heapq.heappush(heap, (-(nw + after[j]), key + (-nb,), nw, left))
 
 
-def _max_margin(pd: PredistanceFamily, k: int, neg: tuple):
-    """max t with y_j <= -t on ``neg``, |y| <= 1 and y = P^T c, where the
-    rows of P are p_1..p_k on the mesh, each scaled to max |p_i| = 1;
-    returns (y, t).
+def _margin_rows(pd: PredistanceFamily, k: int):
+    """P = p_1..p_k on the mesh, rows scaled to max 1, and [0; P, -P]."""
+    P = pd.mesh_values[1:k + 1]
+    P = P / np.abs(P).max(axis=1, keepdims=True)
+    return P, np.vstack([np.zeros(2 * P.shape[1]), np.hstack([P, -P])])
+
+
+def _max_margin(P: np.ndarray, uv: np.ndarray, neg: tuple):
+    """max t with y_j <= -t on ``neg``, |y| <= 1 and y = P^T c, with P and
+    uv from ``_margin_rows``; returns (y, t, lambda).
 
     Solved as its dual, k+1 rows in the unknowns (t, c): min sum(u + v)
     over lambda, u, v >= 0 with sum(lambda) = 1 and
     P_N lambda + P (u - v) = 0.  It is feasible and bounded below by 0, its
     optimum is t, and (t, c) are its duals on the final basis.  The rows
     are independent (the p_i are), so none is dropped and that basis is
-    square.
+    square: at most k+1 entries of lambda (x[:|N|]) are nonzero.
     """
-    P = pd.mesh_values[1:k + 1]
-    P = P / np.abs(P).max(axis=1, keepdims=True)
-    sizes = [len(neg), 2 * P.shape[1]]  # columns lambda, then u and v
-    A = np.vstack([np.repeat([1.0, 0.0], sizes),
-                   np.hstack([P[:, list(neg)], P, -P])])
-    cost = np.repeat([0.0, 1.0], sizes)
-    _, t, basis = _simplex_standard(A, np.eye(k + 1)[0], cost)
+    A = np.hstack([np.vstack([np.ones(len(neg)), P[:, list(neg)]]), uv])
+    cost = np.repeat([0.0, 1.0], [len(neg), uv.shape[1]])
+    x, t, basis = _simplex_standard(A, np.eye(len(A))[0], cost)
     tc = np.linalg.solve(A[:, basis].T, cost[basis])
-    return P.T @ tc[1:], t
+    return P.T @ tc[1:], t, x[:len(neg)]
 
 
 def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
@@ -246,7 +250,11 @@ def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
     certificate, rescaled so that min_{i>=1} s(theta_i) = -1.  b_j = 0
     marks the negative set.  The search gives up with SearchTimeout after
     ``time_budget`` wall-clock seconds.  ``pd`` is the spectrum's predistance
-    family, built here when not given.
+    family, built here when not given.  An unrealized set N leaves the
+    conflict S = supp(lambda) of its dual vertex.  For any later N' that
+    contains S, that vertex is feasible in the dual for N' with objective
+    t_N, so t_N' <= t_N <= 1e-7: N' is skipped without an LP, and the first
+    realized set is the one the unpruned search finds.
     """
     d = s.d
     if not 1 <= k < d:
@@ -254,15 +262,22 @@ def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
     if pd is None:
         pd = predistance_polynomials(s)
     deadline = time.monotonic() + time_budget
+    P, uv = _margin_rows(pd, k)
     y = np.zeros(d + 1)  # s = 0 certificate: no negative mesh value
     best = ()
-    for neg in _negative_sets(s.mults, k):
+    conflicts, lps, tried = [], 0, 0  # conflicts: each S as a mesh bitmask
+    for tried, neg in enumerate(_negative_sets(s.mults, k), 1):
         if time.monotonic() > deadline:
             raise SearchTimeout("sign-pattern search exceeded its time budget")
-        cand, t = _max_margin(pd, k, neg)
+        outside = ~sum(1 << j for j in neg)
+        if any(S & outside == 0 for S in conflicts):
+            continue
+        cand, t, lam = _max_margin(P, uv, neg)
+        lps += 1
         if t > _MARGIN:
             y, best = cand, neg
             break
+        conflicts.append(sum(1 << j for j, w in zip(neg, lam) if w > 0))
     low = y[1:].min()
     if low < -1e-12:
         y = y / abs(low)
@@ -275,4 +290,4 @@ def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
     if abs(tr) > 1e-7 * max(1.0, np.abs(y).max()):
         raise NumericalInstability("certificate trace is not zero")
     objective = int(sum(m for m, bj in zip(s.mults, bvec) if bj))
-    return SignSolution(mesh, bvec, objective)
+    return SignSolution(mesh, bvec, objective, lps, tried - lps)

@@ -59,6 +59,7 @@ class RegularityReport:
     is_regular: bool
     degree: int | None
     pwr_level: int
+    closed_walks: tuple  # the constant diag(A^l) for l = 1..pwr_level
     is_walk_regular: bool
     is_distance_regular: bool
     intersection_array: tuple | None
@@ -233,9 +234,9 @@ def classify_regularity(g: Graph, s: Spectrum,
     # 2^53, and beyond that the walk counts go on in Python ints, each column
     # of A^l the sum of the A^(l-1) columns at its neighbours.
     a = g.adjacency.astype(float)
-    power = np.eye(g.n)
-    pwr = 0
-    for level in range(1, d + 1):
+    power = a
+    walks = [0]  # diag(A) = 0: every simple graph is 1-partially walk-regular
+    for level in range(2, d + 1):
         if int(deg.max()) ** level < 2 ** 53:
             power = power @ a
         else:
@@ -244,11 +245,11 @@ def classify_regularity(g: Graph, s: Spectrum,
                 nbrs = [np.flatnonzero(col) for col in g.adjacency.T]
             power = np.column_stack([power[:, nb].sum(axis=1) for nb in nbrs])
         if np.all(np.diag(power) == power[0, 0]):
-            pwr = level
+            walks.append(int(power[0, 0]))
         else:
             break
     del power  # freed before the n x n intersection products below
-    pwr = max(pwr, 1)  # every simple graph is 1-partially walk-regular
+    pwr = len(walks)
     is_wr = pwr == d
     if dm is None:
         dm = distance_matrix(g)
@@ -258,6 +259,7 @@ def classify_regularity(g: Graph, s: Spectrum,
         is_regular=is_reg,
         degree=int(deg[0]) if is_reg else None,
         pwr_level=pwr,
+        closed_walks=tuple(walks),
         is_walk_regular=is_wr,
         is_distance_regular=is_dr,
         intersection_array=inter if is_dr else None,

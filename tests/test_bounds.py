@@ -182,16 +182,19 @@ def test_pwr_inertia_applicable_on_large_mesh_spread(corpus_spectra, label, k, w
 def test_pwr_programs_on_tutte(corpus_spectra, soundness_results):
     """d = 30: both programs solve in the predistance basis, and each ratio
     floor and sign objective is at least alpha_k = 19, 10, 6 (Tutte graph,
-    k = 1, 2, 3); the k = 3 sign search (1144 LPs) fits the soundness
-    sweep's 5 s budget, so the sweep checks its floor."""
+    k = 1, 2, 3); the k = 3 sign search (1144 candidate sets, 1057 of them
+    skipped by conflict pruning, 87 LPs) fits the soundness sweep's 5 s
+    budget, so the sweep checks its floor."""
     _, s, _, _ = corpus_spectra["tutte"]
     pd = predistance_polynomials(s)
-    for k, floor, sign, alpha in [(1, 21, 21, 19), (2, 11, 13, 10),
-                                  (3, 7, 10, 6)]:
+    for k, floor, sign, alpha, lps, skipped in [(1, 21, 21, 19, 2, 25),
+                                                (2, 11, 13, 10, 37, 231),
+                                                (3, 7, 10, 6, 87, 1057)]:
         rep = pwr_ratio(s, minor_polynomial(s, k, pd=pd), k)
         assert rep.applicable and rep.floor_value == floor >= alpha, k
-        assert sign_polynomial(s, k, time_budget=5.0,
-                               pd=pd).objective == sign >= alpha, k
+        sol = sign_polynomial(s, k, time_budget=5.0, pd=pd)
+        assert sol.objective == sign >= alpha, k
+        assert (sol.lps, sol.skipped) == (lps, skipped), k
     checked, _ = soundness_results
     assert ("tutte", 3, "pwr_inertia", 10, 6) in checked
 

@@ -6,17 +6,26 @@ dual max-margin LP against its former primal, and the sign-polynomial search
 against scipy solving the divided-difference mesh formulation."""
 
 from itertools import product
+from types import SimpleNamespace
 from math import comb
 
 import numpy as np
 import pytest
 
-from specind.errors import Infeasible, Unbounded
+from specind.errors import (
+    Infeasible,
+    NumericalInstability,
+    SearchTimeout,
+    SpecindError,
+    Unbounded,
+)
 from specind import optimize
 from specind.graphs import FamilySpec
 from specind.polys import predistance_polynomials
 from specind.optimize import (
     _MARGIN,
+    _margin_rows,
+    _max_margin,
     _negative_sets,
     _simplex_standard,
     minor_polynomial,
@@ -380,8 +389,9 @@ def test_max_margin_dual_matches_primal(corpus_spectra):
         s = corpus_spectra[label][1]
         pd = predistance_polynomials(s)
         for k in range(1, s.d):
+            P, uv = _margin_rows(pd, k)
             for neg in _negative_sets(s.mults, k):
-                y, t = optimize._max_margin(pd, k, neg)
+                y, t, _ = _max_margin(P, uv, neg)
                 assert len(y) == s.d + 1
                 want_y, want_t = primal_max_margin(pd, k, neg)
                 assert (t > _MARGIN) == (want_t > _MARGIN), (label, k, neg)
@@ -392,6 +402,131 @@ def test_max_margin_dual_matches_primal(corpus_spectra):
                     realized += 1
                     break
     assert (realized, visited) == (28, 249)
+
+
+def unpruned_sign_reference(s, k, pd):
+    """Reference: the former ``sign_polynomial``, one max-margin LP for every
+    candidate set until the first realized one, with the same rescaling and
+    post-checks; returns (objective, b, certificate, LPs solved)."""
+    P, uv = _margin_rows(pd, k)
+    y = np.zeros(s.d + 1)
+    best = ()
+    for lps, neg in enumerate(_negative_sets(s.mults, k), 1):
+        cand, t, _ = _max_margin(P, uv, neg)
+        if t > _MARGIN:
+            y, best = cand, neg
+            break
+    low = y[1:].min()
+    if low < -1e-12:
+        y = y / abs(low)
+    b = tuple(0 if j in best else 1 for j in range(s.d + 1))
+    if (y[list(best)] >= -1e-9 * max(1.0, np.abs(y).max())).any():
+        raise NumericalInstability("indicator constraint violated by certificate")
+    if abs(float(np.dot(s.mults, y))) > 1e-7 * max(1.0, np.abs(y).max()):
+        raise NumericalInstability("certificate trace is not zero")
+    return int(sum(m for m, bj in zip(s.mults, b) if bj)), b, y, lps
+
+
+def outcome(fn, *args):
+    """("ok", value) or ("raised", exception type, message)."""
+    try:
+        return ("ok", fn(*args))
+    except SpecindError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def test_pruned_search_matches_unpruned_reference(corpus_spectra):
+    """Conflict pruning only skips sets the unpruned loop rejects: on every
+    corpus pair a report can reach (k < d, k <= pwr_level; Tutte k <= 3)
+    the objective, b, certificate bytes and outcome are the reference's,
+    and every set the reference solves is either solved or skipped."""
+    checked = lps = visited = 0
+    for label, (_, s, _, reg) in corpus_spectra.items():
+        pd = predistance_polynomials(s)
+        for k in range(1, min(s.d, reg.pwr_level + 1)):
+            want = outcome(unpruned_sign_reference, s, k, pd)
+            got = outcome(sign_polynomial, s, k, 30.0, pd)
+            if want[0] == "ok":
+                sol = got[1]
+                obj, b, y, ref_lps = want[1]
+                assert (sol.objective, sol.b) == (obj, b), (label, k)
+                assert sol.sign_mesh.values.tobytes() == y.tobytes(), (label, k)
+                assert sol.lps + sol.skipped == ref_lps, (label, k)
+                lps += sol.lps
+                visited += ref_lps
+            else:
+                assert got == want, (label, k)
+            checked += 1
+    assert checked == 163
+    assert (lps, visited) == (673, 2465)
+
+
+def test_conflicts_are_gordan_certificates(corpus_spectra, monkeypatch):
+    """Each stored conflict S = supp(lambda) has at most k+1 elements, with
+    lambda >= 0, sum(lambda) = 1 and P_S lambda_S = 0 (so no polynomial in
+    span(p_1..p_k) is negative on all of S), and every set the search skips
+    is unrealizable: the former primal LP gives it margin t <= 1e-7."""
+    calls = []
+
+    def record(P, uv, neg):
+        out = _max_margin(P, uv, neg)
+        calls.append((neg, out, P))
+        return out
+
+    monkeypatch.setattr(optimize, "_max_margin", record)
+    conflicts = skipped = 0
+    for label in ("petersen", "odd:5", "frucht", "flower-snark"):
+        s = corpus_spectra[label][1]
+        pd = predistance_polynomials(s)
+        for k in range(1, s.d):
+            calls.clear()
+            sol = sign_polynomial(s, k, pd=pd)
+            solved = {neg for neg, _, _ in calls}
+            assert len(calls) == len(solved) == sol.lps, (label, k)
+            for neg, (_, t, lam), P in calls:
+                if t > _MARGIN:
+                    continue
+                S = [j for j, w in zip(neg, lam) if w > 0]
+                assert len(S) <= k + 1, (label, k, neg)
+                assert lam.min() >= -1e-12, (label, k, neg)
+                assert abs(lam.sum() - 1.0) <= 1e-9, (label, k, neg)
+                assert np.abs(P[:, list(neg)] @ lam).max() <= 1e-9, (label, k, neg)
+                conflicts += 1
+            neg, (_, t, _), _ = calls[-1]
+            realized = neg if t > _MARGIN else None
+            skips = []
+            for neg in _negative_sets(s.mults, k):
+                if neg == realized:
+                    break
+                if neg not in solved:
+                    skips.append(neg)
+            assert len(skips) == sol.skipped, (label, k)
+            for neg in skips:
+                assert primal_max_margin(pd, k, neg)[1] <= 1e-7, (label, k, neg)
+            skipped += len(skips)
+    assert (conflicts, skipped) == (58, 145)
+
+
+def test_skipped_sets_count_against_the_deadline(corpus_spectra, monkeypatch):
+    """The deadline is read once per candidate, skipped ones included.  On
+    Tutte k = 3 the search solves 87 LPs and skips 1057 sets; a clock that
+    advances 1 s per read runs out at the 1144th candidate, the realized
+    one, long after the 87th LP.  A real budget of 1e-4 s times out too."""
+    s = corpus_spectra["tutte"][1]
+    pd = predistance_polynomials(s)
+    with pytest.raises(SearchTimeout):
+        sign_polynomial(s, 3, time_budget=1e-4, pd=pd)
+    for budget, times_out in ((1143.5, True), (1144.0, False)):
+        ticks = iter(range(10 ** 6))
+        monkeypatch.setattr(optimize, "time",
+                            SimpleNamespace(monotonic=lambda: next(ticks)))
+        if times_out:
+            with pytest.raises(SearchTimeout):
+                sign_polynomial(s, 3, time_budget=budget, pd=pd)
+        else:
+            sol = sign_polynomial(s, 3, time_budget=budget, pd=pd)
+            assert (sol.lps, sol.skipped, sol.objective) == (87, 1057, 10)
+        assert next(ticks) == 1145  # one read to set the deadline, then 1144
 
 
 def pinned_minor_reference(s, k):

@@ -1,6 +1,7 @@
 """Spectra, multiplicity grouping, pi products, regularity classification."""
 
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from specind.graphs import FamilySpec, generate
 from specind.spectra import (
     _intersection_numbers,
     classify_regularity,
+    diagonal_stats,
     exact_family_spectrum,
     pi_products,
     spectrum,
@@ -139,6 +141,26 @@ def test_walk_regular_beyond_float_exactness(spec, d):
         rep = classify_regularity(g, s)
     assert s.d == d
     assert rep.pwr_level == d and rep.is_walk_regular
+
+
+def test_closed_walks_match_diagonal_stats(corpus_spectra):
+    """closed_walks holds the constant diag(A^l) for l = 1..pwr_level: the
+    float Horner diagonal of diagonal_stats, exact at these sizes, agrees on
+    every corpus graph."""
+    for label, (g, _, _, reg) in corpus_spectra.items():
+        assert len(reg.closed_walks) == reg.pwr_level, label
+        for level, walks in enumerate(reg.closed_walks, 1):
+            unit = np.eye(level + 1)[level]
+            assert diagonal_stats(g, unit) == (walks, walks), (label, level)
+
+
+def test_closed_walks_exact_past_float():
+    """On a 150-cycle there are C(l, l/2) closed walks of even length l < 150
+    and none of odd length; C(74, 37) is about 1.7e21, past 2^53."""
+    g = generate(FamilySpec.parse("cycle:150"))
+    rep = classify_regularity(g, spectrum(g))
+    assert rep.closed_walks == tuple(0 if ell % 2 else comb(ell, ell // 2)
+                                     for ell in range(1, 76))
 
 
 def test_hoffman_graph_walk_regular_not_distance_regular(corpus_spectra):
