@@ -323,9 +323,11 @@ def pd_ratio_bound(s: Spectrum, pd: PredistanceFamily,
 def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
                 dm: DistanceMatrix | None = None,
                 reg: RegularityReport | None = None,
-                sign_budget: float = 30.0) -> list:
+                sign_budget: float = 30.0,
+                pd: PredistanceFamily | None = None) -> list:
     """Run every applicable method for alpha_k and mark the minimum floor.
-    ``sign_budget`` is the sign-pattern search's wall-clock budget in s."""
+    ``sign_budget`` is the sign-pattern search's wall-clock budget in s;
+    ``pd``, when given, is ``predistance_polynomials(s)``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if dm is None:
@@ -342,7 +344,8 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
         out.append(cvetkovic_bound(s.raw))
         if reg.is_regular:
             out.append(hoffman_bound(g.n, float(s.raw[0]), float(s.raw[-1])))
-    pd = predistance_polynomials(s) if reg.pwr_level >= k else None
+    if pd is None and reg.pwr_level >= k:
+        pd = predistance_polynomials(s)
     if reg.pwr_level >= k and k < d:
         try:
             sol = optimize.sign_polynomial(s, k, sign_budget, pd=pd)

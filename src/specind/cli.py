@@ -8,6 +8,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .polys import as_fraction_string
+from .polys import as_fraction_string, predistance_polynomials
 from .spectra import classify_regularity, spectrum, srg_raw_spectrum
 
 TABLES = ("t1", "t2", "minor-odd", "sign-odd6", "t4", "t5")
@@ -77,14 +78,17 @@ def cmd_bounds(args) -> int:
     g = _graph_from_args(args)
     dm = distance_matrix(g)
     ks = range(1, dm.diameter + 1) if args.k == "all" else [int(args.k)]
-    # one spectrum and regularity report serve every k; k >= diameter needs neither
-    s = reg = None
+    # one spectrum, regularity report and predistance family serve every k;
+    # k >= diameter needs none of them
+    s = reg = pd = None
     if any(k < dm.diameter for k in ks):
         s = spectrum(g)
         reg = classify_regularity(g, s, dm)
+        if reg.pwr_level >= 1:
+            pd = predistance_polynomials(s)
     by_k, bare = {}, set()
     for k in ks:
-        reps = bounds_mod.best_bounds(g, k, s=s, dm=dm, reg=reg)
+        reps = bounds_mod.best_bounds(g, k, s=s, dm=dm, reg=reg, pd=pd)
         if not reps:  # every method needs pwr_level >= k
             bare.add(k)
         if args.exact:
@@ -229,8 +233,6 @@ def _t4_row(row):
 
 
 def _t5_row(row):
-    from .polys import predistance_polynomials
-
     g = _resolve_source(row["source"])
     if g is None:
         return {"id": row["id"], "status": "missing",
@@ -287,6 +289,7 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parse tree per process; parse_args does not mutate it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="specind",

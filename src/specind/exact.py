@@ -11,6 +11,9 @@ Tomita's MCS: vertex i is the i-th of a degeneracy order, candidate sets are
 Python ints, and each node colours its candidates class by class, taking the
 lowest set bit over and over; only vertices whose colour could beat the
 incumbent are branched on.
+
+When the graph's claimed automorphisms check out and move vertex 0 to every
+vertex, some maximum set contains 0, so only 0's far neighbourhood is searched.
 """
 
 from __future__ import annotations
@@ -100,6 +103,25 @@ def _max_clique(adj: np.ndarray, deadline: float):
     return best_size, [order[i] for i in best], nodes
 
 
+def _transitive(g: Graph) -> bool:
+    """True iff the claimed automorphisms move vertex 0 to every vertex.  A
+    claim that is not an automorphism is a producer bug: RuntimeError."""
+    gens = [np.asarray(p) for p in g.automorphisms]
+    for p in gens:
+        if not (np.array_equal(np.sort(p), np.arange(g.n))
+                and np.array_equal(g.adjacency[np.ix_(p, p)], g.adjacency)):
+            raise RuntimeError(f"claimed automorphism of {g.label!r} is not one")
+    orbit = np.zeros(g.n, dtype=bool)
+    orbit[0] = True
+    while True:
+        grown = orbit.copy()
+        for p in gens:
+            grown[p[orbit]] = True
+        if np.array_equal(grown, orbit):
+            return bool(orbit.all())
+        orbit = grown
+
+
 def alpha_k_exact(g: Graph, k: int, dm: DistanceMatrix | None = None,
                   size_limit: int = DEFAULT_SIZE_LIMIT,
                   timeout: float = DEFAULT_TIMEOUT) -> ExactResult:
@@ -116,8 +138,13 @@ def alpha_k_exact(g: Graph, k: int, dm: DistanceMatrix | None = None,
     far = dm.dist > k
     if not far.any():  # k >= diameter
         return ExactResult(1, (0,), k, time.monotonic() - start)
-    size, witness, nodes = _max_clique(far, start + timeout)
-    witness = tuple(sorted(witness))
+    if _transitive(g):  # root the search at vertex 0
+        nb = np.flatnonzero(far[0])
+        size, sub, nodes = _max_clique(far[np.ix_(nb, nb)], start + timeout)
+        size, witness = size + 1, [0, *nb[sub]]
+    else:
+        size, witness, nodes = _max_clique(far, start + timeout)
+    witness = tuple(sorted(int(v) for v in witness))
     if len(witness) != size or not verify_independent(g, k, witness, dm):
         # an oracle bug, not an inapplicable instance: no handler may catch it
         raise RuntimeError(f"exact witness {witness} is not {k}-independent")

@@ -6,7 +6,7 @@ target instances stay below ~1000 vertices, so dense storage is fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import gcd
 
@@ -30,11 +30,14 @@ FAMILIES = (
 
 @dataclass(frozen=True)
 class Graph:
-    """Connected, simple, undirected graph."""
+    """Connected, simple, undirected graph.  ``automorphisms`` is a claimed
+    generating set (vertex permutations p, u -> p[u]); only ``generate``
+    fills it, and the exact oracle checks it before relying on it."""
 
     n: int
     adjacency: np.ndarray  # (n, n) bool, symmetric, zero diagonal
     label: str = ""
+    automorphisms: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         a = self.adjacency
@@ -223,20 +226,32 @@ def parse_edge_list(text: str, label: str = "") -> Graph:
 # ---------------------------------------------------------------------------
 # Named families.  Vertex orderings are fixed so serialized output is
 # byte-stable: integers 0..n-1 for circulant-like families, binary counting
-# order for hypercubes, colexicographic subsets for Kneser/Odd.
+# order for hypercubes, colexicographic subsets for Kneser/Odd.  Each
+# vertex-transitive family carries automorphisms that move 0 to every vertex.
+
+
+def _rotation(n: int) -> tuple:
+    return (np.arange(1, n + 1) % n,)  # i -> i + 1 mod n
+
+
+def _two_parts(m: int) -> tuple:
+    """Parts 0..m-1 and m..2m-1: rotate both, and swap i <-> i + m."""
+    r = np.arange(1, m + 1) % m
+    return (np.concatenate([r, r + m]), np.roll(np.arange(2 * m), m))
 
 
 def _cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidFamilyParameters("cycle needs n >= 3")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)], f"cycle:{n}")
+    g = from_edges(n, [(i, (i + 1) % n) for i in range(n)], f"cycle:{n}")
+    return replace(g, automorphisms=_rotation(n))
 
 
 def _complete(n: int) -> Graph:
     if n < 2:
         raise InvalidFamilyParameters("complete needs n >= 2")
     adj = ~np.eye(n, dtype=bool)
-    return from_adjacency(adj, f"complete:{n}")
+    return replace(from_adjacency(adj, f"complete:{n}"), automorphisms=_rotation(n))
 
 
 def _complete_bipartite(a: int, b: int) -> Graph:
@@ -245,7 +260,8 @@ def _complete_bipartite(a: int, b: int) -> Graph:
     adj = np.zeros((a + b, a + b), dtype=bool)
     adj[:a, a:] = True
     adj[a:, :a] = True
-    return from_adjacency(adj, f"complete_bipartite:{a},{b}")
+    g = from_adjacency(adj, f"complete_bipartite:{a},{b}")
+    return replace(g, automorphisms=_two_parts(a)) if a == b else g
 
 
 def _hypercube(m: int) -> Graph:
@@ -253,7 +269,9 @@ def _hypercube(m: int) -> Graph:
         raise InvalidFamilyParameters("hypercube needs dimension >= 1")
     n = 1 << m
     edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(m) if u < u ^ (1 << b)]
-    return from_edges(n, edges, f"hypercube:{m}")
+    u = np.arange(n)
+    return replace(from_edges(n, edges, f"hypercube:{m}"),
+                   automorphisms=tuple(u ^ (1 << b) for b in range(m)))
 
 
 def _circulant(n: int, *steps: int) -> Graph:
@@ -265,7 +283,8 @@ def _circulant(n: int, *steps: int) -> Graph:
     if gcd(n, *steps) != 1:
         raise DisconnectedGraph("circulant with gcd(n, s_1, ..., s_m) > 1")
     edges = [(u, (u + s) % n) for u in range(n) for s in steps]
-    return from_edges(n, [(u, v) for u, v in edges if u != v], f"circulant:{n}," + ",".join(map(str, steps)))
+    g = from_edges(n, [(u, v) for u, v in edges if u != v], f"circulant:{n}," + ",".join(map(str, steps)))
+    return replace(g, automorphisms=_rotation(n))
 
 
 def kneser_vertices(n: int, k: int) -> list:
@@ -281,14 +300,18 @@ def _kneser(n: int, k: int) -> Graph:
     masks = np.array([sum(1 << i for i in v) for v in kneser_vertices(n, k)],
                      dtype=np.min_scalar_type((1 << n) - 1))
     adj = (masks[:, None] & masks[None, :]) == 0
-    return from_adjacency(adj, f"kneser:{n},{k}")
+    # the ground-set transposition (0 1) and n-cycle i -> i+1 act on the
+    # masks; colex order is increasing mask order, so searchsorted indexes
+    swap = ((masks ^ (masks >> 1)) & 1) * 3
+    turn = ((masks << 1) | (masks >> (n - 1))) & ((1 << n) - 1)
+    return replace(from_adjacency(adj, f"kneser:{n},{k}"), automorphisms=tuple(
+        np.searchsorted(masks, image) for image in (masks ^ swap, turn)))
 
 
 def _odd(ell: int) -> Graph:
     if ell < 2:
         raise InvalidFamilyParameters("odd graph needs ell >= 2")
-    g = _kneser(2 * ell - 1, ell - 1)
-    return Graph(g.n, g.adjacency, f"odd:{ell}")
+    return replace(_kneser(2 * ell - 1, ell - 1), label=f"odd:{ell}")
 
 
 def _prism(m: int) -> Graph:
@@ -298,7 +321,7 @@ def _prism(m: int) -> Graph:
     edges = [(i, (i + 1) % m) for i in range(m)]
     edges += [(m + i, m + (i + 1) % m) for i in range(m)]
     edges += [(i, m + i) for i in range(m)]
-    return from_edges(2 * m, edges, f"prism:{m}")
+    return replace(from_edges(2 * m, edges, f"prism:{m}"), automorphisms=_two_parts(m))
 
 
 def _moebius_ladder(m: int) -> Graph:
@@ -307,7 +330,7 @@ def _moebius_ladder(m: int) -> Graph:
         raise InvalidFamilyParameters("moebius_ladder needs m >= 3")
     n = 2 * m
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + m) for i in range(m)]
-    return from_edges(n, edges, f"moebius_ladder:{m}")
+    return replace(from_edges(n, edges, f"moebius_ladder:{m}"), automorphisms=_rotation(n))
 
 
 def generate(spec: FamilySpec) -> Graph:
@@ -333,8 +356,7 @@ def generate(spec: FamilySpec) -> Graph:
         if fam == "moebius_ladder":
             return _moebius_ladder(*p)
         if fam == "petersen":
-            g = _kneser(5, 2)
-            return Graph(g.n, g.adjacency, "petersen")
+            return replace(_kneser(5, 2), label="petersen")
     except TypeError as exc:
         raise InvalidFamilyParameters(f"bad parameter count for {fam}: {p}") from exc
     raise InvalidFamilyParameters(f"unknown family {fam!r}")

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from specind import bounds, cli, spectra
+from specind import bounds, cli, polys, spectra
 from specind.graphs import FamilySpec, distance_matrix, generate
 
 
@@ -111,6 +111,35 @@ def test_bounds_k_at_least_diameter_skips_spectrum(monkeypatch, capsys):
     monkeypatch.setattr(bounds, "spectrum", _fail)
     lines = _csv_lines(capsys, "--family", "complete:5", "--k", "3")
     assert lines[1:] == ["trivial,3,1,1,True,k >= diameter"]
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main reuses one parse tree per process; calls made one after another
+    in one process print what separate processes print."""
+    calls = [("bounds", "--family", "petersen", "--k", "all", "--exact",
+              "--format", "csv"),
+             ("classify", "--family", "petersen", "--k", "1"),
+             ("bounds", "--family", "hypercube:4", "--k", "2")]
+    in_process = []
+    for argv in calls:
+        assert cli.main(list(argv)) == 0
+        in_process.append(capsys.readouterr().out)
+    assert cli.build_parser() is cli.build_parser()
+    assert in_process == [run_cli(*argv).stdout for argv in calls]
+
+
+def test_bounds_all_k_builds_predistance_family_once(monkeypatch, capsys):
+    built = []
+
+    def counting(s):
+        built.append(s)
+        return polys.predistance_polynomials(s)
+
+    monkeypatch.setattr(bounds, "predistance_polynomials", _fail)
+    monkeypatch.setattr(cli, "predistance_polynomials", counting)
+    assert cli.main(["bounds", "--family", "odd:5", "--k", "all"]) == 0
+    assert "best floor" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_runtime_imports_numpy_only():

@@ -1,9 +1,12 @@
 """Exact oracle: correctness against an independent brute-force MIS,
-known values, monotonicity, witnesses, guard rails."""
+known values, monotonicity, witnesses, guard rails, and the search rooted
+at vertex 0 on vertex-transitive families."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import relabelled
+from conftest import FAMILY_SPECS, relabelled
 
 from specind import exact
 from specind.ch import ch_classify
@@ -12,8 +15,11 @@ from specind.exact import alpha_k_exact, verify_independent
 from specind.graphs import (
     FamilySpec,
     distance_matrix,
+    from_adjacency,
     generate,
+    parse_graph6,
     power_graph,
+    to_graph6,
 )
 
 
@@ -239,3 +245,89 @@ def test_deterministic_result():
     b = alpha_k_exact(g, 2)
     assert a.alpha_k == b.alpha_k
     assert a.witness == b.witness  # fixed search order
+
+
+# ---------------------------------------------------------------------------
+# Vertex-transitive families: the search rooted at vertex 0
+
+
+def test_family_automorphisms_move_zero_everywhere():
+    for spec in FAMILY_SPECS:
+        g = generate(FamilySpec.parse(spec))
+        assert exact._transitive(g) == (spec != "complete_bipartite:4,5"), spec
+
+
+def test_false_automorphism_is_a_producer_bug():
+    """A claimed generator that is not an automorphism (or not even a
+    permutation) raises RuntimeError, like a bad witness."""
+    g = generate(FamilySpec.parse("petersen"))
+    swap = np.arange(g.n)
+    swap[[0, 1]] = [1, 0]
+    assert not np.array_equal(g.adjacency[np.ix_(swap, swap)], g.adjacency)
+    for bad in (swap, np.zeros(g.n, dtype=int), np.arange(g.n - 1)):
+        h = replace(g, automorphisms=g.automorphisms + (bad,))
+        with pytest.raises(RuntimeError):
+            alpha_k_exact(h, 1)
+        with pytest.raises(RuntimeError):
+            ch_classify(h, 1)
+
+
+@pytest.mark.parametrize("spec,keep", [("prism:6", 1), ("hypercube:4", 3)])
+def test_small_orbit_falls_back_to_full_search(spec, keep, monkeypatch):
+    """Generators whose orbit of 0 is not all of V (prism rotations keep the
+    two cycles apart; three bit flips reach 8 of 16) leave the full search."""
+    g = generate(FamilySpec.parse(spec))
+    h = replace(g, automorphisms=g.automorphisms[:keep])
+    assert exact._transitive(g) and not exact._transitive(h)
+    sizes = []
+    search = exact._max_clique
+    monkeypatch.setattr(exact, "_max_clique",
+                        lambda adj, deadline: sizes.append(len(adj))
+                        or search(adj, deadline))
+    dm = distance_matrix(g)
+    for k in range(1, dm.diameter):
+        full, rooted = alpha_k_exact(h, k, dm=dm), alpha_k_exact(g, k, dm=dm)
+        assert full.alpha_k == rooted.alpha_k, k
+        assert sizes[-2] == g.n > sizes[-1]
+        assert verify_independent(g, k, full.witness, dm)
+
+
+def rooted_vs_relabelled(spec, k):
+    """alpha_k of a generated graph (rooted search) and of its relabelled
+    copy (full search); both witnesses checked, the rooted one holds 0
+    (complete_bipartite:4,5, with no generators, is searched in full)."""
+    g, h = generate(FamilySpec.parse(spec)), relabelled(spec, 7)
+    rooted, full = alpha_k_exact(g, k), alpha_k_exact(h, k)
+    assert rooted.alpha_k == full.alpha_k, (spec, k)
+    assert len(rooted.witness) == rooted.alpha_k
+    assert 0 in rooted.witness or not g.automorphisms
+    assert verify_independent(g, k, rooted.witness)
+    assert verify_independent(h, k, full.witness)
+    return rooted.alpha_k
+
+
+def test_rooted_search_matches_relabelled_corpus():
+    for spec in FAMILY_SPECS:
+        g = generate(FamilySpec.parse(spec))
+        if g.n <= 64:
+            for k in range(1, distance_matrix(g).diameter + 1):
+                rooted_vs_relabelled(spec, k)
+
+
+@pytest.mark.parametrize("spec,k,alpha", [("odd:6", 4, 11),
+                                          ("hypercube:7", 2, 16)])
+def test_rooted_search_matches_relabelled_large(spec, k, alpha):
+    assert rooted_vs_relabelled(spec, k) == alpha
+
+
+def test_relabelled_graph_claims_no_automorphisms():
+    """Only generated graphs carry generators; equality and hashing stay
+    adjacency-only."""
+    g = generate(FamilySpec.parse("odd:4"))
+    h = relabelled("odd:4", 7)
+    assert g.automorphisms and h.automorphisms == ()
+    assert parse_graph6(to_graph6(g)).automorphisms == ()
+    for x in (g, h):
+        twin = from_adjacency(x.adjacency)
+        assert twin.automorphisms == ()
+        assert x == twin and hash(x) == hash(twin)

@@ -33,6 +33,14 @@ def test_soundness_coverage(soundness_results):
     assert len(graphs) >= 25
 
 
+def test_sweep_checks_a_fixed_set(soundness_results):
+    """The oracle budget skips the same pairs on any host: odd:6 is over the
+    size limit and odd:5 at k = 1 over the time budget; odd:5 k = 2 checks."""
+    checked, skipped = soundness_results
+    assert {(lab, k) for lab, k, _ in skipped} <= {("odd:6", None), ("odd:5", 1)}
+    assert ("odd:5", 2) in {(lab, k) for lab, k, *_ in checked}
+
+
 def test_second_bound_vs_first_logged_not_asserted(soundness_results):
     """Ratio-vs-inertia comparison is an empirical observation: log the
     exceptions as warnings, never fail on them."""
