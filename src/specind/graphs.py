@@ -106,27 +106,26 @@ class FamilySpec:
 
 
 def _check_connected(adj: np.ndarray, label: str = "") -> None:
+    """Sweep frontiers out from vertex 0; each vertex joins exactly one
+    frontier, so the rows gathered total n and the work is O(n^2)."""
     n = adj.shape[0]
     if n == 0:
         raise DisconnectedGraph("empty graph")
     seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
+    frontier = np.arange(n) == 0
+    while frontier.any():
+        seen |= frontier
+        frontier = adj[frontier].any(axis=0) & ~seen
     if not seen.all():
         raise DisconnectedGraph(f"graph {label!r} is not connected")
 
 
 def from_adjacency(adj: np.ndarray, label: str = "") -> Graph:
-    """Build a Graph, enforcing the connectivity invariant."""
+    """Build a Graph (symmetry and loops checked first), then check connectivity."""
     adj = np.asarray(adj, dtype=bool).copy()
+    g = Graph(adj.shape[0], adj, label)
     _check_connected(adj, label)
-    return Graph(adj.shape[0], adj, label)
+    return g
 
 
 def from_edges(n: int, edges, label: str = "") -> Graph:
@@ -152,33 +151,29 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise MalformedGraph6("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    # every byte of a non-ASCII character (a lone surrogate too) is >= 128
+    raw = np.frombuffer(s.encode("utf-8", "surrogatepass"), np.uint8)
+    if np.any((raw < 63) | (raw > 126)):
         raise MalformedGraph6("character out of graph6 range")
+    data = raw - 63
     if data[0] < 63:
-        n = data[0]
+        n = int(data[0])
         body = data[1:]
     elif len(data) >= 4 and data[1] < 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = (int(data[1]) << 12) | (int(data[2]) << 6) | int(data[3])
         body = data[4:]
     else:
         raise MalformedGraph6("unsupported graph6 size header")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise MalformedGraph6("graph6 body has wrong length")
-    bits = []
-    for b in body:
-        bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
-    adj = np.zeros((n, n), dtype=bool)
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                adj[i, j] = adj[j, i] = True
-            idx += 1
-    if any(bits[nbits:]):
+    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
         raise MalformedGraph6("nonzero padding bits")
-    return from_adjacency(adj)
+    # row-major (j, i), i < j: graph6's order, column j's bits i = 0..j-1
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.tril_indices(n, -1)] = bits[:nbits]
+    return from_adjacency(adj | adj.T)
 
 
 def to_graph6(g: Graph) -> str:
@@ -190,18 +185,13 @@ def to_graph6(g: Graph) -> str:
         head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     else:
         raise ValueError("graph too large for this encoder")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.adjacency[i, j] else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = [
-        (bits[i] << 5) | (bits[i + 1] << 4) | (bits[i + 2] << 3)
-        | (bits[i + 3] << 2) | (bits[i + 4] << 1) | bits[i + 5]
-        for i in range(0, len(bits), 6)
-    ]
-    return "".join(chr(b + 63) for b in head + body)
+    nbits = n * (n - 1) // 2
+    bits = np.zeros((nbits + 5) // 6 * 6, dtype=np.uint8)
+    bits[:nbits] = g.adjacency[np.tril_indices(n, -1)]
+    # packbits fills each 6-bit row out to a byte with two low zero bits
+    body = np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2
+    data = np.concatenate([np.array(head, dtype=np.uint8), body]) + 63
+    return data.tobytes().decode()
 
 
 def parse_edge_list(text: str, label: str = "") -> Graph:

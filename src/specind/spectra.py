@@ -208,18 +208,23 @@ def diagonal_stats(g: Graph, coeffs) -> tuple:
 
 
 def _intersection_numbers(a: np.ndarray, dm: DistanceMatrix):
-    """Intersection numbers b_i, c_i from the products [dist = i+-1] A read at
-    the pairs at distance i; None if they are not constant."""
-    D = dm.diameter
-    b, c = [], []
-    for i in range(D + 1):
-        at_i = dm.dist == i
-        for j, out in ((i + 1, b), (i - 1, c)):
-            counts = ((dm.dist == j).astype(float) @ a)[at_i]
-            if np.any(counts != counts[0]):
-                return None
-            out.append(int(counts[0]))
-    return tuple(b[:-1]), tuple(c[1:])
+    """Intersection numbers b_i, c_i from one product; None if not constant.
+
+    With B = max degree + 1, (X A)[u, v] for X[u, w] = B^(dist(u, w) mod 3)
+    sums B^(dist(u, w) mod 3) over the neighbours w of v.  At distance i from
+    u these lie at i-1, i, i+1, three residues mod 3, so the entry holds c_i,
+    a_i, b_i as base-B digits; it is below deg * B^2 < 2^53, exact in float64
+    for degrees below 2^17.  Every entry must equal row 0's at its distance
+    (NaN, never equal, where row 0 lacks one)."""
+    base = int(a.sum(axis=1).max()) + 1
+    code = np.array([1.0, base, base * base])[dm.dist % 3] @ a
+    ref = np.full(dm.diameter + 1, np.nan)
+    ref[dm.dist[0]] = code[0]
+    if not np.array_equal(code, ref[dm.dist]):
+        return None
+    digits = [[int(v) // base ** r % base for r in range(3)] for v in ref]
+    return (tuple(digits[i][(i + 1) % 3] for i in range(dm.diameter)),
+            tuple(digits[i][(i - 1) % 3] for i in range(1, dm.diameter + 1)))
 
 
 def classify_regularity(g: Graph, s: Spectrum,
@@ -248,13 +253,14 @@ def classify_regularity(g: Graph, s: Spectrum,
             walks.append(int(power[0, 0]))
         else:
             break
-    del power  # freed before the n x n intersection products below
+    del power  # freed before the n x n intersection product below
     pwr = len(walks)
     is_wr = pwr == d
     if dm is None:
         dm = distance_matrix(g)
-    inter = _intersection_numbers(a, dm) if is_reg else None
-    is_dr = inter is not None and dm.diameter == d
+    # is_dr needs both, and only then is the array reported
+    inter = _intersection_numbers(a, dm) if is_reg and dm.diameter == d else None
+    is_dr = inter is not None
     return RegularityReport(
         is_regular=is_reg,
         degree=int(deg[0]) if is_reg else None,
@@ -262,6 +268,6 @@ def classify_regularity(g: Graph, s: Spectrum,
         closed_walks=tuple(walks),
         is_walk_regular=is_wr,
         is_distance_regular=is_dr,
-        intersection_array=inter if is_dr else None,
+        intersection_array=inter,
         diameter_equals_d=dm.diameter == d,
     )

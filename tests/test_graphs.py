@@ -11,7 +11,9 @@ from specind.errors import (
 )
 from specind.graphs import (
     FamilySpec,
+    _check_connected,
     distance_matrix,
+    from_adjacency,
     from_edges,
     generate,
     kneser_vertices,
@@ -90,10 +92,154 @@ def test_graph6_known_encoding():
     assert parse_graph6(">>graph6<<" + to_graph6(c5)) == c5
 
 
-@pytest.mark.parametrize("bad", ["", "~~~~~", "D?", "D" + chr(30)])
+def loop_parse_graph6(text):
+    """Reference: the per-bit graph6 decoder (the former ``parse_graph6``),
+    returning the adjacency matrix; raises what it raised."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise MalformedGraph6("empty graph6 string")
+    data = [ord(c) - 63 for c in s]
+    if any(b < 0 or b > 63 for b in data):
+        raise MalformedGraph6("character out of graph6 range")
+    if data[0] < 63:
+        n = data[0]
+        body = data[1:]
+    elif len(data) >= 4 and data[1] < 63:
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = data[4:]
+    else:
+        raise MalformedGraph6("unsupported graph6 size header")
+    nbits = n * (n - 1) // 2
+    if len(body) != (nbits + 5) // 6:
+        raise MalformedGraph6("graph6 body has wrong length")
+    bits = []
+    for b in body:
+        bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
+    adj = np.zeros((n, n), dtype=bool)
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                adj[i, j] = adj[j, i] = True
+            idx += 1
+    if any(bits[nbits:]):
+        raise MalformedGraph6("nonzero padding bits")
+    return adj
+
+
+def loop_to_graph6(adj):
+    """Reference: the per-bit graph6 encoder (the former ``to_graph6``)."""
+    n = adj.shape[0]
+    head = [n] if n <= 62 else [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if adj[i, j] else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    body = [
+        (bits[i] << 5) | (bits[i + 1] << 4) | (bits[i + 2] << 3)
+        | (bits[i + 3] << 2) | (bits[i + 4] << 1) | bits[i + 5]
+        for i in range(0, len(bits), 6)
+    ]
+    return "".join(chr(b + 63) for b in head + body)
+
+
+def dfs_connected(adj):
+    """Reference: a stack DFS from vertex 0 (the former connectivity check)."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        u = stack.pop()
+        for v in np.flatnonzero(adj[u]):
+            if not seen[v]:
+                seen[v] = True
+                stack.append(int(v))
+    return bool(seen.all())
+
+
+def random_connected(n, seed):
+    """A random spanning tree plus random edges, vertices shuffled."""
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < rng.random() * 0.3
+    for v in range(1, n):
+        adj[v, rng.integers(v)] = True
+    adj = np.tril(adj, -1)
+    adj |= adj.T
+    perm = rng.permutation(n)
+    return from_adjacency(adj[np.ix_(perm, perm)], f"random:{n}@{seed}")
+
+
+def assert_codec_matches_loops(g):
+    text = to_graph6(g)
+    assert text == loop_to_graph6(g.adjacency), g.label
+    assert parse_graph6(text) == g, g.label
+    assert np.array_equal(loop_parse_graph6(text), g.adjacency), g.label
+
+
+def test_graph6_codec_matches_loops_corpus(corpus):
+    for g in corpus:
+        assert_codec_matches_loops(g)
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+@pytest.mark.parametrize("spec", ["odd:6", "hypercube:7"])
+def test_graph6_codec_matches_loops_relabelled(spec, seed):
+    g = relabelled(spec, seed)
+    assert g.n > 62  # the 4-byte size header
+    assert_codec_matches_loops(g)
+
+
+def test_graph6_codec_matches_loops_random():
+    """n = 1..70 crosses the switch from the 1-byte to the 4-byte header."""
+    for n in range(1, 71):
+        assert_codec_matches_loops(random_connected(n, n))
+
+
+@pytest.mark.parametrize("bad", [
+    "", "~~~~~", "D?", "D" + chr(30),
+    "Dq\u00e9",   # non-ASCII character
+    "Dq\udcff",   # lone surrogate
+    "DqL",         # C_5 with a padding bit set
+    "~?A",         # 4-byte size header cut short
+    "DqK?",        # C_5's body one character too long
+])
 def test_graph6_malformed(bad):
-    with pytest.raises(MalformedGraph6):
+    with pytest.raises(MalformedGraph6) as want:
+        loop_parse_graph6(bad)
+    with pytest.raises(MalformedGraph6) as got:
         parse_graph6(bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_connectivity_matches_dfs():
+    """Random graphs, sparse enough that about half are disconnected."""
+    outcomes = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        adj = np.tril(rng.random((n, n)) < 1.5 / n, -1)
+        adj |= adj.T
+        want = dfs_connected(adj)
+        outcomes.add(want)
+        if want:
+            _check_connected(adj)
+        else:
+            with pytest.raises(DisconnectedGraph):
+                _check_connected(adj)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("half", [np.triu, np.tril])
+def test_asymmetric_adjacency_rejected_as_such(half):
+    """Either triangle of a path's adjacency is reported as not symmetric,
+    not as disconnected."""
+    path = from_edges(4, [(0, 1), (1, 2), (2, 3)]).adjacency
+    with pytest.raises(ValueError, match="symmetric"):
+        from_adjacency(half(path))
 
 
 def test_edge_list_parsing():

@@ -5,9 +5,11 @@ from math import comb
 
 import numpy as np
 import pytest
+from conftest import relabelled
 
+from specind import spectra
 from specind.errors import NoClosedForm
-from specind.graphs import FamilySpec, generate
+from specind.graphs import FamilySpec, distance_matrix, generate
 from specind.spectra import (
     _intersection_numbers,
     classify_regularity,
@@ -184,35 +186,50 @@ def test_petersen_intersection_array():
     assert rep.intersection_array == ((3, 2), (1, 1))
 
 
-def loop_intersection_numbers(g, dm):
-    """Reference: per-vertex-pair intersection numbers; None if not constant."""
+def product_intersection_numbers(a, dm):
+    """Reference: b_i, c_i from the 2(D+1) products [dist = i+-1] A read at
+    the pairs at distance i, one distance at a time; None if not constant."""
     D = dm.diameter
-    b = [None] * (D + 1)
-    c = [None] * (D + 1)
-    adj = g.adjacency
-    for u in range(g.n):
-        du = dm.dist[u]
-        for v in range(g.n):
-            i = int(du[v])
-            nbr_d = du[adj[v]]
-            bi = int(np.sum(nbr_d == i + 1))
-            ci = int(np.sum(nbr_d == i - 1))
-            if b[i] is None:
-                b[i], c[i] = bi, ci
-            elif (b[i], c[i]) != (bi, ci):
+    b, c = [], []
+    for i in range(D + 1):
+        at_i = dm.dist == i
+        for j, out in ((i + 1, b), (i - 1, c)):
+            counts = ((dm.dist == j).astype(float) @ a)[at_i]
+            if np.any(counts != counts[0]):
                 return None
+            out.append(int(counts[0]))
     return tuple(b[:-1]), tuple(c[1:])
 
 
 def test_intersection_numbers_match_loop(corpus_spectra):
+    """Every corpus graph (odd:6 and the non-regular ones included),
+    relabelled copies, complete:200 (B^3 = 8e6) and cycle:101 (D = 50)."""
+    graphs = [g for g, _, _, _ in corpus_spectra.values()]
+    graphs += [relabelled(spec, seed) for spec, seed in
+               [("odd:6", 7), ("hypercube:7", 31), ("prism:6", 7),
+                ("complete_bipartite:3,4", 7)]]
+    graphs += [generate(FamilySpec.parse(spec)) for spec in
+               ["complete_bipartite:1,9", "complete:200", "cycle:101"]]
     seen = set()
-    for label, (g, _, dm, _) in corpus_spectra.items():
-        if g.n > 200:  # the reference loop is O(n^2) in Python
-            continue
-        want = loop_intersection_numbers(g, dm)
-        assert _intersection_numbers(g.adjacency.astype(float), dm) == want, label
+    for g in graphs:
+        a, dm = g.adjacency.astype(float), distance_matrix(g)
+        want = product_intersection_numbers(a, dm)
+        assert _intersection_numbers(a, dm) == want, g.label
         seen.add(want is None)
     assert seen == {True, False}  # both outcomes are exercised
+
+
+def test_intersection_array_skipped_when_diameter_below_d(monkeypatch):
+    """kneser:8,3 is regular with diameter 2 < d = 3: not distance-regular,
+    and the intersection product is never formed."""
+    def _fail(*args):
+        raise AssertionError("intersection numbers computed")
+
+    g = generate(FamilySpec.parse("kneser:8,3"))
+    monkeypatch.setattr(spectra, "_intersection_numbers", _fail)
+    rep = classify_regularity(g, spectrum(g))
+    assert rep.is_regular and not rep.diameter_equals_d
+    assert rep.intersection_array is None and not rep.is_distance_regular
 
 
 def test_walk_regular_constant_poly_diagonal(corpus_spectra):
