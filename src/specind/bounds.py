@@ -2,7 +2,8 @@
 
 All public reports use decreasing theta-indexing.  Values are reported both
 raw and floored; comparisons against exact values use floors, matching the
-usual table convention.
+usual table convention.  ``best_bounds`` decides every hypothesis
+(regularity, pwr level, walk-regularity); the bound functions assume them.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from . import optimize
 from .errors import (
     BadNormalization,
     DegeneratePolynomial,
-    NotPWR,
     NotRegular,
-    NotWalkRegular,
     NoValidTheta,
     SpecindError,
     TraceNotZero,
@@ -84,32 +83,28 @@ def _inapplicable(method: str, k: int, reason: str) -> BoundReport:
     return BoundReport(method, k, float("nan"), None, False, reason)
 
 
-def _heaviside_count(mults, values, scale: float) -> int:
-    """Multiplicity-weighted count of values >= 0; h(0) counts as 1, and a
-    small negative fuzz below true zeros is forgiven."""
-    tol = _SIGN_TOL * max(1.0, scale)
-    return int(sum(m for m, v in zip(mults, values) if v >= -tol))
+def _sign_counts(mults: np.ndarray, values: np.ndarray) -> tuple:
+    """Multiplicity-weighted counts of values >= 0 and of values <= 0.  A fuzz
+    of 1e-9 max(1, max|v|) around true zeros is forgiven, so zeros count on
+    both sides."""
+    tol = _SIGN_TOL * max(1.0, float(np.abs(values).max()))
+    return int(mults[values >= -tol].sum()), int(mults[values <= tol].sum())
 
 
 # ---------------------------------------------------------------------------
 # Classic k=1 bounds
 
 
-def cvetkovic_bound(raw: np.ndarray, k: int = 1) -> BoundReport:
+def cvetkovic_bound(raw: np.ndarray) -> BoundReport:
     """Inertia bound: zeros count on both sides."""
     raw = np.asarray(raw, dtype=float)
-    tol = _SIGN_TOL * max(1.0, np.abs(raw).max())
-    nonneg = int(np.sum(raw >= -tol))
-    nonpos = int(np.sum(raw <= tol))
-    return BoundReport("cvetkovic", k, float(min(nonneg, nonpos)))
+    return BoundReport("cvetkovic", 1,
+                       float(min(_sign_counts(np.ones(len(raw), dtype=int), raw))))
 
 
-def hoffman_bound(n: int, lam1: float, lamn: float, regular: bool = True,
-                  k: int = 1) -> BoundReport:
+def hoffman_bound(n: int, lam1: float, lamn: float) -> BoundReport:
     """Ratio bound n / (1 - lambda_1/lambda_n) for regular graphs."""
-    if not regular:
-        raise NotRegular("ratio bound requires a regular graph")
-    return BoundReport("hoffman", k, n / (1.0 - lam1 / lamn))
+    return BoundReport("hoffman", 1, n / (1.0 - lam1 / lamn))
 
 
 # ---------------------------------------------------------------------------
@@ -147,27 +142,22 @@ def ratio_general(g: Graph, p: CoeffPolynomial, k: int,
 # Multiplicity-form bounds for k-partially walk-regular graphs
 
 
-def pwr_inertia(s: Spectrum, sp: MeshPolynomial, k: int,
-                pwr_level: int | None = None) -> BoundReport:
+def pwr_inertia(s: Spectrum, sp: MeshPolynomial, k: int) -> BoundReport:
     """Sum of multiplicities where the trace-zero sign polynomial is >= 0."""
-    if pwr_level is not None and pwr_level < k:
-        raise NotPWR(f"graph is only {pwr_level}-partially walk-regular")
-    scale = float(np.abs(sp.values).max())
     tr = float(np.dot(s.mults, sp.values))
-    if abs(tr) > 1e-7 * max(1.0, scale):
+    if abs(tr) > 1e-7 * max(1.0, float(np.abs(sp.values).max())):
         raise TraceNotZero(f"trace {tr} is not zero")
-    count = _heaviside_count(s.mults, sp.values, scale)
-    return BoundReport("pwr_inertia", k, float(count), sp)
+    return BoundReport("pwr_inertia", k,
+                       float(_sign_counts(s.mults, sp.values)[0]), sp)
 
 
-def pwr_ratio(s: Spectrum, f: MeshPolynomial, k: int,
-              method: str = "pwr_ratio") -> BoundReport:
+def pwr_ratio(s: Spectrum, f: MeshPolynomial, k: int) -> BoundReport:
     """Trace bound sum m_i f(theta_i) for a normalized minor polynomial."""
     vals = f.values
     scale = max(1.0, float(np.abs(vals).max()))
     if abs(vals[0] - 1.0) > 1e-7 or abs(float(vals[1:].min())) > 1e-7 * scale:
         raise BadNormalization("need f(theta_0)=1 and min_{i>=1} f(theta_i)=0")
-    return BoundReport(method, k, float(np.dot(s.mults, vals)), f)
+    return BoundReport("pwr_ratio", k, float(np.dot(s.mults, vals)), f)
 
 
 def sign_to_minor(sp: MeshPolynomial) -> tuple:
@@ -228,17 +218,12 @@ def alpha3_bound(s: Spectrum, delta: float) -> BoundReport:
 # k = d-1 bounds for walk-regular graphs
 
 
-def dminus1_bounds(s: Spectrum, pi: PiProducts, walk_regular: bool = True,
-                   diameter_equals_d: bool = True) -> list:
+def dminus1_bounds(s: Spectrum, pi: PiProducts) -> list:
     """All alpha_{d-1} bounds for walk-regular graphs (even-index inertia,
     odd-index inertia and ratio forms, the i = d specialization, and the
     aggregate single-nonzero minor-polynomial bound)."""
-    if not walk_regular:
-        raise NotWalkRegular("alpha_{d-1} bounds require walk-regularity")
     d = s.d
     k = d - 1
-    if not diameter_equals_d:
-        return [BoundReport("trivial", k, 1.0, reason="diameter < d forces alpha_{d-1} = 1")]
     out = []
     for i in range(1, d // 2 + 1):
         j = 2 * i
@@ -277,17 +262,10 @@ def dminus1_bounds(s: Spectrum, pi: PiProducts, walk_regular: bool = True,
 # Predistance-polynomial bounds
 
 
-def qk_bounds(g: Graph, s: Spectrum, pd: PredistanceFamily, k: int,
-              pwr_level: int | None = None) -> tuple:
+def qk_bounds(g: Graph, s: Spectrum, pd: PredistanceFamily, k: int) -> tuple:
     """Inertia and ratio bounds driven by q'_k = p_1 + ... + p_k."""
-    if pwr_level is not None and pwr_level < k:
-        raise NotPWR(f"graph is only {pwr_level}-partially walk-regular")
     qk = pd.mesh_values[1:k + 1].sum(axis=0)
-    raw_vals = np.concatenate([
-        np.full(m, v) for v, m in zip(qk, s.mults)
-    ])
-    inertia = cvetkovic_bound(raw_vals)
-    rep_i = BoundReport("qk_inertia", k, inertia.value,
+    rep_i = BoundReport("qk_inertia", k, float(min(_sign_counts(s.mults, qk))),
                         mesh_to_coeffs(MeshPolynomial(s.distinct, qk)))
     lam = float(qk[1:].min())
     if lam >= 0:
@@ -297,12 +275,9 @@ def qk_bounds(g: Graph, s: Spectrum, pd: PredistanceFamily, k: int,
     return rep_i, rep_r
 
 
-def pd_ratio_bound(s: Spectrum, pd: PredistanceFamily,
-                   walk_regular: bool = True) -> BoundReport:
+def pd_ratio_bound(s: Spectrum, pd: PredistanceFamily) -> BoundReport:
     """alpha_{d-1} <= n (1 + Lambda(p_d)) / (n + Lambda(p_d) - p_d(theta_0));
     tight (= r) for r-antipodal distance-regular graphs."""
-    if not walk_regular:
-        raise NotWalkRegular("predistance ratio bound requires walk-regularity")
     if s.d < 2:
         return _inapplicable("pd_ratio", 0, "d - 1 = 0 is out of range")
     pdv = pd.mesh_values[-1]
@@ -367,8 +342,7 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
     if k == 3 and reg.pwr_level >= 3:
         out.append(alpha3_bound(s, float(reg.closed_walks[2])))
     if k == d - 1 and reg.is_walk_regular:
-        pi = pi_products(s)
-        out.extend(dminus1_bounds(s, pi, True, reg.diameter_equals_d))
+        out.extend(dminus1_bounds(s, pi_products(s)))
     if reg.pwr_level >= k:
         rep_i, rep_r = qk_bounds(g, s, pd, k)
         out.append(rep_i)

@@ -20,6 +20,7 @@ from .errors import (
     NegativeRadicand,
     NotApplicable,
     NotPWR,
+    NotRegular,
     NotSRG,
     NotWalkRegular,
     SpecindError,
@@ -125,6 +126,8 @@ def ch_classify(g: Graph, k: int, s: Spectrum | None = None,
     reg = classify_regularity(g, s, dm)
     if reg.pwr_level < k:
         raise NotPWR(f"graph is only {reg.pwr_level}-partially walk-regular")
+    if not reg.is_regular:
+        raise NotRegular("ratio-type bounds require a regular graph")
     pd = predistance_polynomials(s)
     sol = optimize.sign_polynomial(s, k, pd=pd)
     f = optimize.minor_polynomial(s, k, pd=pd)

@@ -84,8 +84,7 @@ def cmd_bounds(args) -> int:
     if any(k < dm.diameter for k in ks):
         s = spectrum(g)
         reg = classify_regularity(g, s, dm)
-        if reg.pwr_level >= 1:
-            pd = predistance_polynomials(s)
+        pd = predistance_polynomials(s)
     by_k, bare = {}, set()
     for k in ks:
         reps = bounds_mod.best_bounds(g, k, s=s, dm=dm, reg=reg, pd=pd)

@@ -33,14 +33,6 @@ class DegenerateInnerProduct(SpecindError):
     """Spectral inner product is degenerate (upstream grouping error)."""
 
 
-class UnsupportedK(SpecindError):
-    """No closed-form minor polynomial for this degree; use the LP."""
-
-
-class MissingAux(SpecindError):
-    """Closed form needs auxiliary data (e.g. the cubic diagonal)."""
-
-
 class Infeasible(SpecindError):
     """Linear program has an empty feasible region."""
 

@@ -4,7 +4,8 @@ The mesh-value representation (values at theta_0 > ... > theta_d) is primary:
 every bound is linear in mesh values.  The predistance polynomials, orthogonal
 under the spectral inner product, are the basis both optimization programs
 build their polynomials in.  Coefficient form is derived on demand through
-Newton expansion.
+Newton expansion.  The closed-form alpha_2 and alpha_3 bounds in ``bounds``
+pick their zeros with the MP2 and MP4 index rules kept here.
 """
 
 from __future__ import annotations
@@ -14,13 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DegenerateInnerProduct,
-    MissingAux,
-    NoValidTheta,
-    UnsupportedK,
-)
-from .spectra import PiProducts, Spectrum, pi_products
+from .errors import DegenerateInnerProduct, NoValidTheta
+from .spectra import Spectrum
 
 
 @dataclass(frozen=True)
@@ -142,16 +138,8 @@ def predistance_polynomials(s: Spectrum) -> PredistanceFamily:
     return PredistanceFamily(norms, values)
 
 
-def hoffman_polynomial(s: Spectrum) -> CoeffPolynomial:
-    """H(x) = n * prod_{i>=1} (x - theta_i)/(theta_0 - theta_i)."""
-    theta = s.distinct
-    values = np.zeros(len(theta))
-    values[0] = s.n
-    return mesh_to_coeffs(MeshPolynomial(theta, values))
-
-
 # ---------------------------------------------------------------------------
-# Closed-form candidate minor polynomials
+# Closed-form index rules (MP2, MP4)
 
 
 def _theta_above(s: Spectrum, threshold: float, strict: bool) -> int:
@@ -175,70 +163,6 @@ def mp4_index(s: Spectrum, delta: float) -> int:
     t0, td = theta[0], theta[-1]
     threshold = -(t0 * t0 + t0 * td - delta) / (t0 * (1 + td))
     return _theta_above(s, threshold, strict=False)
-
-
-def _normalized_product(s: Spectrum, zeros) -> MeshPolynomial:
-    """f = (h - lambda(h)) / (h(theta_0) - lambda(h)) for h = prod (x - z)."""
-    theta = s.distinct
-    vals = np.ones(len(theta))
-    for z in zeros:
-        vals = vals * (theta - z)
-    lam = vals[1:].min()
-    vals = (vals - lam) / (vals[0] - lam)
-    return MeshPolynomial(theta, vals)
-
-
-def minor_closed_form(s: Spectrum, k: int, delta: float | None = None,
-                      pi: PiProducts | None = None) -> MeshPolynomial:
-    """The closed-form candidate minor polynomial for k in {0,1,2,3,d-1,d}.
-
-    For k=3 the cubic-walk diagonal value must be supplied (the graph is
-    assumed 3-partially walk-regular).  For k=d-1 the single nonzero mesh
-    value sits at the odd index minimizing 1 + m_i pi_i / pi_0; ties break
-    toward the smallest index.
-    """
-    d = s.d
-    theta = s.distinct
-    if k == d:
-        vals = np.zeros(d + 1)
-        vals[0] = 1.0
-        return MeshPolynomial(theta, vals)
-    if k == d - 1 and d >= 2:
-        if pi is None:
-            pi = pi_products(s)
-        best_i, best_v = None, None
-        for i in range(1, d + 1, 2):
-            v = 1 + s.mults[i] * pi.pi[i] / pi.pi[0]
-            if best_v is None or v < best_v - 1e-12:
-                best_i, best_v = i, v
-        vals = np.zeros(d + 1)
-        vals[0] = 1.0
-        vals[best_i] = pi.pi[best_i] / pi.pi[0]
-        return MeshPolynomial(theta, vals)
-    if k == 0:
-        return MeshPolynomial(theta, np.ones(d + 1))
-    if k == 1:
-        return MeshPolynomial(theta, (theta - theta[-1]) / (theta[0] - theta[-1]))
-    if k == 2:
-        i = mp2_index(s)
-        return _normalized_product(s, [theta[i], theta[i + 1]])
-    if k == 3:
-        if delta is None:
-            raise MissingAux("k=3 closed form needs the diagonal of A^3")
-        i = mp4_index(s, delta)
-        return _normalized_product(s, [theta[i], theta[i + 1], theta[-1]])
-    raise UnsupportedK(f"no closed form for k={k} with d={d}; use the LP")
-
-
-def mp3_approximation(s: Spectrum) -> tuple:
-    """MP3 diagnostic: f_1 * f_2 with the weaker theta_i > -1 rule.
-
-    Returns (mesh polynomial, index used)."""
-    i = mp2_index(s)
-    theta = s.distinct
-    f1 = (theta - theta[-1]) / (theta[0] - theta[-1])
-    i2 = _normalized_product(s, [theta[i], theta[i + 1]]).values
-    return MeshPolynomial(theta, f1 * i2), i
 
 
 def as_fraction_string(x: float, max_den: int = 10_000, tol: float = 1e-9) -> str:

@@ -30,7 +30,6 @@ from specind.errors import (
     BadNormalization,
     DegeneratePolynomial,
     NotRegular,
-    NotWalkRegular,
     TraceNotZero,
 )
 from specind.exact import alpha_k_exact
@@ -78,11 +77,6 @@ def test_hoffman_known():
     c5 = hoffman_bound(5, 2, 2 * math.cos(4 * math.pi / 5))
     assert c5.value == pytest.approx(2.236, abs=1e-3)
     assert c5.floor_value == 2
-
-
-def test_hoffman_requires_regular():
-    with pytest.raises(NotRegular):
-        hoffman_bound(10, 3, -2, regular=False)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +283,36 @@ def test_alpha3_girth_delta_zero(corpus_spectra):
         assert w == W == 0.0, label
 
 
+def test_minor_lp_beats_every_closed_form(corpus_spectra):
+    """Each closed form is the trace of one feasible minor polynomial
+    (Hoffman at k = 1, MP2 and MP3 at k = 2 and 3, the single-nonzero
+    polynomial at k = d - 1), so the minor LP's trace is never larger."""
+    compared = 0
+    for label, (g, s, _, reg) in corpus_spectra.items():
+        if not reg.is_regular:
+            continue
+        pi = pi_products(s)
+        for k in range(1, min(s.d, reg.pwr_level + 1)):
+            lp = pwr_ratio(s, minor_polynomial(s, k), k).value
+            closed = []
+            if k == 1:
+                closed.append(hoffman_bound(g.n, float(s.raw[0]),
+                                            float(s.raw[-1])))
+            if k == 2:
+                closed.append(alpha2_bound(s))
+            if k == 3:
+                closed.append(alpha3_bound(s, float(reg.closed_walks[2])))
+            if k == s.d - 1:
+                closed += [r for r in dminus1_bounds(s, pi)
+                           if r.reason == "min over odd indices"]
+            for rep in closed:
+                if rep.applicable:
+                    compared += 1
+                    assert lp <= rep.value + 1e-9 * max(1.0, rep.value), (
+                        label, k, rep.method, lp, rep.value)
+    assert compared > 100
+
+
 # ---------------------------------------------------------------------------
 # (d-1) bounds
 
@@ -317,18 +341,6 @@ def test_dminus1_petersen():
     reps = dminus1_bounds(s, pi_products(s))
     best = min(r.floor_value for r in reps if r.applicable)
     assert best == 4
-
-
-def test_dminus1_requires_walk_regular():
-    s = odd_spectrum(5)
-    with pytest.raises(NotWalkRegular):
-        dminus1_bounds(s, pi_products(s), walk_regular=False)
-
-
-def test_dminus1_small_diameter_trivial():
-    s = odd_spectrum(5)
-    reps = dminus1_bounds(s, pi_products(s), diameter_equals_d=False)
-    assert len(reps) == 1 and reps[0].value == 1.0
 
 
 def test_odd_even_ell_coincidence():
@@ -426,10 +438,14 @@ def test_best_bounds_o6_k4():
 
 
 def test_best_bounds_trivial_k_ge_diameter():
-    g = generate(FamilySpec.parse("petersen"))
-    reps = best_bounds(g, 5)
-    assert len(reps) == 1 and reps[0].method == "trivial"
-    assert minimum_floor(reps) == 1
+    # prism:5 has diameter 3 < d = 5: at k = d - 1 = 4 the (d-1) bounds do
+    # not run, because best_bounds already answers trivially
+    prism = generate(FamilySpec.parse("prism:5"))
+    assert spectrum(prism).d == 5
+    for g, k in [(generate(FamilySpec.parse("petersen")), 5), (prism, 4)]:
+        reps = best_bounds(g, k)
+        assert len(reps) == 1 and reps[0].method == "trivial", g.label
+        assert minimum_floor(reps) == 1
 
 
 def test_best_bounds_irregular_has_no_ratio():
@@ -438,6 +454,9 @@ def test_best_bounds_irregular_has_no_ratio():
     for r in reps:
         if r.method in ("hoffman", "pwr_ratio", "qk_ratio"):
             assert not r.applicable, r.method
+    # k = 1 = d - 1, but the graph is not walk-regular
+    assert not any(r.method.startswith("dminus1_") or r.method == "pd_ratio"
+                   for r in reps)
     # inertia-type bounds still present and sound (alpha_1 = 4)
     assert minimum_floor(reps) >= 4
 

@@ -17,7 +17,7 @@ from specind.ch import (
     spectral_excess,
     srg_tightness_check,
 )
-from specind.errors import NegativeRadicand, NotApplicable, NotSRG
+from specind.errors import NegativeRadicand, NotApplicable, NotRegular, NotSRG
 from specind.exact import alpha_k_exact
 from specind.graphs import FamilySpec, generate
 from specind.optimize import minor_polynomial, sign_polynomial
@@ -45,6 +45,17 @@ def test_odd5_k3_not_tight():
     assert v.inertia_value == 8 and v.ratio_value == 8
     assert v.exact == 7
     assert not v.is_tight_ch
+
+
+@pytest.mark.parametrize("spec", ["complete_bipartite:4,5",
+                                  "complete_bipartite:1,3",
+                                  "complete_bipartite:2,5"])
+def test_classify_rejects_irregular(spec):
+    """The ratio-type bound needs a regular graph: on these K_{a,b} the minor
+    LP's trace falls below alpha_1 = max(a, b)."""
+    g = generate(FamilySpec.parse(spec))
+    with pytest.raises(NotRegular):
+        ch_classify(g, 1, with_exact=False)
 
 
 def test_verdict_json_serializable():

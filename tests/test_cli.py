@@ -176,6 +176,9 @@ def test_error_exit_code():
     assert res.returncode == 2
     res = run_cli("spectrum", "--in", "/nonexistent/file.g6", check=False)
     assert res.returncode == 2
+    res = run_cli("classify", "--family", "complete_bipartite:4,5", "--k", "1",
+                  "--no-exact", check=False)
+    assert res.returncode == 2 and "NotRegular" in res.stderr
 
 
 @pytest.mark.parametrize("text,message", [

@@ -1,28 +1,27 @@
 """Polynomial machinery: divided differences, conversions, predistance
-polynomials, Hoffman polynomial, closed-form minor polynomials."""
+polynomials, the MP2/MP4 index rules, and the closed-form minor polynomials
+the LP reproduces."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from specind.errors import MissingAux, NoValidTheta, UnsupportedK
-from specind.graphs import FamilySpec
+from specind.errors import NoValidTheta
+from specind.graphs import FamilySpec, generate
+from specind.optimize import minor_polynomial
 from specind.polys import (
     MeshPolynomial,
     as_fraction_string,
     coeffs_to_mesh,
     divided_differences,
-    hoffman_polynomial,
     mesh_to_coeffs,
-    minor_closed_form,
     mp2_index,
-    mp3_approximation,
     mp4_index,
     predistance_polynomials,
     spectral_inner,
 )
-from specind.spectra import exact_family_spectrum, pi_products
+from specind.spectra import exact_family_spectrum
 
 
 def petersen_spectrum():
@@ -109,12 +108,15 @@ def test_predistance_equals_distance_polynomials_on_drg(corpus_spectra):
 
 
 def test_hoffman_polynomial_petersen():
+    """H = n e_0 on the mesh; in coefficient form H(A) = J on a connected
+    regular graph."""
     s = petersen_spectrum()
-    H = hoffman_polynomial(s)
-    # H(A) = J for connected regular graphs: H(3) = 10, H(1) = H(-2) = 0
-    assert H(3.0) == pytest.approx(10.0, rel=1e-12)
-    assert H(1.0) == pytest.approx(0.0, abs=1e-9)
-    assert H(-2.0) == pytest.approx(0.0, abs=1e-9)
+    vals = np.zeros(s.d + 1)
+    vals[0] = s.n
+    H = mesh_to_coeffs(MeshPolynomial(s.distinct, vals))
+    a = generate(FamilySpec.parse("petersen")).adjacency.astype(float)
+    HA = sum(c * np.linalg.matrix_power(a, i) for i, c in enumerate(H.coeffs))
+    assert np.allclose(HA, np.ones((s.n, s.n)), atol=1e-9)
 
 
 def test_mp2_index_selection():
@@ -134,58 +136,24 @@ def test_mp4_index_selection():
 
 
 def test_minor_closed_form_k0_k1():
+    """At k = 1 the minor LP returns the closed form
+    (x - theta_d)/(theta_0 - theta_d), here on the mesh (3, 1, -2)."""
     s = petersen_spectrum()
-    f0 = minor_closed_form(s, 0)
-    assert np.allclose(f0.values, 1.0)
-    f1 = minor_closed_form(s, 1)
-    # (x - theta_d)/(theta_0 - theta_d) on mesh (3, 1, -2)
+    f1 = minor_polynomial(s, 1)
     assert np.allclose(f1.values, [1.0, 0.6, 0.0])
 
 
 def test_minor_closed_form_k_equals_d():
+    """At k = d the minor LP returns the indicator of theta_0."""
     s = exact_family_spectrum(FamilySpec.parse("odd:5"))
-    fd = minor_closed_form(s, s.d)
+    fd = minor_polynomial(s, s.d)
     assert fd.values[0] == 1.0 and np.allclose(fd.values[1:], 0.0)
-
-
-def test_minor_closed_form_k3_requires_delta():
-    # d must exceed 4 so that k = 3 is not the d-1 or d special case
-    s = exact_family_spectrum(FamilySpec.parse("odd:6"))
-    with pytest.raises(MissingAux):
-        minor_closed_form(s, 3)
-
-
-def test_minor_closed_form_unsupported_k():
-    s = exact_family_spectrum(FamilySpec.parse("hypercube:7"))
-    with pytest.raises(UnsupportedK):
-        minor_closed_form(s, 4)  # d = 7: k = 4 has no closed form
-
-
-def test_minor_closed_form_dminus1():
-    s = exact_family_spectrum(FamilySpec.parse("odd:6"))
-    pi = pi_products(s)
-    f = minor_closed_form(s, s.d - 1, pi=pi)
-    # single nonzero value at an odd index i with value pi_i/pi_0, chosen to
-    # minimize the trace 1 + m_i pi_i/pi_0 (= 11 for O_6, ties allowed)
-    assert f.values[0] == 1.0
-    nz = np.flatnonzero(f.values[1:]) + 1
-    assert len(nz) == 1 and nz[0] % 2 == 1
-    i = int(nz[0])
-    assert f.values[i] == pytest.approx(pi.pi[i] / pi.pi[0], rel=1e-9)
-    assert float(np.dot(s.mults, f.values)) == pytest.approx(11.0, rel=1e-9)
 
 
 def test_no_valid_theta():
     s = exact_family_spectrum(FamilySpec.parse("complete:5"))
     with pytest.raises(NoValidTheta):
         mp2_index(s)  # mesh (4, -1): no interior eigenvalue > -1
-
-
-def test_mp3_approximation_consistency():
-    s = exact_family_spectrum(FamilySpec.parse("odd:5"))
-    p, i = mp3_approximation(s)
-    assert i == mp2_index(s)
-    assert p.values[0] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_as_fraction_string():
