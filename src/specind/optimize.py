@@ -17,7 +17,16 @@ that ``_simplex_standard`` solves.  The sign search solves each max-margin
 LP as its dual, one row per unknown (t and c_1..c_k): the final basis gives
 the certificate; on an unrealized set N the vertex's lambda is a Gordan
 certificate that no polynomial of the span is negative on all of
-S = supp(lambda), so every later N' containing S is skipped.
+S = supp(lambda), so every later N' containing S is skipped.  Its dual rows
+are built once per search, over all d+1 mesh points, and each set selects
+its columns.
+
+The simplex keeps its reduced costs as the tableau's last row, updated by
+every pivot.  Only the sign LPs run phase 1.  Their optima need not be
+unique, so the vertex, and with it the certificate, depends on the path
+from the artificial basis.  The minor LP starts phase 2 at the feasible
+f = 1 instead: its lexicographic vertex is unique, so any feasible start
+reaches the same one.
 """
 
 from __future__ import annotations
@@ -41,45 +50,64 @@ from .spectra import Spectrum
 _TOL = 1e-9
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, basic: np.ndarray,
-           row: int, col: int):
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int):
     """Make column ``col`` basic in ``row``: scale the row to a unit pivot and
-    subtract its multiples from the rows with a nonzero entry in ``col``."""
+    subtract its multiples from the rows with a nonzero entry in ``col``, the
+    reduced-cost row included.
+
+    The pivot entry becomes x / x = 1 and every other entry of the column
+    y - y * 1 = 0, both exact in floating point, and later pivots leave such
+    a column as it is.  So each basic column stays an exact unit vector: its
+    reduced cost is exactly zero, and it is never a candidate to enter."""
     T[row] /= T[row, col]
-    rows = np.flatnonzero(T[:, col] != 0)
-    rows = rows[rows != row]
-    T[rows] -= np.outer(T[rows, col], T[row])
-    basic[basis[row]] = False
-    basic[col] = True
+    rows = T[:, col] != 0
+    rows[row] = False
+    rows = rows.nonzero()[0]
+    T[rows] -= T[rows, col, None] * T[row]
     basis[row] = col
 
 
-def _bland(T: np.ndarray, basis: np.ndarray, basic: np.ndarray,
-           cost: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """Pivot the tableau T = [A | b] to optimality for ``cost`` over its first
+def _price(T: np.ndarray, basis: np.ndarray, cost: np.ndarray):
+    """Write the reduced costs c - c_B T of ``cost`` into T's last row."""
+    T[-1, :-1] = cost
+    T[-1, -1] = 0.0
+    T[-1] -= cost[basis] @ T[:-1]
+
+
+def _bland(T: np.ndarray, basis: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Pivot the tableau T = [A | b; r | -z] to optimality over its first
     ``len(fixed)`` columns, the ``fixed`` ones excluded, by Bland's rule: the
-    first improving non-basic column enters, the row of the minimum (ratio,
-    basic index) leaves.  Returns the final reduced costs."""
+    first improving column enters, the row of the minimum (ratio, basic
+    index) leaves.  The last row r holds the reduced costs, which every
+    pivot updates; returns them at the optimum."""
     ncols = len(fixed)
+    reduced = T[-1, :ncols]
+    rhs = T[:-1, -1]
+    free = ~fixed
     while True:
-        reduced = cost[:ncols] - cost[basis] @ T[:, :ncols]
-        improving = (reduced < -_TOL) & ~basic[:ncols] & ~fixed
-        if not improving.any():
-            return reduced
+        improving = (reduced < -_TOL) & free
         enter = int(improving.argmax())
-        col = T[:, enter]
-        rows = np.flatnonzero(col > _TOL)
+        if not improving[enter]:
+            return reduced
+        col = T[:-1, enter]
+        rows = (col > _TOL).nonzero()[0]
         if not len(rows):
             raise Unbounded("LP objective unbounded below")
-        ratios = T[rows, -1] / col[rows]
+        ratios = rhs[rows] / col[rows]
         tied = rows[ratios == ratios.min()]
-        _pivot(T, basis, basic, tied[basis[tied].argmin()], enter)
+        _pivot(T, basis, tied[basis[tied].argmin()], enter)
 
 
-def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Two-phase primal simplex with Bland's rule on min c.x, Ax=b, x>=0.
+def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                      start: np.ndarray | None = None):
+    """Primal simplex with Bland's rule on min c.x, Ax=b, x>=0.
     Returns (x, c.x, basis): ``basis`` holds the final basic columns of A,
     one per row that is not redundant.
+
+    Without ``start`` the run has two phases: phase 1 minimizes the sum of
+    one artificial per row.  ``start`` names a feasible basis instead, the
+    column basic in each row: the tableau is pivoted onto it and only
+    phase 2 runs (Infeasible if that basis is not primal feasible).
 
     A stack of objectives c (shape (L, n)) is minimized lexicographically on
     one tableau: after each row's optimum, every non-basic column with a
@@ -87,32 +115,48 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     optimal face for the next row.  Deterministic: repeated runs return
     bit-identical vertices."""
     m, n = A.shape
-    sign = np.where(b < 0, -1.0, 1.0)
-    A, b = A * sign[:, None], b * sign
-    # scale rows for numerics (does not affect the vertex chosen by Bland)
-    s = np.maximum(np.abs(A).max(axis=1), np.abs(b))
+    # [A | b] with b >= 0, each row scaled by its largest entry for numerics
+    # (does not affect the vertex chosen by Bland)
+    Ab = np.hstack([A, b[:, None]])
+    Ab[b < 0] *= -1.0
+    s = np.abs(Ab).max(axis=1)
     s[s == 0] = 1.0
-    T = np.hstack([A / s[:, None], np.eye(m), (b / s)[:, None]])
-    basis = np.arange(n, n + m)
-    basic = np.arange(n + m) >= n
-    cost = np.concatenate([np.zeros(n), np.ones(m)])
-    _bland(T, basis, basic, cost, np.zeros(n + m, dtype=bool))
-    if cost[basis] @ T[:, -1] > 1e-7:
-        raise Infeasible("phase-1 optimum positive: empty feasible region")
-    # drive the artificials left in the basis out where a real column can
-    # replace them; the rows where none can are redundant and dropped
-    for i in np.flatnonzero(basis >= n):
-        cand = np.flatnonzero((np.abs(T[i, :n]) > _TOL) & ~basic[:n])
-        if len(cand):
-            _pivot(T, basis, basic, i, cand[0])
-    keep = basis < n
-    T = np.hstack([T[keep, :n], T[keep, -1:]])
-    basis = basis[keep]
+    Ab /= s[:, None]
+    if start is None:
+        T = np.zeros((m + 1, n + m + 1))
+        T[:m, :n] = Ab[:, :n]
+        T[:m, -1] = Ab[:, n]
+        T[np.arange(m), np.arange(n, n + m)] = 1.0
+        basis = np.arange(n, n + m)
+        cost = np.repeat([0.0, 1.0], [n, m])
+        _price(T, basis, cost)
+        _bland(T, basis, np.zeros(n + m, dtype=bool))
+        if cost[basis] @ T[:-1, -1] > 1e-7:
+            raise Infeasible("phase-1 optimum positive: empty feasible region")
+        # drive the artificials left in the basis out where a real column can
+        # replace them (basic ones are 0 in their rows); the rows where none
+        # can are redundant and dropped
+        for i in (basis >= n).nonzero()[0]:
+            cand = (np.abs(T[i, :n]) > _TOL).nonzero()[0]
+            if len(cand):
+                _pivot(T, basis, i, cand[0])
+        keep = basis < n
+        rows = np.append(keep, True)  # the reduced-cost row stays last
+        T = np.hstack([T[rows, :n], T[rows, -1:]])
+        basis = basis[keep]
+    else:
+        T = np.vstack([Ab, np.zeros(n + 1)])
+        basis = np.array(start)
+        for i, j in enumerate(basis):
+            _pivot(T, basis, i, j)
+        if T[:-1, -1].min() < -_TOL:
+            raise Infeasible("start basis is not primal feasible")
     fixed = np.zeros(n, dtype=bool)  # columns held at zero: off the optimal face
     for row in np.atleast_2d(c):
-        fixed |= (_bland(T, basis, basic, row, fixed) > _TOL) & ~basic[:n]
+        _price(T, basis, row)
+        fixed |= _bland(T, basis, fixed) > _TOL
     x = np.zeros(n)
-    x[basis] = T[:, -1]
+    x[basis] = T[:-1, -1]
     return x, c @ x, basis
 
 
@@ -150,9 +194,13 @@ def minor_polynomial(s: Spectrum, k: int,
     b = np.zeros(d1 + 1)
     b[0] = -1.0
     # the optimum can be degenerate: the canonical vertex minimizes the
-    # trace, then y_1, ..., y_{d-1} in turn on each optimal face
+    # trace, then y_1, ..., y_{d-1} in turn on each optimal face; that vertex
+    # is unique, so phase 2 starts from the feasible f = 1: c_0^+ = 1 basic
+    # in row 0, u_j = 1 in row j and the slack (at 0) in the last row
     objectives = np.vstack([s.mults.astype(float), np.eye(d1)[1:d]])
-    u = _simplex_standard(A, b, np.pad(objectives, ((0, 0), (0, nc + 1))))[0]
+    start = np.r_[d1, 1:d1, d1 + nc]
+    u = _simplex_standard(A, b, np.pad(objectives, ((0, 0), (0, nc + 1))),
+                          start)[0]
     y = u[:d1]
     y[0] += 1.0
     y[np.abs(y) < 1e-11] = 0.0
@@ -215,25 +263,32 @@ def _negative_sets(mults, k: int):
 
 
 def _margin_rows(pd: PredistanceFamily, k: int):
-    """P = p_1..p_k on the mesh, rows scaled to max 1, and [0; P, -P]."""
+    """P = p_1..p_k on the mesh, rows scaled to max 1, and the max-margin
+    LPs' dual rows over all d+1 mesh points: [1, 0, 0; P, P, -P], whose
+    column blocks are lambda, u and v."""
     P = pd.mesh_values[1:k + 1]
     P = P / np.abs(P).max(axis=1, keepdims=True)
-    return P, np.vstack([np.zeros(2 * P.shape[1]), np.hstack([P, -P])])
+    d1 = P.shape[1]
+    total = np.repeat([1.0, 0.0], [d1, 2 * d1])  # sum(lambda) = 1
+    return P, np.vstack([total, np.hstack([P, P, -P])])
 
 
-def _max_margin(P: np.ndarray, uv: np.ndarray, neg: tuple):
+def _max_margin(P: np.ndarray, A: np.ndarray, neg: tuple):
     """max t with y_j <= -t on ``neg``, |y| <= 1 and y = P^T c, with P and
-    uv from ``_margin_rows``; returns (y, t, lambda).
+    the dual rows A from ``_margin_rows``; returns (y, t, lambda).
 
     Solved as its dual, k+1 rows in the unknowns (t, c): min sum(u + v)
     over lambda, u, v >= 0 with sum(lambda) = 1 and
-    P_N lambda + P (u - v) = 0.  It is feasible and bounded below by 0, its
+    P_N lambda + P (u - v) = 0: A's lambda columns on N and all of its u
+    and v columns.  It is feasible and bounded below by 0, its
     optimum is t, and (t, c) are its duals on the final basis.  The rows
     are independent (the p_i are), so none is dropped and that basis is
     square: at most k+1 entries of lambda (x[:|N|]) are nonzero.
     """
-    A = np.hstack([np.vstack([np.ones(len(neg)), P[:, list(neg)]]), uv])
-    cost = np.repeat([0.0, 1.0], [len(neg), uv.shape[1]])
+    d1 = P.shape[1]
+    cols = np.concatenate([neg, np.arange(d1, 3 * d1)])
+    A = A[:, cols]
+    cost = np.repeat([0.0, 1.0], [len(neg), 2 * d1])
     x, t, basis = _simplex_standard(A, np.eye(len(A))[0], cost)
     tc = np.linalg.solve(A[:, basis].T, cost[basis])
     return P.T @ tc[1:], t, x[:len(neg)]
@@ -262,7 +317,7 @@ def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
     if pd is None:
         pd = predistance_polynomials(s)
     deadline = time.monotonic() + time_budget
-    P, uv = _margin_rows(pd, k)
+    P, A = _margin_rows(pd, k)  # built once, each set selects its columns
     y = np.zeros(d + 1)  # s = 0 certificate: no negative mesh value
     best = ()
     conflicts, lps, tried = [], 0, 0  # conflicts: each S as a mesh bitmask
@@ -272,7 +327,7 @@ def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
         outside = ~sum(1 << j for j in neg)
         if any(S & outside == 0 for S in conflicts):
             continue
-        cand, t, lam = _max_margin(P, uv, neg)
+        cand, t, lam = _max_margin(P, A, neg)
         lps += 1
         if t > _MARGIN:
             y, best = cand, neg

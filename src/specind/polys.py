@@ -115,26 +115,31 @@ def predistance_polynomials(s: Spectrum) -> PredistanceFamily:
     scaled so that p_i(theta_0) = ||p_i||^2."""
     d = s.d
     theta = s.distinct
-    # rows: orthogonal basis values on the mesh, built from monomials
+    n = s.n
+
+    def inner(u, v):  # spectral_inner with n read once
+        return float(np.dot(s.mults, u * v)) / n
+
+    # rows: orthogonal basis values on the mesh, built from monomials, and
+    # each row's <b_j, b_j>, computed once
     basis = np.zeros((d + 1, d + 1))
+    sq = np.zeros(d + 1)
     for i in range(d + 1):
         vec = theta ** i
         for _ in range(2):  # re-orthogonalize once for stability
             for j in range(i):
-                proj = spectral_inner(s, vec, basis[j]) / spectral_inner(s, basis[j], basis[j])
-                vec = vec - proj * basis[j]
+                vec = vec - inner(vec, basis[j]) / sq[j] * basis[j]
         basis[i] = vec
+        sq[i] = inner(vec, vec)
     norms = np.zeros(d + 1)
     values = np.zeros((d + 1, d + 1))
     for i in range(d + 1):
         q = basis[i]
-        nrm = spectral_inner(s, q, q)
-        if nrm <= 0 or abs(q[0]) < 1e-13 * np.abs(q).max():
+        if sq[i] <= 0 or abs(q[0]) < 1e-13 * np.abs(q).max():
             raise DegenerateInnerProduct("degenerate spectral inner product")
-        scale = q[0] / nrm  # p = scale*q gives p(theta_0) = ||p||^2
-        p_vals = scale * q
+        p_vals = q[0] / sq[i] * q  # p(theta_0) = ||p||^2
         values[i] = p_vals
-        norms[i] = spectral_inner(s, p_vals, p_vals)
+        norms[i] = inner(p_vals, p_vals)
     return PredistanceFamily(norms, values)
 
 

@@ -63,7 +63,6 @@ class RegularityReport:
     is_walk_regular: bool
     is_distance_regular: bool
     intersection_array: tuple | None
-    diameter_equals_d: bool
 
 
 def _spectrum_from_raw(raw: np.ndarray, tol: float) -> Spectrum:
@@ -269,5 +268,4 @@ def classify_regularity(g: Graph, s: Spectrum,
         is_walk_regular=is_wr,
         is_distance_regular=is_dr,
         intersection_array=inter,
-        diameter_equals_d=dm.diameter == d,
     )

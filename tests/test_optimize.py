@@ -389,9 +389,9 @@ def test_max_margin_dual_matches_primal(corpus_spectra):
         s = corpus_spectra[label][1]
         pd = predistance_polynomials(s)
         for k in range(1, s.d):
-            P, uv = _margin_rows(pd, k)
+            P, A = _margin_rows(pd, k)
             for neg in _negative_sets(s.mults, k):
-                y, t, _ = _max_margin(P, uv, neg)
+                y, t, _ = _max_margin(P, A, neg)
                 assert len(y) == s.d + 1
                 want_y, want_t = primal_max_margin(pd, k, neg)
                 assert (t > _MARGIN) == (want_t > _MARGIN), (label, k, neg)
@@ -408,11 +408,11 @@ def unpruned_sign_reference(s, k, pd):
     """Reference: the former ``sign_polynomial``, one max-margin LP for every
     candidate set until the first realized one, with the same rescaling and
     post-checks; returns (objective, b, certificate, LPs solved)."""
-    P, uv = _margin_rows(pd, k)
+    P, A = _margin_rows(pd, k)
     y = np.zeros(s.d + 1)
     best = ()
     for lps, neg in enumerate(_negative_sets(s.mults, k), 1):
-        cand, t, _ = _max_margin(P, uv, neg)
+        cand, t, _ = _max_margin(P, A, neg)
         if t > _MARGIN:
             y, best = cand, neg
             break
@@ -468,8 +468,8 @@ def test_conflicts_are_gordan_certificates(corpus_spectra, monkeypatch):
     is unrealizable: the former primal LP gives it margin t <= 1e-7."""
     calls = []
 
-    def record(P, uv, neg):
-        out = _max_margin(P, uv, neg)
+    def record(P, A, neg):
+        out = _max_margin(P, A, neg)
         calls.append((neg, out, P))
         return out
 
@@ -567,6 +567,73 @@ def test_minor_polynomial_matches_pinned_reference(corpus_spectra):
             assert np.abs(got - want).max() <= 1e-9, (label, k)
             checked += 1
     assert checked == 210  # the reference solves every such pair
+
+
+def test_minor_start_basis_matches_two_phase(corpus_spectra, monkeypatch):
+    """Phase 2 from f = 1 reaches the two-phase run's vertex, byte for byte,
+    on every corpus pair (k = 1..d, Tutte's 30 included), and f = 1 is
+    accepted as a feasible start on each of them (no Infeasible)."""
+    kernel = optimize._simplex_standard
+    checked = 0
+    for label, (_, s, _, _) in corpus_spectra.items():
+        pd = predistance_polynomials(s)
+        for k in range(1, s.d + 1):
+            got = minor_polynomial(s, k, pd=pd).values
+            monkeypatch.setattr(optimize, "_simplex_standard",
+                                lambda A, b, c, start: kernel(A, b, c))
+            want = minor_polynomial(s, k, pd=pd).values
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes(), (label, k)
+            checked += 1
+    assert checked == 269
+
+
+def test_simplex_start_basis():
+    """A feasible start basis skips phase 1 and reaches the same vertex;
+    an infeasible one raises Infeasible."""
+    A, b, c = BEALE
+    x, obj, _ = _simplex_standard(A, b, c, start=np.array([4, 5, 6]))
+    assert np.allclose(x, _simplex_standard(A, b, c)[0], atol=1e-12)
+    assert obj == pytest.approx(-1.25, abs=1e-12)
+    with pytest.raises(Infeasible):
+        _simplex_standard(np.array([[1.0, -1.0]]), np.array([1.0]),
+                          np.array([1.0, 1.0]), start=np.array([1]))
+
+
+def test_carried_reduced_costs_match_recomputed(corpus_spectra, monkeypatch):
+    """At every optimum the reduced-cost row that each pivot updates is
+    within 1e-9 of c - c_B T recomputed from the tableau, its -z entry
+    included: every phase of every LP the minor LP (k = 1..d, Tutte's 30
+    included) and the sign search (each pair a report can reach, as in the
+    pruned-search test) solve on the corpus."""
+    price, bland = optimize._price, optimize._bland
+    costs, optima, worst = [], 0, 0.0
+
+    def record_price(T, basis, cost):
+        costs.append(np.append(cost, 0.0))
+        price(T, basis, cost)
+
+    def check_bland(T, basis, fixed):
+        nonlocal optima, worst
+        reduced = bland(T, basis, fixed)
+        fresh = costs[-1] - costs[-1][basis] @ T[:-1]
+        worst = max(worst, float(np.abs(T[-1] - fresh).max()))
+        optima += 1
+        return reduced
+
+    monkeypatch.setattr(optimize, "_price", record_price)
+    monkeypatch.setattr(optimize, "_bland", check_bland)
+    minor = sign = 0
+    for _, s, _, reg in corpus_spectra.values():
+        pd = predistance_polynomials(s)
+        for k in range(1, s.d + 1):
+            minor_polynomial(s, k, pd=pd)
+            minor += 1
+        for k in range(1, min(s.d, reg.pwr_level + 1)):
+            sign_polynomial(s, k, 30.0, pd)
+            sign += 1
+    assert (minor, sign, optima) == (269, 163, 3551)
+    assert worst <= 1e-9, worst  # 1.04e-10 when written
 
 
 def test_minor_polynomial_monotone_in_k():

@@ -85,6 +85,38 @@ def test_predistance_family_properties(corpus_spectra):
             assert poly.degree == i, (label, i)
 
 
+def per_pass_predistance_reference(s):
+    """Reference: the former ``predistance_polynomials``, which recomputed
+    <b_j, b_j> for every (i, pass) through ``spectral_inner``."""
+    d = s.d
+    basis = np.zeros((d + 1, d + 1))
+    for i in range(d + 1):
+        vec = s.distinct ** i
+        for _ in range(2):
+            for j in range(i):
+                proj = (spectral_inner(s, vec, basis[j])
+                        / spectral_inner(s, basis[j], basis[j]))
+                vec = vec - proj * basis[j]
+        basis[i] = vec
+    values = np.zeros((d + 1, d + 1))
+    norms = np.zeros(d + 1)
+    for i in range(d + 1):
+        q = basis[i]
+        values[i] = q[0] / spectral_inner(s, q, q) * q
+        norms[i] = spectral_inner(s, values[i], values[i])
+    return values, norms
+
+
+def test_predistance_matches_per_pass_reference(corpus_spectra):
+    """Each <b_j, b_j> computed once gives the same bytes as the per-pass
+    form on every corpus spectrum, Tutte's d = 30 included."""
+    for label, (_, s, _, _) in corpus_spectra.items():
+        fam = predistance_polynomials(s)
+        values, norms = per_pass_predistance_reference(s)
+        assert fam.mesh_values.tobytes() == values.tobytes(), label
+        assert fam.norms_sq.tobytes() == norms.tobytes(), label
+
+
 def test_predistance_qk_max_at_theta0(corpus_spectra):
     """q'_k = p_1 + ... + p_k attains its maximum at theta_0."""
     for label in ["petersen", "odd:4", "hypercube:4", "nauru", "gray"]:

@@ -227,8 +227,10 @@ def test_intersection_array_skipped_when_diameter_below_d(monkeypatch):
 
     g = generate(FamilySpec.parse("kneser:8,3"))
     monkeypatch.setattr(spectra, "_intersection_numbers", _fail)
-    rep = classify_regularity(g, spectrum(g))
-    assert rep.is_regular and not rep.diameter_equals_d
+    s = spectrum(g)
+    dm = distance_matrix(g)
+    rep = classify_regularity(g, s, dm)
+    assert rep.is_regular and dm.diameter != s.d
     assert rep.intersection_array is None and not rep.is_distance_regular
 
 
