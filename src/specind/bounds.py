@@ -33,23 +33,14 @@ from .polys import (
     predistance_polynomials,
 )
 from .spectra import (
-    PiProducts,
     RegularityReport,
     Spectrum,
     classify_regularity,
     diagonal_stats,
-    pi_products,
     spectrum,
 )
 
 _SIGN_TOL = 1e-9
-
-METHODS = (
-    "trivial", "cvetkovic", "hoffman", "inertia_general", "ratio_general",
-    "pwr_inertia", "pwr_ratio", "mp2", "mp3",
-    "dminus1_inertia_even", "dminus1_inertia_odd", "dminus1_ratio_odd",
-    "qk_inertia", "qk_ratio", "pd_ratio", "exact",
-)
 
 
 @dataclass(frozen=True)
@@ -144,7 +135,7 @@ def ratio_general(g: Graph, p: CoeffPolynomial, k: int,
 
 def pwr_inertia(s: Spectrum, sp: MeshPolynomial, k: int) -> BoundReport:
     """Sum of multiplicities where the trace-zero sign polynomial is >= 0."""
-    tr = float(np.dot(s.mults, sp.values))
+    tr = s.trace(sp.values)
     if abs(tr) > 1e-7 * max(1.0, float(np.abs(sp.values).max())):
         raise TraceNotZero(f"trace {tr} is not zero")
     return BoundReport("pwr_inertia", k,
@@ -157,7 +148,7 @@ def pwr_ratio(s: Spectrum, f: MeshPolynomial, k: int) -> BoundReport:
     scale = max(1.0, float(np.abs(vals).max()))
     if abs(vals[0] - 1.0) > 1e-7 or abs(float(vals[1:].min())) > 1e-7 * scale:
         raise BadNormalization("need f(theta_0)=1 and min_{i>=1} f(theta_i)=0")
-    return BoundReport("pwr_ratio", k, float(np.dot(s.mults, vals)), f)
+    return BoundReport("pwr_ratio", k, s.trace(vals), f)
 
 
 def sign_to_minor(sp: MeshPolynomial) -> tuple:
@@ -171,7 +162,7 @@ def sign_to_minor(sp: MeshPolynomial) -> tuple:
 
 def minor_to_sign(f: MeshPolynomial, s: Spectrum) -> MeshPolynomial:
     """s = (n / tr f(A)) * f - 1."""
-    tr = float(np.dot(s.mults, f.values))
+    tr = s.trace(f.values)
     if abs(tr) < 1e-12:
         raise ZeroDivisionError("tr f(A) = 0 is degenerate")
     return MeshPolynomial(f.mesh, (s.n / tr) * f.values - 1.0)
@@ -218,16 +209,17 @@ def alpha3_bound(s: Spectrum, delta: float) -> BoundReport:
 # k = d-1 bounds for walk-regular graphs
 
 
-def dminus1_bounds(s: Spectrum, pi: PiProducts) -> list:
+def dminus1_bounds(s: Spectrum) -> list:
     """All alpha_{d-1} bounds for walk-regular graphs (even-index inertia,
     odd-index inertia and ratio forms, the i = d specialization, and the
     aggregate single-nonzero minor-polynomial bound)."""
     d = s.d
     k = d - 1
+    pi = s.pi
     out = []
     for i in range(1, d // 2 + 1):
         j = 2 * i
-        if abs(s.mults[j] - pi.pi[0] / pi.pi[j]) < 1e-9 * s.mults[j]:
+        if abs(s.mults[j] - pi[0] / pi[j]) < 1e-9 * s.mults[j]:
             out.append(_inapplicable(
                 "dminus1_inertia_even", k,
                 f"m_{j} = pi_0/pi_{j}: even-index inertia bound inapplicable"))
@@ -239,20 +231,20 @@ def dminus1_bounds(s: Spectrum, pi: PiProducts) -> list:
         out.append(BoundReport("dminus1_inertia_odd", k, 1.0 + s.mults[j],
                                reason=f"i={j}"))
         out.append(BoundReport("dminus1_ratio_odd", k,
-                               1.0 + s.mults[j] * pi.pi[j] / pi.pi[0],
+                               1.0 + s.mults[j] * pi[j] / pi[0],
                                reason=f"i={j}"))
     # the i = d specialization
     if d % 2 == 0:
-        if abs(s.mults[d] - pi.pi[0] / pi.pi[d]) >= 1e-9 * s.mults[d]:
+        if abs(s.mults[d] - pi[0] / pi[d]) >= 1e-9 * s.mults[d]:
             out.append(BoundReport("dminus1_inertia_even", k, float(s.mults[d]),
                                    reason="i=d (even d)"))
     else:
         out.append(BoundReport(
             "dminus1_ratio_odd", k,
-            1.0 + s.mults[d] * min(1.0, pi.pi[d] / pi.pi[0]),
+            1.0 + s.mults[d] * min(1.0, pi[d] / pi[0]),
             reason="i=d (odd d)"))
     # aggregate: best single-nonzero minor polynomial over odd indices
-    best = min(1.0 + s.mults[j] * pi.pi[j] / pi.pi[0] for j in range(1, d + 1, 2))
+    best = min(1.0 + s.mults[j] * pi[j] / pi[0] for j in range(1, d + 1, 2))
     out.append(BoundReport("dminus1_ratio_odd", k, float(best),
                            reason="min over odd indices"))
     return out
@@ -262,7 +254,7 @@ def dminus1_bounds(s: Spectrum, pi: PiProducts) -> list:
 # Predistance-polynomial bounds
 
 
-def qk_bounds(g: Graph, s: Spectrum, pd: PredistanceFamily, k: int) -> tuple:
+def qk_bounds(s: Spectrum, pd: PredistanceFamily, k: int) -> tuple:
     """Inertia and ratio bounds driven by q'_k = p_1 + ... + p_k."""
     qk = pd.mesh_values[1:k + 1].sum(axis=0)
     rep_i = BoundReport("qk_inertia", k, float(min(_sign_counts(s.mults, qk))),
@@ -271,7 +263,7 @@ def qk_bounds(g: Graph, s: Spectrum, pd: PredistanceFamily, k: int) -> tuple:
     if lam >= 0:
         rep_r = _inapplicable("qk_ratio", k, "lambda(q'_k) >= 0")
     else:
-        rep_r = BoundReport("qk_ratio", k, g.n / (1.0 - qk[0] / lam))
+        rep_r = BoundReport("qk_ratio", k, s.n / (1.0 - qk[0] / lam))
     return rep_i, rep_r
 
 
@@ -342,9 +334,9 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
     if k == 3 and reg.pwr_level >= 3:
         out.append(alpha3_bound(s, float(reg.closed_walks[2])))
     if k == d - 1 and reg.is_walk_regular:
-        out.extend(dminus1_bounds(s, pi_products(s)))
+        out.extend(dminus1_bounds(s))
     if reg.pwr_level >= k:
-        rep_i, rep_r = qk_bounds(g, s, pd, k)
+        rep_i, rep_r = qk_bounds(s, pd, k)
         out.append(rep_i)
         if reg.is_regular:
             out.append(rep_r)

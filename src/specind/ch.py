@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimize
-from .bounds import pwr_inertia, pwr_ratio
+from .bounds import minor_to_sign, pwr_inertia, pwr_ratio
 from .errors import (
     NegativeRadicand,
     NotApplicable,
@@ -28,13 +28,7 @@ from .errors import (
 from .exact import alpha_k_exact
 from .graphs import DistanceMatrix, Graph, distance_matrix
 from .polys import MeshPolynomial, predistance_polynomials
-from .spectra import (
-    PiProducts,
-    Spectrum,
-    classify_regularity,
-    pi_products,
-    spectrum,
-)
+from .spectra import Spectrum, classify_regularity, spectrum
 
 _REL_TOL = 1e-6
 
@@ -101,10 +95,7 @@ def linearly_related(sp: MeshPolynomial, f: MeshPolynomial,
     which side of the inertia count it certifies, so scaling by either sign
     counts as `the same' polynomial.
     """
-    tr = float(np.dot(s.mults, f.values))
-    if abs(tr) < 1e-12:
-        return False
-    derived = (s.n / tr) * f.values - 1.0
+    derived = minor_to_sign(f, s).values
     target = sp.values
     denom = float(np.dot(derived, derived))
     if denom < 1e-18:
@@ -149,8 +140,7 @@ def ch_classify(g: Graph, k: int, s: Spectrum | None = None,
                      exact, tight, note)
 
 
-def simplex_geometry(s: Spectrum, pi: PiProducts, i: int,
-                     r: int) -> SimplexGeometry:
+def simplex_geometry(s: Spectrum, i: int, r: int) -> SimplexGeometry:
     """Barycenter distance S, circumradius R, and edge length L of the
     projected d-clique simplex in the theta_i eigenspace."""
     if not (0 <= i <= s.d):
@@ -159,7 +149,7 @@ def simplex_geometry(s: Spectrum, pi: PiProducts, i: int,
         raise ValueError("clique size r must be >= 1")
     n = s.n
     m_i = float(s.mults[i])
-    ratio = pi.pi[0] / pi.pi[i]
+    ratio = s.pi[0] / s.pi[i]
     sgn = (-1) ** i
     # The cross term enters S with sign (-1)^i but R and L with the opposite
     # sign: at maximum distance (E_i)_{uv} = (-1)^i pi_0 / (n pi_i), so the
@@ -180,53 +170,46 @@ def simplex_geometry(s: Spectrum, pi: PiProducts, i: int,
                            math.sqrt(max(rad_l, 0.0)), i, r)
 
 
-def multiplicity_feasibility(s: Spectrum, pi: PiProducts,
-                             r: int) -> MultiplicityReport:
+def multiplicity_feasibility(s: Spectrum, r: int) -> MultiplicityReport:
     """Necessary multiplicity conditions for a d-clique of size r, and the
     largest r the odd-index constraints permit."""
     tol = 1e-9
+    pi = s.pi
     even, odd = [], []
     for j in range(2, s.d + 1, 2):
-        rhs = pi.pi[0] / pi.pi[j]
+        rhs = pi[0] / pi[j]
         even.append((j, s.mults[j] >= rhs - tol, float(s.mults[j]), float(rhs)))
     max_r = None
     for j in range(1, s.d + 1, 2):
-        rhs = (r - 1) * pi.pi[0] / pi.pi[j]
+        rhs = (r - 1) * pi[0] / pi[j]
         odd.append((j, s.mults[j] >= rhs - tol, float(s.mults[j]), float(rhs)))
-        cap = 1 + s.mults[j] * pi.pi[j] / pi.pi[0]
+        cap = 1 + s.mults[j] * pi[j] / pi[0]
         max_r = cap if max_r is None else min(max_r, cap)
     all_hold = all(ok for _, ok, _, _ in even + odd)
     return MultiplicityReport(r, tuple(even), tuple(odd), all_hold,
                               math.floor(max_r + tol) if max_r is not None else s.n)
 
 
-def spectral_excess(s: Spectrum, pi: PiProducts) -> float:
+def spectral_excess(s: Spectrum) -> float:
     """p_d(theta_0) = n (sum_i pi_0^2 / (m_i pi_i^2))^{-1}."""
-    total = float(np.sum(pi.pi[0] ** 2 / (s.mults * pi.pi ** 2)))
+    total = float(np.sum(s.pi[0] ** 2 / (s.mults * s.pi ** 2)))
     return s.n / total
 
 
-def mean_excess(g: Graph, dm: DistanceMatrix | None = None,
-                d: int | None = None) -> float:
-    """Mean number of vertices at distance d from each vertex (default: the
-    graph diameter)."""
+def mean_excess(g: Graph, dm: DistanceMatrix | None = None) -> float:
+    """Mean number of vertices at distance D, the diameter, from each vertex."""
     if dm is None:
         dm = distance_matrix(g)
-    if d is None:
-        d = dm.diameter
-    return float(np.mean(np.sum(dm.dist == d, axis=1)))
+    return float(np.mean(np.sum(dm.dist == dm.diameter, axis=1)))
 
 
 def antipodal_check(g: Graph, s: Spectrum,
-                    pi: PiProducts | None = None,
                     dm: DistanceMatrix | None = None) -> AntipodalVerdict:
     """Certify r-antipodality: multiplicity equalities with r - 1 the mean
     excess, the order identity n = (r/2) sum pi_0/pi_i, and combinatorial
     distance-regularity."""
     if dm is None:
         dm = distance_matrix(g)
-    if pi is None:
-        pi = pi_products(s)
     reg = classify_regularity(g, s, dm)
     if not reg.is_walk_regular:
         raise NotWalkRegular("antipodality check requires walk-regularity")
@@ -239,13 +222,14 @@ def antipodal_check(g: Graph, s: Spectrum,
     eq_ok = False
     order_ok = False
     if is_integral:
+        pi = s.pi
         eq_ok = True
         for j in range(1, s.d + 1):
-            rhs = (pi.pi[0] / pi.pi[j]) * ((r - 1) if j % 2 else 1)
+            rhs = (pi[0] / pi[j]) * ((r - 1) if j % 2 else 1)
             if abs(s.mults[j] - rhs) > 1e-8 * max(1.0, rhs):
                 eq_ok = False
                 break
-        order = 0.5 * r * float(np.sum(pi.pi[0] / pi.pi))
+        order = 0.5 * r * float(np.sum(pi[0] / pi))
         order_ok = abs(order - s.n) < 1e-8 * s.n
     is_dr = reg.is_distance_regular
     is_anti = is_integral and eq_ok and order_ok and is_dr

@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import optimize
 from .ch import ch_classify
@@ -30,8 +28,13 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .polys import as_fraction_string, predistance_polynomials
-from .spectra import classify_regularity, spectrum, srg_raw_spectrum
+from .polys import as_fraction_string, mesh_to_coeffs, predistance_polynomials
+from .spectra import (
+    classify_regularity,
+    exact_family_spectrum,
+    spectrum,
+    srg_raw_spectrum,
+)
 
 TABLES = ("t1", "t2", "minor-odd", "sign-odd6", "t4", "t5")
 
@@ -109,9 +112,10 @@ def cmd_bounds(args) -> int:
                     print(f"k={r.k}  {r.method:24s} {r.value:12.6g}  floor {r.floor_value}{extra}")
                 else:
                     print(f"k={r.k}  {r.method:24s} inapplicable: {r.reason}")
-        best = [r for r in all_reports if r.applicable and r.method != "exact"]
-        if best:
-            print(f"best floor: {min(r.floor_value for r in best)}")
+        try:
+            print(f"best floor: {bounds_mod.minimum_floor(all_reports)}")
+        except ValueError:  # no applicable bound
+            pass
     return 0
 
 
@@ -177,55 +181,39 @@ def _t2_row(row):
 
 
 def _minor_row(row):
-    from .spectra import exact_family_spectrum
-
     s = exact_family_spectrum(FamilySpec.parse(row["family"]))
     f = optimize.minor_polynomial(s, row["k"])
     computed = {
         "values": [as_fraction_string(v) for v in f.values],
-        "trace": as_fraction_string(float(np.dot(s.mults, f.values))),
+        "trace": as_fraction_string(s.trace(f.values)),
     }
     expected = {"values": row["values"], "trace": row["trace"]}
     return _row_result(f"{row['family']}-k{row['k']}", computed, expected)
 
 
-def _sign_odd6_rows(fix):
-    from .polys import mesh_to_coeffs
-    from .spectra import exact_family_spectrum
-
-    s = exact_family_spectrum(FamilySpec.parse(fix["family"]))
-    k = fix["k"]
-    f = optimize.minor_polynomial(s, k)
-    sol = optimize.sign_polynomial(s, k)
-    rows = []
-    computed_f = {
-        "values": [as_fraction_string(v) for v in f.values],
+def _sign_odd6_row(row):
+    """The optimal minor (id "minor") or sign (id "sign") polynomial."""
+    s = exact_family_spectrum(FamilySpec.parse(row["family"]))
+    k = row["k"]
+    if row["id"] == "minor":
+        p = optimize.minor_polynomial(s, k)
+    else:
+        p = optimize.sign_polynomial(s, k).sign_mesh
+    computed = {
+        "values": [as_fraction_string(v) for v in p.values],
         "coeffs": [as_fraction_string(c)
-                   for c in mesh_to_coeffs(f).coeffs[:k + 1]],
-        "trace": as_fraction_string(float(np.dot(s.mults, f.values))),
+                   for c in mesh_to_coeffs(p).coeffs[:k + 1]],
+        "trace": as_fraction_string(s.trace(p.values)),
     }
-    rows.append(_row_result("minor", computed_f, fix["minor"]))
-    sp = sol.sign_mesh
-    computed_s = {
-        "values": [as_fraction_string(v) for v in sp.values],
-        "coeffs": [as_fraction_string(c)
-                   for c in mesh_to_coeffs(sp).coeffs[:k + 1]],
-        "trace": as_fraction_string(float(np.dot(s.mults, sp.values))),
-    }
-    rows.append(_row_result("sign", computed_s, fix["sign"]))
-    return rows
+    return _row_result(row["id"], computed, row["expected"])
 
 
 def _t4_row(row):
-    from .spectra import pi_products
-
     g = generate(FamilySpec.parse(row["family"]))
     s = spectrum(g)
-    pi = pi_products(s)
-    reps = bounds_mod.dminus1_bounds(s, pi)
     computed = {
         "alpha": alpha_k_exact(g, row["k"]).alpha_k,
-        "bound": min(r.floor_value for r in reps if r.applicable),
+        "bound": bounds_mod.minimum_floor(bounds_mod.dminus1_bounds(s)),
     }
     expected = {c: row[c] for c in ("alpha", "bound")}
     return _row_result(row["family"], computed, expected, row.get("bound_form", ""))
@@ -238,7 +226,7 @@ def _t5_row(row):
                 "note": f"fixture {row['source']} not bundled"}
     s = spectrum(g)
     pd = predistance_polynomials(s)
-    _, rr = bounds_mod.qk_bounds(g, s, pd, 2)
+    _, rr = bounds_mod.qk_bounds(s, pd, 2)
     computed = {
         "qk": rr.floor_value if rr.applicable else None,
         "alpha2": alpha_k_exact(g, 2).alpha_k,
@@ -247,23 +235,36 @@ def _t5_row(row):
     return _row_result(row["id"], computed, expected)
 
 
+def _row_ids(row) -> set:
+    """The ids ``--rows`` selects a row by: its id, else its family and
+    family-kK."""
+    if "id" in row:
+        return {row["id"]}
+    return {row["family"], f"{row['family']}-k{row['k']}"}
+
+
 def run_table(table_id: str, rows_filter=None) -> list:
+    """Replay a table, restricted to the comma-separated ids ``rows_filter``
+    when given; an id that selects no row is a ValueError."""
     if table_id not in TABLES:
         raise UnknownTable(f"unknown table {table_id!r}; choose from {TABLES}")
     path = fixtures_dir() / "tables" / f"{table_id}.json"
     fix = json.loads(path.read_text())
-    if table_id == "sign-odd6":
-        return _sign_odd6_rows(fix)
-    handlers = {"t1": _t1_row, "t2": _t2_row, "minor-odd": _minor_row,
-                "t4": _t4_row, "t5": _t5_row}
-    handler = handlers[table_id]
-    rows = fix["rows"]
+    if table_id == "sign-odd6":  # one spectrum, a minor and a sign row
+        rows = [{"id": part, "family": fix["family"], "k": fix["k"],
+                 "expected": fix[part]} for part in ("minor", "sign")]
+    else:
+        rows = fix["rows"]
     if rows_filter:
         wanted = {r.strip() for r in rows_filter.split(",")}
-        rows = [r for r in rows
-                if r.get("id", r.get("family", "")) in wanted
-                or f"{r.get('family', '')}-k{r.get('k', '')}" in wanted]
-    return [handler(r) for r in rows]
+        unknown = wanted - set().union(*map(_row_ids, rows))
+        if unknown:
+            raise ValueError(f"no row of table {table_id} has id "
+                             + ", ".join(map(repr, sorted(unknown))))
+        rows = [r for r in rows if _row_ids(r) & wanted]
+    handlers = {"t1": _t1_row, "t2": _t2_row, "minor-odd": _minor_row,
+                "sign-odd6": _sign_odd6_row, "t4": _t4_row, "t5": _t5_row}
+    return [handlers[table_id](r) for r in rows]
 
 
 def cmd_table(args) -> int:

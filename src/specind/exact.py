@@ -26,7 +26,7 @@ import numpy as np
 from .errors import SearchTimeout, SizeLimitExceeded
 from .graphs import DistanceMatrix, Graph, distance_matrix
 
-DEFAULT_SIZE_LIMIT = 600
+SIZE_LIMIT = 600
 DEFAULT_TIMEOUT = 120.0
 
 
@@ -123,14 +123,13 @@ def _transitive(g: Graph) -> bool:
 
 
 def alpha_k_exact(g: Graph, k: int, dm: DistanceMatrix | None = None,
-                  size_limit: int = DEFAULT_SIZE_LIMIT,
                   timeout: float = DEFAULT_TIMEOUT) -> ExactResult:
     """Exact alpha_k with a checked witness set; deterministic size, witness
     canonical only up to the fixed search order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if g.n > size_limit:
-        raise SizeLimitExceeded(f"n={g.n} exceeds limit {size_limit}")
+    if g.n > SIZE_LIMIT:
+        raise SizeLimitExceeded(f"n={g.n} exceeds limit {SIZE_LIMIT}")
     start = time.monotonic()
     if dm is None:
         dm = distance_matrix(g)

@@ -209,10 +209,6 @@ def minor_polynomial(s: Spectrum, k: int,
     return MeshPolynomial(s.distinct, y)
 
 
-def minor_trace(s: Spectrum, f: MeshPolynomial) -> float:
-    return float(np.dot(s.mults, f.values))
-
-
 # ---------------------------------------------------------------------------
 # Sign polynomial search
 
@@ -341,7 +337,7 @@ def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
     # indicator consistency: y_j >= 0 must imply b_j = 1
     if (y[list(best)] >= -1e-9 * max(1.0, np.abs(y).max())).any():
         raise NumericalInstability("indicator constraint violated by certificate")
-    tr = float(np.dot(s.mults, y))
+    tr = s.trace(y)
     if abs(tr) > 1e-7 * max(1.0, np.abs(y).max()):
         raise NumericalInstability("certificate trace is not zero")
     objective = int(sum(m for m, bj in zip(s.mults, bvec) if bj))

@@ -2,7 +2,8 @@
 
 The mesh-value representation (values at theta_0 > ... > theta_d) is primary:
 every bound is linear in mesh values.  The predistance polynomials, orthogonal
-under the spectral inner product, are the basis both optimization programs
+under the spectral inner product <p, q> = tr(p(A) q(A)) / n (``Spectrum.trace``
+of the product of mesh values), are the basis both optimization programs
 build their polynomials in.  Coefficient form is derived on demand through
 Newton expansion.  The closed-form alpha_2 and alpha_3 bounds in ``bounds``
 pick their zeros with the MP2 and MP4 index rules kept here.
@@ -65,11 +66,9 @@ class PredistanceFamily:
     """Orthogonal polynomials p_0..p_d for the spectral inner product, by
     their values on the mesh."""
 
-    norms_sq: np.ndarray    # ||p_i||^2 = p_i(theta_0)
     mesh_values: np.ndarray  # (d+1, d+1): row i holds p_i on the mesh
 
     def __post_init__(self):
-        self.norms_sq.setflags(write=False)
         self.mesh_values.setflags(write=False)
 
 
@@ -107,7 +106,7 @@ def coeffs_to_mesh(c: CoeffPolynomial, mesh: np.ndarray) -> MeshPolynomial:
 
 def spectral_inner(s: Spectrum, u: np.ndarray, v: np.ndarray) -> float:
     """<p, q>_G = (1/n) sum m_i p(theta_i) q(theta_i) on mesh values."""
-    return float(np.dot(s.mults, u * v)) / s.n
+    return s.trace(u * v) / s.n
 
 
 def predistance_polynomials(s: Spectrum) -> PredistanceFamily:
@@ -115,11 +114,6 @@ def predistance_polynomials(s: Spectrum) -> PredistanceFamily:
     scaled so that p_i(theta_0) = ||p_i||^2."""
     d = s.d
     theta = s.distinct
-    n = s.n
-
-    def inner(u, v):  # spectral_inner with n read once
-        return float(np.dot(s.mults, u * v)) / n
-
     # rows: orthogonal basis values on the mesh, built from monomials, and
     # each row's <b_j, b_j>, computed once
     basis = np.zeros((d + 1, d + 1))
@@ -128,19 +122,16 @@ def predistance_polynomials(s: Spectrum) -> PredistanceFamily:
         vec = theta ** i
         for _ in range(2):  # re-orthogonalize once for stability
             for j in range(i):
-                vec = vec - inner(vec, basis[j]) / sq[j] * basis[j]
+                vec = vec - spectral_inner(s, vec, basis[j]) / sq[j] * basis[j]
         basis[i] = vec
-        sq[i] = inner(vec, vec)
-    norms = np.zeros(d + 1)
+        sq[i] = spectral_inner(s, vec, vec)
     values = np.zeros((d + 1, d + 1))
     for i in range(d + 1):
         q = basis[i]
         if sq[i] <= 0 or abs(q[0]) < 1e-13 * np.abs(q).max():
             raise DegenerateInnerProduct("degenerate spectral inner product")
-        p_vals = q[0] / sq[i] * q  # p(theta_0) = ||p||^2
-        values[i] = p_vals
-        norms[i] = inner(p_vals, p_vals)
-    return PredistanceFamily(norms, values)
+        values[i] = q[0] / sq[i] * q  # p(theta_0) = ||p||^2
+    return PredistanceFamily(values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
-"""Adjacency spectra, multiplicity grouping, pi-products, regularity classes."""
+"""Adjacency spectra, multiplicity grouping, regularity classes.
+
+A ``Spectrum`` carries what every layer derives from it: the order n, the
+trace tr p(A) = sum_i m_i p(theta_i) of a polynomial given by its mesh
+values, and the products pi_i = prod_{j != i} |theta_i - theta_j|.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, cos, pi, sqrt
 
 import numpy as np
@@ -25,13 +31,28 @@ class Spectrum:
         for arr in (self.distinct, self.mults, self.raw):
             arr.setflags(write=False)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return int(self.mults.sum())
 
     @property
     def d(self) -> int:
         return len(self.distinct) - 1
+
+    def trace(self, values) -> float:
+        """tr p(A) = sum_i m_i p(theta_i) for p's values on the mesh."""
+        return float(np.dot(self.mults, values))
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """pi_i = prod_{j != i} |theta_i - theta_j|, read-only."""
+        if self.d < 1:
+            raise ValueError("pi products need at least two distinct eigenvalues")
+        diff = np.abs(self.distinct[:, None] - self.distinct[None, :])
+        np.fill_diagonal(diff, 1.0)
+        out = diff.prod(axis=1)
+        out.setflags(write=False)
+        return out
 
     def to_json_dict(self) -> dict:
         def num(x):
@@ -42,16 +63,6 @@ class Spectrum:
             "mult": [int(m) for m in self.mults],
             "n": self.n,
         }
-
-
-@dataclass(frozen=True)
-class PiProducts:
-    """pi_i = prod_{j != i} |theta_i - theta_j|."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        self.pi.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -179,15 +190,6 @@ def srg_raw_spectrum(n: int, k: int, lam: int, mu: int) -> np.ndarray:
     return np.concatenate([[float(k)],
                            np.full(round(mult_r), r),
                            np.full(round(mult_s), s)])
-
-
-def pi_products(s: Spectrum) -> PiProducts:
-    theta = s.distinct
-    if s.d < 1:
-        raise ValueError("pi products need at least two distinct eigenvalues")
-    diff = np.abs(theta[:, None] - theta[None, :])
-    np.fill_diagonal(diff, 1.0)
-    return PiProducts(diff.prod(axis=1))
 
 
 def _poly_matrix(g: Graph, coeffs) -> np.ndarray:

@@ -1,14 +1,18 @@
-"""Shared corpus and heavy session-scoped sweeps for the test suite."""
+"""Shared corpus, heavy session-scoped sweeps, and the corpus-wide property
+checks that both the property suite and the acceptance gate run."""
 
 from __future__ import annotations
 
+import math
 import time
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specind.bounds import best_bounds
+from specind.bounds import best_bounds, reports_to_csv
+from specind.ch import mean_excess, spectral_excess
 from specind.errors import SearchTimeout
 from specind.exact import alpha_k_exact
 from specind.graphs import (
@@ -18,7 +22,9 @@ from specind.graphs import (
     generate,
     parse_graph6,
 )
-from specind.spectra import classify_regularity, spectrum
+from specind.optimize import minor_polynomial, sign_polynomial
+from specind.polys import predistance_polynomials, spectral_inner
+from specind.spectra import classify_regularity, exact_family_spectrum, spectrum
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "specind" / "data"
 
@@ -109,3 +115,84 @@ def elapsed(fn, *args, **kwargs):
     t0 = time.monotonic()
     res = fn(*args, **kwargs)
     return res, time.monotonic() - t0
+
+
+# ---------------------------------------------------------------------------
+# Corpus-wide property checks
+
+
+def check_predistance_structure(corpus_spectra):
+    """Orthogonality, p_i(theta_0) = ||p_i||^2, Hoffman telescoping, and the
+    q'_k maximum at theta_0, for every corpus graph."""
+    for label, (_, s, _, _) in corpus_spectra.items():
+        if s.d < 1:
+            continue
+        V = predistance_polynomials(s).mesh_values
+        scale = max(1.0, float(np.abs(V).max()))
+        for i in range(s.d + 1):
+            assert V[i, 0] == pytest.approx(spectral_inner(s, V[i], V[i]),
+                                            rel=1e-8, abs=1e-8), label
+            for j in range(i + 1, s.d + 1):
+                ip = spectral_inner(s, V[i], V[j])
+                assert abs(ip) < 1e-8 * scale, (label, i, j)
+        total = V.sum(axis=0)
+        assert total[0] == pytest.approx(s.n, rel=1e-8), label
+        assert np.allclose(total[1:], 0.0, atol=1e-6 * s.n), label
+        qk = np.zeros(s.d + 1)
+        for k in range(1, s.d + 1):
+            qk += V[k]
+            assert qk[0] >= qk[1:].max() - 1e-8 * max(1.0, abs(qk[0])), (label, k)
+
+
+def check_spectral_excess_theorem(corpus_spectra):
+    """Instance-wise, both directions: for regular graphs with D = d, the
+    spectral excess equals the mean excess iff distance-regular."""
+    tested_dr = tested_not = 0
+    for label, (g, s, dm, reg) in corpus_spectra.items():
+        if not reg.is_regular or dm.diameter != s.d:
+            continue
+        pe = spectral_excess(s)
+        me = mean_excess(g, dm)
+        agree = math.isclose(pe, me, rel_tol=1e-7)
+        assert agree == reg.is_distance_regular, (label, pe, me)
+        tested_dr += reg.is_distance_regular
+        tested_not += not reg.is_distance_regular
+    assert tested_dr >= 5 and tested_not >= 5  # both directions exercised
+
+
+def check_determinism(corpus_spectra):
+    """Bit-identical bound reports across two aggregator runs, and
+    bit-identical minor and sign polynomials across two solves."""
+    for label in ["petersen", "odd:4", "nauru", "hypercube:4"]:
+        g, s, dm, reg = corpus_spectra[label]
+        for k in (1, 2):
+            if k >= dm.diameter:
+                continue
+            a = reports_to_csv(best_bounds(g, k, s=s, dm=dm, reg=reg))
+            b = reports_to_csv(best_bounds(g, k, s=s, dm=dm, reg=reg))
+            assert a == b, (label, k)
+    s5 = exact_family_spectrum(FamilySpec.parse("odd:5"))
+    assert (minor_polynomial(s5, 2).values.tobytes()
+            == minor_polynomial(s5, 2).values.tobytes())
+    a, b = sign_polynomial(s5, 2), sign_polynomial(s5, 2)
+    assert a.sign_mesh.values.tobytes() == b.sign_mesh.values.tobytes()
+
+
+def check_pi_sum_identity(corpus_spectra):
+    """sum over even i of pi_0/pi_i equals the sum over odd i, for every
+    spectrum with d >= 1."""
+    for label, (_, s, _, _) in corpus_spectra.items():
+        if s.d < 1:
+            continue
+        ratios = s.pi[0] / s.pi
+        assert float(ratios[0::2].sum()) == pytest.approx(
+            float(ratios[1::2].sum()), rel=1e-8), label
+
+
+def check_hypercube_pi_ratios():
+    """Q_m: pi_j/pi_0 = 1/C(m, j), so m_j pi_j/pi_0 = 1; m = 3, 4, 5."""
+    for m in (3, 4, 5):
+        s = exact_family_spectrum(FamilySpec.parse(f"hypercube:{m}"))
+        for j in range(m + 1):
+            assert s.pi[j] / s.pi[0] == pytest.approx(1 / comb(m, j), rel=1e-9)
+            assert s.mults[j] * s.pi[j] / s.pi[0] == pytest.approx(1.0, rel=1e-9)

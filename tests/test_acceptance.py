@@ -9,6 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import (
+    check_determinism,
+    check_hypercube_pi_ratios,
+    check_pi_sum_identity,
+    check_predistance_structure,
+    check_spectral_excess_theorem,
+)
 
 from specind.bounds import (
     cvetkovic_bound,
@@ -19,15 +26,10 @@ from specind.bounds import (
 from specind.ch import antipodal_check, ch_classify
 from specind.exact import alpha_k_exact
 from specind.graphs import FamilySpec, generate
-from specind.optimize import (
-    minor_polynomial,
-    minor_trace,
-    sign_polynomial,
-)
+from specind.optimize import minor_polynomial, sign_polynomial
 from specind.polys import mesh_to_coeffs, predistance_polynomials
 from specind.spectra import (
     exact_family_spectrum,
-    pi_products,
     spectrum,
     srg_raw_spectrum,
 )
@@ -85,7 +87,7 @@ def test_criterion_03_minor_lp_reproduces_odd_tables():
         f = minor_polynomial(s, k)
         want = [float(Fraction(v)) for v in row["values"]]
         assert np.allclose(f.values, want, atol=1e-8), (fam, k)
-        tr = minor_trace(s, f)
+        tr = s.trace(f.values)
         assert tr == pytest.approx(float(Fraction(row["trace"])), abs=1e-8)
         if (fam, k) in traces:
             assert tr == pytest.approx(traces[(fam, k)], abs=1e-8)
@@ -143,9 +145,9 @@ def test_criterion_08_qk_ratio_table5_fixtures(corpus_spectra):
              "durer": 3, "moebius-kantor": 4}
     for name, floor in musts.items():
         assert want[name] == floor  # table fixture sanity
-        g, s, _, _ = corpus_spectra[name]
+        _, s, _, _ = corpus_spectra[name]
         pd = predistance_polynomials(s)
-        _, ratio = qk_bounds(g, s, pd, 2)
+        _, ratio = qk_bounds(s, pd, 2)
         assert ratio.applicable and ratio.floor_value == floor, name
     # every bundled Table-5 fixture matches its recorded value
     from conftest import fixture_names
@@ -153,8 +155,8 @@ def test_criterion_08_qk_ratio_table5_fixtures(corpus_spectra):
     for name, floor in want.items():
         if name not in bundled or name not in corpus_spectra:
             continue
-        g, s, _, _ = corpus_spectra[name]
-        _, ratio = qk_bounds(g, s, predistance_polynomials(s), 2)
+        _, s, _, _ = corpus_spectra[name]
+        _, ratio = qk_bounds(s, predistance_polynomials(s), 2)
         assert ratio.applicable and ratio.floor_value == floor, name
 
 
@@ -166,48 +168,14 @@ def test_criterion_09_property_suites(corpus, corpus_spectra,
     checked, _ = soundness_results
     assert checked and all(f >= e for _, _, _, f, e in checked)
     # predistance family structure and q'_k maximum
-    from specind.polys import spectral_inner
-    for label, (_, s, _, _) in corpus_spectra.items():
-        if s.d < 1:
-            continue
-        fam = predistance_polynomials(s)
-        V = fam.mesh_values
-        scale = max(1.0, float(np.abs(V).max()))
-        for i in range(s.d + 1):
-            assert V[i, 0] == pytest.approx(fam.norms_sq[i], rel=1e-8, abs=1e-8)
-            for j in range(i + 1, s.d + 1):
-                assert abs(spectral_inner(s, V[i], V[j])) < 1e-8 * scale
-        total = V.sum(axis=0)
-        assert total[0] == pytest.approx(s.n, rel=1e-8)
-        assert np.allclose(total[1:], 0.0, atol=1e-6 * s.n)
+    check_predistance_structure(corpus_spectra)
     # spectral excess <-> distance-regular, both directions instance-wise
-    import math
-    from specind.ch import mean_excess, spectral_excess
-    for label, (g, s, dm, reg) in corpus_spectra.items():
-        if not reg.is_regular or dm.diameter != s.d:
-            continue
-        agree = math.isclose(spectral_excess(s, pi_products(s)),
-                             mean_excess(g, dm), rel_tol=1e-7)
-        assert agree == reg.is_distance_regular, label
+    check_spectral_excess_theorem(corpus_spectra)
     # LP/MILP determinism (bit-identical)
-    s5 = exact_family_spectrum(FamilySpec.parse("odd:5"))
-    assert (minor_polynomial(s5, 2).values.tobytes()
-            == minor_polynomial(s5, 2).values.tobytes())
-    a, b = sign_polynomial(s5, 2), sign_polynomial(s5, 2)
-    assert a.sign_mesh.values.tobytes() == b.sign_mesh.values.tobytes()
+    check_determinism(corpus_spectra)
     # even/odd pi-sum identity and hypercube pi-ratio identity
-    from math import comb
-    for label, (_, s, _, _) in corpus_spectra.items():
-        if s.d < 1:
-            continue
-        ratios = pi_products(s).pi[0] / pi_products(s).pi
-        assert float(ratios[0::2].sum()) == pytest.approx(
-            float(ratios[1::2].sum()), rel=1e-8), label
-    for m in (3, 4, 5):
-        s = exact_family_spectrum(FamilySpec.parse(f"hypercube:{m}"))
-        pi = pi_products(s)
-        for j in range(m + 1):
-            assert pi.pi[j] / pi.pi[0] == pytest.approx(1 / comb(m, j), rel=1e-9)
+    check_pi_sum_identity(corpus_spectra)
+    check_hypercube_pi_ratios()
 
 
 def test_criterion_10_antipodal_pipeline(corpus_spectra):

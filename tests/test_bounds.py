@@ -43,7 +43,6 @@ from specind.polys import (
 )
 from specind.spectra import (
     exact_family_spectrum,
-    pi_products,
     spectrum,
     srg_raw_spectrum,
 )
@@ -291,7 +290,6 @@ def test_minor_lp_beats_every_closed_form(corpus_spectra):
     for label, (g, s, _, reg) in corpus_spectra.items():
         if not reg.is_regular:
             continue
-        pi = pi_products(s)
         for k in range(1, min(s.d, reg.pwr_level + 1)):
             lp = pwr_ratio(s, minor_polynomial(s, k), k).value
             closed = []
@@ -303,7 +301,7 @@ def test_minor_lp_beats_every_closed_form(corpus_spectra):
             if k == 3:
                 closed.append(alpha3_bound(s, float(reg.closed_walks[2])))
             if k == s.d - 1:
-                closed += [r for r in dminus1_bounds(s, pi)
+                closed += [r for r in dminus1_bounds(s)
                            if r.reason == "min over odd indices"]
             for rep in closed:
                 if rep.applicable:
@@ -319,16 +317,14 @@ def test_minor_lp_beats_every_closed_form(corpus_spectra):
 
 def test_dminus1_o6():
     s = odd_spectrum(6)
-    pi = pi_products(s)
-    reps = dminus1_bounds(s, pi)
+    reps = dminus1_bounds(s)
     best = min(r.floor_value for r in reps if r.applicable)
     assert best == 11
 
 
 def test_dminus1_o5():
     s = odd_spectrum(5)
-    pi = pi_products(s)
-    reps = dminus1_bounds(s, pi)
+    reps = dminus1_bounds(s)
     best = min(r.floor_value for r in reps if r.applicable)
     assert best == 8  # m(theta_4) = 8 via the i=d specialization (d = 4 even)
     even_vals = [r.value for r in reps
@@ -338,7 +334,7 @@ def test_dminus1_o5():
 
 def test_dminus1_petersen():
     s = exact_family_spectrum(FamilySpec.parse("petersen"))
-    reps = dminus1_bounds(s, pi_products(s))
+    reps = dminus1_bounds(s)
     best = min(r.floor_value for r in reps if r.applicable)
     assert best == 4
 
@@ -349,11 +345,11 @@ def test_odd_even_ell_coincidence():
     m(mu_1)/m(mu_2) = pi(mu_2)/pi_0."""
     for ell in (4, 6):
         s = odd_spectrum(ell)
-        pi = pi_products(s)
+        pi = s.pi
         # mu_1 = -(ell-1) is theta_d; mu_2 = ell-2 is theta_1
-        assert pi.pi[s.d] == pytest.approx(pi.pi[0], rel=1e-9)
+        assert pi[s.d] == pytest.approx(pi[0], rel=1e-9)
         lhs = s.mults[s.d] / s.mults[1]
-        assert lhs == pytest.approx(pi.pi[1] / pi.pi[0], rel=1e-9)
+        assert lhs == pytest.approx(pi[1] / pi[0], rel=1e-9)
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 6, 7, 8])
@@ -361,7 +357,7 @@ def test_prop_44_best_dminus1_on_odd(ell):
     """Best (d-1) bound on odd(ell): 2d for even d, 2d+1 for odd d."""
     s = odd_spectrum(ell)
     d = s.d
-    reps = dminus1_bounds(s, pi_products(s))
+    reps = dminus1_bounds(s)
     best = min(r.value for r in reps if r.applicable)
     want = 2 * d if d % 2 == 0 else 2 * d + 1
     assert best == pytest.approx(want, rel=1e-9)
@@ -371,8 +367,8 @@ def test_prop_44_best_dminus1_on_odd(ell):
 def test_prop_45_value(ell, want):
     """1 + m(mu_2) pi(mu_2)/pi_0 = 2d + (d-2)/d for even d, 2d+1 for odd d."""
     s = odd_spectrum(ell)
-    pi = pi_products(s)
-    val = 1 + s.mults[1] * pi.pi[1] / pi.pi[0]  # mu_2 = theta_1
+    pi = s.pi
+    val = 1 + s.mults[1] * pi[1] / pi[0]  # mu_2 = theta_1
     assert val == pytest.approx(want, rel=1e-9)
     d = s.d
     formula = 2 * d + (d - 2) / d if d % 2 == 0 else 2 * d + 1
@@ -389,7 +385,7 @@ def test_qk_bounds_table_values(corpus_spectra):
                            ("moebius-kantor", 2, 4)]:
         g, s, _, _ = corpus_spectra[label]
         pd = predistance_polynomials(s)
-        _, ratio = qk_bounds(g, s, pd, k)
+        _, ratio = qk_bounds(s, pd, k)
         assert ratio.applicable, label
         assert ratio.floor_value == want, label
 
@@ -400,7 +396,7 @@ def test_qk_k1_matches_classics_on_regular(corpus_spectra):
     for label in ["petersen", "cycle:9", "hypercube:4"]:
         g, s, _, _ = corpus_spectra[label]
         pd = predistance_polynomials(s)
-        rep_i, rep_r = qk_bounds(g, s, pd, 1)
+        rep_i, rep_r = qk_bounds(s, pd, 1)
         assert rep_i.value == cvetkovic_bound(s.raw).value
         want = hoffman_bound(g.n, float(s.raw[0]), float(s.raw[-1])).value
         assert rep_r.value == pytest.approx(want, rel=1e-9)

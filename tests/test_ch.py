@@ -1,10 +1,9 @@
 """CH classification, simplex geometry, multiplicity feasibility,
 spectral excess, antipodality, and the strongly-regular tightness test."""
 
-import math
-
 import numpy as np
 import pytest
+from conftest import check_spectral_excess_theorem
 
 from specind import ch
 from specind.ch import (
@@ -21,7 +20,7 @@ from specind.errors import NegativeRadicand, NotApplicable, NotRegular, NotSRG
 from specind.exact import alpha_k_exact
 from specind.graphs import FamilySpec, generate
 from specind.optimize import minor_polynomial, sign_polynomial
-from specind.spectra import exact_family_spectrum, pi_products, spectrum
+from specind.spectra import exact_family_spectrum, spectrum
 
 
 def test_kneser62_k1_tight_ch():
@@ -98,17 +97,15 @@ def test_linearly_related_sign_freedom():
 
 def test_simplex_q3_antipodal():
     s = exact_family_spectrum(FamilySpec.parse("hypercube:3"))
-    pi = pi_products(s)
     # r = 2 at the top odd index: barycenter at the origin, positive length
-    geo = simplex_geometry(s, pi, 3, 2)
+    geo = simplex_geometry(s, 3, 2)
     assert geo.S == pytest.approx(0.0, abs=1e-9)
     assert geo.L > 0 and geo.R > 0
 
 
 def test_simplex_r1_degenerate():
     s = exact_family_spectrum(FamilySpec.parse("petersen"))
-    pi = pi_products(s)
-    geo = simplex_geometry(s, pi, 1, 1)
+    geo = simplex_geometry(s, 1, 1)
     assert geo.R == pytest.approx(0.0, abs=1e-12)
 
 
@@ -116,11 +113,10 @@ def test_simplex_invariant_l_vs_r():
     """L^2 = (2r/(r-1)) R^2 for every feasible (i, r)."""
     for spec in ["hypercube:3", "petersen", "odd:4"]:
         s = exact_family_spectrum(FamilySpec.parse(spec))
-        pi = pi_products(s)
         for i in range(s.d + 1):
             for r in (2, 3):
                 try:
-                    geo = simplex_geometry(s, pi, i, r)
+                    geo = simplex_geometry(s, i, r)
                 except NegativeRadicand:
                     continue
                 assert geo.L ** 2 == pytest.approx(
@@ -130,9 +126,8 @@ def test_simplex_invariant_l_vs_r():
 def test_simplex_negative_radicand():
     # Q_3 is 2-antipodal: r = 3 cannot fit at the top odd index
     s = exact_family_spectrum(FamilySpec.parse("hypercube:3"))
-    pi = pi_products(s)
     with pytest.raises(NegativeRadicand):
-        simplex_geometry(s, pi, 3, 3)
+        simplex_geometry(s, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +136,14 @@ def test_simplex_negative_radicand():
 
 def test_multiplicity_feasibility_q3():
     s = exact_family_spectrum(FamilySpec.parse("hypercube:3"))
-    pi = pi_products(s)
-    rep = multiplicity_feasibility(s, pi, 2)
+    rep = multiplicity_feasibility(s, 2)
     assert rep.all_hold
     assert rep.max_feasible_r == 2  # m_j pi_j / pi_0 = 1 for hypercubes
 
 
 def test_multiplicity_feasibility_caps_r():
     s = exact_family_spectrum(FamilySpec.parse("hypercube:4"))
-    pi = pi_products(s)
-    rep3 = multiplicity_feasibility(s, pi, 3)
+    rep3 = multiplicity_feasibility(s, 3)
     assert not rep3.all_hold
     assert rep3.max_feasible_r == 2
 
@@ -161,20 +154,13 @@ def test_multiplicity_feasibility_caps_r():
 
 def test_spectral_excess_petersen(corpus_spectra):
     g, s, dm, _ = corpus_spectra["petersen"]
-    pi = pi_products(s)
-    assert spectral_excess(s, pi) == pytest.approx(6.0, rel=1e-9)
+    assert spectral_excess(s) == pytest.approx(6.0, rel=1e-9)
     assert mean_excess(g, dm) == pytest.approx(6.0)
 
 
 def test_spectral_excess_theorem_both_directions(corpus_spectra):
     """Regular + diameter d: mean excess equals spectral excess iff DR."""
-    for label, (g, s, dm, reg) in corpus_spectra.items():
-        if not reg.is_regular or dm.diameter != s.d:
-            continue
-        pe = spectral_excess(s, pi_products(s))
-        me = mean_excess(g, dm)
-        matches = math.isclose(pe, me, rel_tol=1e-7)
-        assert matches == reg.is_distance_regular, label
+    check_spectral_excess_theorem(corpus_spectra)
 
 
 def test_antipodal_q3_and_c6(corpus_spectra):

@@ -237,3 +237,29 @@ def test_table_row_filter():
     res = run_cli("table", "t5", "--rows", "frucht,nauru,hoffman")
     assert "mismatch 0" in res.stdout
     assert "ok 3" in res.stdout
+
+
+def test_table_row_filter_unknown_id_is_an_error(capsys):
+    """An id that selects no row exits 2 and names the id; a known id next
+    to it does not save the call."""
+    assert cli.main(["table", "t1", "--rows", "nosuchrow"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "nosuchrow" in err
+    assert cli.main(["table", "t5", "--rows", "frucht,nosuchrow"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "nosuchrow" in err and "frucht" not in err
+
+
+def test_table_row_filter_every_table(capsys):
+    """--rows restricts every table, sign-odd6's minor and sign rows
+    included; t4 and minor-odd rows answer to family and family-kK."""
+    for table, rows, ids in [("sign-odd6", "sign", ["sign"]),
+                             ("sign-odd6", "minor", ["minor"]),
+                             ("t2", "c5", ["c5"]),
+                             ("t4", "odd:3", ["odd:3"]),
+                             ("minor-odd", "odd:5-k2", ["odd:5-k2"])]:
+        assert cli.main(["table", table, "--rows", rows,
+                         "--format", "json"]) == 0, table
+        got = json.loads(capsys.readouterr().out)
+        assert [r["id"] for r in got] == ids, table
+        assert all(r["status"] == "ok" for r in got), table

@@ -187,7 +187,7 @@ def test_known_values():
 
 def test_odd6_alpha4():
     g = generate(FamilySpec.parse("odd:6"))
-    res = alpha_k_exact(g, 4, size_limit=600)
+    res = alpha_k_exact(g, 4)
     assert res.alpha_k == 11
     assert verify_independent(g, 4, res.witness)
 
@@ -208,9 +208,9 @@ def test_k_at_least_diameter_is_one():
 
 
 def test_size_limit():
-    g = generate(FamilySpec.parse("petersen"))
+    g = generate(FamilySpec.parse("cycle:601"))
     with pytest.raises(SizeLimitExceeded):
-        alpha_k_exact(g, 1, size_limit=5)
+        alpha_k_exact(g, 1)
 
 
 def test_invalid_k():

@@ -29,7 +29,6 @@ from specind.optimize import (
     _negative_sets,
     _simplex_standard,
     minor_polynomial,
-    minor_trace,
     sign_polynomial,
 )
 from specind.spectra import exact_family_spectrum
@@ -284,7 +283,7 @@ def test_minor_polynomial_odd_traces(ell, traces):
     s = odd_spectrum(ell)
     for k, want in traces.items():
         f = minor_polynomial(s, k)
-        assert minor_trace(s, f) == pytest.approx(want, abs=1e-8), (ell, k)
+        assert s.trace(f.values) == pytest.approx(want, abs=1e-8), (ell, k)
         # normalization
         assert f.values[0] == pytest.approx(1.0, abs=1e-10)
         assert f.values[1:].min() == pytest.approx(0.0, abs=1e-9)
@@ -321,7 +320,7 @@ def test_minor_polynomial_vs_scipy_oracle(corpus_spectra):
                                     bounds=(None, None), method="highs")
             assert res.status == 0, (label, k)
             f = minor_polynomial(s, k, pd=pd)
-            assert minor_trace(s, f) == pytest.approx(res.fun, abs=1e-6), (label, k)
+            assert s.trace(f.values) == pytest.approx(res.fun, abs=1e-6), (label, k)
             checked += 1
     assert checked == 269
 
@@ -369,7 +368,7 @@ def primal_max_margin(pd, k, neg):
     """Reference: the former primal ``_max_margin``, max t with y_j <= -t on
     ``neg``, |y| <= 1 and y in span(p_1..p_k), with d+1 definition rows,
     d+1 box rows and one margin row per element of ``neg``."""
-    d1 = len(pd.norms_sq)
+    d1 = len(pd.mesh_values)
     # variables: y_0..y_d, t, one slack per margin row y_j + t + slack = 0
     rows = np.hstack([np.eye(d1)[list(neg)], np.ones((len(neg), 1)),
                       np.eye(len(neg))])
@@ -640,7 +639,7 @@ def test_minor_polynomial_monotone_in_k():
     s = odd_spectrum(6)
     prev = None
     for k in range(1, s.d + 1):
-        tr = minor_trace(s, minor_polynomial(s, k))
+        tr = s.trace(minor_polynomial(s, k).values)
         if prev is not None:
             assert tr <= prev + 1e-9
         prev = tr
@@ -649,7 +648,7 @@ def test_minor_polynomial_monotone_in_k():
 def test_minor_polynomial_k_equals_d_is_hoffman():
     s = odd_spectrum(5)
     f = minor_polynomial(s, s.d)
-    assert minor_trace(s, f) == pytest.approx(1.0, abs=1e-9)
+    assert s.trace(f.values) == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(f.values, [1.0, 0, 0, 0, 0], atol=1e-9)
 
 

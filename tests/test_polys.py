@@ -74,7 +74,8 @@ def test_predistance_family_properties(corpus_spectra):
         for i in range(s.d + 1):
             for j in range(i + 1, s.d + 1):
                 assert abs(spectral_inner(s, V[i], V[j])) < 1e-8, (label, i, j)
-            assert V[i, 0] == pytest.approx(fam.norms_sq[i], rel=1e-8)
+            assert V[i, 0] == pytest.approx(spectral_inner(s, V[i], V[i]),
+                                            rel=1e-8)
         # sum p_i = Hoffman polynomial (mesh values (n, 0, ..., 0))
         total = V.sum(axis=0)
         assert total[0] == pytest.approx(s.n, rel=1e-8)
@@ -114,7 +115,8 @@ def test_predistance_matches_per_pass_reference(corpus_spectra):
         fam = predistance_polynomials(s)
         values, norms = per_pass_predistance_reference(s)
         assert fam.mesh_values.tobytes() == values.tobytes(), label
-        assert fam.norms_sq.tobytes() == norms.tobytes(), label
+        fam_norms = np.array([spectral_inner(s, v, v) for v in fam.mesh_values])
+        assert fam_norms.tobytes() == norms.tobytes(), label
 
 
 def test_predistance_qk_max_at_theta0(corpus_spectra):

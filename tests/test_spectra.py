@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import relabelled
+from conftest import check_hypercube_pi_ratios, check_pi_sum_identity, relabelled
 
 from specind import spectra
 from specind.errors import NoClosedForm
@@ -15,7 +15,6 @@ from specind.spectra import (
     classify_regularity,
     diagonal_stats,
     exact_family_spectrum,
-    pi_products,
     spectrum,
     srg_raw_spectrum,
 )
@@ -89,31 +88,33 @@ def test_pi_products_positive(corpus_spectra):
     for label, (_, s, _, _) in corpus_spectra.items():
         if s.d < 1:
             continue
-        pi = pi_products(s)
-        assert np.all(pi.pi > 0)
+        assert np.all(s.pi > 0)
+
+
+def test_pi_is_cached_read_only_and_needs_two_eigenvalues():
+    s = exact_family_spectrum(FamilySpec.parse("petersen"))
+    assert s.pi is s.pi
+    with pytest.raises(ValueError):
+        s.pi[0] = 1.0
+    one = spectra._from_pairs([(0.0, 3)])  # the edgeless graph on 3 vertices
+    with pytest.raises(ValueError, match="two distinct eigenvalues"):
+        one.pi
+
+
+def test_trace_of_one_and_of_x(corpus_spectra):
+    for label, (_, s, _, _) in corpus_spectra.items():
+        assert s.trace(np.ones(s.d + 1)) == s.n, label
+        assert abs(s.trace(s.distinct)) <= 1e-6 * s.n, label  # tr A = 0
 
 
 def test_pi_even_odd_sum_identity(corpus_spectra):
     """sum over even i of pi_0/pi_i equals the sum over odd i."""
-    for label, (_, s, _, _) in corpus_spectra.items():
-        if s.d < 1:
-            continue
-        pi = pi_products(s)
-        ratios = pi.pi[0] / pi.pi
-        even = float(ratios[0::2].sum())
-        odd = float(ratios[1::2].sum())
-        assert even == pytest.approx(odd, rel=1e-8), label
+    check_pi_sum_identity(corpus_spectra)
 
 
 def test_hypercube_pi_ratio_identity():
     """Q_m: pi_j/pi_0 = 1/C(m, j), so m_j pi_j/pi_0 = 1; m = 3, 4, 5."""
-    from math import comb
-    for m in (3, 4, 5):
-        s = exact_family_spectrum(FamilySpec.parse(f"hypercube:{m}"))
-        pi = pi_products(s)
-        for j in range(m + 1):
-            assert pi.pi[j] / pi.pi[0] == pytest.approx(1 / comb(m, j), rel=1e-9)
-            assert s.mults[j] * pi.pi[j] / pi.pi[0] == pytest.approx(1.0, rel=1e-9)
+    check_hypercube_pi_ratios()
 
 
 def test_regularity_ladder():
