@@ -290,10 +290,8 @@ def pd_ratio_bound(s: Spectrum, pd: PredistanceFamily) -> BoundReport:
 def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
                 dm: DistanceMatrix | None = None,
                 reg: RegularityReport | None = None,
-                sign_budget: float = 30.0,
                 pd: PredistanceFamily | None = None) -> list:
     """Run every applicable method for alpha_k and mark the minimum floor.
-    ``sign_budget`` is the sign-pattern search's wall-clock budget in s;
     ``pd``, when given, is ``predistance_polynomials(s)``."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -315,7 +313,7 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
         pd = predistance_polynomials(s)
     if reg.pwr_level >= k and k < d:
         try:
-            sol = optimize.sign_polynomial(s, k, sign_budget, pd=pd)
+            sol = optimize.sign_polynomial(s, k, pd=pd)
             out.append(pwr_inertia(s, sol.sign_mesh, k))
         except SpecindError as exc:
             out.append(_inapplicable("pwr_inertia", k,

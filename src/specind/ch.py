@@ -30,9 +30,6 @@ from .graphs import DistanceMatrix, Graph, distance_matrix
 from .polys import MeshPolynomial, predistance_polynomials
 from .spectra import Spectrum, classify_regularity, spectrum
 
-_REL_TOL = 1e-6
-
-
 @dataclass(frozen=True)
 class CHVerdict:
     k: int
@@ -87,24 +84,22 @@ class AntipodalVerdict:
     distance_regular: bool
 
 
-def linearly_related(sp: MeshPolynomial, f: MeshPolynomial,
+def linearly_related(sol: optimize.SignSolution, f: MeshPolynomial,
                      s: Spectrum) -> bool:
-    """Whether sp is a nonzero scalar multiple of (n / tr f(A)) f - 1.
+    """Whether a nonzero multiple of s_f = (n / tr f(A)) f - 1 is an optimal
+    sign polynomial, ``sol`` being the sign search's optimum.
 
-    Sign polynomials are scale-free certificates and negating one changes
-    which side of the inertia count it certifies, so scaling by either sign
-    counts as `the same' polynomial.
+    s_f has trace zero and degree <= k, so s_f and -s_f are both feasible;
+    a multiple a s_f has the inertia count of s_f when a > 0 and of -s_f
+    when a < 0.  So one exists exactly when s_f or -s_f attains the optimum,
+    whichever optimal certificate the search returned.
     """
-    derived = minor_to_sign(f, s).values
-    target = sp.values
-    denom = float(np.dot(derived, derived))
-    if denom < 1e-18:
-        return False
-    a = float(np.dot(derived, target)) / denom
-    if abs(a) < 1e-12:
-        return False
-    resid = np.linalg.norm(target - a * derived)
-    return bool(resid <= _REL_TOL * max(1.0, float(np.linalg.norm(target))))
+    sf = minor_to_sign(f, s).values
+    # pwr_inertia's count, with its zero tolerance and trace check; the k
+    # that labels its report is not read
+    counts = [pwr_inertia(s, MeshPolynomial(f.mesh, v), 0).value
+              for v in (sf, -sf)]
+    return sol.objective in counts
 
 
 def ch_classify(g: Graph, k: int, s: Spectrum | None = None,
@@ -125,7 +120,7 @@ def ch_classify(g: Graph, k: int, s: Spectrum | None = None,
     inertia = pwr_inertia(s, sol.sign_mesh, k).floor_value
     ratio = pwr_ratio(s, f, k).floor_value
     equal = inertia == ratio
-    related = linearly_related(sol.sign_mesh, f, s)
+    related = linearly_related(sol, f, s)
     is_ch = equal and related
     exact = None
     tight = None
@@ -222,14 +217,12 @@ def antipodal_check(g: Graph, s: Spectrum,
     eq_ok = False
     order_ok = False
     if is_integral:
-        pi = s.pi
-        eq_ok = True
-        for j in range(1, s.d + 1):
-            rhs = (pi[0] / pi[j]) * ((r - 1) if j % 2 else 1)
-            if abs(s.mults[j] - rhs) > 1e-8 * max(1.0, rhs):
-                eq_ok = False
-                break
-        order = 0.5 * r * float(np.sum(pi[0] / pi))
+        # equality in each multiplicity condition: m_j = pi_0/pi_j, times
+        # (r - 1) when j is odd
+        rep = multiplicity_feasibility(s, r)
+        eq_ok = all(abs(m - rhs) <= 1e-8 * max(1.0, rhs)
+                    for _, _, m, rhs in rep.even_ok + rep.odd_ok)
+        order = 0.5 * r * float(np.sum(s.pi[0] / s.pi))
         order_ok = abs(order - s.n) < 1e-8 * s.n
     is_dr = reg.is_distance_regular
     is_anti = is_integral and eq_ok and order_ok and is_dr

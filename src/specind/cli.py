@@ -36,9 +36,6 @@ from .spectra import (
     srg_raw_spectrum,
 )
 
-TABLES = ("t1", "t2", "minor-odd", "sign-odd6", "t4", "t5")
-
-
 def fixtures_dir() -> Path:
     env = os.environ.get("SPECIND_FIXTURES")
     return Path(env) if env else Path(__file__).parent / "data"
@@ -131,64 +128,37 @@ def cmd_classify(args) -> int:
 # Table replays
 
 
-def _resolve_source(source: str):
-    """Return a Graph for a row source, or None when the fixture is absent."""
+def _resolve_source(source: str) -> Graph:
     kind, _, rest = source.partition(":")
     if kind == "family":
         return generate(FamilySpec.parse(rest))
     if kind == "fixture":
-        path = fixtures_dir() / rest
-        if not path.exists():
-            return None
-        return parse_graph6(path.read_text())
+        return parse_graph6((fixtures_dir() / rest).read_text())
     raise ValueError(f"unknown row source {source!r}")
-
-
-def _row_result(row_id, computed, expected, note=""):
-    status = "ok" if computed == expected else "mismatch"
-    out = {"id": row_id, "status": status, "computed": computed, "expected": expected}
-    if note:
-        out["note"] = note
-    return out
 
 
 def _t1_row(row):
     g = _resolve_source(row["source"])
-    if g is None:
-        return {"id": row["id"], "status": "missing",
-                "note": f"fixture {row['source']} not bundled"}
     s = spectrum(g)
-    computed = {
-        "alpha": alpha_k_exact(g, 1).alpha_k,
-        "inertia": bounds_mod.cvetkovic_bound(s.raw).floor_value,
-        "ratio_floor": bounds_mod.hoffman_bound(
-            g.n, float(s.distinct[0]), float(s.distinct[-1])).floor_value,
-    }
-    expected = {c: row[c] for c in ("alpha", "inertia", "ratio_floor")}
-    return _row_result(row["id"], computed, expected, row.get("note", ""))
+    return {"alpha": alpha_k_exact(g, 1).alpha_k,
+            "inertia": bounds_mod.cvetkovic_bound(s.raw).floor_value,
+            "ratio_floor": bounds_mod.hoffman_bound(
+                g.n, float(s.distinct[0]), float(s.distinct[-1])).floor_value}
 
 
 def _t2_row(row):
     n, deg, lam, mu = row["params"]
     raw = srg_raw_spectrum(n, deg, lam, mu)
-    computed = {
-        "inertia": bounds_mod.cvetkovic_bound(raw).floor_value,
-        "ratio_floor": bounds_mod.hoffman_bound(
-            n, float(raw.max()), float(raw.min())).floor_value,
-    }
-    expected = {c: row[c] for c in ("inertia", "ratio_floor")}
-    return _row_result(row["id"], computed, expected, row.get("note", ""))
+    return {"inertia": bounds_mod.cvetkovic_bound(raw).floor_value,
+            "ratio_floor": bounds_mod.hoffman_bound(
+                n, float(raw.max()), float(raw.min())).floor_value}
 
 
 def _minor_row(row):
     s = exact_family_spectrum(FamilySpec.parse(row["family"]))
     f = optimize.minor_polynomial(s, row["k"])
-    computed = {
-        "values": [as_fraction_string(v) for v in f.values],
-        "trace": as_fraction_string(s.trace(f.values)),
-    }
-    expected = {"values": row["values"], "trace": row["trace"]}
-    return _row_result(f"{row['family']}-k{row['k']}", computed, expected)
+    return {"values": [as_fraction_string(v) for v in f.values],
+            "trace": as_fraction_string(s.trace(f.values))}
 
 
 def _sign_odd6_row(row):
@@ -199,40 +169,57 @@ def _sign_odd6_row(row):
         p = optimize.minor_polynomial(s, k)
     else:
         p = optimize.sign_polynomial(s, k).sign_mesh
-    computed = {
-        "values": [as_fraction_string(v) for v in p.values],
-        "coeffs": [as_fraction_string(c)
-                   for c in mesh_to_coeffs(p).coeffs[:k + 1]],
-        "trace": as_fraction_string(s.trace(p.values)),
-    }
-    return _row_result(row["id"], computed, row["expected"])
+    return {"values": [as_fraction_string(v) for v in p.values],
+            "coeffs": [as_fraction_string(c)
+                       for c in mesh_to_coeffs(p).coeffs[:k + 1]],
+            "trace": as_fraction_string(s.trace(p.values))}
 
 
 def _t4_row(row):
     g = generate(FamilySpec.parse(row["family"]))
-    s = spectrum(g)
-    computed = {
-        "alpha": alpha_k_exact(g, row["k"]).alpha_k,
-        "bound": bounds_mod.minimum_floor(bounds_mod.dminus1_bounds(s)),
-    }
-    expected = {c: row[c] for c in ("alpha", "bound")}
-    return _row_result(row["family"], computed, expected, row.get("bound_form", ""))
+    return {"alpha": alpha_k_exact(g, row["k"]).alpha_k,
+            "bound": bounds_mod.minimum_floor(
+                bounds_mod.dminus1_bounds(spectrum(g)))}
 
 
 def _t5_row(row):
     g = _resolve_source(row["source"])
-    if g is None:
-        return {"id": row["id"], "status": "missing",
-                "note": f"fixture {row['source']} not bundled"}
     s = spectrum(g)
-    pd = predistance_polynomials(s)
-    _, rr = bounds_mod.qk_bounds(s, pd, 2)
-    computed = {
-        "qk": rr.floor_value if rr.applicable else None,
-        "alpha2": alpha_k_exact(g, 2).alpha_k,
-    }
-    expected = {c: row[c] for c in ("qk", "alpha2")}
-    return _row_result(row["id"], computed, expected)
+    _, rr = bounds_mod.qk_bounds(s, predistance_polynomials(s), 2)
+    return {"qk": rr.floor_value if rr.applicable else None,
+            "alpha2": alpha_k_exact(g, 2).alpha_k}
+
+
+# table -> (row handler, the row's printed id as a format of its fields);
+# a handler returns the row's computed columns, and the replay compares them
+# with the row's own values for those columns
+_HANDLERS = {
+    "t1": (_t1_row, "{id}"),
+    "t2": (_t2_row, "{id}"),
+    "minor-odd": (_minor_row, "{family}-k{k}"),
+    "sign-odd6": (_sign_odd6_row, "{id}"),
+    "t4": (_t4_row, "{family}"),
+    "t5": (_t5_row, "{id}"),
+}
+TABLES = tuple(_HANDLERS)
+
+
+def _replay(handler, row_id: str, row) -> dict:
+    """One row's result: ok or mismatch, or missing when its fixture is
+    not bundled."""
+    kind, _, name = row.get("source", "").partition(":")
+    if kind == "fixture" and not (fixtures_dir() / name).exists():
+        return {"id": row_id, "status": "missing",
+                "note": f"fixture {row['source']} not bundled"}
+    computed = handler(row)
+    expected = {c: row[c] for c in computed}
+    out = {"id": row_id,
+           "status": "ok" if computed == expected else "mismatch",
+           "computed": computed, "expected": expected}
+    note = row.get("note") or row.get("bound_form")
+    if note:
+        out["note"] = note
+    return out
 
 
 def _row_ids(row) -> set:
@@ -252,7 +239,7 @@ def run_table(table_id: str, rows_filter=None) -> list:
     fix = json.loads(path.read_text())
     if table_id == "sign-odd6":  # one spectrum, a minor and a sign row
         rows = [{"id": part, "family": fix["family"], "k": fix["k"],
-                 "expected": fix[part]} for part in ("minor", "sign")]
+                 **fix[part]} for part in ("minor", "sign")]
     else:
         rows = fix["rows"]
     if rows_filter:
@@ -262,9 +249,8 @@ def run_table(table_id: str, rows_filter=None) -> list:
             raise ValueError(f"no row of table {table_id} has id "
                              + ", ".join(map(repr, sorted(unknown))))
         rows = [r for r in rows if _row_ids(r) & wanted]
-    handlers = {"t1": _t1_row, "t2": _t2_row, "minor-odd": _minor_row,
-                "sign-odd6": _sign_odd6_row, "t4": _t4_row, "t5": _t5_row}
-    return [handlers[table_id](r) for r in rows]
+    handler, id_form = _HANDLERS[table_id]
+    return [_replay(handler, id_form.format(**r), r) for r in rows]
 
 
 def cmd_table(args) -> int:

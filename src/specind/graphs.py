@@ -14,20 +14,6 @@ import numpy as np
 
 from .errors import DisconnectedGraph, InvalidFamilyParameters, MalformedGraph6
 
-FAMILIES = (
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "hypercube",
-    "circulant",
-    "kneser",
-    "odd",
-    "prism",
-    "moebius_ladder",
-    "petersen",
-)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Connected, simple, undirected graph.  ``automorphisms`` is a claimed
@@ -323,33 +309,30 @@ def _moebius_ladder(m: int) -> Graph:
     return replace(from_edges(n, edges, f"moebius_ladder:{m}"), automorphisms=_rotation(n))
 
 
+_CONSTRUCTORS = {
+    "cycle": _cycle,
+    "complete": _complete,
+    "complete_bipartite": _complete_bipartite,
+    "hypercube": _hypercube,
+    "circulant": _circulant,
+    "kneser": _kneser,
+    "odd": _odd,
+    "prism": _prism,
+    "moebius_ladder": _moebius_ladder,
+    "petersen": lambda: replace(_kneser(5, 2), label="petersen"),
+}
+FAMILIES = tuple(_CONSTRUCTORS)
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph of a family spec with its documented vertex ordering."""
     fam, p = spec.family, spec.parameters
+    if fam not in _CONSTRUCTORS:
+        raise InvalidFamilyParameters(f"unknown family {fam!r}")
     try:
-        if fam == "cycle":
-            return _cycle(*p)
-        if fam == "complete":
-            return _complete(*p)
-        if fam == "complete_bipartite":
-            return _complete_bipartite(*p)
-        if fam == "hypercube":
-            return _hypercube(*p)
-        if fam == "circulant":
-            return _circulant(*p)
-        if fam == "kneser":
-            return _kneser(*p)
-        if fam == "odd":
-            return _odd(*p)
-        if fam == "prism":
-            return _prism(*p)
-        if fam == "moebius_ladder":
-            return _moebius_ladder(*p)
-        if fam == "petersen":
-            return replace(_kneser(5, 2), label="petersen")
+        return _CONSTRUCTORS[fam](*p)
     except TypeError as exc:
         raise InvalidFamilyParameters(f"bad parameter count for {fam}: {p}") from exc
-    raise InvalidFamilyParameters(f"unknown family {fam!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,7 @@ def soundness_results(corpus_spectra):
             except SearchTimeout:
                 skipped.append((label, k, "exact oracle over budget"))
                 continue
-            for rep in best_bounds(g, k, s=s, dm=dm, reg=reg,
-                                   sign_budget=5.0):
+            for rep in best_bounds(g, k, s=s, dm=dm, reg=reg):
                 if rep.applicable:
                     checked.append((label, k, rep.method,
                                     rep.floor_value, exact))

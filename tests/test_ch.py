@@ -1,11 +1,14 @@
 """CH classification, simplex geometry, multiplicity feasibility,
 spectral excess, antipodality, and the strongly-regular tightness test."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import check_spectral_excess_theorem
 
 from specind import ch
+from specind.bounds import minor_to_sign, pwr_inertia
 from specind.ch import (
     antipodal_check,
     ch_classify,
@@ -20,6 +23,7 @@ from specind.errors import NegativeRadicand, NotApplicable, NotRegular, NotSRG
 from specind.exact import alpha_k_exact
 from specind.graphs import FamilySpec, generate
 from specind.optimize import minor_polynomial, sign_polynomial
+from specind.polys import MeshPolynomial
 from specind.spectra import exact_family_spectrum, spectrum
 
 
@@ -80,15 +84,84 @@ def test_tight_implies_ch_and_exact(corpus_spectra):
                 assert v.bounds_equal and v.linearly_related
 
 
+def signed_counts(s, f, k):
+    """The inertia counts of s_f and of -s_f."""
+    sf = minor_to_sign(f, s).values
+    return [pwr_inertia(s, MeshPolynomial(s.distinct, v), k).value
+            for v in (sf, -sf)]
+
+
 def test_linearly_related_sign_freedom():
-    """Scaling the sign polynomial by either sign keeps relatedness."""
+    """A negative multiple of s_f is related too: on kneser:6,2 at k = 1,
+    -s_f attains the optimum 5 where s_f counts 10.  The verdict does not
+    read the search's certificate, so negating it changes nothing."""
     s = exact_family_spectrum(FamilySpec.parse("kneser:6,2"))
     f = minor_polynomial(s, 1)
     sol = sign_polynomial(s, 1)
-    assert linearly_related(sol.sign_mesh, f, s)
-    from specind.polys import MeshPolynomial
-    flipped = MeshPolynomial(sol.sign_mesh.mesh, -sol.sign_mesh.values)
-    assert linearly_related(flipped, f, s)
+    assert sol.objective == 5 and signed_counts(s, f, 1) == [10, 5]
+    assert linearly_related(sol, f, s)
+    flipped = MeshPolynomial(s.distinct, -sol.sign_mesh.values)
+    assert linearly_related(replace(sol, sign_mesh=flipped), f, s)
+
+
+def lstsq_related(sp, f, s):
+    """Reference: the former least-squares form of ``ch.linearly_related``,
+    which fitted the search's certificate sp against s_f."""
+    derived = minor_to_sign(f, s).values
+    target = sp.values
+    denom = float(np.dot(derived, derived))
+    if denom < 1e-18:
+        return False
+    a = float(np.dot(derived, target)) / denom
+    if abs(a) < 1e-12:
+        return False
+    resid = np.linalg.norm(target - a * derived)
+    return bool(resid <= 1e-6 * max(1.0, float(np.linalg.norm(target))))
+
+
+def ch_pairs(corpus_spectra):
+    """(label, s, k) for the regular corpus graphs and k <= pwr level,
+    k < d; Tutte only up to k = 3, odd:6 left out."""
+    for label, (g, s, _, reg) in corpus_spectra.items():
+        if not reg.is_regular or label == "odd:6":
+            continue
+        for k in range(1, min(reg.pwr_level, s.d - 1) + 1):
+            if label != "tutte" or k <= 3:
+                yield label, s, k
+
+
+def test_linearly_related_contains_least_squares(corpus_spectra):
+    """Every pair the least-squares fit of the certificate called related
+    is related by the count test; 33 more are, and on each of those s_f
+    or -s_f attains the optimum."""
+    pairs = was = more = 0
+    for label, s, k in ch_pairs(corpus_spectra):
+        sol = sign_polynomial(s, k)
+        f = minor_polynomial(s, k)
+        old = lstsq_related(sol.sign_mesh, f, s)
+        new = linearly_related(sol, f, s)
+        assert new or not old, (label, k)
+        assert new == (sol.objective in signed_counts(s, f, k)), (label, k)
+        pairs += 1
+        was += old
+        more += new and not old
+    assert (pairs, more) == (158, 33) and was > 0
+
+
+@pytest.mark.parametrize("label,k", [("nauru", 2), ("tutte", 2), ("dyck", 3),
+                                     ("prism:6", 2)])
+def test_linearly_related_vs_scipy_sign_oracle(corpus_spectra, label, k):
+    """Pairs the least-squares fit called unrelated: the smaller count of
+    +-s_f is the optimum of scipy's MILP, which does not use the package's
+    sign search (in the Chebyshev basis, which stays well conditioned at
+    Tutte's d = 30)."""
+    pytest.importorskip("scipy.optimize")
+    from test_optimize import scipy_sign_milp
+
+    _, s, _, _ = corpus_spectra[label]
+    f = minor_polynomial(s, k)
+    assert linearly_related(sign_polynomial(s, k), f, s)
+    assert min(signed_counts(s, f, k)) == scipy_sign_milp(s, k, chebyshev=True)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,14 @@ def test_invalid_family_parameters(bad):
         generate(FamilySpec.parse(bad))
 
 
+@pytest.mark.parametrize("bad", ["cycle:3,4", "hypercube", "petersen:1"])
+def test_bad_parameter_count(bad):
+    """A wrong number of parameters is an error for every family, petersen
+    (which takes none) included."""
+    with pytest.raises(InvalidFamilyParameters, match="bad parameter count"):
+        generate(FamilySpec.parse(bad))
+
+
 def test_disconnected_circulant_rejected():
     with pytest.raises(DisconnectedGraph):
         generate(FamilySpec.parse("circulant:10,2"))

@@ -687,25 +687,37 @@ SIGN_ORACLE_GRAPHS = ("odd:4", "odd:5", "odd:6", "hypercube:4", "hypercube:5",
                       "hypercube:6", "petersen", "dodecahedron", "desargues")
 
 
-def scipy_sign_milp(s, k, eps=1e-4):
+def scipy_sign_milp(s, k, eps=1e-4, chebyshev=False):
     """Optimal sign-polynomial objective by scipy's MILP on the big-M mesh
     formulation: mesh values y in [-1, 1], divided differences of orders
     k+1..d and the trace vanish, and y_j <= -eps unless the binary b_j = 1;
-    minimize sum m_j b_j.  M = 2 suffices inside the box."""
+    minimize sum m_j b_j.  M = 2 suffices inside the box.  With
+    ``chebyshev`` the degree is imposed instead by y = sum_{i<=k} c_i
+    T_i(theta / theta_0) with free c_i: divided differences are
+    ill-conditioned when d is large (30 for Tutte), Chebyshev values on
+    [-1, 1] are not."""
     d1 = s.d + 1
     M = 2.0
-    rows = dd_coefficient_rows(s.distinct)
-    eq = [np.concatenate([rows[m] / np.abs(rows[m]).max(), np.zeros(d1)])
-          for m in range(k + 1, d1)]
-    eq.append(np.concatenate([s.mults / s.mults.max(), np.zeros(d1)]))
-    ind = np.hstack([np.eye(d1), -M * np.eye(d1)])
+    if chebyshev:
+        T = np.polynomial.chebyshev.chebvander(s.distinct / s.distinct[0], k)
+        eq = list(np.hstack([np.eye(d1), np.zeros((d1, d1)), -T]))
+    else:
+        T = np.zeros((d1, 0))
+        rows = dd_coefficient_rows(s.distinct)
+        eq = [np.concatenate([rows[m] / np.abs(rows[m]).max(), np.zeros(d1)])
+              for m in range(k + 1, d1)]
+    nc = T.shape[1]
+    eq.append(np.concatenate([s.mults / s.mults.max(), np.zeros(d1 + nc)]))
+    ind = np.hstack([np.eye(d1), -M * np.eye(d1), np.zeros((d1, nc))])
     res = scipy_opt.milp(
-        np.concatenate([np.zeros(d1), s.mults.astype(float)]),
+        np.concatenate([np.zeros(d1), s.mults.astype(float), np.zeros(nc)]),
         constraints=[scipy_opt.LinearConstraint(np.array(eq), 0.0, 0.0),
                      scipy_opt.LinearConstraint(ind, -np.inf, -eps)],
-        integrality=np.concatenate([np.zeros(d1), np.ones(d1)]),
-        bounds=scipy_opt.Bounds(np.concatenate([-np.ones(d1), np.zeros(d1)]),
-                                np.ones(2 * d1)))
+        integrality=np.concatenate([np.zeros(d1), np.ones(d1), np.zeros(nc)]),
+        bounds=scipy_opt.Bounds(np.concatenate([-np.ones(d1), np.zeros(d1),
+                                                np.full(nc, -np.inf)]),
+                                np.concatenate([np.ones(2 * d1),
+                                                np.full(nc, np.inf)])))
     assert res.status == 0, res.message
     return round(res.fun)
 
