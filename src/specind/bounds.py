@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,11 +27,9 @@ from .graphs import DistanceMatrix, Graph, distance_matrix
 from .polys import (
     CoeffPolynomial,
     MeshPolynomial,
-    PredistanceFamily,
     mesh_to_coeffs,
     mp2_index,
     mp4_index,
-    predistance_polynomials,
 )
 from .spectra import (
     RegularityReport,
@@ -254,9 +253,9 @@ def dminus1_bounds(s: Spectrum) -> list:
 # Predistance-polynomial bounds
 
 
-def qk_bounds(s: Spectrum, pd: PredistanceFamily, k: int) -> tuple:
+def qk_bounds(s: Spectrum, k: int) -> tuple:
     """Inertia and ratio bounds driven by q'_k = p_1 + ... + p_k."""
-    qk = pd.mesh_values[1:k + 1].sum(axis=0)
+    qk = s.predistance.mesh_values[1:k + 1].sum(axis=0)
     rep_i = BoundReport("qk_inertia", k, float(min(_sign_counts(s.mults, qk))),
                         mesh_to_coeffs(MeshPolynomial(s.distinct, qk)))
     lam = float(qk[1:].min())
@@ -267,12 +266,12 @@ def qk_bounds(s: Spectrum, pd: PredistanceFamily, k: int) -> tuple:
     return rep_i, rep_r
 
 
-def pd_ratio_bound(s: Spectrum, pd: PredistanceFamily) -> BoundReport:
+def pd_ratio_bound(s: Spectrum) -> BoundReport:
     """alpha_{d-1} <= n (1 + Lambda(p_d)) / (n + Lambda(p_d) - p_d(theta_0));
     tight (= r) for r-antipodal distance-regular graphs."""
     if s.d < 2:
         return _inapplicable("pd_ratio", 0, "d - 1 = 0 is out of range")
-    pdv = pd.mesh_values[-1]
+    pdv = s.predistance.mesh_values[-1]
     Lam = float(pdv.max())
     val = s.n * (1.0 + Lam) / (s.n + Lam - pdv[0])
     if abs(Lam - pdv[0]) < 1e-8 * max(1.0, abs(Lam)):
@@ -287,40 +286,61 @@ def pd_ratio_bound(s: Spectrum, pd: PredistanceFamily) -> BoundReport:
 # Aggregator
 
 
-def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
+@dataclass(frozen=True)
+class Analysis:
+    """A graph and its distance matrix, spectrum and regularity ladder, each
+    computed on first use and kept: one analysis serves every k and caller."""
+
+    g: Graph
+
+    @classmethod
+    def of(cls, g: Graph | Analysis, **known) -> Analysis:
+        """``g`` if it is an analysis, else a new one; the ``known`` values (s,
+        dm, reg) not None go in its dict, where each cached_property looks."""
+        a = g if isinstance(g, cls) else cls(g)
+        a.__dict__.update({k: v for k, v in known.items() if v is not None})
+        return a
+
+    @cached_property
+    def dm(self) -> DistanceMatrix:
+        return distance_matrix(self.g)
+
+    @cached_property
+    def s(self) -> Spectrum:
+        return spectrum(self.g)
+
+    @cached_property
+    def reg(self) -> RegularityReport:
+        return classify_regularity(self.g, self.s, self.dm)
+
+
+def best_bounds(g: Graph | Analysis, k: int, s: Spectrum | None = None,
                 dm: DistanceMatrix | None = None,
-                reg: RegularityReport | None = None,
-                pd: PredistanceFamily | None = None) -> list:
+                reg: RegularityReport | None = None) -> list:
     """Run every applicable method for alpha_k and mark the minimum floor.
-    ``pd``, when given, is ``predistance_polynomials(s)``."""
+    ``g`` is a graph or its analysis; k >= diameter needs no spectrum."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if dm is None:
-        dm = distance_matrix(g)
-    if k >= dm.diameter:
+    a = Analysis.of(g, s=s, dm=dm, reg=reg)
+    if k >= a.dm.diameter:
         return [BoundReport("trivial", k, 1.0, reason="k >= diameter")]
-    if s is None:
-        s = spectrum(g)
-    if reg is None:
-        reg = classify_regularity(g, s, dm)
+    s, reg = a.s, a.reg
     d = s.d
     out = []
     if k == 1:
         out.append(cvetkovic_bound(s.raw))
         if reg.is_regular:
-            out.append(hoffman_bound(g.n, float(s.raw[0]), float(s.raw[-1])))
-    if pd is None and reg.pwr_level >= k:
-        pd = predistance_polynomials(s)
+            out.append(hoffman_bound(a.g.n, float(s.raw[0]), float(s.raw[-1])))
     if reg.pwr_level >= k and k < d:
         try:
-            sol = optimize.sign_polynomial(s, k, pd=pd)
+            sol = optimize.sign_polynomial(s, k)
             out.append(pwr_inertia(s, sol.sign_mesh, k))
         except SpecindError as exc:
             out.append(_inapplicable("pwr_inertia", k,
                                      f"sign search failed: {exc}"))
         if reg.is_regular:
             try:
-                f = optimize.minor_polynomial(s, k, pd=pd)
+                f = optimize.minor_polynomial(s, k)
                 out.append(pwr_ratio(s, f, k))
             except SpecindError as exc:
                 out.append(_inapplicable("pwr_ratio", k, f"LP failed: {exc}"))
@@ -334,7 +354,7 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
     if k == d - 1 and reg.is_walk_regular:
         out.extend(dminus1_bounds(s))
     if reg.pwr_level >= k:
-        rep_i, rep_r = qk_bounds(s, pd, k)
+        rep_i, rep_r = qk_bounds(s, k)
         out.append(rep_i)
         if reg.is_regular:
             out.append(rep_r)
@@ -342,7 +362,7 @@ def best_bounds(g: Graph, k: int, s: Spectrum | None = None,
             out.append(_inapplicable("qk_ratio", k,
                                      "ratio-type bounds require a regular graph"))
         if k == d - 1 and reg.is_walk_regular:
-            out.append(pd_ratio_bound(s, pd))
+            out.append(pd_ratio_bound(s))
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimize
-from .bounds import minor_to_sign, pwr_inertia, pwr_ratio
+from .bounds import Analysis, minor_to_sign, pwr_inertia, pwr_ratio
 from .errors import (
     NegativeRadicand,
     NotApplicable,
@@ -26,9 +26,9 @@ from .errors import (
     SpecindError,
 )
 from .exact import alpha_k_exact
-from .graphs import DistanceMatrix, Graph, distance_matrix
-from .polys import MeshPolynomial, predistance_polynomials
-from .spectra import Spectrum, classify_regularity, spectrum
+from .graphs import DistanceMatrix, Graph
+from .polys import MeshPolynomial
+from .spectra import Spectrum
 
 @dataclass(frozen=True)
 class CHVerdict:
@@ -102,21 +102,18 @@ def linearly_related(sol: optimize.SignSolution, f: MeshPolynomial,
     return sol.objective in counts
 
 
-def ch_classify(g: Graph, k: int, s: Spectrum | None = None,
+def ch_classify(g: Graph | Analysis, k: int, s: Spectrum | None = None,
                 with_exact: bool = True,
                 timeout: float = 120.0) -> CHVerdict:
-    """Run the optimal sign and minor polynomials and compare their bounds."""
-    if s is None:
-        s = spectrum(g)
-    dm = distance_matrix(g)
-    reg = classify_regularity(g, s, dm)
+    """Compare the bounds of the optimal sign and minor polynomials of ``g``."""
+    a = Analysis.of(g, s=s)
+    s, reg = a.s, a.reg
     if reg.pwr_level < k:
         raise NotPWR(f"graph is only {reg.pwr_level}-partially walk-regular")
     if not reg.is_regular:
         raise NotRegular("ratio-type bounds require a regular graph")
-    pd = predistance_polynomials(s)
-    sol = optimize.sign_polynomial(s, k, pd=pd)
-    f = optimize.minor_polynomial(s, k, pd=pd)
+    sol = optimize.sign_polynomial(s, k)
+    f = optimize.minor_polynomial(s, k)
     inertia = pwr_inertia(s, sol.sign_mesh, k).floor_value
     ratio = pwr_ratio(s, f, k).floor_value
     equal = inertia == ratio
@@ -127,7 +124,7 @@ def ch_classify(g: Graph, k: int, s: Spectrum | None = None,
     note = ""
     if with_exact:
         try:
-            exact = alpha_k_exact(g, k, dm=dm, timeout=timeout).alpha_k
+            exact = alpha_k_exact(a.g, k, dm=a.dm, timeout=timeout).alpha_k
             tight = is_ch and inertia == exact
         except SpecindError as exc:
             note = f"exact unavailable: {exc}"
@@ -191,26 +188,21 @@ def spectral_excess(s: Spectrum) -> float:
     return s.n / total
 
 
-def mean_excess(g: Graph, dm: DistanceMatrix | None = None) -> float:
+def mean_excess(dm: DistanceMatrix) -> float:
     """Mean number of vertices at distance D, the diameter, from each vertex."""
-    if dm is None:
-        dm = distance_matrix(g)
     return float(np.mean(np.sum(dm.dist == dm.diameter, axis=1)))
 
 
-def antipodal_check(g: Graph, s: Spectrum,
-                    dm: DistanceMatrix | None = None) -> AntipodalVerdict:
-    """Certify r-antipodality: multiplicity equalities with r - 1 the mean
-    excess, the order identity n = (r/2) sum pi_0/pi_i, and combinatorial
-    distance-regularity."""
-    if dm is None:
-        dm = distance_matrix(g)
-    reg = classify_regularity(g, s, dm)
+def antipodal_check(a: Analysis) -> AntipodalVerdict:
+    """Certify r-antipodality of the analysed graph: multiplicity equalities
+    with r - 1 the mean excess, the order identity n = (r/2) sum pi_0/pi_i,
+    and combinatorial distance-regularity."""
+    s, reg = a.s, a.reg
     if not reg.is_walk_regular:
         raise NotWalkRegular("antipodality check requires walk-regularity")
-    if dm.diameter < s.d:
+    if a.dm.diameter < s.d:
         raise NotApplicable("diameter below spectral maximum: alpha_{d-1} = 1")
-    me = mean_excess(g, dm)
+    me = mean_excess(a.dm)
     r_f = 1.0 + me
     r = round(r_f)
     is_integral = abs(r_f - r) < 1e-9 and r >= 2

@@ -22,19 +22,13 @@ from .exact import alpha_k_exact
 from .graphs import (
     FamilySpec,
     Graph,
-    distance_matrix,
     generate,
     parse_edge_list,
     parse_graph6,
     to_graph6,
 )
-from .polys import as_fraction_string, mesh_to_coeffs, predistance_polynomials
-from .spectra import (
-    classify_regularity,
-    exact_family_spectrum,
-    spectrum,
-    srg_raw_spectrum,
-)
+from .polys import as_fraction_string, mesh_to_coeffs
+from .spectra import exact_family_spectrum, spectrum, srg_raw_spectrum
 
 def fixtures_dir() -> Path:
     env = os.environ.get("SPECIND_FIXTURES")
@@ -75,23 +69,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    g = _graph_from_args(args)
-    dm = distance_matrix(g)
-    ks = range(1, dm.diameter + 1) if args.k == "all" else [int(args.k)]
-    # one spectrum, regularity report and predistance family serve every k;
-    # k >= diameter needs none of them
-    s = reg = pd = None
-    if any(k < dm.diameter for k in ks):
-        s = spectrum(g)
-        reg = classify_regularity(g, s, dm)
-        pd = predistance_polynomials(s)
+    a = bounds_mod.Analysis(_graph_from_args(args))  # serves every k
+    ks = range(1, a.dm.diameter + 1) if args.k == "all" else [int(args.k)]
     by_k, bare = {}, set()
     for k in ks:
-        reps = bounds_mod.best_bounds(g, k, s=s, dm=dm, reg=reg, pd=pd)
+        reps = bounds_mod.best_bounds(a, k)
         if not reps:  # every method needs pwr_level >= k
             bare.add(k)
         if args.exact:
-            res = alpha_k_exact(g, k, dm=dm, timeout=args.timeout)
+            res = alpha_k_exact(a.g, k, dm=a.dm, timeout=args.timeout)
             reps.append(bounds_mod.BoundReport("exact", k, float(res.alpha_k)))
         by_k[k] = reps
     all_reports = [r for reps in by_k.values() for r in reps]
@@ -102,7 +88,7 @@ def cmd_bounds(args) -> int:
     else:
         for k, reps in by_k.items():
             if k in bare:
-                print(f"k={k}  no bound applies: pwr level {reg.pwr_level} < k")
+                print(f"k={k}  no bound applies: pwr level {a.reg.pwr_level} < k")
             for r in reps:
                 if r.applicable:
                     extra = f"  ({r.reason})" if r.reason else ""
@@ -185,7 +171,7 @@ def _t4_row(row):
 def _t5_row(row):
     g = _resolve_source(row["source"])
     s = spectrum(g)
-    _, rr = bounds_mod.qk_bounds(s, predistance_polynomials(s), 2)
+    _, rr = bounds_mod.qk_bounds(s, 2)
     return {"qk": rr.floor_value if rr.applicable else None,
             "alpha2": alpha_k_exact(g, 2).alpha_k}
 

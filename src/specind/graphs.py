@@ -1,4 +1,4 @@
-"""Graph representation, graph6 I/O, named families, distances, power graphs.
+"""Graph representation, graph6 I/O, named families, distances.
 
 Vertices are always 0..n-1.  Adjacency is a dense symmetric boolean matrix;
 target instances stay below ~1000 vertices, so dense storage is fine.
@@ -357,13 +357,3 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
         dist[reached] = d
         frontier = reached.astype(np.float32)
     return DistanceMatrix(dist, d)
-
-
-def power_graph(g: Graph, k: int, dm: DistanceMatrix | None = None) -> Graph:
-    """G^k: same vertices, edges between pairs at distance 1..k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if dm is None:
-        dm = distance_matrix(g)
-    adj = (dm.dist >= 1) & (dm.dist <= k)
-    return Graph(g.n, adj, f"{g.label}^{k}" if g.label else f"power:{k}")

@@ -44,7 +44,7 @@ from .errors import (
     SearchTimeout,
     Unbounded,
 )
-from .polys import MeshPolynomial, PredistanceFamily, predistance_polynomials
+from .polys import MeshPolynomial, PredistanceFamily
 from .spectra import Spectrum
 
 _TOL = 1e-9
@@ -164,22 +164,18 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 # Minor polynomial LP
 
 
-def minor_polynomial(s: Spectrum, k: int,
-                     pd: PredistanceFamily | None = None) -> MeshPolynomial:
+def minor_polynomial(s: Spectrum, k: int) -> MeshPolynomial:
     """Optimal minor polynomial of degree <= k for this spectrum.
 
     f = sum_{i<=k} c_i p_i with f(theta_0) = 1 and f(theta_1..theta_d) >= 0;
-    the multiplicity-weighted trace is minimized.  ``pd`` is the spectrum's
-    predistance family, built here when not given.
+    the multiplicity-weighted trace is minimized.
     """
     d = s.d
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}")
-    if pd is None:
-        pd = predistance_polynomials(s)
     # each p_i scaled to max |p_i(theta_j)| = 1: the c_i are free, so the
     # span is unchanged and the columns are comparable
-    P = pd.mesh_values[:k + 1]
+    P = s.predistance.mesh_values[:k + 1]
     P = P / np.abs(P).max(axis=1, keepdims=True)
     # columns u = y - e_0 >= 0, each c_i as two adjacent columns (+, -) and
     # one slack; rows u_j - sum_i c_i p_i(theta_j) = -[j = 0], then
@@ -290,8 +286,8 @@ def _max_margin(P: np.ndarray, A: np.ndarray, neg: tuple):
     return P.T @ tc[1:], t, x[:len(neg)]
 
 
-def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
-                    pd: PredistanceFamily | None = None) -> SignSolution:
+def sign_polynomial(s: Spectrum, k: int,
+                    time_budget: float = 30.0) -> SignSolution:
     """Optimal sign polynomial: the trace-zero polynomial of degree <= k
     whose negative mesh points carry the most multiplicity.
 
@@ -300,8 +296,7 @@ def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
     and that max-margin polynomial (in the box |y| <= 1) is the
     certificate, rescaled so that min_{i>=1} s(theta_i) = -1.  b_j = 0
     marks the negative set.  The search gives up with SearchTimeout after
-    ``time_budget`` wall-clock seconds.  ``pd`` is the spectrum's predistance
-    family, built here when not given.  An unrealized set N leaves the
+    ``time_budget`` wall-clock seconds.  An unrealized set N leaves the
     conflict S = supp(lambda) of its dual vertex.  For any later N' that
     contains S, that vertex is feasible in the dual for N' with objective
     t_N, so t_N' <= t_N <= 1e-7: N' is skipped without an LP, and the first
@@ -310,10 +305,8 @@ def sign_polynomial(s: Spectrum, k: int, time_budget: float = 30.0,
     d = s.d
     if not 1 <= k < d:
         raise ValueError(f"need 1 <= k < d, got k={k}")
-    if pd is None:
-        pd = predistance_polynomials(s)
+    P, A = _margin_rows(s.predistance, k)  # built once, each set selects its columns
     deadline = time.monotonic() + time_budget
-    P, A = _margin_rows(pd, k)  # built once, each set selects its columns
     y = np.zeros(d + 1)  # s = 0 certificate: no negative mesh value
     best = ()
     conflicts, lps, tried = [], 0, 0  # conflicts: each S as a mesh bitmask

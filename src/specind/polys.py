@@ -4,7 +4,8 @@ The mesh-value representation (values at theta_0 > ... > theta_d) is primary:
 every bound is linear in mesh values.  The predistance polynomials, orthogonal
 under the spectral inner product <p, q> = tr(p(A) q(A)) / n (``Spectrum.trace``
 of the product of mesh values), are the basis both optimization programs
-build their polynomials in.  Coefficient form is derived on demand through
+build their polynomials in; each spectrum keeps its family as
+``Spectrum.predistance``.  Coefficient form is derived on demand through
 Newton expansion.  The closed-form alpha_2 and alpha_3 bounds in ``bounds``
 pick their zeros with the MP2 and MP4 index rules kept here.
 """
@@ -13,11 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateInnerProduct, NoValidTheta
-from .spectra import Spectrum
+
+if TYPE_CHECKING:  # spectra imports this module for Spectrum.predistance
+    from .spectra import Spectrum
 
 
 @dataclass(frozen=True)
@@ -99,11 +103,6 @@ def mesh_to_coeffs(p: MeshPolynomial) -> CoeffPolynomial:
     return CoeffPolynomial(out)
 
 
-def coeffs_to_mesh(c: CoeffPolynomial, mesh: np.ndarray) -> MeshPolynomial:
-    return MeshPolynomial(np.asarray(mesh, dtype=float),
-                          np.asarray(c(mesh), dtype=float))
-
-
 def spectral_inner(s: Spectrum, u: np.ndarray, v: np.ndarray) -> float:
     """<p, q>_G = (1/n) sum m_i p(theta_i) q(theta_i) on mesh values."""
     return s.trace(u * v) / s.n
@@ -111,7 +110,7 @@ def spectral_inner(s: Spectrum, u: np.ndarray, v: np.ndarray) -> float:
 
 def predistance_polynomials(s: Spectrum) -> PredistanceFamily:
     """Gram-Schmidt on 1, x, x^2, ... under the spectral inner product,
-    scaled so that p_i(theta_0) = ||p_i||^2."""
+    scaled so that p_i(theta_0) = ||p_i||^2; ``s.predistance`` keeps it."""
     d = s.d
     theta = s.distinct
     # rows: orthogonal basis values on the mesh, built from monomials, and

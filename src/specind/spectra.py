@@ -1,8 +1,8 @@
 """Adjacency spectra, multiplicity grouping, regularity classes.
 
 A ``Spectrum`` carries what every layer derives from it: the order n, the
-trace tr p(A) = sum_i m_i p(theta_i) of a polynomial given by its mesh
-values, and the products pi_i = prod_{j != i} |theta_i - theta_j|.
+trace tr p(A) = sum_i m_i p(theta_i) of a polynomial by its mesh values,
+pi_i = prod_{j != i} |theta_i - theta_j| and the predistance polynomials.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from math import comb, cos, pi, sqrt
 import numpy as np
 
 from .errors import EigenFailure, GroupingAmbiguity, NoClosedForm
-from .graphs import DistanceMatrix, FamilySpec, Graph, distance_matrix
+from .graphs import DistanceMatrix, FamilySpec, Graph
+from .polys import PredistanceFamily, predistance_polynomials
 
 DEFAULT_TOL = 1e-8
 
@@ -53,6 +54,11 @@ class Spectrum:
         out = diff.prod(axis=1)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def predistance(self) -> PredistanceFamily:
+        """The predistance polynomials p_0..p_d on the mesh, built once."""
+        return predistance_polynomials(self)
 
     def to_json_dict(self) -> dict:
         def num(x):
@@ -229,7 +235,7 @@ def _intersection_numbers(a: np.ndarray, dm: DistanceMatrix):
 
 
 def classify_regularity(g: Graph, s: Spectrum,
-                        dm: DistanceMatrix | None = None) -> RegularityReport:
+                        dm: DistanceMatrix) -> RegularityReport:
     """Regularity ladder: regular / k-partially walk-regular / walk- / distance-."""
     deg = g.degrees()
     is_reg = bool(np.all(deg == deg[0]))
@@ -257,8 +263,6 @@ def classify_regularity(g: Graph, s: Spectrum,
     del power  # freed before the n x n intersection product below
     pwr = len(walks)
     is_wr = pwr == d
-    if dm is None:
-        dm = distance_matrix(g)
     # is_dr needs both, and only then is the array reported
     inter = _intersection_numbers(a, dm) if is_reg and dm.diameter == d else None
     is_dr = inter is not None

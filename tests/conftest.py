@@ -11,20 +11,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specind.bounds import best_bounds, reports_to_csv
+from specind.bounds import Analysis, best_bounds, reports_to_csv
 from specind.ch import mean_excess, spectral_excess
 from specind.errors import SearchTimeout
 from specind.exact import alpha_k_exact
 from specind.graphs import (
     FamilySpec,
+    Graph,
     distance_matrix,
     from_adjacency,
     generate,
     parse_graph6,
 )
 from specind.optimize import minor_polynomial, sign_polynomial
-from specind.polys import predistance_polynomials, spectral_inner
-from specind.spectra import classify_regularity, exact_family_spectrum, spectrum
+from specind.polys import spectral_inner
+from specind.spectra import exact_family_spectrum
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "specind" / "data"
 
@@ -64,6 +65,16 @@ def fixture_names():
     return sorted(p.stem for p in FIXTURE_DIR.glob("*.g6"))
 
 
+def power_graph(g, k: int, dm=None):
+    """Reference: G^k, same vertices, edges between pairs at distance 1..k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if dm is None:
+        dm = distance_matrix(g)
+    adj = (dm.dist >= 1) & (dm.dist <= k)
+    return Graph(g.n, adj, f"{g.label}^{k}" if g.label else f"power:{k}")
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """>= 40 graphs: every generator family plus all bundled fixtures."""
@@ -74,25 +85,29 @@ def corpus():
 
 
 @pytest.fixture(scope="session")
-def corpus_spectra(corpus):
-    """label -> (graph, spectrum, distance matrix, regularity report)."""
-    out = {}
-    for g in corpus:
-        s = spectrum(g)
-        dm = distance_matrix(g)
-        out[g.label] = (g, s, dm, classify_regularity(g, s, dm))
-    return out
+def corpus_analyses(corpus):
+    """label -> the graph's ``Analysis``, one per corpus graph."""
+    return {g.label: Analysis(g) for g in corpus}
 
 
 @pytest.fixture(scope="session")
-def soundness_results(corpus_spectra):
+def corpus_spectra(corpus_analyses):
+    """label -> (graph, spectrum, distance matrix, regularity report), read
+    from the graph's analysis."""
+    return {label: (a.g, a.s, a.dm, a.reg)
+            for label, a in corpus_analyses.items()}
+
+
+@pytest.fixture(scope="session")
+def soundness_results(corpus_analyses):
     """Every applicable bound floor vs the exact oracle, corpus-wide.
 
     Returns (checked, skipped): checked rows are
     (label, k, method, floor, exact); skipped rows are (label, k, why).
     """
     checked, skipped = [], []
-    for label, (g, s, dm, reg) in corpus_spectra.items():
+    for label, a in corpus_analyses.items():
+        g, dm = a.g, a.dm
         if g.n > SWEEP_MAX_N:
             skipped.append((label, None, f"n={g.n} > {SWEEP_MAX_N}"))
             continue
@@ -103,7 +118,7 @@ def soundness_results(corpus_spectra):
             except SearchTimeout:
                 skipped.append((label, k, "exact oracle over budget"))
                 continue
-            for rep in best_bounds(g, k, s=s, dm=dm, reg=reg):
+            for rep in best_bounds(a, k):
                 if rep.applicable:
                     checked.append((label, k, rep.method,
                                     rep.floor_value, exact))
@@ -126,7 +141,7 @@ def check_predistance_structure(corpus_spectra):
     for label, (_, s, _, _) in corpus_spectra.items():
         if s.d < 1:
             continue
-        V = predistance_polynomials(s).mesh_values
+        V = s.predistance.mesh_values
         scale = max(1.0, float(np.abs(V).max()))
         for i in range(s.d + 1):
             assert V[i, 0] == pytest.approx(spectral_inner(s, V[i], V[i]),
@@ -151,7 +166,7 @@ def check_spectral_excess_theorem(corpus_spectra):
         if not reg.is_regular or dm.diameter != s.d:
             continue
         pe = spectral_excess(s)
-        me = mean_excess(g, dm)
+        me = mean_excess(dm)
         agree = math.isclose(pe, me, rel_tol=1e-7)
         assert agree == reg.is_distance_regular, (label, pe, me)
         tested_dr += reg.is_distance_regular

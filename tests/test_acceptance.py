@@ -27,7 +27,7 @@ from specind.ch import antipodal_check, ch_classify
 from specind.exact import alpha_k_exact
 from specind.graphs import FamilySpec, generate
 from specind.optimize import minor_polynomial, sign_polynomial
-from specind.polys import mesh_to_coeffs, predistance_polynomials
+from specind.polys import mesh_to_coeffs
 from specind.spectra import (
     exact_family_spectrum,
     spectrum,
@@ -146,8 +146,7 @@ def test_criterion_08_qk_ratio_table5_fixtures(corpus_spectra):
     for name, floor in musts.items():
         assert want[name] == floor  # table fixture sanity
         _, s, _, _ = corpus_spectra[name]
-        pd = predistance_polynomials(s)
-        _, ratio = qk_bounds(s, pd, 2)
+        _, ratio = qk_bounds(s, 2)
         assert ratio.applicable and ratio.floor_value == floor, name
     # every bundled Table-5 fixture matches its recorded value
     from conftest import fixture_names
@@ -156,7 +155,7 @@ def test_criterion_08_qk_ratio_table5_fixtures(corpus_spectra):
         if name not in bundled or name not in corpus_spectra:
             continue
         _, s, _, _ = corpus_spectra[name]
-        _, ratio = qk_bounds(s, predistance_polynomials(s), 2)
+        _, ratio = qk_bounds(s, 2)
         assert ratio.applicable and ratio.floor_value == floor, name
 
 
@@ -178,10 +177,10 @@ def test_criterion_09_property_suites(corpus, corpus_spectra,
     check_hypercube_pi_ratios()
 
 
-def test_criterion_10_antipodal_pipeline(corpus_spectra):
+def test_criterion_10_antipodal_pipeline(corpus_analyses):
     for label in ["hypercube:3", "cycle:6"]:
-        g, s, dm, _ = corpus_spectra[label]
-        verdict = antipodal_check(g, s, dm=dm)
+        a = corpus_analyses[label]
+        verdict = antipodal_check(a)
         assert verdict.is_antipodal and verdict.r == 2, label
-        rep = pd_ratio_bound(s, predistance_polynomials(s))
+        rep = pd_ratio_bound(a.s)
         assert rep.value == pytest.approx(2.0, abs=1e-9), label

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import load_fixture
 
+from specind import bounds, exact
 from specind.bounds import (
     BoundReport,
     alpha2_bound,
@@ -26,6 +27,7 @@ from specind.bounds import (
     reports_to_csv,
     sign_to_minor,
 )
+from specind.ch import ch_classify
 from specind.errors import (
     BadNormalization,
     DegeneratePolynomial,
@@ -33,15 +35,11 @@ from specind.errors import (
     TraceNotZero,
 )
 from specind.exact import alpha_k_exact
-from specind.graphs import FamilySpec, from_adjacency, generate
+from specind.graphs import FamilySpec, distance_matrix, from_adjacency, generate
 from specind.optimize import minor_polynomial, sign_polynomial
-from specind.polys import (
-    CoeffPolynomial,
-    MeshPolynomial,
-    mesh_to_coeffs,
-    predistance_polynomials,
-)
+from specind.polys import CoeffPolynomial, MeshPolynomial, mesh_to_coeffs
 from specind.spectra import (
+    classify_regularity,
     exact_family_spectrum,
     spectrum,
     srg_raw_spectrum,
@@ -179,13 +177,12 @@ def test_pwr_programs_on_tutte(corpus_spectra, soundness_results):
     skipped by conflict pruning, 87 LPs) fits the soundness sweep's 5 s
     budget, so the sweep checks its floor."""
     _, s, _, _ = corpus_spectra["tutte"]
-    pd = predistance_polynomials(s)
     for k, floor, sign, alpha, lps, skipped in [(1, 21, 21, 19, 2, 25),
                                                 (2, 11, 13, 10, 37, 231),
                                                 (3, 7, 10, 6, 87, 1057)]:
-        rep = pwr_ratio(s, minor_polynomial(s, k, pd=pd), k)
+        rep = pwr_ratio(s, minor_polynomial(s, k), k)
         assert rep.applicable and rep.floor_value == floor >= alpha, k
-        sol = sign_polynomial(s, k, time_budget=5.0, pd=pd)
+        sol = sign_polynomial(s, k, time_budget=5.0)
         assert sol.objective == sign >= alpha, k
         assert (sol.lps, sol.skipped) == (lps, skipped), k
     checked, _ = soundness_results
@@ -384,8 +381,7 @@ def test_qk_bounds_table_values(corpus_spectra):
                            ("frucht", 2, 3), ("durer", 2, 3),
                            ("moebius-kantor", 2, 4)]:
         g, s, _, _ = corpus_spectra[label]
-        pd = predistance_polynomials(s)
-        _, ratio = qk_bounds(s, pd, k)
+        _, ratio = qk_bounds(s, k)
         assert ratio.applicable, label
         assert ratio.floor_value == want, label
 
@@ -395,8 +391,7 @@ def test_qk_k1_matches_classics_on_regular(corpus_spectra):
     k = 1 match the classic pair."""
     for label in ["petersen", "cycle:9", "hypercube:4"]:
         g, s, _, _ = corpus_spectra[label]
-        pd = predistance_polynomials(s)
-        rep_i, rep_r = qk_bounds(s, pd, 1)
+        rep_i, rep_r = qk_bounds(s, 1)
         assert rep_i.value == cvetkovic_bound(s.raw).value
         want = hoffman_bound(g.n, float(s.raw[0]), float(s.raw[-1])).value
         assert rep_r.value == pytest.approx(want, rel=1e-9)
@@ -404,16 +399,16 @@ def test_qk_k1_matches_classics_on_regular(corpus_spectra):
 
 def test_pd_ratio_examples(corpus_spectra):
     _, s, _, _ = corpus_spectra["hypercube:3"]
-    rep = pd_ratio_bound(s, predistance_polynomials(s))
+    rep = pd_ratio_bound(s)
     assert rep.value == pytest.approx(2.0, abs=1e-9)
     _, s, _, _ = corpus_spectra["petersen"]
-    rep = pd_ratio_bound(s, predistance_polynomials(s))
+    rep = pd_ratio_bound(s)
     assert rep.value >= 4.0  # upper bound on alpha_1 = 4
 
 
 def test_pd_ratio_guard_d1():
     s = exact_family_spectrum(FamilySpec.parse("complete:3"))
-    rep = pd_ratio_bound(s, predistance_polynomials(s))
+    rep = pd_ratio_bound(s)
     assert not rep.applicable
 
 
@@ -462,6 +457,42 @@ def test_best_bounds_deterministic():
     a = reports_to_csv(best_bounds(g, 2))
     b = reports_to_csv(best_bounds(g, 2))
     assert a == b
+
+
+def _seeded_only(*args, **kwargs):
+    raise AssertionError("a keyword-seeded value was computed again")
+
+
+@pytest.mark.parametrize("label", ["petersen", "odd:4", "frucht"])
+def test_keyword_forms_match_analysis(corpus_analyses, monkeypatch, label):
+    """The keyword forms benchmark code calls, best_bounds(g, k, s=, dm=,
+    reg=), ch_classify(g, k, s=, timeout=) and alpha_k_exact(g, k, dm=,
+    timeout=), use the values they are given and report what the graph's
+    Analysis does."""
+    a = corpus_analyses[label]
+    g = a.g
+    s = spectrum(g)
+    dm = distance_matrix(g)
+    reg = classify_regularity(g, s, dm)
+    ks = range(1, dm.diameter + 1)
+    ch_ks = range(1, min(reg.pwr_level, s.d - 1) + 1)
+    want_bounds = [reports_to_csv(best_bounds(a, k)) for k in ks]
+    want_exact = [alpha_k_exact(g, k) for k in ks]
+    want_ch = [ch_classify(a, k) for k in ch_ks]
+    assert ch_ks, label
+    for name in ("spectrum", "distance_matrix", "classify_regularity"):
+        monkeypatch.setattr(bounds, name, _seeded_only)
+    monkeypatch.setattr(exact, "distance_matrix", _seeded_only)
+    for k, want, want_x in zip(ks, want_bounds, want_exact):
+        got = best_bounds(g, k, s=s, dm=dm, reg=reg)
+        assert reports_to_csv(got) == want, (label, k)
+        got_x = alpha_k_exact(g, k, dm=dm, timeout=60.0)
+        assert (got_x.alpha_k, got_x.witness) == (want_x.alpha_k,
+                                                  want_x.witness), (label, k)
+    monkeypatch.undo()
+    monkeypatch.setattr(bounds, "spectrum", _seeded_only)
+    for k, want in zip(ch_ks, want_ch):
+        assert ch_classify(g, k, s=s, timeout=60.0) == want, (label, k)
 
 
 def test_reports_serialization():

@@ -8,7 +8,7 @@ import pytest
 from conftest import check_spectral_excess_theorem
 
 from specind import ch
-from specind.bounds import minor_to_sign, pwr_inertia
+from specind.bounds import Analysis, minor_to_sign, pwr_inertia
 from specind.ch import (
     antipodal_check,
     ch_classify,
@@ -24,7 +24,7 @@ from specind.exact import alpha_k_exact
 from specind.graphs import FamilySpec, generate
 from specind.optimize import minor_polynomial, sign_polynomial
 from specind.polys import MeshPolynomial
-from specind.spectra import exact_family_spectrum, spectrum
+from specind.spectra import exact_family_spectrum
 
 
 def test_kneser62_k1_tight_ch():
@@ -161,7 +161,7 @@ def test_linearly_related_vs_scipy_sign_oracle(corpus_spectra, label, k):
     _, s, _, _ = corpus_spectra[label]
     f = minor_polynomial(s, k)
     assert linearly_related(sign_polynomial(s, k), f, s)
-    assert min(signed_counts(s, f, k)) == scipy_sign_milp(s, k, chebyshev=True)
+    assert min(signed_counts(s, f, k)) == scipy_sign_milp(s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_multiplicity_feasibility_caps_r():
 def test_spectral_excess_petersen(corpus_spectra):
     g, s, dm, _ = corpus_spectra["petersen"]
     assert spectral_excess(s) == pytest.approx(6.0, rel=1e-9)
-    assert mean_excess(g, dm) == pytest.approx(6.0)
+    assert mean_excess(dm) == pytest.approx(6.0)
 
 
 def test_spectral_excess_theorem_both_directions(corpus_spectra):
@@ -236,30 +236,28 @@ def test_spectral_excess_theorem_both_directions(corpus_spectra):
     check_spectral_excess_theorem(corpus_spectra)
 
 
-def test_antipodal_q3_and_c6(corpus_spectra):
+def test_antipodal_q3_and_c6(corpus_analyses):
     for label in ["hypercube:3", "cycle:6"]:
-        g, s, dm, _ = corpus_spectra[label]
-        verdict = antipodal_check(g, s, dm=dm)
+        verdict = antipodal_check(corpus_analyses[label])
         assert verdict.is_antipodal and verdict.r == 2, label
 
 
 def test_antipodal_q4_and_prism():
     g = generate(FamilySpec.parse("hypercube:4"))
-    v = antipodal_check(g, spectrum(g))
+    v = antipodal_check(Analysis(g))
     assert v.is_antipodal and v.r == 2
 
 
-def test_not_antipodal(corpus_spectra):
+def test_not_antipodal(corpus_analyses):
     for label in ["petersen", "odd:4"]:
-        g, s, dm, _ = corpus_spectra[label]
-        v = antipodal_check(g, s, dm=dm)
+        v = antipodal_check(corpus_analyses[label])
         assert not v.is_antipodal, label
 
 
 def test_antipodal_guard_small_diameter():
     g = generate(FamilySpec.parse("prism:5"))  # D = 3 < d = 5
     with pytest.raises(NotApplicable):
-        antipodal_check(g, spectrum(g))
+        antipodal_check(Analysis(g))
 
 
 def test_antipodal_odd_diameter_is_tight_ch(corpus_spectra):
@@ -276,10 +274,9 @@ def test_antipodal_implies_tight_pd_ratio(corpus_spectra):
     """For the 2-antipodal instances, alpha_{d-1} = 2 is attained and the
     predistance ratio bound returns exactly r."""
     from specind.bounds import pd_ratio_bound
-    from specind.polys import predistance_polynomials
     for label in ["hypercube:3", "cycle:6"]:
         g, s, dm, _ = corpus_spectra[label]
-        rep = pd_ratio_bound(s, predistance_polynomials(s))
+        rep = pd_ratio_bound(s)
         assert rep.value == pytest.approx(2.0, abs=1e-9)
         assert alpha_k_exact(g, s.d - 1, dm=dm).alpha_k == 2
 

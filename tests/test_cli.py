@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from specind import bounds, cli, polys, spectra
+from specind import bounds, cli, spectra
 from specind.graphs import FamilySpec, distance_matrix, generate
 
 
@@ -77,19 +77,28 @@ def _fail(*args, **kwargs):
     raise AssertionError("the graph was analysed again")
 
 
-def test_bounds_all_k_analyses_graph_once(monkeypatch, capsys):
-    monkeypatch.setattr(bounds, "spectrum", _fail)
-    monkeypatch.setattr(bounds, "classify_regularity", _fail)
-    calls = []
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` with a wrapper that records each call."""
+    calls, fn = [], getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return spectra.classify_regularity(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "classify_regularity", counting, raising=False)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_bounds_all_k_analyses_graph_once(monkeypatch, capsys):
+    """One Analysis serves every k: one distance matrix, spectrum and
+    regularity ladder per graph, each built through the names the analysis
+    calls, none by the CLI itself."""
+    monkeypatch.setattr(cli, "spectrum", _fail)
+    calls = [_count_calls(monkeypatch, bounds, name)
+             for name in ("distance_matrix", "spectrum", "classify_regularity")]
     assert cli.main(["bounds", "--family", "hypercube:4", "--k", "all"]) == 0
     assert "best floor" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert [len(c) for c in calls] == [1, 1, 1]
 
 
 def _csv_lines(capsys, *args):
@@ -129,14 +138,8 @@ def test_one_parser_serves_every_call(capsys):
 
 
 def test_bounds_all_k_builds_predistance_family_once(monkeypatch, capsys):
-    built = []
-
-    def counting(s):
-        built.append(s)
-        return polys.predistance_polynomials(s)
-
-    monkeypatch.setattr(bounds, "predistance_polynomials", _fail)
-    monkeypatch.setattr(cli, "predistance_polynomials", counting)
+    """Every k reads the one family its spectrum keeps."""
+    built = _count_calls(monkeypatch, spectra, "predistance_polynomials")
     assert cli.main(["bounds", "--family", "odd:5", "--k", "all"]) == 0
     assert "best floor" in capsys.readouterr().out
     assert len(built) == 1

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import FAMILY_SPECS, relabelled
+from conftest import FAMILY_SPECS, power_graph, relabelled
 
 from specind import exact
 from specind.ch import ch_classify
@@ -18,7 +18,6 @@ from specind.graphs import (
     from_adjacency,
     generate,
     parse_graph6,
-    power_graph,
     to_graph6,
 )
 

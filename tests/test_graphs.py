@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import FAMILY_SPECS, relabelled
+from conftest import FAMILY_SPECS, power_graph, relabelled
 
 from specind.errors import (
     DisconnectedGraph,
@@ -19,7 +19,6 @@ from specind.graphs import (
     kneser_vertices,
     parse_edge_list,
     parse_graph6,
-    power_graph,
     to_graph6,
 )
 

@@ -319,7 +319,7 @@ def test_minor_polynomial_vs_scipy_oracle(corpus_spectra):
                                     A_ub=-P[:, 1:].T, b_ub=np.zeros(s.d),
                                     bounds=(None, None), method="highs")
             assert res.status == 0, (label, k)
-            f = minor_polynomial(s, k, pd=pd)
+            f = minor_polynomial(s, k)
             assert s.trace(f.values) == pytest.approx(res.fun, abs=1e-6), (label, k)
             checked += 1
     assert checked == 269
@@ -444,7 +444,7 @@ def test_pruned_search_matches_unpruned_reference(corpus_spectra):
         pd = predistance_polynomials(s)
         for k in range(1, min(s.d, reg.pwr_level + 1)):
             want = outcome(unpruned_sign_reference, s, k, pd)
-            got = outcome(sign_polynomial, s, k, 30.0, pd)
+            got = outcome(sign_polynomial, s, k, 30.0)
             if want[0] == "ok":
                 sol = got[1]
                 obj, b, y, ref_lps = want[1]
@@ -479,7 +479,7 @@ def test_conflicts_are_gordan_certificates(corpus_spectra, monkeypatch):
         pd = predistance_polynomials(s)
         for k in range(1, s.d):
             calls.clear()
-            sol = sign_polynomial(s, k, pd=pd)
+            sol = sign_polynomial(s, k)
             solved = {neg for neg, _, _ in calls}
             assert len(calls) == len(solved) == sol.lps, (label, k)
             for neg, (_, t, lam), P in calls:
@@ -512,18 +512,17 @@ def test_skipped_sets_count_against_the_deadline(corpus_spectra, monkeypatch):
     advances 1 s per read runs out at the 1144th candidate, the realized
     one, long after the 87th LP.  A real budget of 1e-4 s times out too."""
     s = corpus_spectra["tutte"][1]
-    pd = predistance_polynomials(s)
     with pytest.raises(SearchTimeout):
-        sign_polynomial(s, 3, time_budget=1e-4, pd=pd)
+        sign_polynomial(s, 3, time_budget=1e-4)
     for budget, times_out in ((1143.5, True), (1144.0, False)):
         ticks = iter(range(10 ** 6))
         monkeypatch.setattr(optimize, "time",
                             SimpleNamespace(monotonic=lambda: next(ticks)))
         if times_out:
             with pytest.raises(SearchTimeout):
-                sign_polynomial(s, 3, time_budget=budget, pd=pd)
+                sign_polynomial(s, 3, time_budget=budget)
         else:
-            sol = sign_polynomial(s, 3, time_budget=budget, pd=pd)
+            sol = sign_polynomial(s, 3, time_budget=budget)
             assert (sol.lps, sol.skipped, sol.objective) == (87, 1057, 10)
         assert next(ticks) == 1145  # one read to set the deadline, then 1144
 
@@ -575,12 +574,11 @@ def test_minor_start_basis_matches_two_phase(corpus_spectra, monkeypatch):
     kernel = optimize._simplex_standard
     checked = 0
     for label, (_, s, _, _) in corpus_spectra.items():
-        pd = predistance_polynomials(s)
         for k in range(1, s.d + 1):
-            got = minor_polynomial(s, k, pd=pd).values
+            got = minor_polynomial(s, k).values
             monkeypatch.setattr(optimize, "_simplex_standard",
                                 lambda A, b, c, start: kernel(A, b, c))
-            want = minor_polynomial(s, k, pd=pd).values
+            want = minor_polynomial(s, k).values
             monkeypatch.undo()
             assert got.tobytes() == want.tobytes(), (label, k)
             checked += 1
@@ -624,12 +622,11 @@ def test_carried_reduced_costs_match_recomputed(corpus_spectra, monkeypatch):
     monkeypatch.setattr(optimize, "_bland", check_bland)
     minor = sign = 0
     for _, s, _, reg in corpus_spectra.values():
-        pd = predistance_polynomials(s)
         for k in range(1, s.d + 1):
-            minor_polynomial(s, k, pd=pd)
+            minor_polynomial(s, k)
             minor += 1
         for k in range(1, min(s.d, reg.pwr_level + 1)):
-            sign_polynomial(s, k, 30.0, pd)
+            sign_polynomial(s, k, 30.0)
             sign += 1
     assert (minor, sign, optima) == (269, 163, 3551)
     assert worst <= 1e-9, worst  # 1.04e-10 when written
@@ -684,29 +681,23 @@ def test_sign_polynomial_indicator_consistency():
 
 
 SIGN_ORACLE_GRAPHS = ("odd:4", "odd:5", "odd:6", "hypercube:4", "hypercube:5",
-                      "hypercube:6", "petersen", "dodecahedron", "desargues")
+                      "hypercube:6", "petersen", "dodecahedron", "desargues",
+                      "tutte")
 
 
-def scipy_sign_milp(s, k, eps=1e-4, chebyshev=False):
+def scipy_sign_milp(s, k, eps=1e-4):
     """Optimal sign-polynomial objective by scipy's MILP on the big-M mesh
-    formulation: mesh values y in [-1, 1], divided differences of orders
-    k+1..d and the trace vanish, and y_j <= -eps unless the binary b_j = 1;
-    minimize sum m_j b_j.  M = 2 suffices inside the box.  With
-    ``chebyshev`` the degree is imposed instead by y = sum_{i<=k} c_i
-    T_i(theta / theta_0) with free c_i: divided differences are
-    ill-conditioned when d is large (30 for Tutte), Chebyshev values on
-    [-1, 1] are not."""
+    formulation: mesh values y in [-1, 1] with y = sum_{i<=k} c_i
+    T_i(theta / theta_0) for free c_i, zero trace, and y_j <= -eps unless
+    the binary b_j = 1; minimize sum m_j b_j.  M = 2 suffices inside the box.
+    The degree goes through Chebyshev values, which are well conditioned on
+    [-1, 1]; divided-difference rows are not when d is large (30 for Tutte,
+    where they give 1 for k = 1..3)."""
     d1 = s.d + 1
     M = 2.0
-    if chebyshev:
-        T = np.polynomial.chebyshev.chebvander(s.distinct / s.distinct[0], k)
-        eq = list(np.hstack([np.eye(d1), np.zeros((d1, d1)), -T]))
-    else:
-        T = np.zeros((d1, 0))
-        rows = dd_coefficient_rows(s.distinct)
-        eq = [np.concatenate([rows[m] / np.abs(rows[m]).max(), np.zeros(d1)])
-              for m in range(k + 1, d1)]
+    T = np.polynomial.chebyshev.chebvander(s.distinct / s.distinct[0], k)
     nc = T.shape[1]
+    eq = list(np.hstack([np.eye(d1), np.zeros((d1, d1)), -T]))
     eq.append(np.concatenate([s.mults / s.mults.max(), np.zeros(d1 + nc)]))
     ind = np.hstack([np.eye(d1), -M * np.eye(d1), np.zeros((d1, nc))])
     res = scipy_opt.milp(
@@ -724,14 +715,15 @@ def scipy_sign_milp(s, k, eps=1e-4, chebyshev=False):
 
 def test_sign_polynomial_vs_scipy_milp_oracle(corpus_spectra):
     """The sign-pattern search and scipy's branch and bound on the mesh
-    formulation find the same optimum on every applicable k."""
+    formulation find the same optimum on every applicable k, Tutte's
+    k = 1..3 (d = 30) included."""
     checked = 0
     for label in SIGN_ORACLE_GRAPHS:
         _, s, _, reg = corpus_spectra[label]
         for k in range(1, min(reg.pwr_level + 1, s.d)):
             assert sign_polynomial(s, k).objective == scipy_sign_milp(s, k), (label, k)
             checked += 1
-    assert checked == 30
+    assert checked == 33
 
 
 def test_negative_sets_enumeration():

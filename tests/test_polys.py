@@ -11,9 +11,9 @@ from specind.errors import NoValidTheta
 from specind.graphs import FamilySpec, generate
 from specind.optimize import minor_polynomial
 from specind.polys import (
+    CoeffPolynomial,
     MeshPolynomial,
     as_fraction_string,
-    coeffs_to_mesh,
     divided_differences,
     mesh_to_coeffs,
     mp2_index,
@@ -22,6 +22,12 @@ from specind.polys import (
     spectral_inner,
 )
 from specind.spectra import exact_family_spectrum
+
+
+def coeffs_to_mesh(c: CoeffPolynomial, mesh: np.ndarray) -> MeshPolynomial:
+    """Reference: a coefficient-form polynomial's values on a mesh."""
+    return MeshPolynomial(np.asarray(mesh, dtype=float),
+                          np.asarray(c(mesh), dtype=float))
 
 
 def petersen_spectrum():

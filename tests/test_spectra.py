@@ -126,7 +126,7 @@ def test_regularity_ladder():
     }
     for label, want in cases.items():
         g = generate(FamilySpec.parse(label))
-        rep = classify_regularity(g, spectrum(g))
+        rep = classify_regularity(g, spectrum(g), distance_matrix(g))
         assert rep.is_regular == want["reg"], label
         assert rep.is_walk_regular == want["wr"], label
         assert rep.is_distance_regular == want["dr"], label
@@ -141,7 +141,7 @@ def test_walk_regular_beyond_float_exactness(spec, d):
     s = spectrum(g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = classify_regularity(g, s)
+        rep = classify_regularity(g, s, distance_matrix(g))
     assert s.d == d
     assert rep.pwr_level == d and rep.is_walk_regular
 
@@ -161,7 +161,7 @@ def test_closed_walks_exact_past_float():
     """On a 150-cycle there are C(l, l/2) closed walks of even length l < 150
     and none of odd length; C(74, 37) is about 1.7e21, past 2^53."""
     g = generate(FamilySpec.parse("cycle:150"))
-    rep = classify_regularity(g, spectrum(g))
+    rep = classify_regularity(g, spectrum(g), distance_matrix(g))
     assert rep.closed_walks == tuple(0 if ell % 2 else comb(ell, ell // 2)
                                      for ell in range(1, 76))
 
@@ -175,7 +175,7 @@ def test_hoffman_graph_walk_regular_not_distance_regular(corpus_spectra):
 
 def test_irregular_graph_classified():
     g = generate(FamilySpec.parse("complete_bipartite:3,4"))
-    rep = classify_regularity(g, spectrum(g))
+    rep = classify_regularity(g, spectrum(g), distance_matrix(g))
     assert not rep.is_regular
     assert rep.degree is None
     assert rep.pwr_level >= 1
@@ -183,7 +183,7 @@ def test_irregular_graph_classified():
 
 def test_petersen_intersection_array():
     g = generate(FamilySpec.parse("petersen"))
-    rep = classify_regularity(g, spectrum(g))
+    rep = classify_regularity(g, spectrum(g), distance_matrix(g))
     assert rep.intersection_array == ((3, 2), (1, 1))
 
 

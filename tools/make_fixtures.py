@@ -23,7 +23,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from specind.exact import alpha_k_exact  # noqa: E402
-from specind.graphs import from_adjacency, from_edges, to_graph6  # noqa: E402
+from specind.graphs import (  # noqa: E402
+    distance_matrix,
+    from_adjacency,
+    from_edges,
+    to_graph6,
+)
 from specind.spectra import classify_regularity, spectrum  # noqa: E402
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "specind" / "data"
@@ -131,7 +136,8 @@ def hoffman_via_switching() -> nx.Graph:
         if not nx.is_connected(h) or not nx.is_bipartite(h):
             continue
         g = from_adjacency(b, label="hoffman")
-        if classify_regularity(g, spectrum(g)).is_distance_regular:
+        reg = classify_regularity(g, spectrum(g), distance_matrix(g))
+        if reg.is_distance_regular:
             continue  # switched onto an isomorphic copy of Q4
         return h
     raise RuntimeError("no Godsil-McKay switch on Q4 produced the Hoffman graph")
