@@ -18,8 +18,9 @@ LP as its dual, one row per unknown (t and c_1..c_k): the final basis gives
 the certificate; on an unrealized set N the vertex's lambda is a Gordan
 certificate that no polynomial of the span is negative on all of
 S = supp(lambda), so every later N' containing S is skipped.  Its dual rows
-are built once per search, over all d+1 mesh points, and each set selects
-its columns.
+and their phase-1 tableau are built once per search, over all d+1 mesh
+points; each set solves a copy of that tableau with the lambda columns off
+N held at zero, which takes the pivots of its own, smaller standard form.
 
 The simplex keeps its reduced costs as the tableau's last row, updated by
 every pivot.  Only the sign LPs run phase 1.  Their optima need not be
@@ -53,24 +54,26 @@ _TOL = 1e-9
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int):
     """Make column ``col`` basic in ``row``: scale the row to a unit pivot and
     subtract its multiples from the rows with a nonzero entry in ``col``, the
-    reduced-cost row included.
+    reduced-cost row included; rows with a zero entry are left untouched,
+    signed zeros included.
 
     The pivot entry becomes x / x = 1 and every other entry of the column
     y - y * 1 = 0, both exact in floating point, and later pivots leave such
     a column as it is.  So each basic column stays an exact unit vector: its
     reduced cost is exactly zero, and it is never a candidate to enter."""
     T[row] /= T[row, col]
-    rows = T[:, col] != 0
-    rows[row] = False
-    rows = rows.nonzero()[0]
-    T[rows] -= T[rows, col, None] * T[row]
+    multiplier = T[:, col].copy()
+    multiplier[row] = 0.0
+    np.subtract(T, multiplier[:, None] * T[row], out=T,
+                where=(multiplier != 0)[:, None])
     basis[row] = col
 
 
 def _price(T: np.ndarray, basis: np.ndarray, cost: np.ndarray):
-    """Write the reduced costs c - c_B T of ``cost`` into T's last row."""
-    T[-1, :-1] = cost
-    T[-1, -1] = 0.0
+    """Write the reduced costs c - c_B T of ``cost`` into T's last row; the
+    columns past ``len(cost)`` cost 0."""
+    T[-1] = 0.0
+    T[-1, :len(cost)] = cost
     T[-1] -= cost[basis] @ T[:-1]
 
 
@@ -82,20 +85,91 @@ def _bland(T: np.ndarray, basis: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     pivot updates; returns them at the optimum."""
     ncols = len(fixed)
     reduced = T[-1, :ncols]
-    rhs = T[:-1, -1]
     free = ~fixed
     while True:
         improving = (reduced < -_TOL) & free
         enter = int(improving.argmax())
         if not improving[enter]:
             return reduced
-        col = T[:-1, enter]
-        rows = (col > _TOL).nonzero()[0]
-        if not len(rows):
+        leave, least = -1, None
+        for i, (a, rhs, j) in enumerate(zip(T[:-1, enter].tolist(),
+                                            T[:-1, -1].tolist(),
+                                            basis.tolist())):
+            if a > _TOL and (least is None or (rhs / a, j) < least):
+                leave, least = i, (rhs / a, j)
+        if leave < 0:
             raise Unbounded("LP objective unbounded below")
-        ratios = rhs[rows] / col[rows]
-        tied = rows[ratios == ratios.min()]
-        _pivot(T, basis, tied[basis[tied].argmin()], enter)
+        _pivot(T, basis, leave, enter)
+
+
+def _scaled(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A | b] with b >= 0, each row scaled by its largest entry for
+    numerics (does not affect the vertex chosen by Bland)."""
+    Ab = np.hstack([A, b[:, None]])
+    Ab[b < 0] *= -1.0
+    s = np.abs(Ab).max(axis=1)
+    s[s == 0] = 1.0
+    Ab /= s[:, None]
+    return Ab
+
+
+def _tableau(A: np.ndarray, b: np.ndarray):
+    """Phase-1 tableau of Ax = b, x >= 0 (rows as ``_scaled`` leaves them):
+    [A | I | b; r | -z] with one artificial column per row, all of them
+    basic, and r the reduced costs of their sum.  Returns (T, basis)."""
+    m, n = A.shape
+    Ab = _scaled(A, b)
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = Ab[:, :n]
+    T[:m, -1] = Ab[:, n]
+    T[np.arange(m), np.arange(n, n + m)] = 1.0
+    basis = np.arange(n, n + m)
+    _price(T, basis, np.repeat([0.0, 1.0], [n, m]))
+    return T, basis
+
+
+def _solve(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
+           fixed: np.ndarray):
+    """Minimize c.x on the tableau T = [A | I | b; r | -z], in place, over
+    the n columns of A (c has n entries), the ``fixed`` ones held at zero.
+    The I block holds the artificial columns, empty when the basis is
+    already feasible; ``fixed`` spans A and I.  Returns (x, basis):
+    ``basis`` holds the final basic columns of A, one per row that is not
+    redundant.
+
+    While an artificial is basic, phase 1 minimizes their sum, priced in r.
+    The artificials that ``fixed`` leaves free may enter again.  The ones
+    still basic at its optimum are driven out where a column of A that is
+    not fixed can replace them, the first such one; the rows where none can
+    are redundant and dropped.  In phase 2 every artificial is fixed.
+
+    A stack of objectives c (shape (L, n)) is minimized lexicographically:
+    after each row's optimum, every non-basic column with a positive
+    reduced cost is fixed at zero, which leaves exactly that row's optimal
+    face for the next row."""
+    n = np.shape(c)[-1]
+    if (basis >= n).any():
+        _bland(T, basis, fixed)
+        artificial = basis >= n
+        if T[:-1, -1][artificial].sum() > 1e-7:
+            raise Infeasible("phase-1 optimum positive: empty feasible region")
+        if artificial.any():
+            active = (~fixed[:n]).nonzero()[0]
+            for i in artificial.nonzero()[0]:
+                cand = active[np.abs(T[i, active]) > _TOL]
+                if len(cand):
+                    _pivot(T, basis, i, cand[0])
+            keep = basis < n
+            T = T[np.append(keep, True)]  # the reduced-cost row stays last
+            basis = basis[keep]
+    fixed = fixed.copy()
+    fixed[n:] = True
+    for row in np.atleast_2d(c):
+        _price(T, basis, row)
+        fixed |= _bland(T, basis, fixed) > _TOL
+    x = np.zeros(n)
+    x[basis] = T[:-1, -1]
+    return x, basis
 
 
 def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -104,59 +178,23 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     Returns (x, c.x, basis): ``basis`` holds the final basic columns of A,
     one per row that is not redundant.
 
-    Without ``start`` the run has two phases: phase 1 minimizes the sum of
-    one artificial per row.  ``start`` names a feasible basis instead, the
-    column basic in each row: the tableau is pivoted onto it and only
-    phase 2 runs (Infeasible if that basis is not primal feasible).
-
-    A stack of objectives c (shape (L, n)) is minimized lexicographically on
-    one tableau: after each row's optimum, every non-basic column with a
-    positive reduced cost is fixed at zero, which leaves exactly that row's
-    optimal face for the next row.  Deterministic: repeated runs return
-    bit-identical vertices."""
-    m, n = A.shape
-    # [A | b] with b >= 0, each row scaled by its largest entry for numerics
-    # (does not affect the vertex chosen by Bland)
-    Ab = np.hstack([A, b[:, None]])
-    Ab[b < 0] *= -1.0
-    s = np.abs(Ab).max(axis=1)
-    s[s == 0] = 1.0
-    Ab /= s[:, None]
+    Without ``start`` the run has two phases, from ``_tableau``.  ``start``
+    names a feasible basis instead, the column basic in each row: the
+    tableau, without artificials, is pivoted onto it and only phase 2 runs
+    (Infeasible if that basis is not primal feasible).  A stack of
+    objectives c is minimized lexicographically (``_solve``).
+    Deterministic: repeated runs return bit-identical vertices."""
+    n = A.shape[1]
     if start is None:
-        T = np.zeros((m + 1, n + m + 1))
-        T[:m, :n] = Ab[:, :n]
-        T[:m, -1] = Ab[:, n]
-        T[np.arange(m), np.arange(n, n + m)] = 1.0
-        basis = np.arange(n, n + m)
-        cost = np.repeat([0.0, 1.0], [n, m])
-        _price(T, basis, cost)
-        _bland(T, basis, np.zeros(n + m, dtype=bool))
-        if cost[basis] @ T[:-1, -1] > 1e-7:
-            raise Infeasible("phase-1 optimum positive: empty feasible region")
-        # drive the artificials left in the basis out where a real column can
-        # replace them (basic ones are 0 in their rows); the rows where none
-        # can are redundant and dropped
-        for i in (basis >= n).nonzero()[0]:
-            cand = (np.abs(T[i, :n]) > _TOL).nonzero()[0]
-            if len(cand):
-                _pivot(T, basis, i, cand[0])
-        keep = basis < n
-        rows = np.append(keep, True)  # the reduced-cost row stays last
-        T = np.hstack([T[rows, :n], T[rows, -1:]])
-        basis = basis[keep]
+        T, basis = _tableau(A, b)
     else:
-        T = np.vstack([Ab, np.zeros(n + 1)])
+        T = np.vstack([_scaled(A, b), np.zeros(n + 1)])
         basis = np.array(start)
         for i, j in enumerate(basis):
             _pivot(T, basis, i, j)
         if T[:-1, -1].min() < -_TOL:
             raise Infeasible("start basis is not primal feasible")
-    fixed = np.zeros(n, dtype=bool)  # columns held at zero: off the optimal face
-    for row in np.atleast_2d(c):
-        _price(T, basis, row)
-        fixed |= _bland(T, basis, fixed) > _TOL
-    x = np.zeros(n)
-    x[basis] = T[:-1, -1]
+    x, basis = _solve(T, basis, c, np.zeros(T.shape[1] - 1, dtype=bool))
     return x, c @ x, basis
 
 
@@ -257,7 +295,8 @@ def _negative_sets(mults, k: int):
 def _margin_rows(pd: PredistanceFamily, k: int):
     """P = p_1..p_k on the mesh, rows scaled to max 1, and the max-margin
     LPs' dual rows over all d+1 mesh points: [1, 0, 0; P, P, -P], whose
-    column blocks are lambda, u and v."""
+    column blocks are lambda, u and v.  Each row's largest |entry| is
+    exactly 1.0 (x / x), so ``_scaled`` leaves the rows as they are."""
     P = pd.mesh_values[1:k + 1]
     P = P / np.abs(P).max(axis=1, keepdims=True)
     d1 = P.shape[1]
@@ -265,25 +304,35 @@ def _margin_rows(pd: PredistanceFamily, k: int):
     return P, np.vstack([total, np.hstack([P, P, -P])])
 
 
-def _max_margin(P: np.ndarray, A: np.ndarray, neg: tuple):
+def _max_margin(P: np.ndarray, A: np.ndarray, phase1: tuple, neg: tuple):
     """max t with y_j <= -t on ``neg``, |y| <= 1 and y = P^T c, with P and
-    the dual rows A from ``_margin_rows``; returns (y, t, lambda).
+    the dual rows A from ``_margin_rows`` and ``phase1`` = ``_tableau`` of
+    A, which this solves on a copy; returns (y, t, lambda), y = None unless
+    t > _MARGIN.
 
     Solved as its dual, k+1 rows in the unknowns (t, c): min sum(u + v)
     over lambda, u, v >= 0 with sum(lambda) = 1 and
     P_N lambda + P (u - v) = 0: A's lambda columns on N and all of its u
-    and v columns.  It is feasible and bounded below by 0, its
-    optimum is t, and (t, c) are its duals on the final basis.  The rows
-    are independent (the p_i are), so none is dropped and that basis is
-    square: at most k+1 entries of lambda (x[:|N|]) are nonzero.
+    and v columns, the other lambda columns held at zero.  It is feasible
+    and bounded below by 0, its optimum is t, and (t, c) are its duals on
+    the final basis.  The rows are independent (the p_i are), so none is
+    dropped and that basis is square: at most k+1 entries of lambda are
+    nonzero.
     """
     d1 = P.shape[1]
-    cols = np.concatenate([neg, np.arange(d1, 3 * d1)])
-    A = A[:, cols]
-    cost = np.repeat([0.0, 1.0], [len(neg), 2 * d1])
-    x, t, basis = _simplex_standard(A, np.eye(len(A))[0], cost)
-    tc = np.linalg.solve(A[:, basis].T, cost[basis])
-    return P.T @ tc[1:], t, x[:len(neg)]
+    T, basis = phase1
+    fixed = np.zeros(T.shape[1] - 1, dtype=bool)
+    fixed[:d1] = True
+    fixed[list(neg)] = False  # lambda is held at zero off N
+    cost = np.zeros(3 * d1)
+    cost[d1:] = 1.0  # sum(u + v)
+    x, basis = _solve(T.copy(), basis.copy(), cost, fixed)
+    cols = np.concatenate([neg, np.arange(d1, 3 * d1)])  # the active columns
+    t = cost[cols] @ x[cols]  # c.x summed as the set's own standard form sums it
+    y = None
+    if t > _MARGIN:
+        y = P.T @ np.linalg.solve(A[:, basis].T, cost[basis])[1:]
+    return y, t, x[cols[:len(neg)]]
 
 
 def sign_polynomial(s: Spectrum, k: int,
@@ -305,7 +354,8 @@ def sign_polynomial(s: Spectrum, k: int,
     d = s.d
     if not 1 <= k < d:
         raise ValueError(f"need 1 <= k < d, got k={k}")
-    P, A = _margin_rows(s.predistance, k)  # built once, each set selects its columns
+    P, A = _margin_rows(s.predistance, k)
+    phase1 = _tableau(A, np.eye(len(A))[0])  # built once, each set solves a copy
     deadline = time.monotonic() + time_budget
     y = np.zeros(d + 1)  # s = 0 certificate: no negative mesh value
     best = ()
@@ -316,7 +366,7 @@ def sign_polynomial(s: Spectrum, k: int,
         outside = ~sum(1 << j for j in neg)
         if any(S & outside == 0 for S in conflicts):
             continue
-        cand, t, lam = _max_margin(P, A, neg)
+        cand, t, lam = _max_margin(P, A, phase1, neg)
         lps += 1
         if t > _MARGIN:
             y, best = cand, neg

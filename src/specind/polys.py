@@ -88,16 +88,14 @@ def divided_differences(p: MeshPolynomial) -> np.ndarray:
 
 
 def mesh_to_coeffs(p: MeshPolynomial) -> CoeffPolynomial:
-    """Unique interpolating polynomial of degree <= d, via Newton expansion."""
-    dd = divided_differences(p)
-    poly = np.polynomial.polynomial
-    coeffs = np.zeros(1)
-    basis = np.ones(1)  # prod_{l<order} (x - theta_l)
-    for order, c in enumerate(dd):
-        coeffs = poly.polyadd(coeffs, c * basis)
-        basis = poly.polymul(basis, [-p.mesh[order], 1.0])
+    """Unique interpolating polynomial of degree <= d, via Newton expansion:
+    sum_m f[theta_0..theta_m] prod_{l<m} (x - theta_l), each product one
+    convolution with (x - theta_l) longer than the last."""
     out = np.zeros(len(p.mesh))
-    out[: len(coeffs)] = coeffs
+    basis = np.ones(1)  # prod_{l<order} (x - theta_l)
+    for order, c in enumerate(divided_differences(p)):
+        out[:order + 1] += c * basis
+        basis = np.convolve(basis, [-p.mesh[order], 1.0])
     # clip float fuzz in the leading terms
     out[np.abs(out) < 1e-12 * max(1.0, np.abs(out).max())] = 0.0
     return CoeffPolynomial(out)

@@ -28,6 +28,8 @@ from specind.optimize import (
     _max_margin,
     _negative_sets,
     _simplex_standard,
+    _solve,
+    _tableau,
     minor_polynomial,
     sign_polynomial,
 )
@@ -108,6 +110,12 @@ DRIVEN_OUT = (np.array([[0.0, -1.0, -1.0, -1.0],
                         [0.0, 1.0, 2.0, 0.0]]),
               np.array([-3.0, 3.0, 3.0]), np.array([-1.0, 1.0, 2.0, 1.0]))
 
+
+# Phase 1 pivots an artificial out and later back in; with the artificials
+# fixed in phase 1 the run takes another path to x = (0, 1), with +0.0
+# where this one gives -0.0.  Two of the four rows are redundant.
+REENTRY = (np.array([[-2.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
+           np.array([0.0, 1.0, 0.0, 1.0]), np.array([-1.0, 1.0]))
 
 # min -(x_0 + x_1) on x_0 + x_1 + x_2 = 1, x_1 + x_3 = 1: the optimal face is
 # the segment x_0 + x_1 = 1, x_2 = 0, and a second objective on x_3 picks
@@ -252,24 +260,54 @@ def loop_simplex(A, b, c, tol=1e-9):
     return x
 
 
+def sliced_form(A, neg):
+    """The standard form a candidate set N stands for: the max-margin dual
+    rows A sliced to the lambda columns on N and all u and v columns, with
+    b = e_0 and cost sum(u + v); returns (A_N, b, c, the columns of A)."""
+    d1 = A.shape[1] // 3
+    cols = np.concatenate([neg, np.arange(d1, 3 * d1)])
+    return (A[:, cols], np.eye(len(A))[0],
+            np.repeat([0.0, 1.0], [len(neg), 2 * d1]), cols)
+
+
 def test_simplex_matches_loop_reference(corpus_spectra, monkeypatch):
     """The array form takes the loop form's pivots: byte-identical vertices
     on the LPs above and on every LP the sign search solves on a few corpus
-    spectra, flower-snark's hard searches included.  These all have one
-    objective; the minor LP's objective stacks are checked against the
-    pinned-row reference below."""
-    lps = [*random_lps(), BEALE, *REDUNDANT, DRIVEN_OUT]
+    spectra, flower-snark's hard searches included.  Each sign LP is solved
+    on the search's shared tableau; its vertex on the set's columns is the
+    loop form's on the sliced standard form the set stands for, its other
+    lambda entries are zero, and ``_simplex_standard`` on the sliced form
+    takes the same pivots too.  These all have one objective; the minor
+    LP's objective stacks are checked against the pinned-row reference
+    below."""
+    lps = [*random_lps(), BEALE, *REDUNDANT, DRIVEN_OUT, REENTRY]
+    max_margin, solve = optimize._max_margin, optimize._solve
+    vertices, sign = [], []
 
-    def record(A, b, c):
-        lps.append((A.copy(), b.copy(), c.copy()))
-        return _simplex_standard(A, b, c)
+    def record_solve(T, basis, c, fixed):
+        out = solve(T, basis, c, fixed)
+        vertices.append(out[0])
+        return out
 
-    monkeypatch.setattr(optimize, "_simplex_standard", record)
+    def record(P, A, phase1, neg):
+        out = max_margin(P, A, phase1, neg)
+        sign.append((A, neg, vertices[-1]))
+        return out
+
+    monkeypatch.setattr(optimize, "_solve", record_solve)
+    monkeypatch.setattr(optimize, "_max_margin", record)
     for label in ("petersen", "odd:5", "hypercube:5", "frucht", "flower-snark"):
         s = corpus_spectra[label][1]
         for k in range(1, s.d):
             sign_polynomial(s, k)
     monkeypatch.undo()
+    assert len(sign) == 97
+    for A, neg, x in sign:
+        A_N, b, c, cols = sliced_form(A, neg)
+        want = loop_simplex(A_N, b, c)
+        assert x[cols].tobytes() == want.tobytes(), neg
+        assert not np.delete(x, cols).any(), neg
+        lps.append((A_N, b, c))
     for A, b, c in lps:
         x = _simplex_standard(A, b, c)[0]
         assert x.tobytes() == loop_simplex(A, b, c).tobytes()
@@ -379,39 +417,85 @@ def primal_max_margin(pd, k, neg):
     return x[:d1], x[d1]
 
 
+def margin_lp(pd, k):
+    """P, the dual rows A and their phase-1 tableau, as the search builds
+    them once per (spectrum, k)."""
+    P, A = _margin_rows(pd, k)
+    return P, A, _tableau(A, np.eye(len(A))[0])
+
+
 def test_max_margin_dual_matches_primal(corpus_spectra):
     """The (k+1)-row dual decides every candidate set the search visits as
     the former primal LP does, with t within 1e-9, and the realized
-    certificate is the primal's vertex within 1e-9."""
+    certificate is the primal's vertex within 1e-9; an unrealized set
+    gives no certificate (y is None)."""
     visited = realized = 0
     for label in ("petersen", "odd:5", "hypercube:5", "frucht", "flower-snark"):
         s = corpus_spectra[label][1]
         pd = predistance_polynomials(s)
         for k in range(1, s.d):
-            P, A = _margin_rows(pd, k)
+            P, A, phase1 = margin_lp(pd, k)
             for neg in _negative_sets(s.mults, k):
-                y, t, _ = _max_margin(P, A, neg)
-                assert len(y) == s.d + 1
+                y, t, _ = _max_margin(P, A, phase1, neg)
                 want_y, want_t = primal_max_margin(pd, k, neg)
                 assert (t > _MARGIN) == (want_t > _MARGIN), (label, k, neg)
                 assert abs(t - want_t) <= 1e-9, (label, k, neg)
                 visited += 1
                 if want_t > _MARGIN:
+                    assert len(y) == s.d + 1
                     assert np.abs(y - want_y).max() <= 1e-9, (label, k, neg)
                     realized += 1
                     break
+                assert y is None, (label, k, neg)
     assert (realized, visited) == (28, 249)
+
+
+def sliced_max_margin(P, A, neg):
+    """Reference: the former ``_max_margin``, which solved the standard form
+    sliced to the set's columns from scratch, and always derived the
+    duals; returns (y, t, lambda)."""
+    A_N, b, cost, _ = sliced_form(A, neg)
+    x, t, basis = _simplex_standard(A_N, b, cost)
+    tc = np.linalg.solve(A_N[:, basis].T, cost[basis])
+    return P.T @ tc[1:], t, x[:len(neg)]
+
+
+def test_shared_tableau_matches_sliced_reference(corpus_spectra):
+    """Every set the unpruned search visits on each corpus pair a report can
+    reach (k < d, k <= pwr_level; Tutte k <= 3) gets the same decision,
+    byte-equal t and lambda, and on realized sets byte-equal y, from the
+    search's shared phase-1 tableau as from the sliced standard form.  The
+    shared tableau skips the per-set row scaling, exactly: every row of the
+    dual rows A has largest entry exactly 1.0."""
+    pairs = visited = realized = 0
+    for label, (_, s, _, reg) in corpus_spectra.items():
+        for k in range(1, min(s.d, reg.pwr_level + 1)):
+            P, A, phase1 = margin_lp(s.predistance, k)
+            assert (np.abs(A).max(axis=1) == 1.0).all(), (label, k)
+            pairs += 1
+            for neg in _negative_sets(s.mults, k):
+                y, t, lam = _max_margin(P, A, phase1, neg)
+                want_y, want_t, want_lam = sliced_max_margin(P, A, neg)
+                assert (t > _MARGIN) == (want_t > _MARGIN), (label, k, neg)
+                assert t.tobytes() == want_t.tobytes(), (label, k, neg)
+                assert lam.tobytes() == want_lam.tobytes(), (label, k, neg)
+                visited += 1
+                if t > _MARGIN:
+                    assert y.tobytes() == want_y.tobytes(), (label, k, neg)
+                    realized += 1
+                    break
+    assert (pairs, realized, visited) == (163, 163, 2465)
 
 
 def unpruned_sign_reference(s, k, pd):
     """Reference: the former ``sign_polynomial``, one max-margin LP for every
     candidate set until the first realized one, with the same rescaling and
     post-checks; returns (objective, b, certificate, LPs solved)."""
-    P, A = _margin_rows(pd, k)
+    P, A, phase1 = margin_lp(pd, k)
     y = np.zeros(s.d + 1)
     best = ()
     for lps, neg in enumerate(_negative_sets(s.mults, k), 1):
-        cand, t, _ = _max_margin(P, A, neg)
+        cand, t, _ = _max_margin(P, A, phase1, neg)
         if t > _MARGIN:
             y, best = cand, neg
             break
@@ -467,8 +551,8 @@ def test_conflicts_are_gordan_certificates(corpus_spectra, monkeypatch):
     is unrealizable: the former primal LP gives it margin t <= 1e-7."""
     calls = []
 
-    def record(P, A, neg):
-        out = _max_margin(P, A, neg)
+    def record(P, A, phase1, neg):
+        out = _max_margin(P, A, phase1, neg)
         calls.append((neg, out, P))
         return out
 
@@ -597,18 +681,44 @@ def test_simplex_start_basis():
                           np.array([1.0, 1.0]), start=np.array([1]))
 
 
+def test_fixed_columns_stay_at_zero():
+    """Columns the ``fixed`` mask holds at zero never enter, in either phase
+    or in the drive-out, and leave the other columns' pivots as they are:
+    with a fixed, cheaper copy -A of A's columns in front, ``_solve`` takes
+    the pivots of A alone, byte for byte, on every LP above (the redundant
+    row's drop, DRIVEN_OUT's drive-out and REENTRY's artificial included)."""
+    for A, b, c in [*random_lps(), BEALE, *REDUNDANT, DRIVEN_OUT, REENTRY]:
+        n = A.shape[1]
+        T, basis = _tableau(np.hstack([-A, A]), b)
+        fixed = np.zeros(T.shape[1] - 1, dtype=bool)
+        fixed[:n] = True
+        x, basis = _solve(T, basis, np.concatenate([-c, c]), fixed)
+        want, _, want_basis = _simplex_standard(A, b, c)
+        assert not x[:n].any()
+        assert x[n:].tobytes() == want.tobytes()
+        assert (basis == want_basis + n).all()
+
+
 def test_carried_reduced_costs_match_recomputed(corpus_spectra, monkeypatch):
     """At every optimum the reduced-cost row that each pivot updates is
     within 1e-9 of c - c_B T recomputed from the tableau, its -z entry
     included: every phase of every LP the minor LP (k = 1..d, Tutte's 30
     included) and the sign search (each pair a report can reach, as in the
-    pruned-search test) solve on the corpus."""
-    price, bland = optimize._price, optimize._bland
+    pruned-search test) solve on the corpus.  A sign search prices its
+    phase-1 row once, on the tableau every set solves a copy of, so each
+    solve that starts from artificials records the phase-1 cost again."""
+    price, bland, solve = optimize._price, optimize._bland, optimize._solve
     costs, optima, worst = [], 0, 0.0
 
     def record_price(T, basis, cost):
-        costs.append(np.append(cost, 0.0))
+        costs.append(np.pad(cost, (0, T.shape[1] - len(cost))))
         price(T, basis, cost)
+
+    def record_solve(T, basis, c, fixed):
+        n = np.shape(c)[-1]
+        if (basis >= n).any():
+            costs.append(np.repeat([0.0, 1.0, 0.0], [n, len(fixed) - n, 1]))
+        return solve(T, basis, c, fixed)
 
     def check_bland(T, basis, fixed):
         nonlocal optima, worst
@@ -619,6 +729,7 @@ def test_carried_reduced_costs_match_recomputed(corpus_spectra, monkeypatch):
         return reduced
 
     monkeypatch.setattr(optimize, "_price", record_price)
+    monkeypatch.setattr(optimize, "_solve", record_solve)
     monkeypatch.setattr(optimize, "_bland", check_bland)
     minor = sign = 0
     for _, s, _, reg in corpus_spectra.values():

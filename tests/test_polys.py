@@ -9,7 +9,7 @@ import pytest
 
 from specind.errors import NoValidTheta
 from specind.graphs import FamilySpec, generate
-from specind.optimize import minor_polynomial
+from specind.optimize import minor_polynomial, sign_polynomial
 from specind.polys import (
     CoeffPolynomial,
     MeshPolynomial,
@@ -145,6 +145,42 @@ def test_predistance_equals_distance_polynomials_on_drg(corpus_spectra):
         for i in range(s.d + 1):
             k_i = int(np.sum(dm.dist[0] == i))
             assert fam.mesh_values[i, 0] == pytest.approx(k_i, rel=1e-8)
+
+
+def polyadd_coeffs_reference(p: MeshPolynomial) -> CoeffPolynomial:
+    """Reference: the former ``mesh_to_coeffs``, the Newton expansion through
+    numpy.polynomial's ``polyadd`` and ``polymul``."""
+    dd = divided_differences(p)
+    poly = np.polynomial.polynomial
+    coeffs = np.zeros(1)
+    basis = np.ones(1)
+    for order, c in enumerate(dd):
+        coeffs = poly.polyadd(coeffs, c * basis)
+        basis = poly.polymul(basis, [-p.mesh[order], 1.0])
+    out = np.zeros(len(p.mesh))
+    out[: len(coeffs)] = coeffs
+    out[np.abs(out) < 1e-12 * max(1.0, np.abs(out).max())] = 0.0
+    return CoeffPolynomial(out)
+
+
+def test_mesh_to_coeffs_matches_polyadd_reference(corpus_spectra):
+    """In-place adds and ``np.convolve`` give the reference's coefficient
+    bytes on every corpus predistance row, every q'_k (k = 1..d), every
+    minor polynomial (k = 1..d) and every sign certificate of a pair a
+    report can reach (k < d, k <= pwr_level; Tutte k <= 3)."""
+    checked = 0
+    for label, (_, s, _, reg) in corpus_spectra.items():
+        V = s.predistance.mesh_values
+        meshes = [*V, *(V[1:k + 1].sum(axis=0) for k in range(1, s.d + 1))]
+        meshes += [minor_polynomial(s, k).values for k in range(1, s.d + 1)]
+        meshes += [sign_polynomial(s, k).sign_mesh.values
+                   for k in range(1, min(s.d, reg.pwr_level + 1))]
+        for values in meshes:
+            p = MeshPolynomial(s.distinct, values.copy())
+            got = mesh_to_coeffs(p).coeffs
+            assert got.tobytes() == polyadd_coeffs_reference(p).coeffs.tobytes(), label
+            checked += 1
+    assert checked == 1025  # 324 rows, 269 q'_k, 269 minor, 163 sign
 
 
 def test_hoffman_polynomial_petersen():
