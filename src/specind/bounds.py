@@ -255,7 +255,7 @@ def dminus1_bounds(s: Spectrum) -> list:
 
 def qk_bounds(s: Spectrum, k: int) -> tuple:
     """Inertia and ratio bounds driven by q'_k = p_1 + ... + p_k."""
-    qk = s.predistance.mesh_values[1:k + 1].sum(axis=0)
+    qk = s.predistance.rows(k)[1:].sum(axis=0)
     rep_i = BoundReport("qk_inertia", k, float(min(_sign_counts(s.mults, qk))),
                         mesh_to_coeffs(MeshPolynomial(s.distinct, qk)))
     lam = float(qk[1:].min())
@@ -289,7 +289,9 @@ def pd_ratio_bound(s: Spectrum) -> BoundReport:
 @dataclass(frozen=True)
 class Analysis:
     """A graph and its distance matrix, spectrum and regularity ladder, each
-    computed on first use and kept: one analysis serves every k and caller."""
+    computed on first use and kept: one analysis serves every k and caller.
+    The exact oracle keeps its verdict on the graph's symmetry here too, as
+    ``rooted`` (``exact._rooted``), since finding it takes a deadline."""
 
     g: Graph
 

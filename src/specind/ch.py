@@ -124,7 +124,7 @@ def ch_classify(g: Graph | Analysis, k: int, s: Spectrum | None = None,
     note = ""
     if with_exact:
         try:
-            exact = alpha_k_exact(a.g, k, dm=a.dm, timeout=timeout).alpha_k
+            exact = alpha_k_exact(a, k, timeout=timeout).alpha_k
             tight = is_ch and inertia == exact
         except SpecindError as exc:
             note = f"exact unavailable: {exc}"

@@ -77,7 +77,7 @@ def cmd_bounds(args) -> int:
         if not reps:  # every method needs pwr_level >= k
             bare.add(k)
         if args.exact:
-            res = alpha_k_exact(a.g, k, dm=a.dm, timeout=args.timeout)
+            res = alpha_k_exact(a, k, timeout=args.timeout)
             reps.append(bounds_mod.BoundReport("exact", k, float(res.alpha_k)))
         by_k[k] = reps
     all_reports = [r for reps in by_k.values() for r in reps]
@@ -162,10 +162,10 @@ def _sign_odd6_row(row):
 
 
 def _t4_row(row):
-    g = generate(FamilySpec.parse(row["family"]))
-    return {"alpha": alpha_k_exact(g, row["k"]).alpha_k,
+    spec = FamilySpec.parse(row["family"])
+    return {"alpha": alpha_k_exact(generate(spec), row["k"]).alpha_k,
             "bound": bounds_mod.minimum_floor(
-                bounds_mod.dminus1_bounds(spectrum(g)))}
+                bounds_mod.dminus1_bounds(exact_family_spectrum(spec)))}
 
 
 def _t5_row(row):

@@ -338,22 +338,41 @@ def generate(spec: FamilySpec) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _bit_rows(rows: np.ndarray) -> np.ndarray:
+    """An (n, n) boolean matrix as rows of little-endian 64-bit words."""
+    n = rows.shape[0]
+    out = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
+    out[:, :(n + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
+    return out.view(np.uint64)
+
+
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Hop distances by a BFS from every source at once: row s of the 0/1
-    frontier is the level of s, and the next level is (frontier @ A > 0) among
-    the pairs not yet reached.  The product counts neighbours, at most n, so
-    float32 is exact.  The graph is connected by construction."""
+    """Hop distances by a BFS from every source at once.  Row v of the bit
+    frontier holds the sources s whose level reaches v, so the next frontier
+    at v is the OR of the frontier rows at v's neighbours, one ``reduceat``
+    over the adjacency lists, among the pairs not yet reached: O(deg n^2 / 64)
+    word operations a level.  A graph built without ``from_adjacency``'s
+    check may be disconnected: an isolated vertex (whose empty adjacency
+    list ``reduceat`` cannot read) or a level that reaches nothing while
+    pairs are left raises DisconnectedGraph."""
     n = g.n
-    a = g.adjacency.astype(np.float32)
+    rows, cols = np.nonzero(g.adjacency)
+    starts = np.searchsorted(rows, np.arange(n))
+    nonempty = (starts[1:] > starts[:-1]).all() and starts[-1] < len(cols)
+    if n > 1 and not nonempty:
+        raise DisconnectedGraph(f"graph {g.label!r} has an isolated vertex")
+    frontier = _bit_rows(np.eye(n, dtype=bool))
+    unseen = _bit_rows(~np.eye(n, dtype=bool))
     dist = np.full((n, n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
-    frontier = np.eye(n, dtype=np.float32)
     d = 0
-    while True:
-        reached = (frontier @ a > 0) & (dist < 0)
-        if not reached.any():
-            break
+    while unseen.any():
+        frontier = np.bitwise_or.reduceat(np.take(frontier, cols, axis=0),
+                                          starts, axis=0) & unseen
+        if not frontier.any():
+            raise DisconnectedGraph(f"graph {g.label!r} is not connected")
         d += 1
-        dist[reached] = d
-        frontier = reached.astype(np.float32)
+        unseen ^= frontier  # the frontier lies within the unseen pairs
+        dist[np.unpackbits(frontier.view(np.uint8), axis=1, count=n,
+                           bitorder="little").view(bool)] = d
     return DistanceMatrix(dist, d)

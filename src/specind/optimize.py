@@ -213,7 +213,7 @@ def minor_polynomial(s: Spectrum, k: int) -> MeshPolynomial:
         raise ValueError(f"need 1 <= k <= d, got k={k}")
     # each p_i scaled to max |p_i(theta_j)| = 1: the c_i are free, so the
     # span is unchanged and the columns are comparable
-    P = s.predistance.mesh_values[:k + 1]
+    P = s.predistance.rows(k)
     P = P / np.abs(P).max(axis=1, keepdims=True)
     # columns u = y - e_0 >= 0, each c_i as two adjacent columns (+, -) and
     # one slack; rows u_j - sum_i c_i p_i(theta_j) = -[j = 0], then
@@ -297,7 +297,7 @@ def _margin_rows(pd: PredistanceFamily, k: int):
     LPs' dual rows over all d+1 mesh points: [1, 0, 0; P, P, -P], whose
     column blocks are lambda, u and v.  Each row's largest |entry| is
     exactly 1.0 (x / x), so ``_scaled`` leaves the rows as they are."""
-    P = pd.mesh_values[1:k + 1]
+    P = pd.rows(k)[1:]
     P = P / np.abs(P).max(axis=1, keepdims=True)
     d1 = P.shape[1]
     total = np.repeat([1.0, 0.0], [d1, 2 * d1])  # sum(lambda) = 1

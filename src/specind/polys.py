@@ -5,7 +5,8 @@ every bound is linear in mesh values.  The predistance polynomials, orthogonal
 under the spectral inner product <p, q> = tr(p(A) q(A)) / n (``Spectrum.trace``
 of the product of mesh values), are the basis both optimization programs
 build their polynomials in; each spectrum keeps its family as
-``Spectrum.predistance``.  Coefficient form is derived on demand through
+``Spectrum.predistance``, whose rows are built only as far as a caller
+reads them.  Coefficient form is derived on demand through
 Newton expansion.  The closed-form alpha_2 and alpha_3 bounds in ``bounds``
 pick their zeros with the MP2 and MP4 index rules kept here.
 """
@@ -65,15 +66,46 @@ class CoeffPolynomial:
         return {"coeffs": list(map(float, self.coeffs))}
 
 
-@dataclass(frozen=True)
 class PredistanceFamily:
     """Orthogonal polynomials p_0..p_d for the spectral inner product, by
-    their values on the mesh."""
+    their values on the mesh, built row by row on demand: in the modified
+    Gram-Schmidt, row i depends only on rows < i, so a caller that needs
+    p_0..p_m never pays for the rows above m."""
 
-    mesh_values: np.ndarray  # (d+1, d+1): row i holds p_i on the mesh
+    def __init__(self, s: Spectrum):
+        self._s = s
+        d1 = s.d + 1
+        # the orthogonal basis built from monomials, each row's <b_j, b_j>
+        # (computed once), and the scaled rows p_i; rows below _built are done
+        self._basis = np.zeros((d1, d1))
+        self._sq = np.zeros(d1)
+        self._values = np.zeros((d1, d1))
+        self._built = 0
 
-    def __post_init__(self):
-        self.mesh_values.setflags(write=False)
+    def rows(self, m: int) -> np.ndarray:
+        """p_0..p_m on the mesh, an (m+1, d+1) read-only array; row i is
+        scaled so that p_i(theta_0) = ||p_i||^2.  A degenerate row among
+        them raises ``DegenerateInnerProduct``."""
+        s, basis, sq = self._s, self._basis, self._sq
+        for i in range(self._built, m + 1):
+            vec = s.distinct ** i
+            for _ in range(2):  # re-orthogonalize once for stability
+                for j in range(i):
+                    vec = vec - spectral_inner(s, vec, basis[j]) / sq[j] * basis[j]
+            basis[i] = vec
+            sq[i] = spectral_inner(s, vec, vec)
+            if sq[i] <= 0 or abs(vec[0]) < 1e-13 * np.abs(vec).max():
+                raise DegenerateInnerProduct("degenerate spectral inner product")
+            self._values[i] = vec[0] / sq[i] * vec
+            self._built = i + 1
+        out = self._values[:m + 1]
+        out.setflags(write=False)
+        return out
+
+    @property
+    def mesh_values(self) -> np.ndarray:
+        """p_0..p_d on the mesh: row i holds p_i."""
+        return self.rows(self._s.d)
 
 
 def divided_differences(p: MeshPolynomial) -> np.ndarray:
@@ -107,28 +139,9 @@ def spectral_inner(s: Spectrum, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def predistance_polynomials(s: Spectrum) -> PredistanceFamily:
-    """Gram-Schmidt on 1, x, x^2, ... under the spectral inner product,
-    scaled so that p_i(theta_0) = ||p_i||^2; ``s.predistance`` keeps it."""
-    d = s.d
-    theta = s.distinct
-    # rows: orthogonal basis values on the mesh, built from monomials, and
-    # each row's <b_j, b_j>, computed once
-    basis = np.zeros((d + 1, d + 1))
-    sq = np.zeros(d + 1)
-    for i in range(d + 1):
-        vec = theta ** i
-        for _ in range(2):  # re-orthogonalize once for stability
-            for j in range(i):
-                vec = vec - spectral_inner(s, vec, basis[j]) / sq[j] * basis[j]
-        basis[i] = vec
-        sq[i] = spectral_inner(s, vec, vec)
-    values = np.zeros((d + 1, d + 1))
-    for i in range(d + 1):
-        q = basis[i]
-        if sq[i] <= 0 or abs(q[0]) < 1e-13 * np.abs(q).max():
-            raise DegenerateInnerProduct("degenerate spectral inner product")
-        values[i] = q[0] / sq[i] * q  # p(theta_0) = ||p||^2
-    return PredistanceFamily(values)
+    """Gram-Schmidt on 1, x, x^2, ... under the spectral inner product, its
+    rows built as callers ask for them; ``s.predistance`` keeps it."""
+    return PredistanceFamily(s)
 
 
 # ---------------------------------------------------------------------------

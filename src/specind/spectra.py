@@ -57,7 +57,8 @@ class Spectrum:
 
     @cached_property
     def predistance(self) -> PredistanceFamily:
-        """The predistance polynomials p_0..p_d on the mesh, built once."""
+        """The predistance polynomials p_0..p_d on the mesh, each row built
+        once, on first use."""
         return predistance_polynomials(self)
 
     def to_json_dict(self) -> dict:
@@ -242,25 +243,32 @@ def classify_regularity(g: Graph, s: Spectrum,
     d = s.d
     # pwr level: largest k <= d with diag(A^l) constant for all l <= k.
     # Checking beyond d is pointless: the minimal polynomial has degree d+1.
-    # Entries of A^l are at most max_deg^l: float products are exact below
-    # 2^53, and beyond that the walk counts go on in Python ints, each column
-    # of A^l the sum of the A^(l-1) columns at its neighbours.
+    # A is symmetric, so diag(A^l) is the row-wise dot of A^floor(l/2) and
+    # A^ceil(l/2): one product every other level.  Every term and partial
+    # sum is at most max_deg^l, so float products and dots are exact below
+    # 2^53; beyond that the walk counts go on in Python ints, each column of
+    # a new power the sum of the last power's columns at its neighbours.
     a = g.adjacency.astype(float)
-    power = a
+    half = up = a  # A^floor(l/2) and A^ceil(l/2)
     walks = [0]  # diag(A) = 0: every simple graph is 1-partially walk-regular
     for level in range(2, d + 1):
-        if int(deg.max()) ** level < 2 ** 53:
-            power = power @ a
+        exact = int(deg.max()) ** level < 2 ** 53
+        if not exact and up.dtype != object:
+            half, up = (p.astype(np.int64).astype(object) for p in (half, up))
+            nbrs = [np.flatnonzero(col) for col in g.adjacency.T]
+        if level % 2 == 0:
+            half = up
         else:
-            if power.dtype != object:
-                power = power.astype(np.int64).astype(object)
-                nbrs = [np.flatnonzero(col) for col in g.adjacency.T]
-            power = np.column_stack([power[:, nb].sum(axis=1) for nb in nbrs])
-        if np.all(np.diag(power) == power[0, 0]):
-            walks.append(int(power[0, 0]))
+            up = up @ a if exact else np.column_stack(
+                [up[:, nb].sum(axis=1) for nb in nbrs])
+        # einsum forms no n x n product; numpy < 1.25 has no object einsum
+        diag = (np.einsum("ij,ij->i", half, up) if exact
+                else (half * up).sum(axis=1))
+        if np.all(diag == diag[0]):
+            walks.append(int(diag[0]))
         else:
             break
-    del power  # freed before the n x n intersection product below
+    del half, up  # freed before the n x n intersection product below
     pwr = len(walks)
     is_wr = pwr == d
     # is_dr needs both, and only then is the array reported

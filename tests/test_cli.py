@@ -5,9 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from conftest import relabelled
 
-from specind import bounds, cli, spectra
-from specind.graphs import FamilySpec, distance_matrix, generate
+from specind import bounds, cli, exact, spectra
+from specind.graphs import FamilySpec, distance_matrix, generate, to_graph6
 
 
 def run_cli(*args, check=True):
@@ -229,6 +230,31 @@ def test_table_minor_odd():
 def test_table_sign_odd6():
     res = run_cli("table", "sign-odd6")
     assert "mismatch 0" in res.stdout
+
+
+def test_t4_bound_reads_the_family_spectrum():
+    """t4's bound column comes from the closed-form family spectrum; the
+    numerical spectrum gives the same floors 4, 7, 8 and 11."""
+    rows = json.loads((cli.fixtures_dir() / "tables" / "t4.json").read_text())["rows"]
+    for row, want in zip(rows, (4, 7, 8, 11)):
+        spec = FamilySpec.parse(row["family"])
+        for s in (spectra.exact_family_spectrum(spec),
+                  spectra.spectrum(generate(spec))):
+            assert bounds.minimum_floor(bounds.dminus1_bounds(s)) == want
+    assert [r["status"] for r in cli.run_table("t4")] == ["ok"] * 4
+
+
+def test_bounds_in_discovers_symmetry_once(tmp_path, monkeypatch, capsys):
+    """``bounds --in`` on a relabelled graph hands its analysis to the
+    exact oracle: one automorphism discovery serves every k, and the output
+    is the generated graph's."""
+    path = tmp_path / "q7.g6"
+    path.write_text(to_graph6(relabelled("hypercube:7", 7)) + "\n")
+    found = _count_calls(monkeypatch, exact, "_discover")
+    read_in = _csv_lines(capsys, "--in", str(path), "--k", "all", "--exact")
+    assert len(found) == 1
+    assert read_in == _csv_lines(capsys, "--family", "hypercube:7", "--k",
+                                 "all", "--exact")
 
 
 def test_table_unknown():

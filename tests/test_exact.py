@@ -2,15 +2,18 @@
 known values, monotonicity, witnesses, guard rails, and the search rooted
 at vertex 0 on vertex-transitive families."""
 
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import FAMILY_SPECS, power_graph, relabelled
+from conftest import FAMILY_SPECS, load_fixture, power_graph, relabelled
 
 from specind import exact
+from specind.bounds import Analysis
 from specind.ch import ch_classify
-from specind.errors import SizeLimitExceeded
+from specind.errors import SearchTimeout, SizeLimitExceeded
 from specind.exact import alpha_k_exact, verify_independent
 from specind.graphs import (
     FamilySpec,
@@ -293,15 +296,19 @@ def test_small_orbit_falls_back_to_full_search(spec, keep, monkeypatch):
 
 def rooted_vs_relabelled(spec, k):
     """alpha_k of a generated graph (rooted search) and of its relabelled
-    copy (full search); both witnesses checked, the rooted one holds 0
-    (complete_bipartite:4,5, with no generators, is searched in full)."""
+    copy (rooted too when discovery finds its automorphisms) against a full
+    ``_max_clique`` on the copy's whole far graph; every witness checked,
+    the generated graph's holds 0 (complete_bipartite:4,5, with no
+    generators, is searched in full)."""
     g, h = generate(FamilySpec.parse(spec)), relabelled(spec, 7)
-    rooted, full = alpha_k_exact(g, k), alpha_k_exact(h, k)
-    assert rooted.alpha_k == full.alpha_k, (spec, k)
+    dm = distance_matrix(h)
+    full, _, _ = exact._max_clique(dm.dist > k, float("inf"))
+    rooted, copy = alpha_k_exact(g, k), alpha_k_exact(h, k, dm=dm)
+    assert rooted.alpha_k == copy.alpha_k == full, (spec, k)
     assert len(rooted.witness) == rooted.alpha_k
     assert 0 in rooted.witness or not g.automorphisms
     assert verify_independent(g, k, rooted.witness)
-    assert verify_independent(h, k, full.witness)
+    assert verify_independent(h, k, copy.witness, dm)
     return rooted.alpha_k
 
 
@@ -330,3 +337,149 @@ def test_relabelled_graph_claims_no_automorphisms():
         twin = from_adjacency(x.adjacency)
         assert twin.automorphisms == ()
         assert x == twin and hash(x) == hash(twin)
+
+
+# ---------------------------------------------------------------------------
+# Graphs that claim no automorphisms: discovery by individualization
+
+# corpus and fixture graphs that are not vertex-transitive; McGee's rows all
+# share one distance profile, so only the search rejects it
+NOT_VERTEX_TRANSITIVE = {"complete_bipartite:4,5", "bidiakis-cube", "durer",
+                         "flower-snark", "folkman", "frucht", "gray", "hoffman",
+                         "mcgee", "tietze", "tutte"}
+
+
+def shuffled(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return from_adjacency(g.adjacency[np.ix_(perm, perm)], f"{g.label}@{seed}")
+
+
+def is_automorphism_reference(g, p):
+    p = np.asarray(p)
+    return (np.array_equal(np.sort(p), np.arange(g.n))
+            and np.array_equal(g.adjacency[np.ix_(p, p)], g.adjacency))
+
+
+def test_discovery_finds_vertex_transitive_corpus(corpus):
+    """Called directly, below DISCOVERY_MIN_N too: under three relabellings
+    every vertex-transitive corpus and fixture graph gets automorphisms
+    that move 0 to every vertex, and the others get None."""
+    assert {g.label for g in corpus} >= NOT_VERTEX_TRANSITIVE
+    for g in corpus:
+        for seed in (7, 31, 101):
+            h = shuffled(g, seed)
+            gens = exact._discover(h, distance_matrix(h), float("inf"))
+            if g.label in NOT_VERTEX_TRANSITIVE:
+                assert gens is None, h.label
+            else:
+                assert gens is not None, h.label
+                assert all(is_automorphism_reference(h, p) for p in gens)
+                assert exact._orbit_of_zero(gens, h.n).all(), h.label
+
+
+def test_profile_test_passes_mcgee_and_fails_hoffman():
+    """McGee's rows share one distance profile although it is not
+    vertex-transitive; the Hoffman graph's rows do not."""
+    for name, same in (("mcgee", True), ("hoffman", False)):
+        dm = distance_matrix(load_fixture(name))
+        profiles = {tuple(np.bincount(row)) for row in dm.dist}
+        assert (len(profiles) == 1) == same, name
+
+
+def test_decoy_maps_are_never_accepted(monkeypatch):
+    """With the neighbour hash switched off, cells split by distance alone,
+    so discovery's leaves offer bijections that are not automorphisms; the
+    edge check turns every one of them down, and every map it accepts is an
+    automorphism."""
+    offered = []
+    check = exact._is_automorphism
+    monkeypatch.setattr(exact, "_cell_hash", np.zeros_like)
+    monkeypatch.setattr(exact, "_is_automorphism",
+                        lambda g, p, edges: offered.append((g, p, check(g, p, edges)))
+                        or offered[-1][2])
+    for g in (generate(FamilySpec.parse("prism:6")),
+              generate(FamilySpec.parse("moebius_ladder:6")),
+              load_fixture("hoffman-singleton"), load_fixture("mcgee")):
+        h = shuffled(g, 7)
+        gens = exact._discover(h, distance_matrix(h), float("inf"))
+        # the two ladders are still found, past their decoys
+        assert (gens is not None) == (g.n == 12), g.label
+        assert gens is None or all(is_automorphism_reference(h, p) for p in gens)
+    truth = [is_automorphism_reference(g, p) for g, p, _ in offered]
+    assert [accepted for _, _, accepted in offered] == truth
+    assert not all(truth)  # decoys were offered
+
+
+def test_is_automorphism_rejects_non_maps():
+    g = generate(FamilySpec.parse("petersen"))
+    edges = np.nonzero(np.triu(g.adjacency))
+    swap = np.arange(g.n)
+    swap[[0, 1]] = [1, 0]
+    for p in g.automorphisms:
+        assert exact._is_automorphism(g, p, edges)
+    for bad in (swap, np.zeros(g.n, dtype=int), np.arange(g.n - 1),
+                np.arange(1, g.n + 1), np.arange(g.n)[::-1]):
+        assert not exact._is_automorphism(g, bad, edges)
+        assert not is_automorphism_reference(g, bad)
+
+
+def test_discovery_honours_the_deadline():
+    """A discovery past its deadline raises SearchTimeout, decides nothing,
+    and a later call with time left roots the search."""
+    h = relabelled("hypercube:7", 7)
+    dm = distance_matrix(h)
+    with pytest.raises(SearchTimeout):
+        exact._discover(h, dm, time.monotonic() - 1.0)
+    a = Analysis.of(h, dm=dm)
+    with pytest.raises(SearchTimeout):
+        alpha_k_exact(a, 2, timeout=0.0)
+    assert "rooted" not in a.__dict__
+    assert alpha_k_exact(a, 2).alpha_k == 16
+    assert a.__dict__["rooted"] is True
+
+
+def test_discovery_gives_up_at_its_step_budget(monkeypatch):
+    """K_{40,40}'s cells split one vertex per individualization, so its
+    discovery would take n^2 steps: it stops after 16 per bit of n, each
+    step one look at the clock, and returns None."""
+    clock = []
+    monkeypatch.setattr(exact, "time", SimpleNamespace(
+        monotonic=lambda: clock.append(0) or time.monotonic()))
+    h = relabelled("complete_bipartite:40,40", 7)
+    assert exact._discover(h, distance_matrix(h), float("inf")) is None
+    assert len(clock) == 16 * h.n.bit_length()
+
+
+@pytest.mark.parametrize("spec,rooted", [("hypercube:7", True),
+                                         ("odd:5", True),
+                                         ("petersen", False),
+                                         ("hypercube:6", True)])
+def test_read_in_graphs_are_rooted_from_the_size_gate(spec, rooted,
+                                                      monkeypatch):
+    """A relabelled copy with n >= DISCOVERY_MIN_N searches 0's far
+    neighbourhood only; a smaller one is searched in full, without a
+    discovery."""
+    sizes, found = [], []
+    search, discover = exact._max_clique, exact._discover
+    monkeypatch.setattr(exact, "_max_clique", lambda adj, deadline:
+                        sizes.append(len(adj)) or search(adj, deadline))
+    monkeypatch.setattr(exact, "_discover", lambda *args:
+                        found.append(discover(*args)) or found[-1])
+    h = relabelled(spec, 31)
+    res = alpha_k_exact(h, 3 if spec == "odd:5" else 1)
+    assert (h.n >= exact.DISCOVERY_MIN_N) == rooted == bool(found)
+    assert (sizes[-1] < h.n) == rooted
+    assert verify_independent(h, res.k, res.witness)
+
+
+def test_one_discovery_per_analysis(monkeypatch):
+    """An analysis keeps its symmetry for every k and every caller."""
+    calls = []
+    discover = exact._discover
+    monkeypatch.setattr(exact, "_discover",
+                        lambda *args: calls.append(args) or discover(*args))
+    a = Analysis(relabelled("hypercube:7", 7))
+    alphas = [alpha_k_exact(a, k).alpha_k for k in range(1, 8)]
+    assert alphas == [64, 16, 8, 2, 2, 2, 1]
+    assert ch_classify(a, 2).exact == 16
+    assert len(calls) == 1

@@ -11,6 +11,7 @@ from specind.errors import (
 )
 from specind.graphs import (
     FamilySpec,
+    Graph,
     _check_connected,
     distance_matrix,
     from_adjacency,
@@ -331,6 +332,56 @@ def test_distance_matrix_matches_per_source_bfs(corpus):
 @pytest.mark.parametrize("spec", ["odd:6", "hypercube:7"])
 def test_distance_matrix_matches_per_source_bfs_relabelled(spec, seed):
     assert_matches_per_source_bfs(relabelled(spec, seed))
+
+
+def matmul_distance_matrix(g):
+    """Reference: one float32 frontier product per level (the former
+    implementation of ``distance_matrix``)."""
+    n = g.n
+    a = g.adjacency.astype(np.float32)
+    dist = np.full((n, n), -1, dtype=np.int32)
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(n, dtype=np.float32)
+    d = 0
+    while True:
+        reached = (frontier @ a > 0) & (dist < 0)
+        if not reached.any():
+            break
+        d += 1
+        dist[reached] = d
+        frontier = reached.astype(np.float32)
+    return dist, d
+
+
+def test_distance_matrix_matches_matmul_reference(corpus):
+    """The bit-frontier BFS gives the product BFS's bytes on the corpus,
+    relabelled copies, cycle:101 (50 levels), complete:200 (deg n - 1),
+    the 1-vertex graph and word-boundary sizes n = 63, 64, 65."""
+    graphs = list(corpus)
+    graphs += [relabelled(spec, seed) for spec, seed in
+               [("odd:6", 7), ("hypercube:7", 31), ("complete_bipartite:4,5", 7)]]
+    graphs += [generate(FamilySpec.parse(spec)) for spec in
+               ["cycle:101", "complete:200", "cycle:63", "cycle:64", "cycle:65",
+                "circulant:65,1,8"]]
+    graphs.append(parse_graph6("@"))
+    for g in graphs:
+        dm = distance_matrix(g)
+        dist, diameter = matmul_distance_matrix(g)
+        assert dm.dist.dtype == np.int32, g.label
+        assert dm.dist.tobytes() == dist.tobytes(), g.label
+        assert dm.diameter == diameter, g.label
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (2, 3)], [(0, 2), (2, 3)],
+                                   [(0, 1), (1, 2)]])
+def test_distance_matrix_rejects_disconnected_graph(edges):
+    """A Graph built directly, past from_adjacency's check: two components,
+    or an isolated vertex (1, then 3), which reduceat could not read."""
+    adj = np.zeros((4, 4), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    with pytest.raises(DisconnectedGraph):
+        distance_matrix(Graph(4, adj))
 
 
 def test_power_graph_identity_and_monotone():

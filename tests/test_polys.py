@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from specind.errors import NoValidTheta
+from specind.errors import DegenerateInnerProduct, NoValidTheta
 from specind.graphs import FamilySpec, generate
 from specind.optimize import minor_polynomial, sign_polynomial
 from specind.polys import (
@@ -21,7 +21,7 @@ from specind.polys import (
     predistance_polynomials,
     spectral_inner,
 )
-from specind.spectra import exact_family_spectrum
+from specind.spectra import Spectrum, exact_family_spectrum
 
 
 def coeffs_to_mesh(c: CoeffPolynomial, mesh: np.ndarray) -> MeshPolynomial:
@@ -123,6 +123,35 @@ def test_predistance_matches_per_pass_reference(corpus_spectra):
         assert fam.mesh_values.tobytes() == values.tobytes(), label
         fam_norms = np.array([spectral_inner(s, v, v) for v in fam.mesh_values])
         assert fam_norms.tobytes() == norms.tobytes(), label
+
+
+def test_rows_on_demand_match_full_family(corpus_spectra):
+    """p_0..p_m built only as far as asked, for every m and in any order of
+    requests, give the full family's bytes on every corpus spectrum."""
+    for label, (_, s, _, _) in corpus_spectra.items():
+        full = per_pass_predistance_reference(s)[0]
+        for m in range(s.d + 1):
+            rows = predistance_polynomials(s).rows(m)
+            assert rows.shape == (m + 1, s.d + 1), (label, m)
+            assert rows.tobytes() == full[:m + 1].tobytes(), (label, m)
+            assert not rows.flags.writeable
+        fam = predistance_polynomials(s)
+        for m in (s.d // 2, 0, s.d, 1 if s.d else 0):
+            assert fam.rows(m).tobytes() == full[:m + 1].tobytes(), (label, m)
+
+
+def test_degenerate_row_raises_only_when_requested():
+    """A spectrum whose last two eigenvalues coincide to 1e-14 has a
+    degenerate top row: the rows below it are still served, and asking for
+    the top row raises DegenerateInnerProduct."""
+    s = Spectrum(np.array([3.0, 1.0, 1.0 - 1e-14]), np.array([1, 5, 4]),
+                 np.array([3.0] + [1.0] * 9))
+    fam = predistance_polynomials(s)
+    assert fam.rows(1).shape == (2, 3)
+    with pytest.raises(DegenerateInnerProduct):
+        fam.rows(2)
+    with pytest.raises(DegenerateInnerProduct):
+        fam.mesh_values
 
 
 def test_predistance_qk_max_at_theta0(corpus_spectra):

@@ -166,6 +166,48 @@ def test_closed_walks_exact_past_float():
                                      for ell in range(1, 76))
 
 
+def full_ladder_reference(g, d):
+    """Reference: diag(A^l) read off every power A^2..A^l, float products
+    below 2^53 and neighbour-column sums in Python ints beyond (the former
+    loop of ``classify_regularity``); the constant diagonals, in order."""
+    deg = g.degrees()
+    a = g.adjacency.astype(float)
+    power = a
+    walks = [0]
+    for level in range(2, d + 1):
+        if int(deg.max()) ** level < 2 ** 53:
+            power = power @ a
+        else:
+            if power.dtype != object:
+                power = power.astype(np.int64).astype(object)
+                nbrs = [np.flatnonzero(col) for col in g.adjacency.T]
+            power = np.column_stack([power[:, nb].sum(axis=1) for nb in nbrs])
+        if np.all(np.diag(power) == power[0, 0]):
+            walks.append(int(power[0, 0]))
+        else:
+            break
+    return tuple(walks)
+
+
+def test_half_ladder_matches_full_ladder(corpus_spectra):
+    """Row-wise dots of A^floor(l/2) and A^ceil(l/2) give the full ladder's
+    integers, of the same type, on the corpus, relabelled copies, cycle:101
+    and two graphs past the 2^53 switch (cycle:150, prism:60)."""
+    cases = [(g, s, dm) for g, s, dm, _ in corpus_spectra.values()]
+    for g in [relabelled("odd:6", 7), relabelled("hypercube:7", 31)] + [
+            generate(FamilySpec.parse(spec))
+            for spec in ("cycle:101", "cycle:150", "prism:60")]:
+        cases.append((g, spectrum(g), distance_matrix(g)))
+    past_switch = 0
+    for g, s, dm in cases:
+        want = full_ladder_reference(g, s.d)
+        got = classify_regularity(g, s, dm).closed_walks
+        assert got == want, g.label
+        assert [type(w) for w in got] == [int] * len(want), g.label
+        past_switch += max(want) >= 2 ** 53
+    assert past_switch == 2
+
+
 def test_hoffman_graph_walk_regular_not_distance_regular(corpus_spectra):
     # cospectral mate of Q4: walk-regular (bipartite + regular) but not DR
     _, _, _, reg = corpus_spectra["hoffman"]
