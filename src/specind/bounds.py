@@ -340,12 +340,8 @@ def best_bounds(g: Graph | Analysis, k: int, s: Spectrum | None = None,
         except SpecindError as exc:
             out.append(_inapplicable("pwr_inertia", k,
                                      f"sign search failed: {exc}"))
-        if reg.is_regular:
-            try:
-                f = optimize.minor_polynomial(s, k)
-                out.append(pwr_ratio(s, f, k))
-            except SpecindError as exc:
-                out.append(_inapplicable("pwr_ratio", k, f"LP failed: {exc}"))
+        if reg.is_regular:  # the closed form raises no package error
+            out.append(pwr_ratio(s, optimize.minor_polynomial(s, k), k))
         else:
             out.append(_inapplicable("pwr_ratio", k,
                                      "ratio-type bounds require a regular graph"))

@@ -41,10 +41,6 @@ class Unbounded(SpecindError):
     """Linear program objective is unbounded below."""
 
 
-class NormalizationViolation(SpecindError):
-    """LP optimum does not satisfy the expected normalization."""
-
-
 class NumericalInstability(SpecindError):
     """Solver produced an inconsistent solution; re-solve advised."""
 

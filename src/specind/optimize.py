@@ -1,33 +1,29 @@
 """A deterministic dense simplex and the two optimization programs:
 
-* the minor-polynomial LP (minimize the multiplicity-weighted trace of a
-  degree-<= k polynomial with f(theta_0) = 1 and f >= 0 elsewhere), and
-* the sign-polynomial search (minimize the multiplicity-weighted count of
+* the minor polynomial (least multiplicity-weighted trace among the
+  degree-<= k polynomials with f(theta_0) = 1 and f >= 0 elsewhere), read
+  off its zero set with no LP solver: each vertex of its LP is the product
+  of k factors (x - theta_j) / (theta_0 - theta_j), one for each j in a
+  Gale-even zero set;
+* the sign-polynomial search (least multiplicity-weighted count of
   non-negative mesh values of a trace-zero polynomial of degree <= k), an
   exact enumeration of its sign patterns that skips proven conflicts.
 
-Both are written in the predistance basis: the mesh values are
-y = sum_i c_i p_i(theta) with free coefficients c_i.  Since p_0 = 1 and the
-p_i are orthogonal under the spectral inner product, "degree <= k" is the
-span of p_0..p_k and "trace zero and degree <= k" the span of p_1..p_k, so
-no constraint is needed for either.  Divided-difference rows, the other way
-to impose the degree, are ill-conditioned when d is large (30 for Tutte).
-Each program writes its LP in the standard form min c.u, Au = b, u >= 0
-that ``_simplex_standard`` solves.  The sign search solves each max-margin
-LP as its dual, one row per unknown (t and c_1..c_k): the final basis gives
-the certificate; on an unrealized set N the vertex's lambda is a Gordan
-certificate that no polynomial of the span is negative on all of
-S = supp(lambda), so every later N' containing S is skipped.  Its dual rows
-and their phase-1 tableau are built once per search, over all d+1 mesh
-points; each set solves a copy of that tableau with the lambda columns off
-N held at zero, which takes the pivots of its own, smaller standard form.
-
-The simplex keeps its reduced costs as the tableau's last row, updated by
-every pivot.  Only the sign LPs run phase 1.  Their optima need not be
-unique, so the vertex, and with it the certificate, depends on the path
-from the artificial basis.  The minor LP starts phase 2 at the feasible
-f = 1 instead: its lexicographic vertex is unique, so any feasible start
-reaches the same one.
+The sign search is written in the predistance basis, y = sum_i c_i
+p_i(theta) with free c_i: since p_0 = 1 and the p_i are orthogonal under
+the spectral inner product, "trace zero and degree <= k" is the span of
+p_1..p_k, with no constraint (divided-difference rows would be
+ill-conditioned at large d, 30 for Tutte).  Each max-margin LP is solved as
+its dual in standard form min c.u, Au = b, u >= 0, one row per unknown (t
+and c_1..c_k): the final basis gives the certificate; on an unrealized set
+N the vertex's lambda is a Gordan certificate that no polynomial of the
+span is negative on all of S = supp(lambda), so every later N' containing S
+is skipped.  The dual rows and their phase-1 tableau are built once per
+search, over all d+1 mesh points; each set solves a copy with the lambda
+columns off N held at zero, which takes the pivots of its own, smaller
+standard form.  The simplex keeps its reduced costs as the tableau's last
+row, updated by every pivot.  The optima need not be unique, so the vertex,
+and with it the certificate, depends on the path from the artificial basis.
 """
 
 from __future__ import annotations
@@ -35,16 +31,12 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from .errors import (
-    Infeasible,
-    NormalizationViolation,
-    NumericalInstability,
-    SearchTimeout,
-    Unbounded,
-)
+from .errors import Infeasible, NumericalInstability, SearchTimeout, Unbounded
 from .polys import MeshPolynomial, PredistanceFamily
 from .spectra import Spectrum
 
@@ -102,52 +94,36 @@ def _bland(T: np.ndarray, basis: np.ndarray, fixed: np.ndarray) -> np.ndarray:
         _pivot(T, basis, leave, enter)
 
 
-def _scaled(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[A | b] with b >= 0, each row scaled by its largest entry for
-    numerics (does not affect the vertex chosen by Bland)."""
+def _tableau(A: np.ndarray, b: np.ndarray):
+    """Phase-1 tableau (T, basis) of Ax = b, x >= 0: [A | I | b; r | -z]
+    with b >= 0, each row scaled by its largest entry (which does not change
+    the vertex Bland's rule reaches), one basic artificial column per row,
+    and r the reduced costs of their sum."""
+    m, n = A.shape
     Ab = np.hstack([A, b[:, None]])
     Ab[b < 0] *= -1.0
-    s = np.abs(Ab).max(axis=1)
-    s[s == 0] = 1.0
-    Ab /= s[:, None]
-    return Ab
-
-
-def _tableau(A: np.ndarray, b: np.ndarray):
-    """Phase-1 tableau of Ax = b, x >= 0 (rows as ``_scaled`` leaves them):
-    [A | I | b; r | -z] with one artificial column per row, all of them
-    basic, and r the reduced costs of their sum.  Returns (T, basis)."""
-    m, n = A.shape
-    Ab = _scaled(A, b)
+    scale = np.abs(Ab).max(axis=1)
+    Ab /= np.where(scale == 0, 1.0, scale)[:, None]
     T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = Ab[:, :n]
-    T[:m, -1] = Ab[:, n]
-    T[np.arange(m), np.arange(n, n + m)] = 1.0
+    T[:m] = np.hstack([Ab[:, :n], np.eye(m), Ab[:, n:]])
     basis = np.arange(n, n + m)
     _price(T, basis, np.repeat([0.0, 1.0], [n, m]))
     return T, basis
 
 
-def _solve(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
-           fixed: np.ndarray):
+def _solve(T: np.ndarray, basis: np.ndarray, c: np.ndarray, fixed: np.ndarray):
     """Minimize c.x on the tableau T = [A | I | b; r | -z], in place, over
     the n columns of A (c has n entries), the ``fixed`` ones held at zero.
-    The I block holds the artificial columns, empty when the basis is
-    already feasible; ``fixed`` spans A and I.  Returns (x, basis):
-    ``basis`` holds the final basic columns of A, one per row that is not
-    redundant.
+    The I block holds the artificial columns; ``fixed`` spans A and I.
+    Returns (x, basis): ``basis`` holds the final basic columns of A, one
+    per row that is not redundant.
 
     While an artificial is basic, phase 1 minimizes their sum, priced in r.
     The artificials that ``fixed`` leaves free may enter again.  The ones
     still basic at its optimum are driven out where a column of A that is
     not fixed can replace them, the first such one; the rows where none can
-    are redundant and dropped.  In phase 2 every artificial is fixed.
-
-    A stack of objectives c (shape (L, n)) is minimized lexicographically:
-    after each row's optimum, every non-basic column with a positive
-    reduced cost is fixed at zero, which leaves exactly that row's optimal
-    face for the next row."""
-    n = np.shape(c)[-1]
+    are redundant and dropped.  In phase 2 every artificial is fixed."""
+    n = len(c)
     if (basis >= n).any():
         _bland(T, basis, fixed)
         artificial = basis >= n
@@ -162,85 +138,109 @@ def _solve(T: np.ndarray, basis: np.ndarray, c: np.ndarray,
             keep = basis < n
             T = T[np.append(keep, True)]  # the reduced-cost row stays last
             basis = basis[keep]
-    fixed = fixed.copy()
-    fixed[n:] = True
-    for row in np.atleast_2d(c):
-        _price(T, basis, row)
-        fixed |= _bland(T, basis, fixed) > _TOL
+    _price(T, basis, c)
+    _bland(T, basis, fixed | (np.arange(len(fixed)) >= n))
     x = np.zeros(n)
     x[basis] = T[:-1, -1]
     return x, basis
 
 
-def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                      start: np.ndarray | None = None):
-    """Primal simplex with Bland's rule on min c.x, Ax=b, x>=0.
-    Returns (x, c.x, basis): ``basis`` holds the final basic columns of A,
-    one per row that is not redundant.
-
-    Without ``start`` the run has two phases, from ``_tableau``.  ``start``
-    names a feasible basis instead, the column basic in each row: the
-    tableau, without artificials, is pivoted onto it and only phase 2 runs
-    (Infeasible if that basis is not primal feasible).  A stack of
-    objectives c is minimized lexicographically (``_solve``).
-    Deterministic: repeated runs return bit-identical vertices."""
-    n = A.shape[1]
-    if start is None:
-        T, basis = _tableau(A, b)
-    else:
-        T = np.vstack([_scaled(A, b), np.zeros(n + 1)])
-        basis = np.array(start)
-        for i, j in enumerate(basis):
-            _pivot(T, basis, i, j)
-        if T[:-1, -1].min() < -_TOL:
-            raise Infeasible("start basis is not primal feasible")
-    x, basis = _solve(T, basis, c, np.zeros(T.shape[1] - 1, dtype=bool))
-    return x, c @ x, basis
-
-
 # ---------------------------------------------------------------------------
-# Minor polynomial LP
+# Minor polynomial: the lexicographic vertex over its zero sets
+
+
+def _family_size(d: int, k: int) -> int:
+    """N(d, k): how many zero sets ``_gale_even`` lists."""
+    return sum(comb(max(d - t - 1 - (k - t) // 2, 0), (k - t) // 2)
+               for t in range(k % 2, k + 1, 2))
+
+
+def _gale_even(d: int, k: int) -> np.ndarray:
+    """The k-subsets Z of 1..d in which each index outside Z has an even
+    number of members below it, as sorted rows: a tail {d-t+1..d} and
+    p = (k-t)/2 disjoint pairs {a, a+1} in 1..d-t-1, whose starts
+    a_i = c_i + i + 1 run over the p-subsets c of range(d-t-1-p)."""
+    rows = []
+    for t in range(k % 2, k + 1, 2):
+        p = (k - t) // 2
+        for c in combinations(range(d - t - 1 - p), p):
+            rows.append([j for i, a in enumerate(c) for j in (a + i + 1, a + i + 2)]
+                        + list(range(d - t + 1, d + 1)))
+    return np.array(rows, dtype=int).reshape(-1, k)
+
+
+def _mesh_values(ratios: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """f_Z on the mesh, one column per row Z of ``zeros`` (mesh index - 1):
+    the product of the ratios (theta_i - theta_j) / (theta_0 - theta_j)
+    over j in Z in increasing order, exactly zero on Z."""
+    Y = ratios[:, zeros[:, 0]]
+    for j in zeros[:, 1:].T:
+        Y = Y * ratios[:, j]
+    return Y
+
+
+def _lexmin(mults: np.ndarray, Y: np.ndarray) -> int:
+    """The column of Y (mesh values) at the lexicographic minimum of
+    (trace, y_1, ..., y_{d-1}), values within 1e-9 relative of a key's
+    minimum tying with it, the first column winning a tie on every key.
+    Each trace is summed in mesh order, whatever the other columns."""
+    cand = np.arange(Y.shape[1])
+    for key in ((mults[:, None] * Y).sum(axis=0), *Y[1:-1]):
+        v = key[cand]
+        cand = cand[v <= v.min() + 1e-9 * abs(v.min())]
+        if len(cand) == 1:
+            break
+    return int(cand[0])
+
+
+def _swap_walk(ratios: np.ndarray, mults: np.ndarray, k: int) -> np.ndarray:
+    """Member indicators (mesh index - 1) of every vertex whose trace is
+    within 2e-9 relative of the least.  From the tail {d-k+1..d} the walk
+    takes the single swap of least trace while it lowers the trace; a local
+    minimum of a linear objective is global.  The simplex reaches that
+    minimum from any vertex of the slab by swaps that lower the trace, so a
+    search of the slab along swaps from the minimum finds all of them."""
+    d = ratios.shape[1]
+    flip = np.eye(d, dtype=bool)
+
+    def swaps(z):  # the Gale-even sets one swap from z, and their traces
+        w = (z ^ flip[np.repeat(np.flatnonzero(z), d - k)]
+             ^ flip[np.tile(np.flatnonzero(~z), k)])
+        w = w[~(np.logical_xor.accumulate(w, axis=1) & ~w).any(axis=1)]
+        return w, mults @ _mesh_values(ratios, np.nonzero(w)[1].reshape(-1, k))
+
+    z = np.arange(d) >= d - k
+    tr = mults @ _mesh_values(ratios, np.flatnonzero(z)[None])[:, 0]
+    while True:
+        w, t = swaps(z)
+        if not len(t) or t.min() >= tr:  # no swap, or none lowers the trace
+            break
+        z, tr = w[t.argmin()], t.min()
+    slab, todo = {z.tobytes(): z}, [z]
+    while todo:
+        w, t = swaps(todo.pop())
+        for v in w[t <= tr + 2e-9 * abs(tr)]:
+            if slab.setdefault(v.tobytes(), v) is v:  # not seen before
+                todo.append(v)
+    return np.array(list(slab.values()))
 
 
 def minor_polynomial(s: Spectrum, k: int) -> MeshPolynomial:
-    """Optimal minor polynomial of degree <= k for this spectrum.
-
-    f = sum_{i<=k} c_i p_i with f(theta_0) = 1 and f(theta_1..theta_d) >= 0;
-    the multiplicity-weighted trace is minimized.
-    """
+    """Optimal minor polynomial of degree <= k: the ``_lexmin`` of the LP's
+    vertices f_Z, Z Gale-even, scored in increasing order of their members.
+    All are scored when there are at most k(d-k) + 1, one swap
+    neighbourhood; otherwise those that can tie on the trace, which
+    ``_swap_walk`` finds along the polytope's edges, the single swaps."""
     d = s.d
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}")
-    # each p_i scaled to max |p_i(theta_j)| = 1: the c_i are free, so the
-    # span is unchanged and the columns are comparable
-    P = s.predistance.rows(k)
-    P = P / np.abs(P).max(axis=1, keepdims=True)
-    # columns u = y - e_0 >= 0, each c_i as two adjacent columns (+, -) and
-    # one slack; rows u_j - sum_i c_i p_i(theta_j) = -[j = 0], then
-    # u_0 + slack = 0, which holds y_0 at 1
-    d1, nc = d + 1, 2 * (k + 1)
-    A = np.zeros((d1 + 1, d1 + nc + 1))
-    A[np.arange(d1), np.arange(d1)] = 1.0
-    # -= and += onto zeros: 0.0 - v keeps -0.0 out of the LP's coefficients
-    A[:d1, d1:-1:2] -= P.T
-    A[:d1, d1 + 1:-1:2] += P.T
-    A[d1, [0, -1]] = 1.0
-    b = np.zeros(d1 + 1)
-    b[0] = -1.0
-    # the optimum can be degenerate: the canonical vertex minimizes the
-    # trace, then y_1, ..., y_{d-1} in turn on each optimal face; that vertex
-    # is unique, so phase 2 starts from the feasible f = 1: c_0^+ = 1 basic
-    # in row 0, u_j = 1 in row j and the slack (at 0) in the last row
-    objectives = np.vstack([s.mults.astype(float), np.eye(d1)[1:d]])
-    start = np.r_[d1, 1:d1, d1 + nc]
-    u = _simplex_standard(A, b, np.pad(objectives, ((0, 0), (0, nc + 1))),
-                          start)[0]
-    y = u[:d1]
-    y[0] += 1.0
-    y[np.abs(y) < 1e-11] = 0.0
-    if y[1:].min() > 1e-7:
-        raise NormalizationViolation("LP vertex has min_{i>=1} f(theta_i) > 0")
-    return MeshPolynomial(s.distinct, y)
+    ratios = (s.distinct[:, None] - s.distinct[1:]) / (s.distinct[0] - s.distinct[1:])
+    if _family_size(d, k) <= k * (d - k) + 1:
+        zeros = _gale_even(d, k) - 1
+    else:
+        zeros = np.nonzero(_swap_walk(ratios, s.mults, k))[1].reshape(-1, k)
+    Y = _mesh_values(ratios, zeros[np.lexsort(zeros.T[::-1])])
+    return MeshPolynomial(s.distinct, Y[:, _lexmin(s.mults, Y)])
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ def _margin_rows(pd: PredistanceFamily, k: int):
     """P = p_1..p_k on the mesh, rows scaled to max 1, and the max-margin
     LPs' dual rows over all d+1 mesh points: [1, 0, 0; P, P, -P], whose
     column blocks are lambda, u and v.  Each row's largest |entry| is
-    exactly 1.0 (x / x), so ``_scaled`` leaves the rows as they are."""
+    exactly 1.0 (x / x), so ``_tableau`` leaves the rows as they are."""
     P = pd.rows(k)[1:]
     P = P / np.abs(P).max(axis=1, keepdims=True)
     d1 = P.shape[1]
@@ -349,7 +349,9 @@ def sign_polynomial(s: Spectrum, k: int,
     conflict S = supp(lambda) of its dual vertex.  For any later N' that
     contains S, that vertex is feasible in the dual for N' with objective
     t_N, so t_N' <= t_N <= 1e-7: N' is skipped without an LP, and the first
-    realized set is the one the unpruned search finds.
+    realized set is the one the unpruned search finds.  That dual is bounded
+    below by 0, so an Unbounded from it is a numerical breakdown, raised as
+    NumericalInstability.
     """
     d = s.d
     if not 1 <= k < d:
@@ -366,7 +368,10 @@ def sign_polynomial(s: Spectrum, k: int,
         outside = ~sum(1 << j for j in neg)
         if any(S & outside == 0 for S in conflicts):
             continue
-        cand, t, lam = _max_margin(P, A, phase1, neg)
+        try:
+            cand, t, lam = _max_margin(P, A, phase1, neg)
+        except Unbounded as exc:  # the dual is bounded below by 0
+            raise NumericalInstability(f"max-margin LP broke down numerically ({exc})") from exc
         lps += 1
         if t > _MARGIN:
             y, best = cand, neg

@@ -1,11 +1,13 @@
 """LP solver and the two programs: the standard-form simplex against an
 independent solver and its former loop form, its final basis against LP
-duality, the minor-polynomial LP against scipy on the predistance-basis LP
-and against its former pinned-row lexicographic loop, the sign search's
-dual max-margin LP against its former primal, and the sign-polynomial search
-against scipy solving the divided-difference mesh formulation."""
+duality, the closed-form minor polynomial against scipy on the
+predistance-basis LP, against the former lexicographic minor LP and its
+pinned-row loop, and its zero-set family and swap walk against brute force,
+the sign search's dual max-margin LP against its former primal, and the
+sign-polynomial search against scipy solving the divided-difference mesh
+formulation."""
 
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 from math import comb
 
@@ -20,14 +22,20 @@ from specind.errors import (
     Unbounded,
 )
 from specind import optimize
-from specind.graphs import FamilySpec
-from specind.polys import predistance_polynomials
+from specind.bounds import Analysis, best_bounds, pwr_ratio
+from specind.graphs import FamilySpec, generate
+from specind.polys import MeshPolynomial, predistance_polynomials
 from specind.optimize import (
     _MARGIN,
+    _TOL,
+    _bland,
+    _family_size,
+    _gale_even,
     _margin_rows,
     _max_margin,
     _negative_sets,
-    _simplex_standard,
+    _pivot,
+    _price,
     _solve,
     _tableau,
     minor_polynomial,
@@ -63,13 +71,22 @@ def dd_coefficient_rows(mesh: np.ndarray) -> np.ndarray:
     return rows
 
 
+def simplex_standard(A, b, c):
+    """The package's two-phase simplex on one LP, min c.x subject to
+    Ax = b, x >= 0, from its phase-1 tableau; returns (x, c.x, basis), with
+    ``basis`` the final basic columns, one per row that is not redundant."""
+    T, basis = _tableau(A, b)
+    x, basis = _solve(T, basis, c, np.zeros(T.shape[1] - 1, dtype=bool))
+    return x, c @ x, basis
+
+
 def assert_matches_scipy(A, b, c):
     """Our vertex is feasible and optimal: scipy's objective on the same
     standard form, min c.x subject to Ax = b, x >= 0."""
     ref = scipy_opt.linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
                             method="highs")
     assert ref.status == 0
-    x, obj, _ = _simplex_standard(A, b, c)
+    x, obj, _ = simplex_standard(A, b, c)
     assert obj == pytest.approx(ref.fun, abs=1e-7)
     assert np.allclose(A @ x, b, atol=1e-8) and x.min() >= 0
     return x
@@ -150,7 +167,7 @@ def test_simplex_basis_gives_optimal_duals():
     dropped and pi is one of the least-squares solutions, all of which give
     the same A^T pi and b.pi."""
     for A, b, c in [*random_lps(), BEALE, *REDUNDANT]:
-        x, obj, basis = _simplex_standard(A, b, c)
+        x, obj, basis = simplex_standard(A, b, c)
         assert len(basis) == np.linalg.matrix_rank(A)
         pi = np.linalg.lstsq(A[:, basis].T, c[basis], rcond=None)[0]
         assert b @ pi == pytest.approx(obj, abs=1e-9)
@@ -164,7 +181,7 @@ def test_simplex_degenerate_tied_ratios():
     A, b, c = BEALE
     x = assert_matches_scipy(A, b, c)
     assert c @ x == pytest.approx(-1.25, abs=1e-12)
-    assert _simplex_standard(A, b, c)[0].tobytes() == x.tobytes()
+    assert simplex_standard(A, b, c)[0].tobytes() == x.tobytes()
 
 
 def test_simplex_redundant_row():
@@ -182,13 +199,39 @@ def test_simplex_artificial_driven_out():
 
 def test_simplex_infeasible():
     with pytest.raises(Infeasible):
-        _simplex_standard(np.array([[1.0]]), np.array([-5.0]), np.array([1.0]))
+        simplex_standard(np.array([[1.0]]), np.array([-5.0]), np.array([1.0]))
 
 
 def test_simplex_unbounded():
     with pytest.raises(Unbounded):
-        _simplex_standard(np.array([[0.0, 1.0]]), np.array([1.0]),
-                          np.array([-1.0, 0.0]))
+        simplex_standard(np.array([[0.0, 1.0]]), np.array([1.0]),
+                         np.array([-1.0, 0.0]))
+
+
+def lexicographic_reference(A, b, objectives, start):
+    """Reference: the start-basis path and objective stack of the former
+    ``optimize._simplex_standard``, which only the minor LP used.  The rows of
+    [A | b], scaled as ``_tableau`` scales them, are pivoted onto the
+    feasible basis ``start`` (the column basic in each row; Infeasible if it
+    is not primal feasible), and each objective is then minimized in turn:
+    after each one's optimum every column with a positive reduced cost is
+    fixed at zero, which leaves that objective's optimal face for the next.
+    Returns x."""
+    n = A.shape[1]
+    T = _tableau(A, b)[0]
+    T = np.vstack([np.hstack([T[:-1, :n], T[:-1, -1:]]), np.zeros(n + 1)])
+    basis = np.array(start)
+    for i, j in enumerate(basis):
+        _pivot(T, basis, i, j)
+    if T[:-1, -1].min() < -_TOL:
+        raise Infeasible("start basis is not primal feasible")
+    fixed = np.zeros(n, dtype=bool)
+    for row in np.atleast_2d(objectives):
+        _price(T, basis, row)
+        fixed |= _bland(T, basis, fixed) > _TOL
+    x = np.zeros(n)
+    x[basis] = T[:-1, -1]
+    return x
 
 
 def test_simplex_lexicographic_degenerate_face():
@@ -198,15 +241,15 @@ def test_simplex_lexicographic_degenerate_face():
     for second, want in (([0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]),
                          ([0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 1.0])):
         stack = np.array([c, second])
-        x, obj, _ = _simplex_standard(A, b, stack)
+        x = lexicographic_reference(A, b, stack, [2, 3])
         assert np.allclose(x, want, atol=1e-12)
         assert np.allclose(x, scipy_lexicographic(A, b, stack), atol=1e-9)
-        assert obj == pytest.approx(stack @ want, abs=1e-12)
+        assert stack @ x == pytest.approx(stack @ want, abs=1e-12)
 
 
 def loop_simplex(A, b, c, tol=1e-9):
     """Reference: the former per-row, per-column loop form of
-    ``_simplex_standard``, without its Infeasible and Unbounded checks."""
+    ``simplex_standard``, without its Infeasible and Unbounded checks."""
     m, n = A.shape
     A = A.copy()
     b = b.copy()
@@ -276,10 +319,8 @@ def test_simplex_matches_loop_reference(corpus_spectra, monkeypatch):
     spectra, flower-snark's hard searches included.  Each sign LP is solved
     on the search's shared tableau; its vertex on the set's columns is the
     loop form's on the sliced standard form the set stands for, its other
-    lambda entries are zero, and ``_simplex_standard`` on the sliced form
-    takes the same pivots too.  These all have one objective; the minor
-    LP's objective stacks are checked against the pinned-row reference
-    below."""
+    lambda entries are zero, and ``simplex_standard`` on the sliced form
+    takes the same pivots too."""
     lps = [*random_lps(), BEALE, *REDUNDANT, DRIVEN_OUT, REENTRY]
     max_margin, solve = optimize._max_margin, optimize._solve
     vertices, sign = [], []
@@ -309,7 +350,7 @@ def test_simplex_matches_loop_reference(corpus_spectra, monkeypatch):
         assert not np.delete(x, cols).any(), neg
         lps.append((A_N, b, c))
     for A, b, c in lps:
-        x = _simplex_standard(A, b, c)[0]
+        x = simplex_standard(A, b, c)[0]
         assert x.tobytes() == loop_simplex(A, b, c).tobytes()
 
 
@@ -398,7 +439,7 @@ def predistance_lp_reference(pd, degrees, objective, lo, hi, rows=(), rhs=()):
     b[nr:] = hi[ub] - lo[ub]
     c[..., :d1] += objective[..., :d1]
     c[..., ext] += objective[..., d1:]
-    u = _simplex_standard(A, b, c)[0]
+    u = simplex_standard(A, b, c)[0]
     return np.concatenate([lo + u[:d1], u[ext]])
 
 
@@ -455,7 +496,7 @@ def sliced_max_margin(P, A, neg):
     sliced to the set's columns from scratch, and always derived the
     duals; returns (y, t, lambda)."""
     A_N, b, cost, _ = sliced_form(A, neg)
-    x, t, basis = _simplex_standard(A_N, b, cost)
+    x, t, basis = simplex_standard(A_N, b, cost)
     tc = np.linalg.solve(A_N[:, basis].T, cost[basis])
     return P.T @ tc[1:], t, x[:len(neg)]
 
@@ -635,9 +676,9 @@ def pinned_minor_reference(s, k):
 
 
 def test_minor_polynomial_matches_pinned_reference(corpus_spectra):
-    """The one-tableau lexicographic vertex is the pinned-row loop's vertex on
-    every corpus pair a report can reach (k <= pwr_level).  The loop fails
-    on Tutte at k = 7 and 10..29, all beyond its pwr_level of 3."""
+    """The closed-form vertex is the pinned-row loop's vertex on every corpus
+    pair a report can reach (k <= pwr_level).  The loop fails on Tutte at
+    k = 7 and 10..29, all beyond its pwr_level of 3."""
     checked = 0
     for label, (_, s, _, reg) in corpus_spectra.items():
         for k in range(1, min(reg.pwr_level, s.d) + 1):
@@ -651,34 +692,214 @@ def test_minor_polynomial_matches_pinned_reference(corpus_spectra):
     assert checked == 210  # the reference solves every such pair
 
 
-def test_minor_start_basis_matches_two_phase(corpus_spectra, monkeypatch):
-    """Phase 2 from f = 1 reaches the two-phase run's vertex, byte for byte,
-    on every corpus pair (k = 1..d, Tutte's 30 included), and f = 1 is
-    accepted as a feasible start on each of them (no Infeasible)."""
-    kernel = optimize._simplex_standard
-    checked = 0
+def lp_minor_reference(s, k):
+    """Reference: the former ``minor_polynomial``, the lexicographic LP in
+    the predistance basis, solved by phase 2 from the feasible f = 1;
+    returns its mesh values.
+
+    Columns u = y - e_0 >= 0, each c_i of f = sum_{i<=k} c_i p_i as two
+    adjacent columns (+, -), and one slack; rows u_j - sum_i c_i p_i(theta_j)
+    = -[j = 0], then u_0 + slack = 0, which holds y_0 at 1.  The objectives
+    are the trace, then y_1, ..., y_{d-1}."""
+    d = s.d
+    P = s.predistance.rows(k)
+    P = P / np.abs(P).max(axis=1, keepdims=True)
+    d1, nc = d + 1, 2 * (k + 1)
+    A = np.zeros((d1 + 1, d1 + nc + 1))
+    A[np.arange(d1), np.arange(d1)] = 1.0
+    A[:d1, d1:-1:2] -= P.T
+    A[:d1, d1 + 1:-1:2] += P.T
+    A[d1, [0, -1]] = 1.0
+    b = np.zeros(d1 + 1)
+    b[0] = -1.0
+    objectives = np.vstack([s.mults.astype(float), np.eye(d1)[1:d]])
+    # f = 1: c_0^+ basic in row 0, u_j = 1 in row j, the slack in the last
+    start = np.r_[d1, 1:d1, d1 + nc]
+    u = lexicographic_reference(A, b, np.pad(objectives, ((0, 0), (0, nc + 1))),
+                                start)
+    y = u[:d1]
+    y[0] += 1.0
+    y[np.abs(y) < 1e-11] = 0.0
+    return y
+
+
+def test_minor_start_basis_matches_two_phase(corpus_spectra):
+    """The closed form has the former LP's zero set, and its values within
+    1e-9, on every corpus pair (k = 1..d, Tutte's 30 included) but Tutte's
+    k = 26, 28 and 29.  Each LP vertex has exactly k zeros, so its zero set
+    is well defined.  On those three pairs several vertices have traces
+    within 1e-9 relative of the least, and the LP, which ties reduced costs
+    within 1e-9, stops at another of them than ``_lexmin``, which ties
+    values: its vertex is Gale-even, and ``_lexmin`` ranks the closed form
+    first.  Everywhere the closed-form trace exceeds the LP's by at most
+    1e-9 relative."""
+    checked, ties = 0, []
     for label, (_, s, _, _) in corpus_spectra.items():
         for k in range(1, s.d + 1):
             got = minor_polynomial(s, k).values
-            monkeypatch.setattr(optimize, "_simplex_standard",
-                                lambda A, b, c, start: kernel(A, b, c))
-            want = minor_polynomial(s, k).values
-            monkeypatch.undo()
-            assert got.tobytes() == want.tobytes(), (label, k)
+            want = lp_minor_reference(s, k)
+            assert (want[1:] == 0).sum() == k, (label, k)
+            assert s.trace(got) <= s.trace(want) * (1 + 1e-9), (label, k)
             checked += 1
+            if (got == 0).tolist() == (want == 0).tolist():
+                assert np.abs(got - want).max() <= 1e-9, (label, k)
+                continue
+            ties.append((label, k))
+            Z = np.flatnonzero(want[1:] == 0) + 1
+            assert Z.tolist() in _gale_even(s.d, k).tolist(), (label, k)
+            theta = s.distinct
+            f_Z = np.prod([(theta - theta[j]) / (theta[0] - theta[j])
+                           for j in Z], axis=0)
+            assert optimize._lexmin(s.mults, np.column_stack([got, f_Z])) == 0
     assert checked == 269
+    assert ties == [("tutte", 26), ("tutte", 28), ("tutte", 29)]
 
 
 def test_simplex_start_basis():
-    """A feasible start basis skips phase 1 and reaches the same vertex;
-    an infeasible one raises Infeasible."""
+    """The former start-basis path: a feasible start basis skips phase 1
+    and reaches the two-phase run's vertex; an infeasible one raises
+    Infeasible."""
     A, b, c = BEALE
-    x, obj, _ = _simplex_standard(A, b, c, start=np.array([4, 5, 6]))
-    assert np.allclose(x, _simplex_standard(A, b, c)[0], atol=1e-12)
-    assert obj == pytest.approx(-1.25, abs=1e-12)
+    x = lexicographic_reference(A, b, c, [4, 5, 6])
+    assert np.allclose(x, simplex_standard(A, b, c)[0], atol=1e-12)
+    assert c @ x == pytest.approx(-1.25, abs=1e-12)
     with pytest.raises(Infeasible):
-        _simplex_standard(np.array([[1.0, -1.0]]), np.array([1.0]),
-                          np.array([1.0, 1.0]), start=np.array([1]))
+        lexicographic_reference(np.array([[1.0, -1.0]]), np.array([1.0]),
+                                np.array([1.0, 1.0]), [1])
+
+
+def brute_force_zero_sets(mesh, k):
+    """Every k-subset Z of 1..d whose f_Z = prod_{j in Z} (x - theta_j) /
+    (theta_0 - theta_j) is >= 0 on the mesh, sorted."""
+    d = len(mesh) - 1
+    out = []
+    for Z in combinations(range(1, d + 1), k):
+        values = np.prod([(mesh - mesh[j]) / (mesh[0] - mesh[j]) for j in Z],
+                         axis=0)
+        if values.min() >= 0:
+            out.append(Z)
+    return out
+
+
+def test_gale_even_family_matches_brute_force():
+    """For d <= 10 and every k <= d, the zero sets ``_gale_even`` lists, each
+    once, are exactly the k-subsets whose f_Z is >= 0 on a random mesh, and
+    N(d, k) counts them."""
+    rng = np.random.default_rng(5)
+    for d in range(1, 11):
+        mesh = np.sort(rng.uniform(-3.0, 3.0, d + 1))[::-1]
+        for k in range(1, d + 1):
+            got = [tuple(Z) for Z in _gale_even(d, k).tolist()]
+            assert len(set(got)) == len(got) == _family_size(d, k), (d, k)
+            assert sorted(got) == brute_force_zero_sets(mesh, k), (d, k)
+
+
+def test_swap_walk_reaches_family_optimum(corpus_spectra, monkeypatch):
+    """The single-swap walk, forced on every corpus pair (k = 1..d), ends at
+    the whole family's lexicographic vertex, byte for byte, wherever the
+    family has at most 20000 members: all pairs but Tutte's k = 10..23,
+    whose families (up to 319770 sets) are too large to score here."""
+    size = optimize._family_size
+    compared = 0
+    for label, (_, s, _, _) in corpus_spectra.items():
+        for k in range(1, s.d + 1):
+            monkeypatch.setattr(optimize, "_family_size", lambda d, k: np.inf)
+            walked = minor_polynomial(s, k).values
+            if size(s.d, k) > 20000:
+                monkeypatch.undo()
+                continue
+            monkeypatch.setattr(optimize, "_family_size", lambda d, k: 0)
+            family = minor_polynomial(s, k).values
+            monkeypatch.undo()
+            assert walked.tobytes() == family.tobytes(), (label, k)
+            compared += 1
+    assert compared == 269 - 14
+
+
+@pytest.fixture(scope="module")
+def cycle_101():
+    """C_101's spectrum, as ``bounds --family cycle:101`` computes it: d = 50,
+    alpha_k = floor(101 / (k + 1)) for k < 50."""
+    return Analysis(generate(FamilySpec.parse("cycle:101"))).s
+
+
+def chebyshev_minor_trace(s, k):
+    """The least trace of a minor polynomial by scipy, with f written in
+    the Chebyshev basis T_i(x / 2), whose mesh values cos(i phi_j),
+    theta_j = 2 cos(phi_j), are well conditioned at any degree: an oracle
+    for cycles, whose spectrum lies in [-2, 2]."""
+    T = np.cos(np.outer(np.arange(k + 1),
+                        np.arccos(np.clip(s.distinct / 2, -1.0, 1.0))))
+    res = scipy_opt.linprog(T @ s.mults, A_eq=T[:, :1].T, b_eq=[1.0],
+                            A_ub=-T[:, 1:].T, b_ub=np.zeros(s.d),
+                            bounds=(None, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_cycle_101_pwr_ratio_is_sound(cycle_101):
+    """The former LP's vertex stops being a polynomial of degree <= k on
+    C_101 at high k: at k = 49 its trace 1.339 gives floor 1 < alpha_49 = 2,
+    and at k = 45 it reports 2.0452 where the optimum is 2.0399.  The closed
+    form's floor is >= alpha_k for k = 40..49, its trace is scipy's optimum
+    within 1e-9 relative, and wherever the LP's trace is lower by more than
+    that (k = 42, 43, 46, 49), the LP's values are off the polynomial of its
+    own zero set by more than 1e-5: that vertex is not feasible."""
+    s = cycle_101
+    theta = s.distinct
+    below = []
+    for k in range(40, 50):
+        f = minor_polynomial(s, k)
+        rep = pwr_ratio(s, f, k)
+        assert rep.floor_value >= 101 // (k + 1), k
+        optimum = chebyshev_minor_trace(s, k)
+        assert abs(rep.value - optimum) <= 1e-9 * optimum, k
+        lp = lp_minor_reference(s, k)
+        if s.trace(lp) < rep.value * (1 - 1e-9):
+            below.append(k)
+            Z = np.flatnonzero(lp[1:] == 0) + 1
+            f_Z = np.prod([(theta - theta[j]) / (theta[0] - theta[j])
+                           for j in Z], axis=0)
+            assert np.abs(lp - f_Z).max() > 1e-5, k
+    assert below == [42, 43, 46, 49]
+    lp49 = MeshPolynomial(theta, lp_minor_reference(s, 49))
+    assert pwr_ratio(s, lp49, 49).floor_value == 1
+    assert s.trace(lp_minor_reference(s, 45)) == pytest.approx(2.0452, abs=1e-4)
+    assert s.trace(minor_polynomial(s, 45).values) == pytest.approx(2.0399, abs=1e-4)
+
+
+def test_swap_walk_finishes_on_cycle_101(cycle_101):
+    """On C_101 at k = 20..30 the families hold 10^8..10^9 sets, so the walk
+    runs; it ends at scipy's optimum within 1e-9 relative, with k zeros."""
+    s = cycle_101
+    for k in range(20, 31):
+        assert _family_size(s.d, k) > 10 ** 8
+        f = minor_polynomial(s, k).values
+        assert (f[1:] == 0).sum() == k
+        optimum = chebyshev_minor_trace(s, k)
+        assert abs(s.trace(f) - optimum) <= 1e-9 * optimum, k
+
+
+def test_sign_unbounded_is_numerical_instability(cycle_101, corpus_spectra,
+                                                 monkeypatch):
+    """A max-margin dual is bounded below by 0, so an Unbounded from it is a
+    numerical breakdown: on C_101 at k = 9 the search raises
+    NumericalInstability, caused by the kernel's Unbounded, and the report's
+    pwr_inertia row stays inapplicable with a reason that names it."""
+    with pytest.raises(NumericalInstability,
+                       match="broke down numerically") as info:
+        sign_polynomial(cycle_101, 9)
+    assert isinstance(info.value.__cause__, Unbounded)
+
+    def unbounded(*args):
+        raise Unbounded("LP objective unbounded below")
+
+    monkeypatch.setattr(optimize, "_max_margin", unbounded)
+    g = corpus_spectra["petersen"][0]
+    rows = [r for r in best_bounds(g, 1) if r.method == "pwr_inertia"]
+    assert [(r.applicable, r.reason) for r in rows] == [
+        (False, "sign search failed: max-margin LP broke down numerically "
+                "(LP objective unbounded below)")]
 
 
 def test_fixed_columns_stay_at_zero():
@@ -693,7 +914,7 @@ def test_fixed_columns_stay_at_zero():
         fixed = np.zeros(T.shape[1] - 1, dtype=bool)
         fixed[:n] = True
         x, basis = _solve(T, basis, np.concatenate([-c, c]), fixed)
-        want, _, want_basis = _simplex_standard(A, b, c)
+        want, _, want_basis = simplex_standard(A, b, c)
         assert not x[:n].any()
         assert x[n:].tobytes() == want.tobytes()
         assert (basis == want_basis + n).all()
@@ -702,11 +923,11 @@ def test_fixed_columns_stay_at_zero():
 def test_carried_reduced_costs_match_recomputed(corpus_spectra, monkeypatch):
     """At every optimum the reduced-cost row that each pivot updates is
     within 1e-9 of c - c_B T recomputed from the tableau, its -z entry
-    included: every phase of every LP the minor LP (k = 1..d, Tutte's 30
-    included) and the sign search (each pair a report can reach, as in the
-    pruned-search test) solve on the corpus.  A sign search prices its
-    phase-1 row once, on the tableau every set solves a copy of, so each
-    solve that starts from artificials records the phase-1 cost again."""
+    included: every phase of every LP the sign search solves on the corpus
+    (each pair a report can reach, as in the pruned-search test).  A sign
+    search prices its phase-1 row once, on the tableau every set solves a
+    copy of, so each solve that starts from artificials records the
+    phase-1 cost again."""
     price, bland, solve = optimize._price, optimize._bland, optimize._solve
     costs, optima, worst = [], 0, 0.0
 
@@ -731,15 +952,12 @@ def test_carried_reduced_costs_match_recomputed(corpus_spectra, monkeypatch):
     monkeypatch.setattr(optimize, "_price", record_price)
     monkeypatch.setattr(optimize, "_solve", record_solve)
     monkeypatch.setattr(optimize, "_bland", check_bland)
-    minor = sign = 0
+    sign = 0
     for _, s, _, reg in corpus_spectra.values():
-        for k in range(1, s.d + 1):
-            minor_polynomial(s, k)
-            minor += 1
         for k in range(1, min(s.d, reg.pwr_level + 1)):
             sign_polynomial(s, k, 30.0)
             sign += 1
-    assert (minor, sign, optima) == (269, 163, 3551)
+    assert (sign, optima) == (163, 1346)
     assert worst <= 1e-9, worst  # 1.04e-10 when written
 
 
