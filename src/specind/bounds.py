@@ -15,29 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from . import optimize
-from .errors import (
-    BadNormalization,
-    DegeneratePolynomial,
-    NotRegular,
-    NoValidTheta,
-    SpecindError,
-    TraceNotZero,
-)
+from .errors import BadNormalization, NoValidTheta, SpecindError, TraceNotZero
 from .graphs import DistanceMatrix, Graph, distance_matrix
-from .polys import (
-    CoeffPolynomial,
-    MeshPolynomial,
-    mesh_to_coeffs,
-    mp2_index,
-    mp4_index,
-)
-from .spectra import (
-    RegularityReport,
-    Spectrum,
-    classify_regularity,
-    diagonal_stats,
-    spectrum,
-)
+from .polys import MeshPolynomial, mesh_to_coeffs, mp2_index, mp4_index
+from .spectra import RegularityReport, Spectrum, classify_regularity, spectrum
 
 _SIGN_TOL = 1e-9
 
@@ -98,37 +79,6 @@ def hoffman_bound(n: int, lam1: float, lamn: float) -> BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# General-polynomial bounds (arbitrary graphs)
-
-
-def inertia_general(g: Graph, p: CoeffPolynomial, k: int,
-                    s: Spectrum | None = None) -> BoundReport:
-    if s is None:
-        s = spectrum(g)
-    w, W = diagonal_stats(g, p.coeffs)
-    vals = p(s.raw)
-    tol = _SIGN_TOL * max(1.0, np.abs(vals).max())
-    side1 = int(np.sum(vals >= w - tol))
-    side2 = int(np.sum(vals <= W + tol))
-    return BoundReport("inertia_general", k, float(min(side1, side2)), p)
-
-
-def ratio_general(g: Graph, p: CoeffPolynomial, k: int,
-                  s: Spectrum | None = None) -> BoundReport:
-    if not g.is_regular():
-        raise NotRegular("ratio-type bound requires a regular graph")
-    if s is None:
-        s = spectrum(g)
-    w, W = diagonal_stats(g, p.coeffs)
-    vals = p(s.raw)
-    lam = float(vals[1:].min())
-    p1 = float(vals[0])
-    if p1 <= lam + _SIGN_TOL * max(1.0, abs(p1)):
-        raise DegeneratePolynomial("requires p(lambda_1) > lambda(p)")
-    return BoundReport("ratio_general", k, g.n * (W - lam) / (p1 - lam), p)
-
-
-# ---------------------------------------------------------------------------
 # Multiplicity-form bounds for k-partially walk-regular graphs
 
 
@@ -148,15 +98,6 @@ def pwr_ratio(s: Spectrum, f: MeshPolynomial, k: int) -> BoundReport:
     if abs(vals[0] - 1.0) > 1e-7 or abs(float(vals[1:].min())) > 1e-7 * scale:
         raise BadNormalization("need f(theta_0)=1 and min_{i>=1} f(theta_i)=0")
     return BoundReport("pwr_ratio", k, s.trace(vals), f)
-
-
-def sign_to_minor(sp: MeshPolynomial) -> tuple:
-    """f = (1+s)/(1+s(theta_0)); returns (f, the n/(1+s(theta_0)) bound factor)."""
-    s0 = float(sp.values[0])
-    if abs(1.0 + s0) < 1e-12:
-        raise ZeroDivisionError("s(theta_0) = -1 is degenerate")
-    f = MeshPolynomial(sp.mesh, (1.0 + sp.values) / (1.0 + s0))
-    return f, 1.0 + s0
 
 
 def minor_to_sign(f: MeshPolynomial, s: Spectrum) -> MeshPolynomial:
@@ -268,10 +209,11 @@ def qk_bounds(s: Spectrum, k: int) -> tuple:
 
 def pd_ratio_bound(s: Spectrum) -> BoundReport:
     """alpha_{d-1} <= n (1 + Lambda(p_d)) / (n + Lambda(p_d) - p_d(theta_0));
-    tight (= r) for r-antipodal distance-regular graphs."""
+    tight (= r) for r-antipodal distance-regular graphs; p_d is read off pi
+    (``Spectrum.p_d``)."""
     if s.d < 2:
         return _inapplicable("pd_ratio", 0, "d - 1 = 0 is out of range")
-    pdv = s.predistance.mesh_values[-1]
+    pdv = s.p_d
     Lam = float(pdv.max())
     val = s.n * (1.0 + Lam) / (s.n + Lam - pdv[0])
     if abs(Lam - pdv[0]) < 1e-8 * max(1.0, abs(Lam)):

@@ -184,8 +184,7 @@ def multiplicity_feasibility(s: Spectrum, r: int) -> MultiplicityReport:
 
 def spectral_excess(s: Spectrum) -> float:
     """p_d(theta_0) = n (sum_i pi_0^2 / (m_i pi_i^2))^{-1}."""
-    total = float(np.sum(s.pi[0] ** 2 / (s.mults * s.pi ** 2)))
-    return s.n / total
+    return float(s.p_d[0])
 
 
 def mean_excess(dm: DistanceMatrix) -> float:

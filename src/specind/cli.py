@@ -124,12 +124,12 @@ def _resolve_source(source: str) -> Graph:
 
 
 def _t1_row(row):
-    g = _resolve_source(row["source"])
-    s = spectrum(g)
-    return {"alpha": alpha_k_exact(g, 1).alpha_k,
+    a = bounds_mod.Analysis(_resolve_source(row["source"]))
+    s = a.s
+    return {"alpha": alpha_k_exact(a, 1).alpha_k,
             "inertia": bounds_mod.cvetkovic_bound(s.raw).floor_value,
             "ratio_floor": bounds_mod.hoffman_bound(
-                g.n, float(s.distinct[0]), float(s.distinct[-1])).floor_value}
+                a.g.n, float(s.distinct[0]), float(s.distinct[-1])).floor_value}
 
 
 def _t2_row(row):
@@ -162,18 +162,19 @@ def _sign_odd6_row(row):
 
 
 def _t4_row(row):
+    """The (d-1) bounds read the family's closed-form spectrum, which the
+    row's analysis keeps as its own."""
     spec = FamilySpec.parse(row["family"])
-    return {"alpha": alpha_k_exact(generate(spec), row["k"]).alpha_k,
-            "bound": bounds_mod.minimum_floor(
-                bounds_mod.dminus1_bounds(exact_family_spectrum(spec)))}
+    a = bounds_mod.Analysis.of(generate(spec), s=exact_family_spectrum(spec))
+    return {"alpha": alpha_k_exact(a, row["k"]).alpha_k,
+            "bound": bounds_mod.minimum_floor(bounds_mod.dminus1_bounds(a.s))}
 
 
 def _t5_row(row):
-    g = _resolve_source(row["source"])
-    s = spectrum(g)
-    _, rr = bounds_mod.qk_bounds(s, 2)
+    a = bounds_mod.Analysis(_resolve_source(row["source"]))
+    _, rr = bounds_mod.qk_bounds(a.s, 2)
     return {"qk": rr.floor_value if rr.applicable else None,
-            "alpha2": alpha_k_exact(g, 2).alpha_k}
+            "alpha2": alpha_k_exact(a, 2).alpha_k}
 
 
 # table -> (row handler, the row's printed id as a format of its fields);

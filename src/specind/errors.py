@@ -49,10 +49,6 @@ class NotRegular(SpecindError):
     """Operation requires a regular graph."""
 
 
-class DegeneratePolynomial(SpecindError):
-    """Polynomial violates the strict inequality required by the bound."""
-
-
 class TraceNotZero(SpecindError):
     """Sign polynomial must have zero spectral trace."""
 

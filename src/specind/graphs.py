@@ -42,10 +42,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(int)
 
-    def is_regular(self) -> bool:
-        deg = self.degrees()
-        return bool(np.all(deg == deg[0]))
-
     def neighbors(self, u: int) -> np.ndarray:
         return np.flatnonzero(self.adjacency[u])
 

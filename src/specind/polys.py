@@ -59,9 +59,6 @@ class CoeffPolynomial:
         nz = np.flatnonzero(np.abs(self.coeffs) > 0)
         return int(nz[-1]) if len(nz) else 0
 
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
-
     def to_json_dict(self) -> dict:
         return {"coeffs": list(map(float, self.coeffs))}
 
@@ -101,11 +98,6 @@ class PredistanceFamily:
         out = self._values[:m + 1]
         out.setflags(write=False)
         return out
-
-    @property
-    def mesh_values(self) -> np.ndarray:
-        """p_0..p_d on the mesh: row i holds p_i."""
-        return self.rows(self._s.d)
 
 
 def divided_differences(p: MeshPolynomial) -> np.ndarray:

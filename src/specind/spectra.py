@@ -2,7 +2,8 @@
 
 A ``Spectrum`` carries what every layer derives from it: the order n, the
 trace tr p(A) = sum_i m_i p(theta_i) of a polynomial by its mesh values,
-pi_i = prod_{j != i} |theta_i - theta_j| and the predistance polynomials.
+pi_i = prod_{j != i} |theta_i - theta_j|, the top predistance polynomial p_d
+read off pi, and the predistance polynomials.
 """
 
 from __future__ import annotations
@@ -52,6 +53,18 @@ class Spectrum:
         diff = np.abs(self.distinct[:, None] - self.distinct[None, :])
         np.fill_diagonal(diff, 1.0)
         out = diff.prod(axis=1)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def p_d(self) -> np.ndarray:
+        """The top predistance polynomial p_d on the mesh, from pi alone
+        (Fiol and Garriga): p_d(theta_0) = n / sum_i pi_0^2 / (m_i pi_i^2) and
+        p_d(theta_i) = (-1)^i p_d(theta_0) pi_0 / (m_i pi_i); read-only."""
+        pi0 = self.pi[0]
+        top = self.n / float(np.sum(pi0 ** 2 / (self.mults * self.pi ** 2)))
+        signs = (-1.0) ** np.arange(self.d + 1)
+        out = signs * top * (pi0 / (self.mults * self.pi))  # out[0] is top
         out.setflags(write=False)
         return out
 
@@ -197,22 +210,6 @@ def srg_raw_spectrum(n: int, k: int, lam: int, mu: int) -> np.ndarray:
     return np.concatenate([[float(k)],
                            np.full(round(mult_r), r),
                            np.full(round(mult_s), s)])
-
-
-def _poly_matrix(g: Graph, coeffs) -> np.ndarray:
-    """p(A) by Horner; exact for the walk counts we need (< 2^53)."""
-    a = g.adjacency.astype(float)
-    n = g.n
-    res = np.zeros((n, n))
-    for c in reversed(list(coeffs)):
-        res = res @ a + c * np.eye(n)
-    return res
-
-
-def diagonal_stats(g: Graph, coeffs) -> tuple:
-    """(w, W): min and max diagonal entry of p(A), p in coefficient form."""
-    diag = np.diag(_poly_matrix(g, coeffs))
-    return float(diag.min()), float(diag.max())
 
 
 def _intersection_numbers(a: np.ndarray, dm: DistanceMatrix):

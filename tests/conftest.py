@@ -1,5 +1,6 @@
 """Shared corpus, heavy session-scoped sweeps, and the corpus-wide property
-checks that both the property suite and the acceptance gate run."""
+checks, run once per session in ``corpus_checks``, whose outcome the
+property suite, the acceptance gate and the module tests assert on."""
 
 from __future__ import annotations
 
@@ -141,7 +142,7 @@ def check_predistance_structure(corpus_spectra):
     for label, (_, s, _, _) in corpus_spectra.items():
         if s.d < 1:
             continue
-        V = s.predistance.mesh_values
+        V = s.predistance.rows(s.d)
         scale = max(1.0, float(np.abs(V).max()))
         for i in range(s.d + 1):
             assert V[i, 0] == pytest.approx(spectral_inner(s, V[i], V[i]),
@@ -201,6 +202,23 @@ def check_pi_sum_identity(corpus_spectra):
         ratios = s.pi[0] / s.pi
         assert float(ratios[0::2].sum()) == pytest.approx(
             float(ratios[1::2].sum()), rel=1e-8), label
+
+
+@pytest.fixture(scope="session")
+def corpus_checks(corpus_spectra):
+    """Each corpus-wide check above, run once per session: its name ->
+    None when it passed, else its AssertionError.  Every test that stands
+    for a check asserts on its entry."""
+    out = {}
+    for check in (check_predistance_structure, check_spectral_excess_theorem,
+                  check_determinism, check_pi_sum_identity):
+        try:
+            check(corpus_spectra)
+        except AssertionError as exc:
+            out[check.__name__] = exc
+        else:
+            out[check.__name__] = None
+    return out
 
 
 def check_hypercube_pi_ratios():

@@ -9,13 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (
-    check_determinism,
-    check_hypercube_pi_ratios,
-    check_pi_sum_identity,
-    check_predistance_structure,
-    check_spectral_excess_theorem,
-)
+from conftest import check_hypercube_pi_ratios
 
 from specind.bounds import (
     cvetkovic_bound,
@@ -159,7 +153,7 @@ def test_criterion_08_qk_ratio_table5_fixtures(corpus_spectra):
         assert ratio.applicable and ratio.floor_value == floor, name
 
 
-def test_criterion_09_property_suites(corpus, corpus_spectra,
+def test_criterion_09_property_suites(corpus, corpus_checks,
                                       soundness_results):
     # corpus size
     assert len(corpus) >= 40
@@ -167,13 +161,13 @@ def test_criterion_09_property_suites(corpus, corpus_spectra,
     checked, _ = soundness_results
     assert checked and all(f >= e for _, _, _, f, e in checked)
     # predistance family structure and q'_k maximum
-    check_predistance_structure(corpus_spectra)
+    assert corpus_checks["check_predistance_structure"] is None
     # spectral excess <-> distance-regular, both directions instance-wise
-    check_spectral_excess_theorem(corpus_spectra)
+    assert corpus_checks["check_spectral_excess_theorem"] is None
     # LP/MILP determinism (bit-identical)
-    check_determinism(corpus_spectra)
+    assert corpus_checks["check_determinism"] is None
     # even/odd pi-sum identity and hypercube pi-ratio identity
-    check_pi_sum_identity(corpus_spectra)
+    assert corpus_checks["check_pi_sum_identity"] is None
     check_hypercube_pi_ratios()
 
 

@@ -16,28 +16,20 @@ from specind.bounds import (
     cvetkovic_bound,
     dminus1_bounds,
     hoffman_bound,
-    inertia_general,
     minimum_floor,
     minor_to_sign,
     pd_ratio_bound,
     pwr_inertia,
     pwr_ratio,
     qk_bounds,
-    ratio_general,
     reports_to_csv,
-    sign_to_minor,
 )
-from specind.ch import ch_classify
-from specind.errors import (
-    BadNormalization,
-    DegeneratePolynomial,
-    NotRegular,
-    TraceNotZero,
-)
+from specind.ch import ch_classify, spectral_excess
+from specind.errors import BadNormalization, TraceNotZero
 from specind.exact import alpha_k_exact
 from specind.graphs import FamilySpec, distance_matrix, from_adjacency, generate
 from specind.optimize import minor_polynomial, sign_polynomial
-from specind.polys import CoeffPolynomial, MeshPolynomial, mesh_to_coeffs
+from specind.polys import MeshPolynomial, mesh_to_coeffs
 from specind.spectra import (
     classify_regularity,
     exact_family_spectrum,
@@ -77,48 +69,32 @@ def test_hoffman_known():
 
 
 # ---------------------------------------------------------------------------
-# General-polynomial bounds and the p = x specialization
-
-
-def test_general_bounds_specialize_to_classics(corpus_spectra):
-    """inertia_general/ratio_general with p = x reproduce the classic
-    inertia/ratio bounds exactly on regular graphs."""
-    x = CoeffPolynomial(np.array([0.0, 1.0]))
-    for label in ["petersen", "cycle:9", "hypercube:4", "kneser:7,2",
-                  "prism:6", "odd:4"]:
-        g, s, _, reg = corpus_spectra[label]
-        assert inertia_general(g, x, 1, s).value == cvetkovic_bound(s.raw).value
-        want = hoffman_bound(g.n, float(s.raw[0]), float(s.raw[-1])).value
-        assert ratio_general(g, x, 1, s).value == pytest.approx(want, rel=1e-9)
-
-
-def test_inertia_general_constant_poly_is_vacuous():
-    g = generate(FamilySpec.parse("petersen"))
-    one = CoeffPolynomial(np.array([1.0]))
-    assert inertia_general(g, one, 1).value == g.n
-
-
-def test_ratio_general_irregular_rejected():
-    g = generate(FamilySpec.parse("complete_bipartite:3,4"))
-    with pytest.raises(NotRegular):
-        ratio_general(g, CoeffPolynomial(np.array([0.0, 1.0])), 1)
-
-
-def test_ratio_general_degenerate_poly():
-    g = generate(FamilySpec.parse("petersen"))
-    with pytest.raises(DegeneratePolynomial):
-        ratio_general(g, CoeffPolynomial(np.array([1.0])), 1)  # p constant
+# General-polynomial bounds in coefficient form
 
 
 def test_general_bounds_on_o6_milp_lp():
+    """The O_6 k = 4 sign and minor certificates, in coefficient form, give
+    11 through the general inertia and ratio bounds (Abiad, Coutinho and
+    Fiol 2019), with w(p), W(p) the extreme entries of diag p(A), here a sum
+    of matrix-power diagonals, and p on the eigenvalues by polyval."""
     g = generate(FamilySpec.parse("odd:6"))
     s = spectrum(g)
-    sol = sign_polynomial(s, 4)
-    rep = inertia_general(g, mesh_to_coeffs(sol.sign_mesh), 4, s)
-    assert rep.value == 11
-    f = mesh_to_coeffs(minor_polynomial(s, 4))
-    rep = ratio_general(g, f, 4, s)
-    assert rep.value == pytest.approx(11.0, abs=1e-6)
+    a = g.adjacency.astype(float)
+
+    def diagonal_and_values(p):
+        diag = sum(c * np.diag(np.linalg.matrix_power(a, i))
+                   for i, c in enumerate(p.coeffs))
+        return diag, np.polynomial.polynomial.polyval(s.raw, p.coeffs)
+
+    diag, vals = diagonal_and_values(
+        mesh_to_coeffs(sign_polynomial(s, 4).sign_mesh))
+    tol = 1e-9 * max(1.0, np.abs(vals).max())
+    assert min(np.sum(vals >= diag.min() - tol),
+               np.sum(vals <= diag.max() + tol)) == 11
+    diag, vals = diagonal_and_values(mesh_to_coeffs(minor_polynomial(s, 4)))
+    lam = vals[1:].min()
+    assert (g.n * (diag.max() - lam) / (vals[0] - lam)
+            == pytest.approx(11.0, abs=1e-6))
 
 
 def test_ratio_general_higman_sims_p_x():
@@ -240,18 +216,9 @@ def test_transform_round_trip(corpus_spectra):
         sp = minor_to_sign(f, s)
         # zero trace by construction
         assert abs(float(np.dot(s.mults, sp.values))) < 1e-9 * s.n
-        back, factor = sign_to_minor(sp)
-        assert np.allclose(back.values, f.values, atol=1e-9), label
-        # the attached bound factor is n / (1 + s(theta_0)) = tr f(A)
-        assert s.n / factor == pytest.approx(float(np.dot(s.mults, f.values)),
-                                             rel=1e-9)
-
-
-def test_transform_hoffman_case():
-    s = exact_family_spectrum(FamilySpec.parse("petersen"))
-    sp = MeshPolynomial(s.distinct, np.array([s.n - 1.0, -1.0, -1.0]))
-    f, _ = sign_to_minor(sp)
-    assert np.allclose(f.values, [1.0, 0.0, 0.0])
+        # s = (n / tr f(A)) f - 1, so 1 + s(theta_0) = n / tr f(A)
+        assert 1.0 + sp.values[0] == pytest.approx(s.n / s.trace(f.values),
+                                                   rel=1e-9), label
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +239,10 @@ def test_alpha3_known():
 
 def test_alpha3_girth_delta_zero(corpus_spectra):
     """Triangle-free graphs have diag(A^3) = 0, so delta must be 0."""
-    from specind.spectra import diagonal_stats
     for label in ["petersen", "hypercube:4", "odd:5", "nauru"]:
         g, _, _, _ = corpus_spectra[label]
-        w, W = diagonal_stats(g, [0.0, 0.0, 0.0, 1.0])
-        assert w == W == 0.0, label
+        a = g.adjacency.astype(float)
+        assert not np.diag(np.linalg.matrix_power(a, 3)).any(), label
 
 
 def test_minor_lp_beats_every_closed_form(corpus_spectra):
@@ -410,6 +376,42 @@ def test_pd_ratio_guard_d1():
     s = exact_family_spectrum(FamilySpec.parse("complete:3"))
     rep = pd_ratio_bound(s)
     assert not rep.applicable
+
+
+def test_pd_from_pi_is_chebyshev_on_cycle_101():
+    """Odd cycles have p_i = 2 T_i(x / 2) for i >= 1, so the p_d that
+    ``Spectrum.p_d`` reads off pi is 2 T_50(x / 2) on C_101's mesh."""
+    s = exact_family_spectrum(FamilySpec.parse("cycle:101"))
+    want = 2 * np.polynomial.chebyshev.chebval(s.distinct / 2, np.eye(51)[50])
+    assert np.abs(s.p_d - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec,k", [("cycle:61", 29), ("cycle:101", 49)])
+def test_pd_ratio_on_long_cycles(spec, k):
+    """On the cycle C_{2d+1}, p_d(theta_0) = 2 and the p_d ratio bound is
+    1 + p_d(theta_0) = 3, on the spectrum ``bounds`` computes; d = 30 and 50
+    are past the degree (~22) where Gram-Schmidt rows lose their degree."""
+    s = bounds.Analysis(generate(FamilySpec.parse(spec))).s
+    rep = pd_ratio_bound(s)
+    assert rep.k == k
+    assert rep.value == pytest.approx(3.0, abs=1e-9)
+
+
+def test_pd_ratio_is_one_plus_spectral_excess(corpus_spectra):
+    """Where the reason says Lambda(p_d) = p_d(theta_0), the bound
+    n (1 + Lambda) / (n + Lambda - p_d(theta_0)) is one more than the
+    spectral excess p_d(theta_0)."""
+    spectra = [s for _, s, _, _ in corpus_spectra.values() if s.d >= 2]
+    spectra += [bounds.Analysis(generate(FamilySpec.parse(spec))).s
+                for spec in ("cycle:61", "cycle:101")]
+    attained = 0
+    for s in spectra:
+        rep = pd_ratio_bound(s)
+        if rep.reason.startswith("bound = 1 + p_d(theta_0)"):
+            assert rep.value == pytest.approx(1.0 + spectral_excess(s),
+                                              rel=1e-9), s.distinct
+            attained += 1
+    assert attained == 37  # 35 corpus graphs and both cycles
 
 
 # ---------------------------------------------------------------------------

@@ -392,7 +392,7 @@ def test_minor_polynomial_vs_scipy_oracle(corpus_spectra):
     for label, (_, s, _, _) in corpus_spectra.items():
         pd = predistance_polynomials(s)
         for k in range(1, s.d + 1):
-            P = pd.mesh_values[:k + 1]
+            P = pd.rows(k)
             P = P / np.abs(P).max(axis=1, keepdims=True)
             res = scipy_opt.linprog(P @ s.mults, A_eq=P[:, :1].T, b_eq=[1.0],
                                     A_ub=-P[:, 1:].T, b_ub=np.zeros(s.d),
@@ -415,7 +415,7 @@ def predistance_lp_reference(pd, degrees, objective, lo, hi, rows=(), rhs=()):
     rows y_j - sum_i c_i p_i(theta_j) = 0, then ``rows``, then
     y_j + slack = hi_j.
     """
-    basis = pd.mesh_values[degrees]
+    basis = pd.rows(degrees.stop - 1)[degrees]
     basis = basis / np.abs(basis).max(axis=1, keepdims=True)
     nc, d1 = basis.shape
     objective = np.asarray(objective, dtype=float)
@@ -447,7 +447,7 @@ def primal_max_margin(pd, k, neg):
     """Reference: the former primal ``_max_margin``, max t with y_j <= -t on
     ``neg``, |y| <= 1 and y in span(p_1..p_k), with d+1 definition rows,
     d+1 box rows and one margin row per element of ``neg``."""
-    d1 = len(pd.mesh_values)
+    d1 = pd.rows(k).shape[1]
     # variables: y_0..y_d, t, one slack per margin row y_j + t + slack = 0
     rows = np.hstack([np.eye(d1)[list(neg)], np.ones((len(neg), 1)),
                       np.eye(len(neg))])

@@ -27,7 +27,7 @@ from specind.spectra import Spectrum, exact_family_spectrum
 def coeffs_to_mesh(c: CoeffPolynomial, mesh: np.ndarray) -> MeshPolynomial:
     """Reference: a coefficient-form polynomial's values on a mesh."""
     return MeshPolynomial(np.asarray(mesh, dtype=float),
-                          np.asarray(c(mesh), dtype=float))
+                          np.polynomial.polynomial.polyval(mesh, c.coeffs))
 
 
 def petersen_spectrum():
@@ -75,7 +75,7 @@ def test_predistance_family_properties(corpus_spectra):
                   "prism:6", "hoffman", "nauru", "frucht"]:
         _, s, _, _ = corpus_spectra[label]
         fam = predistance_polynomials(s)
-        V = fam.mesh_values
+        V = fam.rows(s.d)
         # orthogonality and normalization p_i(theta_0) = ||p_i||^2
         for i in range(s.d + 1):
             for j in range(i + 1, s.d + 1):
@@ -120,8 +120,8 @@ def test_predistance_matches_per_pass_reference(corpus_spectra):
     for label, (_, s, _, _) in corpus_spectra.items():
         fam = predistance_polynomials(s)
         values, norms = per_pass_predistance_reference(s)
-        assert fam.mesh_values.tobytes() == values.tobytes(), label
-        fam_norms = np.array([spectral_inner(s, v, v) for v in fam.mesh_values])
+        assert fam.rows(s.d).tobytes() == values.tobytes(), label
+        fam_norms = np.array([spectral_inner(s, v, v) for v in fam.rows(s.d)])
         assert fam_norms.tobytes() == norms.tobytes(), label
 
 
@@ -150,8 +150,6 @@ def test_degenerate_row_raises_only_when_requested():
     assert fam.rows(1).shape == (2, 3)
     with pytest.raises(DegenerateInnerProduct):
         fam.rows(2)
-    with pytest.raises(DegenerateInnerProduct):
-        fam.mesh_values
 
 
 def test_predistance_qk_max_at_theta0(corpus_spectra):
@@ -160,7 +158,7 @@ def test_predistance_qk_max_at_theta0(corpus_spectra):
         _, s, _, _ = corpus_spectra[label]
         fam = predistance_polynomials(s)
         for k in range(1, s.d + 1):
-            qk = fam.mesh_values[1:k + 1].sum(axis=0)
+            qk = fam.rows(k)[1:].sum(axis=0)
             assert qk[0] >= qk[1:].max() - 1e-8 * abs(qk[0]), (label, k)
 
 
@@ -173,7 +171,7 @@ def test_predistance_equals_distance_polynomials_on_drg(corpus_spectra):
         fam = predistance_polynomials(s)
         for i in range(s.d + 1):
             k_i = int(np.sum(dm.dist[0] == i))
-            assert fam.mesh_values[i, 0] == pytest.approx(k_i, rel=1e-8)
+            assert fam.rows(s.d)[i, 0] == pytest.approx(k_i, rel=1e-8)
 
 
 def polyadd_coeffs_reference(p: MeshPolynomial) -> CoeffPolynomial:
@@ -199,7 +197,7 @@ def test_mesh_to_coeffs_matches_polyadd_reference(corpus_spectra):
     report can reach (k < d, k <= pwr_level; Tutte k <= 3)."""
     checked = 0
     for label, (_, s, _, reg) in corpus_spectra.items():
-        V = s.predistance.mesh_values
+        V = s.predistance.rows(s.d)
         meshes = [*V, *(V[1:k + 1].sum(axis=0) for k in range(1, s.d + 1))]
         meshes += [minor_polynomial(s, k).values for k in range(1, s.d + 1)]
         meshes += [sign_polynomial(s, k).sign_mesh.values

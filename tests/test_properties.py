@@ -4,13 +4,6 @@ and the documented pi identities."""
 
 import warnings
 
-from conftest import (
-    check_determinism,
-    check_pi_sum_identity,
-    check_predistance_structure,
-    check_spectral_excess_theorem,
-)
-
 
 def test_corpus_size(corpus):
     assert len(corpus) >= 40
@@ -56,26 +49,26 @@ def test_second_bound_vs_first_logged_not_asserted(soundness_results):
                       f"instances (observation only): {worse[:5]}")
 
 
-def test_predistance_structure_corpus(corpus_spectra):
+def test_predistance_structure_corpus(corpus_checks):
     """Orthogonality, normalization, Hoffman telescoping, and q'_k maximum
     at theta_0, for every corpus graph."""
-    check_predistance_structure(corpus_spectra)
+    assert corpus_checks["check_predistance_structure"] is None
 
 
-def test_spectral_excess_theorem_corpus(corpus_spectra):
+def test_spectral_excess_theorem_corpus(corpus_checks):
     """Instance-wise, both directions: for regular graphs with D = d, the
     spectral excess equals the mean excess iff distance-regular."""
-    check_spectral_excess_theorem(corpus_spectra)
+    assert corpus_checks["check_spectral_excess_theorem"] is None
 
 
-def test_lp_milp_determinism_reports(corpus_spectra):
+def test_lp_milp_determinism_reports(corpus_checks):
     """Bit-identical bound reports and LP solutions across two runs."""
-    check_determinism(corpus_spectra)
+    assert corpus_checks["check_determinism"] is None
 
 
-def test_pi_identities_corpus(corpus_spectra):
+def test_pi_identities_corpus(corpus_checks):
     """Even/odd pi-sum identity for every spectrum with d >= 1."""
-    check_pi_sum_identity(corpus_spectra)
+    assert corpus_checks["check_pi_sum_identity"] is None
 
 
 def test_trivial_floor_at_least_one(soundness_results):

@@ -24,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from specind.exact import alpha_k_exact  # noqa: E402
 from specind.graphs import (  # noqa: E402
+    Graph,
     distance_matrix,
     from_adjacency,
     from_edges,
