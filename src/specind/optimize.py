@@ -5,15 +5,23 @@
   off its zero set with no LP solver: each vertex of its LP is the product
   of k factors (x - theta_j) / (theta_0 - theta_j), one for each j in a
   Gale-even zero set;
-* the sign-polynomial search (least multiplicity-weighted count of
-  non-negative mesh values of a trace-zero polynomial of degree <= k), an
-  exact enumeration of its sign patterns that skips proven conflicts.
+* the sign polynomial (least multiplicity-weighted count of non-negative
+  mesh values of a trace-zero polynomial of degree <= k): at k <= 3 its
+  negative set is read off the vertex rays of its sign arrangement and one
+  max-margin LP gives the certificate; at k >= 4, and wherever a sign test
+  on a ray is undecided or that LP leaves the set unrealized, an exact
+  enumeration of its sign patterns that skips proven conflicts answers.
 
-The sign search is written in the predistance basis, y = sum_i c_i
+The sign polynomial is written in the predistance basis, y = sum_i c_i
 p_i(theta) with free c_i: since p_0 = 1 and the p_i are orthogonal under
 the spectral inner product, "trace zero and degree <= k" is the span of
 p_1..p_k, with no constraint (divided-difference rows would be
-ill-conditioned at large d, 30 for Tutte).  Each max-margin LP is solved as
+ill-conditioned at large d, 30 for Tutte).  Its sign vectors are the cells
+of the central arrangement of the d+1 hyperplanes c.P_j = 0 in R^k, P_j
+the column of p_1..p_k at theta_j, and the optimum is the first cell in
+the search's order.  At k <= 3 each open cell has an extreme ray among
++-1 (k = 1), +-P_j^perp (k = 2) and +-P_i x P_j (k = 3), read in closed
+form, with no SVD.  Each max-margin LP is solved as
 its dual in standard form min c.u, Au = b, u >= 0, one row per unknown (t
 and c_1..c_k): the final basis gives the certificate; on an unrealized set
 N the vertex's lambda is a Gordan certificate that no polynomial of the
@@ -335,31 +343,50 @@ def _max_margin(P: np.ndarray, A: np.ndarray, phase1: tuple, neg: tuple):
     return y, t, x[cols[:len(neg)]]
 
 
-def sign_polynomial(s: Spectrum, k: int,
-                    time_budget: float = 30.0) -> SignSolution:
-    """Optimal sign polynomial: the trace-zero polynomial of degree <= k
-    whose negative mesh points carry the most multiplicity.
+def _margin(P: np.ndarray, A: np.ndarray, phase1: tuple, neg: tuple):
+    """``_max_margin``, with an Unbounded raised as NumericalInstability: the
+    dual is bounded below by 0, so an unbounded one is a numerical
+    breakdown."""
+    try:
+        return _max_margin(P, A, phase1, neg)
+    except Unbounded as exc:
+        raise NumericalInstability(f"max-margin LP broke down numerically ({exc})") from exc
 
-    The candidate negative sets are tried heaviest first; the first one a
-    polynomial in span(p_1..p_k) realizes with margin t > 1e-7 is optimal,
-    and that max-margin polynomial (in the box |y| <= 1) is the
-    certificate, rescaled so that min_{i>=1} s(theta_i) = -1.  b_j = 0
-    marks the negative set.  The search gives up with SearchTimeout after
-    ``time_budget`` wall-clock seconds.  An unrealized set N leaves the
-    conflict S = supp(lambda) of its dual vertex.  For any later N' that
-    contains S, that vertex is feasible in the dual for N' with objective
-    t_N, so t_N' <= t_N <= 1e-7: N' is skipped without an LP, and the first
-    realized set is the one the unpruned search finds.  That dual is bounded
-    below by 0, so an Unbounded from it is a numerical breakdown, raised as
-    NumericalInstability.
-    """
-    d = s.d
-    if not 1 <= k < d:
-        raise ValueError(f"need 1 <= k < d, got k={k}")
+
+def _solution(s: Spectrum, y: np.ndarray, best: tuple, lps: int,
+              skipped: int) -> SignSolution:
+    """The solution whose certificate y realizes the negative set ``best``:
+    y rescaled so that min_{i>=1} y_i = -1, b_j = 0 on ``best``, after the
+    indicator and trace checks."""
+    low = y[1:].min()
+    if low < -1e-12:
+        y = y / abs(low)
+    mesh = MeshPolynomial(s.distinct, y)
+    bvec = tuple(0 if j in best else 1 for j in range(s.d + 1))
+    # indicator consistency: y_j >= 0 must imply b_j = 1
+    if (y[list(best)] >= -1e-9 * max(1.0, np.abs(y).max())).any():
+        raise NumericalInstability("indicator constraint violated by certificate")
+    tr = s.trace(y)
+    if abs(tr) > 1e-7 * max(1.0, np.abs(y).max()):
+        raise NumericalInstability("certificate trace is not zero")
+    objective = int(sum(m for m, bj in zip(s.mults, bvec) if bj))
+    return SignSolution(mesh, bvec, objective, lps, skipped)
+
+
+def _sign_search(s: Spectrum, k: int, time_budget: float) -> SignSolution:
+    """The search over every candidate negative set, heaviest first: the
+    first one a polynomial in span(p_1..p_k) realizes with margin t > 1e-7 is
+    optimal, and that max-margin polynomial (in the box |y| <= 1) is the
+    certificate.  It gives up with SearchTimeout after ``time_budget``
+    wall-clock seconds.  An unrealized set N leaves the conflict
+    S = supp(lambda) of its dual vertex.  For any later N' that contains S,
+    that vertex is feasible in the dual for N' with objective t_N, so
+    t_N' <= t_N <= 1e-7: N' is skipped without an LP, and the first realized
+    set is the one the unpruned search finds."""
     P, A = _margin_rows(s.predistance, k)
     phase1 = _tableau(A, np.eye(len(A))[0])  # built once, each set solves a copy
     deadline = time.monotonic() + time_budget
-    y = np.zeros(d + 1)  # s = 0 certificate: no negative mesh value
+    y = np.zeros(s.d + 1)  # s = 0 certificate: no negative mesh value
     best = ()
     conflicts, lps, tried = [], 0, 0  # conflicts: each S as a mesh bitmask
     for tried, neg in enumerate(_negative_sets(s.mults, k), 1):
@@ -368,25 +395,183 @@ def sign_polynomial(s: Spectrum, k: int,
         outside = ~sum(1 << j for j in neg)
         if any(S & outside == 0 for S in conflicts):
             continue
-        try:
-            cand, t, lam = _max_margin(P, A, phase1, neg)
-        except Unbounded as exc:  # the dual is bounded below by 0
-            raise NumericalInstability(f"max-margin LP broke down numerically ({exc})") from exc
+        cand, t, lam = _margin(P, A, phase1, neg)
         lps += 1
         if t > _MARGIN:
             y, best = cand, neg
             break
         conflicts.append(sum(1 << j for j, w in zip(neg, lam) if w > 0))
-    low = y[1:].min()
-    if low < -1e-12:
-        y = y / abs(low)
-    mesh = MeshPolynomial(s.distinct, y)
-    bvec = tuple(0 if j in best else 1 for j in range(d + 1))
-    # indicator consistency: y_j >= 0 must imply b_j = 1
-    if (y[list(best)] >= -1e-9 * max(1.0, np.abs(y).max())).any():
-        raise NumericalInstability("indicator constraint violated by certificate")
-    tr = s.trace(y)
-    if abs(tr) > 1e-7 * max(1.0, np.abs(y).max()):
-        raise NumericalInstability("certificate trace is not zero")
-    objective = int(sum(m for m, bj in zip(s.mults, bvec) if bj))
-    return SignSolution(mesh, bvec, objective, lps, tried - lps)
+    return _solution(s, y, best, lps, tried - lps)
+
+
+_ZERO, _SURE = 1e-12, 1e-7  # a cosine |c| <= _ZERO is a zero, |c| > _SURE a sign
+_BLOCK = 1 << 18  # entries of one (rays x mesh) work array, 2 MB of floats
+
+
+def _decided(a: np.ndarray) -> bool:
+    """No entry of ``a`` lies in the band (_ZERO, _SURE], where its sign is
+    undecided."""
+    a = np.abs(a)
+    return not ((a > _ZERO) & (a <= _SURE)).any()
+
+
+def _first(C: np.ndarray, mults: np.ndarray) -> int:
+    """The row of C, negative-set indicators, that ``_negative_sets`` yields
+    first: the heaviest, and among equal weights the one that holds the
+    lowest index where they differ."""
+    w = C @ mults
+    top = np.flatnonzero(w == w.max())
+    if len(top) > 1:
+        top = top[np.lexsort(np.packbits(C[top], axis=1).T[::-1])[::-1]]
+    return int(top[0])
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross products of the 3-vectors in the last axis of u and v."""
+    return u[..., [1, 2, 0]] * v[..., [2, 0, 1]] - u[..., [2, 0, 1]] * v[..., [1, 2, 0]]
+
+
+def _plane_cells(T: np.ndarray, G: np.ndarray):
+    """Negative sets of open cells of a rank-2 arrangement of unit columns,
+    as indicator rows over the last axis, among them every one that no other
+    cell's contains; None when a cosine in T is undecided.  T[..., l, m] is the cosine of column m with
+    column l turned by a right angle in their plane (NaN: not a column of
+    the arrangement, never negative), G[l, m] the cosine of columns l and m.
+
+    Each open cell is a sector with a ray +-l^perp on its boundary.  Next to
+    that ray the columns off it keep the ray's signs, and those on it take
+    the signs of a perturbation +-l.  Perturbing by -l makes l and the
+    columns along it negative; perturbing by +l makes the columns opposite
+    l negative, which is the -l' perturbation of such a column l' at the
+    same ray, or, with no column opposite l, a lighter set."""
+    if not _decided(T):
+        return None
+    along = (np.abs(T) <= _ZERO) & (G > 0)
+    return np.concatenate([(T < -_ZERO) | along, (T > _ZERO) | along])
+
+
+def _space_cells(P: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Negative sets of open cells next to the vertex rays +-P_i x P_j of a
+    rank-3 arrangement of unit columns P, as indicator rows, among them
+    every one that no other cell's next to the same ray contains; None when
+    a sign test is undecided.
+
+    Where a ray's zero columns Z are the two that span it, every sign choice
+    on Z is a cell, so the heaviest is neg(r) + Z.  Where Z is more, the
+    cells next to r are those of Z's own planar arrangement in r^perp
+    (``_plane_cells``), with the signs of r elsewhere; a zero set fixes its
+    ray up to sign, so each is done once, in chunks of at most _BLOCK
+    (ray, column, column) entries."""
+    R = _cross(P[:, i].T, P[:, j].T)
+    norm = np.sqrt((R * R).sum(axis=1))
+    if not _decided(norm):
+        return None
+    ray = norm > _ZERO  # two parallel columns span no ray
+    R = R[ray] / norm[ray, None]
+    S = R @ P
+    if not _decided(S):
+        return None
+    zero = np.abs(S) <= _ZERO
+    neg, pos = S < -_ZERO, S > _ZERO
+    generic = zero.sum(axis=1) == 2
+    C = [neg[generic] | zero[generic], pos[generic] | zero[generic]]
+    rays = {}  # zero set -> its first degenerate ray
+    for r in np.flatnonzero(~generic):
+        rays.setdefault(zero[r].tobytes(), r)
+    D = np.fromiter(rays.values(), dtype=int, count=len(rays))
+    m = P.shape[1]
+    step = max(1, _BLOCK // (m * m))
+    for lo in range(0, len(D), step):
+        r = D[lo:lo + step]
+        Z = zero[r]
+        T = _cross(R[r][:, None], P.T) @ P  # (r x P_l) . P_m
+        cells = _plane_cells(np.where(Z[:, :, None] & Z[:, None], T, np.nan),
+                             P.T @ P)
+        if cells is None:
+            return None
+        on = np.tile(Z, (2, 1))  # the rays of the planar arrangement
+        for side in (neg[r], pos[r]):  # the rays r and -r
+            C.append((np.tile(side, (2, 1))[:, None] | cells)[on])
+    return np.vstack(C)
+
+
+def _first_cell(P: np.ndarray, mults: np.ndarray):
+    """The ``_first`` negative set among the open cells of the central
+    arrangement of the hyperplanes c.P_j = 0 in R^k, k = len(P) <= 3, with P
+    of rank k and unit columns: an indicator over the columns, or None when
+    a sign test is undecided.
+
+    Each open cell is a pointed cone, so its closure has an extreme ray:
+    +-1 at k = 1, +-P_j^perp at k = 2 (``_plane_cells``) and +-P_i x P_j at
+    k = 3 (``_space_cells``).  The rays are taken in blocks, so that each
+    (rays x columns) array holds at most _BLOCK entries."""
+    k, m = P.shape
+    if k == 1:
+        C = np.array([P[0] < 0, P[0] > 0])
+        return C[_first(C, mults)]
+    pairs = (np.arange(m),) if k == 2 else np.triu_indices(m, 1)
+    step = max(1, _BLOCK // m)
+    best = np.zeros((0, m), dtype=bool)
+    for lo in range(0, len(pairs[0]), step):
+        i = pairs[0][lo:lo + step]
+        if k == 2:
+            C = _plane_cells(np.outer(P[0, i], P[1]) - np.outer(P[1, i], P[0]),
+                             P[:, i].T @ P)
+        else:
+            C = _space_cells(P, i, pairs[1][lo:lo + step])
+        if C is None:
+            return None
+        C = np.vstack([best, C])
+        if len(C):
+            best = C[[_first(C, mults)]]
+    return best[0] if len(best) else None
+
+
+def _vertex_ray_set(P: np.ndarray, mults: np.ndarray):
+    """The negative set that the search over P's span (k <= 3 rows) stops
+    at, read off the vertex rays of its sign arrangement; None when a sign
+    test is undecided.  A zero column is zero on the whole span, so it is
+    never negative."""
+    norm = np.sqrt((P * P).sum(axis=0))
+    if not _decided(norm):
+        return None
+    live = norm > _ZERO
+    cell = _first_cell(P[:, live] / norm[live], mults[live])
+    return None if cell is None else tuple(np.flatnonzero(live)[cell].tolist())
+
+
+def sign_polynomial(s: Spectrum, k: int,
+                    time_budget: float = 30.0) -> SignSolution:
+    """Optimal sign polynomial: the trace-zero polynomial of degree <= k
+    whose negative mesh points carry the most multiplicity.
+
+    Its certificate is the max-margin polynomial (in the box |y| <= 1) on
+    the first negative set, in ``_negative_sets``' order, that a polynomial
+    in span(p_1..p_k) realizes with margin t > 1e-7, rescaled so that
+    min_{i>=1} s(theta_i) = -1; b_j = 0 marks the negative set.
+
+    Every realizable set lies inside the negative set of an open cell of
+    the sign arrangement, and every such cell set is realizable, so that
+    set is the first cell set.  At k <= 3 it is read off the arrangement's
+    vertex rays (``_first_cell``), and one max-margin LP on the search's
+    phase-1 tableau gives its certificate, the search's byte for byte;
+    ``lps`` then reads 1 and ``skipped`` 0.  When that LP leaves the set
+    unrealized or a sign test falls in the undecided band (1e-12, 1e-7],
+    and at every k >= 4, ``_sign_search`` answers.  The clock is read after
+    the vertex rays: SearchTimeout once ``time_budget`` wall-clock seconds
+    are spent, and the search gets what remains.  An Unbounded dual is
+    raised as NumericalInstability.
+    """
+    if not 1 <= k < s.d:
+        raise ValueError(f"need 1 <= k < d, got k={k}")
+    deadline = time.monotonic() + time_budget
+    if k <= 3:
+        P, A = _margin_rows(s.predistance, k)
+        neg = _vertex_ray_set(P, s.mults)
+        if time.monotonic() > deadline:
+            raise SearchTimeout("sign-pattern search exceeded its time budget")
+        if neg is not None:
+            y, t, _ = _margin(P, A, _tableau(A, np.eye(len(A))[0]), neg)
+            if t > _MARGIN:
+                return _solution(s, y, neg, 1, 0)
+    return _sign_search(s, k, deadline - time.monotonic())

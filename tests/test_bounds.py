@@ -28,7 +28,7 @@ from specind.ch import ch_classify, spectral_excess
 from specind.errors import BadNormalization, TraceNotZero
 from specind.exact import alpha_k_exact
 from specind.graphs import FamilySpec, distance_matrix, from_adjacency, generate
-from specind.optimize import minor_polynomial, sign_polynomial
+from specind.optimize import _sign_search, minor_polynomial, sign_polynomial
 from specind.polys import MeshPolynomial, mesh_to_coeffs
 from specind.spectra import (
     classify_regularity,
@@ -151,7 +151,8 @@ def test_pwr_programs_on_tutte(corpus_spectra, soundness_results):
     floor and sign objective is at least alpha_k = 19, 10, 6 (Tutte graph,
     k = 1, 2, 3); the k = 3 sign search (1144 candidate sets, 1057 of them
     skipped by conflict pruning, 87 LPs) fits the soundness sweep's 5 s
-    budget, so the sweep checks its floor."""
+    budget, and the vertex rays give its answer with one LP, so the sweep
+    checks its floor."""
     _, s, _, _ = corpus_spectra["tutte"]
     for k, floor, sign, alpha, lps, skipped in [(1, 21, 21, 19, 2, 25),
                                                 (2, 11, 13, 10, 37, 231),
@@ -159,8 +160,11 @@ def test_pwr_programs_on_tutte(corpus_spectra, soundness_results):
         rep = pwr_ratio(s, minor_polynomial(s, k), k)
         assert rep.applicable and rep.floor_value == floor >= alpha, k
         sol = sign_polynomial(s, k, time_budget=5.0)
-        assert sol.objective == sign >= alpha, k
-        assert (sol.lps, sol.skipped) == (lps, skipped), k
+        assert (sol.objective, sol.lps, sol.skipped) == (sign, 1, 0), k
+        assert sign >= alpha, k
+        ref = _sign_search(s, k, 5.0)
+        assert (ref.objective, ref.b) == (sol.objective, sol.b), k
+        assert (ref.lps, ref.skipped) == (lps, skipped), k
     checked, _ = soundness_results
     assert ("tutte", 3, "pwr_inertia", 10, 6) in checked
 
@@ -361,6 +365,20 @@ def test_qk_k1_matches_classics_on_regular(corpus_spectra):
         assert rep_i.value == cvetkovic_bound(s.raw).value
         want = hoffman_bound(g.n, float(s.raw[0]), float(s.raw[-1])).value
         assert rep_r.value == pytest.approx(want, rel=1e-9)
+
+
+def test_pwr_inertia_k1_is_cvetkovic(corpus_analyses):
+    """At k = 1, p_1 is a multiple of x (tr A = 0), so the sign polynomials
+    are +-x and pwr_inertia is min(n_0 + n_+, n_0 + n_-), the Cvetkovic
+    bound, on every corpus graph with diameter >= 2."""
+    checked = 0
+    for label, a in corpus_analyses.items():
+        if a.dm.diameter < 2:
+            continue
+        value = {r.method: r.value for r in best_bounds(a, 1) if r.applicable}
+        assert value["pwr_inertia"] == value["cvetkovic"], label
+        checked += 1
+    assert checked == 54
 
 
 def test_pd_ratio_examples(corpus_spectra):

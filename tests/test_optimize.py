@@ -13,6 +13,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from conftest import relabelled
 
 from specind.errors import (
     Infeasible,
@@ -36,6 +37,7 @@ from specind.optimize import (
     _negative_sets,
     _pivot,
     _price,
+    _sign_search,
     _solve,
     _tableau,
     minor_polynomial,
@@ -320,7 +322,8 @@ def test_simplex_matches_loop_reference(corpus_spectra, monkeypatch):
     on the search's shared tableau; its vertex on the set's columns is the
     loop form's on the sliced standard form the set stands for, its other
     lambda entries are zero, and ``simplex_standard`` on the sliced form
-    takes the same pivots too."""
+    takes the same pivots too.  It runs the search itself, whose LPs these
+    are: at k <= 3 ``sign_polynomial`` solves one LP per call."""
     lps = [*random_lps(), BEALE, *REDUNDANT, DRIVEN_OUT, REENTRY]
     max_margin, solve = optimize._max_margin, optimize._solve
     vertices, sign = [], []
@@ -340,7 +343,7 @@ def test_simplex_matches_loop_reference(corpus_spectra, monkeypatch):
     for label in ("petersen", "odd:5", "hypercube:5", "frucht", "flower-snark"):
         s = corpus_spectra[label][1]
         for k in range(1, s.d):
-            sign_polynomial(s, k)
+            _sign_search(s, k, 30.0)
     monkeypatch.undo()
     assert len(sign) == 97
     for A, neg, x in sign:
@@ -569,7 +572,7 @@ def test_pruned_search_matches_unpruned_reference(corpus_spectra):
         pd = predistance_polynomials(s)
         for k in range(1, min(s.d, reg.pwr_level + 1)):
             want = outcome(unpruned_sign_reference, s, k, pd)
-            got = outcome(sign_polynomial, s, k, 30.0)
+            got = outcome(_sign_search, s, k, 30.0)
             if want[0] == "ok":
                 sol = got[1]
                 obj, b, y, ref_lps = want[1]
@@ -583,6 +586,107 @@ def test_pruned_search_matches_unpruned_reference(corpus_spectra):
             checked += 1
     assert checked == 163
     assert (lps, visited) == (673, 2465)
+
+
+def test_vertex_rays_match_search(corpus_spectra, monkeypatch):
+    """At k <= 3 ``sign_polynomial`` reads its negative set off the vertex
+    rays and returns the search's objective, b and certificate bytes, with
+    no fallback to the search: on every corpus pair a report can reach
+    (k <= pwr_level, k < d; Tutte included), on cycle:61, cycle:101 and
+    prism:30 (d = 30..50), and on relabelled odd:5 and hypercube:7."""
+    spectra = [(label, s, reg.pwr_level)
+               for label, (_, s, _, reg) in corpus_spectra.items()]
+    graphs = [generate(FamilySpec.parse(spec))
+              for spec in ("cycle:61", "cycle:101", "prism:30")]
+    graphs += [relabelled(spec, seed) for spec in ("odd:5", "hypercube:7")
+               for seed in (1, 7)]
+    for g in graphs:
+        a = Analysis(g)
+        spectra.append((g.label, a.s, a.reg.pwr_level))
+    fallbacks = []
+
+    def record(s, k, time_budget):
+        fallbacks.append(k)
+        return _sign_search(s, k, time_budget)
+
+    monkeypatch.setattr(optimize, "_sign_search", record)
+    pairs = 0
+    for label, s, level in spectra:
+        for k in range(1, min(s.d, level + 1, 4)):
+            want = _sign_search(s, k, 30.0)
+            sol = sign_polynomial(s, k)
+            assert (sol.objective, sol.b) == (want.objective, want.b), (label, k)
+            assert (sol.sign_mesh.values.tobytes()
+                    == want.sign_mesh.values.tobytes()), (label, k)
+            pairs += 1
+    assert (pairs, len(fallbacks)) == (151, 0)
+
+
+def test_vertex_rays_fall_back_to_search(corpus_spectra, monkeypatch):
+    """The search answers, counters included, when a sign test on a ray is
+    undecided (here every cosine, the band widened to (1e-12, 1]) and when
+    the LP leaves the ray set unrealized (here the whole mesh, on which no
+    trace-zero polynomial is negative)."""
+    checked = 0
+    for label in ("odd:5", "flower-snark"):
+        _, s, _, reg = corpus_spectra[label]
+        for k in range(1, min(s.d, reg.pwr_level + 1, 4)):
+            want = _sign_search(s, k, 30.0)
+            for name, value in (("_SURE", 1.0),
+                                ("_vertex_ray_set",
+                                 lambda P, mults: tuple(range(len(mults))))):
+                monkeypatch.setattr(optimize, name, value)
+                sol = sign_polynomial(s, k)
+                monkeypatch.undo()
+                assert (sol.objective, sol.b, sol.lps, sol.skipped) == (
+                    want.objective, want.b, want.lps, want.skipped), (label, k, name)
+                assert (sol.sign_mesh.values.tobytes()
+                        == want.sign_mesh.values.tobytes()), (label, k, name)
+                checked += 1
+    assert checked == 12
+
+
+def test_first_cell_matches_brute_force():
+    """On arrangements with parallel, opposite and (k = 3) coplanar columns,
+    ``_first_cell`` returns the first open cell in ``_negative_sets``' order
+    (heaviest, then lexicographic) under random multiplicities: scipy's
+    linprog finds the open cells among all sign vectors, each one feasible
+    for sigma_j P_j.c >= 1.  Besides the two written out, the arrangements
+    are small integer columns, so that many are parallel or coplanar."""
+    rng = np.random.default_rng(3)
+    arrangements = [
+        [(1, 0), (2, 0), (-1, 0), (0, 1), (0, 3), (1, 1), (-3, -3)],
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+         (1, 1, 0), (-1, -1, 0)],  # every vertex ray degenerate
+        # under mults 1, 2, 2, 1, 2 the first cell is found only at a
+        # degenerate ray -r whose opposite r is P_i x P_j
+        [(1, 1, 1), (1, -1, 0), (-1, -1, -1), (1, 0, 1), (-1, 0, -1)],
+    ]
+    while len(arrangements) < 9:
+        k = 2 if len(arrangements) < 5 else 3
+        cols = rng.integers(-2 if k == 2 else -1, 3 if k == 2 else 2, size=(7, k))
+        if (cols != 0).any(axis=1).all() and np.linalg.matrix_rank(cols) == k:
+            arrangements.append(cols)
+    checked = 0
+    for n, cols in enumerate(arrangements):
+        P = np.array(cols, dtype=float).T
+        P /= np.sqrt((P * P).sum(axis=0))
+        k, m = P.shape
+        cells = []
+        for signs in product((-1.0, 1.0), repeat=m):
+            res = scipy_opt.linprog(np.zeros(k), A_ub=-(np.array(signs) * P).T,
+                                    b_ub=-np.ones(m), bounds=(None, None))
+            if res.status == 0:
+                cells.append(tuple(j for j in range(m) if signs[j] < 0))
+        for i in range(10):
+            mults = rng.integers(1, 4, size=m)
+            if n == 2 and i == 0:
+                mults = np.array([1, 2, 2, 1, 2])
+            want = min(cells, key=lambda neg: (-mults[list(neg)].sum(), neg))
+            got = optimize._first_cell(P, mults)
+            assert tuple(np.flatnonzero(got)) == want, (cols, mults)
+            checked += 1
+    assert checked == 90
 
 
 def test_conflicts_are_gordan_certificates(corpus_spectra, monkeypatch):
@@ -604,7 +708,7 @@ def test_conflicts_are_gordan_certificates(corpus_spectra, monkeypatch):
         pd = predistance_polynomials(s)
         for k in range(1, s.d):
             calls.clear()
-            sol = sign_polynomial(s, k)
+            sol = _sign_search(s, k, 30.0)
             solved = {neg for neg, _, _ in calls}
             assert len(calls) == len(solved) == sol.lps, (label, k)
             for neg, (_, t, lam), P in calls:
@@ -632,24 +736,33 @@ def test_conflicts_are_gordan_certificates(corpus_spectra, monkeypatch):
 
 
 def test_skipped_sets_count_against_the_deadline(corpus_spectra, monkeypatch):
-    """The deadline is read once per candidate, skipped ones included.  On
-    Tutte k = 3 the search solves 87 LPs and skips 1057 sets; a clock that
-    advances 1 s per read runs out at the 1144th candidate, the realized
-    one, long after the 87th LP.  A real budget of 1e-4 s times out too."""
+    """The search reads the deadline once per candidate, skipped ones
+    included.  On Tutte k = 3 it solves 87 LPs and skips 1057 sets; a clock
+    that advances 1 s per read runs out at the 1144th candidate, the
+    realized one, long after the 87th LP.  A real budget of 1e-4 s times
+    out too.  ``sign_polynomial`` reads the clock once more, after the
+    vertex rays: a budget of 0.5 ticks times out there, and 1 tick is
+    enough for its one LP."""
     s = corpus_spectra["tutte"][1]
     with pytest.raises(SearchTimeout):
-        sign_polynomial(s, 3, time_budget=1e-4)
-    for budget, times_out in ((1143.5, True), (1144.0, False)):
+        _sign_search(s, 3, 1e-4)
+    # reads: one to set the deadline, then one per candidate (1144) for the
+    # search, and one after the vertex rays for sign_polynomial
+    for search, budget, reads, counts in (
+            (_sign_search, 1143.5, 1145, None),
+            (_sign_search, 1144.0, 1145, (87, 1057, 10)),
+            (sign_polynomial, 0.5, 2, None),
+            (sign_polynomial, 1.0, 2, (1, 0, 10))):
         ticks = iter(range(10 ** 6))
         monkeypatch.setattr(optimize, "time",
                             SimpleNamespace(monotonic=lambda: next(ticks)))
-        if times_out:
+        if counts is None:
             with pytest.raises(SearchTimeout):
-                sign_polynomial(s, 3, time_budget=budget)
+                search(s, 3, budget)
         else:
-            sol = sign_polynomial(s, 3, time_budget=budget)
-            assert (sol.lps, sol.skipped, sol.objective) == (87, 1057, 10)
-        assert next(ticks) == 1145  # one read to set the deadline, then 1144
+            sol = search(s, 3, budget)
+            assert (sol.lps, sol.skipped, sol.objective) == counts
+        assert next(ticks) == reads
 
 
 def pinned_minor_reference(s, k):
@@ -955,7 +1068,7 @@ def test_carried_reduced_costs_match_recomputed(corpus_spectra, monkeypatch):
     sign = 0
     for _, s, _, reg in corpus_spectra.values():
         for k in range(1, min(s.d, reg.pwr_level + 1)):
-            sign_polynomial(s, k, 30.0)
+            _sign_search(s, k, 30.0)
             sign += 1
     assert (sign, optima) == (163, 1346)
     assert worst <= 1e-9, worst  # 1.04e-10 when written
