@@ -60,7 +60,7 @@ class Graph:
 class DistanceMatrix:
     """All-pairs hop distances of a connected graph."""
 
-    dist: np.ndarray  # (n, n) int
+    dist: np.ndarray  # (n, n), unsigned: uint8 up to n = 256, uint16 beyond
     diameter: int
 
 
@@ -152,9 +152,10 @@ def parse_graph6(text: str) -> Graph:
     bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()
     if bits[nbits:].any():
         raise MalformedGraph6("nonzero padding bits")
-    # row-major (j, i), i < j: graph6's order, column j's bits i = 0..j-1
+    # row-major (j, i), i < j: graph6's order, column j's bits i = 0..j-1,
+    # placed through a boolean strict-lower-triangle mask (1 byte a pair)
     adj = np.zeros((n, n), dtype=bool)
-    adj[np.tril_indices(n, -1)] = bits[:nbits]
+    adj[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
     return from_adjacency(adj | adj.T)
 
 
@@ -169,7 +170,7 @@ def to_graph6(g: Graph) -> str:
         raise ValueError("graph too large for this encoder")
     nbits = n * (n - 1) // 2
     bits = np.zeros((nbits + 5) // 6 * 6, dtype=np.uint8)
-    bits[:nbits] = g.adjacency[np.tril_indices(n, -1)]
+    bits[:nbits] = g.adjacency[np.tri(n, k=-1, dtype=bool)]  # parse's order
     # packbits fills each 6-bit row out to a byte with two low zero bits
     body = np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2
     data = np.concatenate([np.array(head, dtype=np.uint8), body]) + 63
@@ -350,7 +351,9 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     word operations a level.  A graph built without ``from_adjacency``'s
     check may be disconnected: an isolated vertex (whose empty adjacency
     list ``reduceat`` cannot read) or a level that reaches nothing while
-    pairs are left raises DisconnectedGraph."""
+    pairs are left raises DisconnectedGraph, so every off-diagonal entry of
+    the zero-initialised matrix is written.  Distances are below n, held in
+    the smallest unsigned type that fits n - 1."""
     n = g.n
     rows, cols = np.nonzero(g.adjacency)
     starts = np.searchsorted(rows, np.arange(n))
@@ -359,8 +362,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
         raise DisconnectedGraph(f"graph {g.label!r} has an isolated vertex")
     frontier = _bit_rows(np.eye(n, dtype=bool))
     unseen = _bit_rows(~np.eye(n, dtype=bool))
-    dist = np.full((n, n), -1, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
+    dist = np.zeros((n, n), dtype=np.min_scalar_type(n - 1))
     d = 0
     while unseen.any():
         frontier = np.bitwise_or.reduceat(np.take(frontier, cols, axis=0),

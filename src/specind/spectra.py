@@ -212,18 +212,31 @@ def srg_raw_spectrum(n: int, k: int, lam: int, mu: int) -> np.ndarray:
                            np.full(round(mult_s), s)])
 
 
+def _exact_float(bound: int):
+    """The narrowest float type that holds every integer 0..bound exactly:
+    float32 below 2^24, float64 below 2^53, None beyond."""
+    if bound < 2 ** 24:
+        return np.float32
+    return np.float64 if bound < 2 ** 53 else None
+
+
 def _intersection_numbers(a: np.ndarray, dm: DistanceMatrix):
     """Intersection numbers b_i, c_i from one product; None if not constant.
 
     With B = max degree + 1, (X A)[u, v] for X[u, w] = B^(dist(u, w) mod 3)
     sums B^(dist(u, w) mod 3) over the neighbours w of v.  At distance i from
     u these lie at i-1, i, i+1, three residues mod 3, so the entry holds c_i,
-    a_i, b_i as base-B digits; it is below deg * B^2 < 2^53, exact in float64
-    for degrees below 2^17.  Every entry must equal row 0's at its distance
-    (NaN, never equal, where row 0 lacks one)."""
+    a_i, b_i as base-B digits.  X is read from the table B^(i mod 3),
+    i = 0..diameter, indexed by the distances.  Every entry and partial sum
+    is a non-negative integer below deg * B^2 < B^3, so the product is exact
+    in float32 when B^3 < 2^24 and in float64 for degrees below 2^17.
+    Every entry must equal row 0's at its distance (NaN, never equal, where
+    row 0 lacks one)."""
     base = int(a.sum(axis=1).max()) + 1
-    code = np.array([1.0, base, base * base])[dm.dist % 3] @ a
-    ref = np.full(dm.diameter + 1, np.nan)
+    dtype = _exact_float(base ** 3) or np.float64
+    table = (base ** (np.arange(dm.diameter + 1) % 3)).astype(dtype)
+    code = table[dm.dist] @ a.astype(dtype, copy=False)
+    ref = np.full(dm.diameter + 1, np.nan, dtype=dtype)
     ref[dm.dist[0]] = code[0]
     if not np.array_equal(code, ref[dm.dist]):
         return None
@@ -238,18 +251,22 @@ def classify_regularity(g: Graph, s: Spectrum,
     deg = g.degrees()
     is_reg = bool(np.all(deg == deg[0]))
     d = s.d
+    top = int(deg.max())
     # pwr level: largest k <= d with diag(A^l) constant for all l <= k.
     # Checking beyond d is pointless: the minimal polynomial has degree d+1.
     # A is symmetric, so diag(A^l) is the row-wise dot of A^floor(l/2) and
     # A^ceil(l/2): one product every other level.  Every term and partial
-    # sum is at most max_deg^l, so float products and dots are exact below
-    # 2^53; beyond that the walk counts go on in Python ints, each column of
-    # a new power the sum of the last power's columns at its neighbours.
-    a = g.adjacency.astype(float)
+    # sum is a non-negative integer at most max_deg^l, so the products and
+    # dots are exact in any summation order in the narrowest float type
+    # that holds max_deg^l: float32 for the whole ladder when max_deg^d <
+    # 2^24, else float64 while max_deg^l < 2^53, and beyond that the walk
+    # counts go on in Python ints, each column of a new power the sum of the
+    # last power's columns at its neighbours.
+    a = g.adjacency.astype(_exact_float(top ** d) or np.float64)
     half = up = a  # A^floor(l/2) and A^ceil(l/2)
     walks = [0]  # diag(A) = 0: every simple graph is 1-partially walk-regular
     for level in range(2, d + 1):
-        exact = int(deg.max()) ** level < 2 ** 53
+        exact = _exact_float(top ** level) is not None
         if not exact and up.dtype != object:
             half, up = (p.astype(np.int64).astype(object) for p in (half, up))
             nbrs = [np.flatnonzero(col) for col in g.adjacency.T]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -124,6 +125,20 @@ def soundness_results(corpus_analyses):
                     checked.append((label, k, rep.method,
                                     rep.floor_value, exact))
     return checked, skipped
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc sees allocated during the call
+    above what was allocated when it began); numpy reports its array data
+    to tracemalloc, so this counts every array the call makes, its result
+    included, but not the inputs made before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def elapsed(fn, *args, **kwargs):

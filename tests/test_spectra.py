@@ -1,16 +1,18 @@
 """Spectra, multiplicity grouping, pi products, regularity classification."""
 
 import warnings
+from dataclasses import fields
 from math import comb
 
 import numpy as np
 import pytest
-from conftest import check_hypercube_pi_ratios, relabelled
+from conftest import check_hypercube_pi_ratios, relabelled, traced_peak
 
 from specind import spectra
 from specind.errors import NoClosedForm
 from specind.graphs import FamilySpec, distance_matrix, generate
 from specind.spectra import (
+    RegularityReport,
     _intersection_numbers,
     classify_regularity,
     exact_family_spectrum,
@@ -260,6 +262,131 @@ def test_intersection_numbers_match_loop(corpus_spectra):
         assert _intersection_numbers(a, dm) == want, g.label
         seen.add(want is None)
     assert seen == {True, False}  # both outcomes are exercised
+
+
+def float64_intersection_numbers(a, dm):
+    """Reference: the float64 product X A with X[u, w] = B^(dist(u, w) mod 3)
+    (the former ``_intersection_numbers``)."""
+    base = int(a.sum(axis=1).max()) + 1
+    code = np.array([1.0, base, base * base])[dm.dist % 3] @ a
+    ref = np.full(dm.diameter + 1, np.nan)
+    ref[dm.dist[0]] = code[0]
+    if not np.array_equal(code, ref[dm.dist]):
+        return None
+    digits = [[int(v) // base ** r % base for r in range(3)] for v in ref]
+    return (tuple(digits[i][(i + 1) % 3] for i in range(dm.diameter)),
+            tuple(digits[i][(i - 1) % 3] for i in range(1, dm.diameter + 1)))
+
+
+def float64_regularity(g, s, dm):
+    """Reference: the half ladder in float64 products below 2^53 and Python
+    ints beyond, then the float64 intersection product (the former
+    ``classify_regularity``)."""
+    deg = g.degrees()
+    is_reg = bool(np.all(deg == deg[0]))
+    a = g.adjacency.astype(float)
+    half = up = a
+    walks = [0]
+    for level in range(2, s.d + 1):
+        exact = int(deg.max()) ** level < 2 ** 53
+        if not exact and up.dtype != object:
+            half, up = (p.astype(np.int64).astype(object) for p in (half, up))
+            nbrs = [np.flatnonzero(col) for col in g.adjacency.T]
+        if level % 2 == 0:
+            half = up
+        else:
+            up = up @ a if exact else np.column_stack(
+                [up[:, nb].sum(axis=1) for nb in nbrs])
+        diag = (np.einsum("ij,ij->i", half, up) if exact
+                else (half * up).sum(axis=1))
+        if np.all(diag == diag[0]):
+            walks.append(int(diag[0]))
+        else:
+            break
+    inter = (float64_intersection_numbers(a, dm)
+             if is_reg and dm.diameter == s.d else None)
+    return RegularityReport(
+        is_regular=is_reg,
+        degree=int(deg[0]) if is_reg else None,
+        pwr_level=len(walks),
+        closed_walks=tuple(walks),
+        is_walk_regular=len(walks) == s.d,
+        is_distance_regular=inter is not None,
+        intersection_array=inter,
+    )
+
+
+def assert_same_report(g, s, dm):
+    got, want = classify_regularity(g, s, dm), float64_regularity(g, s, dm)
+    for f in fields(RegularityReport):
+        assert getattr(got, f.name) == getattr(want, f.name), (g.label, f.name)
+    assert [type(w) for w in got.closed_walks] == [int] * got.pwr_level, g.label
+    return got
+
+
+def test_regularity_tiers_match_float64_reference(corpus_spectra):
+    """classify_regularity's narrowest-type ladder and intersection product
+    give the float64 reference's report, field by field, on the corpus and
+    relabelled copies of odd:6 and hypercube:7."""
+    for g, s, dm, _ in corpus_spectra.values():
+        assert_same_report(g, s, dm)
+    for spec in ("odd:6", "hypercube:7"):
+        for seed in (7, 31):
+            g = relabelled(spec, seed)
+            assert_same_report(g, spectrum(g), distance_matrix(g))
+
+
+@pytest.mark.parametrize("spec,tier", [
+    ("kneser:12,5", "ladder float32"),
+    ("prism:30", "ladder float64"),
+    ("cycle:101", "ladder float64"),
+    ("prism:40", "ladder int"),
+    ("cycle:121", "ladder int"),
+    ("complete:200", "intersection float32"),
+    ("complete:300", "intersection float64"),
+])
+def test_regularity_tier_switches_match_float64_reference(spec, tier, monkeypatch):
+    """A graph on each side of each type switch: the ladder runs in float32
+    when max_deg^d < 2^24, in float64 until max_deg^l reaches 2^53 and in
+    Python ints beyond; the intersection product runs in float32 when
+    (max_deg + 1)^3 < 2^24.  The tier is asserted both from the graph's
+    invariants and from the types classify_regularity picked."""
+    g = generate(FamilySpec.parse(spec))
+    s, dm = spectrum(g), distance_matrix(g)
+    top = int(g.degrees().max())
+    exact_float, picked = spectra._exact_float, []
+
+    def spy(bound):
+        picked.append((bound, exact_float(bound)))
+        return picked[-1][1]
+
+    monkeypatch.setattr(spectra, "_exact_float", spy)
+    rep = assert_same_report(g, s, dm)
+    part, kind = tier.split()
+    if part == "ladder":
+        bound = top ** s.d
+        assert (kind == "float32") == (bound < 2 ** 24), spec
+        assert (kind == "int") == (bound >= 2 ** 53), spec
+        want = {"float32": np.float32, "float64": np.float64, "int": None}
+        assert (bound, want[kind]) in picked, spec
+        assert any(t is None for _, t in picked) == (kind == "int"), spec
+        assert rep.is_walk_regular, spec
+    else:
+        bound = (top + 1) ** 3
+        assert (kind == "float32") == (bound < 2 ** 24), spec
+        assert (bound, getattr(np, kind)) in picked, spec
+        assert rep.is_distance_regular, spec
+
+
+def test_regularity_transient_memory():
+    """On odd:6 (n = 462) the float32 ladder and intersection product keep
+    classify_regularity's traced peak above its inputs within 14 bytes per
+    vertex pair; the float64 products took 25."""
+    g = generate(FamilySpec.parse("odd:6"))
+    s, dm = spectrum(g), distance_matrix(g)
+    rep, peak = traced_peak(classify_regularity, g, s, dm)
+    assert rep.is_distance_regular
+    assert peak <= 14 * g.n ** 2, peak / g.n ** 2
 
 
 def test_intersection_array_skipped_when_diameter_below_d(monkeypatch):
