@@ -17,7 +17,7 @@ import numpy as np
 from . import optimize
 from .errors import BadNormalization, NoValidTheta, SpecindError, TraceNotZero
 from .graphs import DistanceMatrix, Graph, distance_matrix
-from .polys import MeshPolynomial, mesh_to_coeffs, mp2_index, mp4_index
+from .polys import MeshPolynomial, mp2_index, mp4_index
 from .spectra import RegularityReport, Spectrum, classify_regularity, spectrum
 
 _SIGN_TOL = 1e-9
@@ -28,7 +28,7 @@ class BoundReport:
     method: str
     k: int
     value: float
-    certificate: object = None  # MeshPolynomial / CoeffPolynomial / None
+    certificate: MeshPolynomial | None = None
     applicable: bool = True
     reason: str = ""
 
@@ -45,7 +45,7 @@ class BoundReport:
             "applicable": self.applicable,
             "reason": self.reason,
         }
-        if self.certificate is not None and hasattr(self.certificate, "to_json_dict"):
+        if self.certificate is not None:
             out["certificate"] = self.certificate.to_json_dict()
         return out
 
@@ -198,7 +198,7 @@ def qk_bounds(s: Spectrum, k: int) -> tuple:
     """Inertia and ratio bounds driven by q'_k = p_1 + ... + p_k."""
     qk = s.predistance.rows(k)[1:].sum(axis=0)
     rep_i = BoundReport("qk_inertia", k, float(min(_sign_counts(s.mults, qk))),
-                        mesh_to_coeffs(MeshPolynomial(s.distinct, qk)))
+                        MeshPolynomial(s.distinct, qk))
     lam = float(qk[1:].min())
     if lam >= 0:
         rep_r = _inapplicable("qk_ratio", k, "lambda(q'_k) >= 0")

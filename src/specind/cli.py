@@ -157,7 +157,7 @@ def _sign_odd6_row(row):
         p = optimize.sign_polynomial(s, k).sign_mesh
     return {"values": [as_fraction_string(v) for v in p.values],
             "coeffs": [as_fraction_string(c)
-                       for c in mesh_to_coeffs(p).coeffs[:k + 1]],
+                       for c in mesh_to_coeffs(p)[:k + 1]],
             "trace": as_fraction_string(s.trace(p.values))}
 
 

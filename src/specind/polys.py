@@ -6,9 +6,11 @@ under the spectral inner product <p, q> = tr(p(A) q(A)) / n (``Spectrum.trace``
 of the product of mesh values), are the basis both optimization programs
 build their polynomials in; each spectrum keeps its family as
 ``Spectrum.predistance``, whose rows are built only as far as a caller
-reads them.  Coefficient form is derived on demand through
-Newton expansion.  The closed-form alpha_2 and alpha_3 bounds in ``bounds``
-pick their zeros with the MP2 and MP4 index rules kept here.
+reads them.  Every certificate a report carries is a ``MeshPolynomial``;
+coefficient form (``mesh_to_coeffs``, by Newton expansion) is computed only
+for the sign-odd6 table replay, which prints it.  The closed-form alpha_2
+and alpha_3 bounds in ``bounds`` pick their zeros with the MP2 and MP4 index
+rules kept here.
 """
 
 from __future__ import annotations
@@ -43,24 +45,6 @@ class MeshPolynomial:
     def to_json_dict(self) -> dict:
         return {"mesh": list(map(float, self.mesh)),
                 "values": list(map(float, self.values))}
-
-
-@dataclass(frozen=True)
-class CoeffPolynomial:
-    """Coefficients a_0, ..., a_deg in ascending degree."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        nz = np.flatnonzero(np.abs(self.coeffs) > 0)
-        return int(nz[-1]) if len(nz) else 0
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs": list(map(float, self.coeffs))}
 
 
 class PredistanceFamily:
@@ -111,8 +95,9 @@ def divided_differences(p: MeshPolynomial) -> np.ndarray:
     return np.array(out)
 
 
-def mesh_to_coeffs(p: MeshPolynomial) -> CoeffPolynomial:
-    """Unique interpolating polynomial of degree <= d, via Newton expansion:
+def mesh_to_coeffs(p: MeshPolynomial) -> np.ndarray:
+    """Coefficients a_0..a_d, ascending, of the unique interpolating
+    polynomial of degree <= d, via Newton expansion:
     sum_m f[theta_0..theta_m] prod_{l<m} (x - theta_l), each product one
     convolution with (x - theta_l) longer than the last."""
     out = np.zeros(len(p.mesh))
@@ -122,7 +107,7 @@ def mesh_to_coeffs(p: MeshPolynomial) -> CoeffPolynomial:
         basis = np.convolve(basis, [-p.mesh[order], 1.0])
     # clip float fuzz in the leading terms
     out[np.abs(out) < 1e-12 * max(1.0, np.abs(out).max())] = 0.0
-    return CoeffPolynomial(out)
+    return out
 
 
 def spectral_inner(s: Spectrum, u: np.ndarray, v: np.ndarray) -> float:

@@ -105,7 +105,7 @@ def test_criterion_04_sign_milp_o6_k4():
 
 def test_criterion_05_o6_f4_coefficients():
     s = exact_family_spectrum(FamilySpec.parse("odd:6"))
-    c = mesh_to_coeffs(minor_polynomial(s, 4)).coeffs
+    c = mesh_to_coeffs(minor_polynomial(s, 4))
     want = np.array([24.0, 14.0, -13.0, -2.0, 1.0, 0.0]) / 504.0
     assert np.allclose(c, want, atol=1e-9)
 

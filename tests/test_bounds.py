@@ -83,8 +83,8 @@ def test_general_bounds_on_o6_milp_lp():
 
     def diagonal_and_values(p):
         diag = sum(c * np.diag(np.linalg.matrix_power(a, i))
-                   for i, c in enumerate(p.coeffs))
-        return diag, np.polynomial.polynomial.polyval(s.raw, p.coeffs)
+                   for i, c in enumerate(p))
+        return diag, np.polynomial.polynomial.polyval(s.raw, p)
 
     diag, vals = diagonal_and_values(
         mesh_to_coeffs(sign_polynomial(s, 4).sign_mesh))
@@ -379,6 +379,38 @@ def test_pwr_inertia_k1_is_cvetkovic(corpus_analyses):
         assert value["pwr_inertia"] == value["cvetkovic"], label
         checked += 1
     assert checked == 54
+
+
+def test_certificates_rederive_their_values(corpus_analyses):
+    """Every applicable pwr_inertia, qk_inertia and pwr_ratio row on the
+    corpus carries its polynomial's values on s.distinct, and those values
+    give the printed value exactly: the sign counts for the inertia rows,
+    the trace for pwr_ratio.  The qk_inertia certificate is q'_k itself, and
+    every certificate serializes as {"mesh", "values"} of one length."""
+    checked = dict.fromkeys(("pwr_inertia", "qk_inertia", "pwr_ratio"), 0)
+    for label, a in corpus_analyses.items():
+        s = a.s
+        for k in range(1, a.dm.diameter):
+            for r in best_bounds(a, k):
+                if not r.applicable or r.method not in checked:
+                    continue
+                p = r.certificate
+                assert isinstance(p, MeshPolynomial), (label, k, r.method)
+                assert p.mesh.tobytes() == s.distinct.tobytes(), (label, k)
+                if r.method == "pwr_ratio":
+                    assert r.value == s.trace(p.values), (label, k)
+                else:
+                    counts = bounds._sign_counts(s.mults, p.values)
+                    want = counts[0] if r.method == "pwr_inertia" else min(counts)
+                    assert r.value == float(want), (label, k, r.method)
+                if r.method == "qk_inertia":
+                    qk = s.predistance.rows(k)[1:].sum(axis=0)
+                    assert p.values.tobytes() == qk.tobytes(), (label, k)
+                cert = r.to_json_dict()["certificate"]
+                assert set(cert) == {"mesh", "values"}, (label, k)
+                assert len(cert["mesh"]) == len(cert["values"]), (label, k)
+                checked[r.method] += 1
+    assert checked == {"pwr_inertia": 132, "qk_inertia": 132, "pwr_ratio": 131}
 
 
 def test_pd_ratio_examples(corpus_spectra):

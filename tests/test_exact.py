@@ -438,6 +438,19 @@ def test_discovery_honours_the_deadline():
     assert a.__dict__["rooted"] is True
 
 
+def test_search_honours_its_time_budget():
+    """odd:5 k = 1 takes seconds to prove; with a 0.5 s budget the search
+    raises SearchTimeout within 0.25 s of its deadline, since every node
+    looks at the clock (about 0.1 ms over, measured on a 2-core x86-64
+    host)."""
+    a = Analysis(generate(FamilySpec.parse("odd:5")))
+    assert a.dm.diameter == 4  # built before the clock starts
+    t0 = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        alpha_k_exact(a, 1, timeout=0.5)
+    assert time.monotonic() - t0 - 0.5 < 0.25
+
+
 def test_discovery_gives_up_at_its_step_budget(monkeypatch):
     """K_{40,40}'s cells split one vertex per individualization, so its
     discovery would take n^2 steps: it stops after 16 per bit of n, each
