@@ -18,7 +18,15 @@ from . import optimize
 from .errors import BadNormalization, NoValidTheta, SpecindError, TraceNotZero
 from .graphs import DistanceMatrix, Graph, distance_matrix
 from .polys import MeshPolynomial, mp2_index, mp4_index
-from .spectra import RegularityReport, Spectrum, classify_regularity, spectrum
+from .spectra import (
+    RegularityReport,
+    Spectrum,
+    array_regularity,
+    array_spectrum,
+    intersection_array,
+    spectrum,
+    walk_ladder,
+)
 
 _SIGN_TOL = 1e-9
 
@@ -184,10 +192,17 @@ def dminus1_bounds(s: Spectrum) -> list:
             1.0 + s.mults[d] * min(1.0, pi[d] / pi[0]),
             reason="i=d (odd d)"))
     # aggregate: best single-nonzero minor polynomial over odd indices
-    best = min(1.0 + s.mults[j] * pi[j] / pi[0] for j in range(1, d + 1, 2))
-    out.append(BoundReport("dminus1_ratio_odd", k, float(best),
+    out.append(BoundReport("dminus1_ratio_odd", k, float(dminus1_cap(s)),
                            reason="min over odd indices"))
     return out
+
+
+def dminus1_cap(s: Spectrum) -> float:
+    """min over odd j of 1 + m_j pi_j / pi_0 (d >= 1): the aggregate (d-1)
+    ratio bound, and before its floor the largest clique size that the
+    odd-index multiplicity conditions allow (``ch.multiplicity_feasibility``)."""
+    pi = s.pi
+    return min(1.0 + s.mults[j] * pi[j] / pi[0] for j in range(1, s.d + 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +247,13 @@ def pd_ratio_bound(s: Spectrum) -> BoundReport:
 class Analysis:
     """A graph and its distance matrix, spectrum and regularity ladder, each
     computed on first use and kept: one analysis serves every k and caller.
-    The exact oracle keeps its verdict on the graph's symmetry here too, as
-    ``rooted`` (``exact._rooted``), since finding it takes a deadline."""
+    A distance-regular graph's spectrum and report are read off its
+    intersection array, found from ``dm`` by one product; any other graph
+    takes the eigensolver and the walk ladder, and an array whose
+    multiplicities fail Biggs' check sends the spectrum alone to the
+    eigensolver.  The exact oracle keeps its verdict
+    on the graph's symmetry here too, as ``rooted`` (``exact._rooted``),
+    since finding it takes a deadline."""
 
     g: Graph
 
@@ -250,12 +270,23 @@ class Analysis:
         return distance_matrix(self.g)
 
     @cached_property
+    def array(self) -> tuple | None:
+        """The intersection array if the graph is distance-regular."""
+        return intersection_array(self.g, self.dm)
+
+    @cached_property
     def s(self) -> Spectrum:
-        return spectrum(self.g)
+        known = self.array and array_spectrum(self.array)
+        return known or spectrum(self.g)
 
     @cached_property
     def reg(self) -> RegularityReport:
-        return classify_regularity(self.g, self.s, self.dm)
+        # classify_regularity's choice, on the array already found: a
+        # distance-regular graph has d = diameter, which a spectrum the
+        # caller supplied must meet too
+        if self.array is None or self.dm.diameter != self.s.d:
+            return walk_ladder(self.g, self.s)
+        return array_regularity(self.array)
 
 
 def best_bounds(g: Graph | Analysis, k: int, s: Spectrum | None = None,

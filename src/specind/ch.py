@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimize
-from .bounds import Analysis, minor_to_sign, pwr_inertia, pwr_ratio
+from .bounds import Analysis, dminus1_cap, minor_to_sign, pwr_inertia, pwr_ratio
 from .errors import (
     NegativeRadicand,
     NotApplicable,
@@ -171,15 +171,12 @@ def multiplicity_feasibility(s: Spectrum, r: int) -> MultiplicityReport:
     for j in range(2, s.d + 1, 2):
         rhs = pi[0] / pi[j]
         even.append((j, s.mults[j] >= rhs - tol, float(s.mults[j]), float(rhs)))
-    max_r = None
     for j in range(1, s.d + 1, 2):
         rhs = (r - 1) * pi[0] / pi[j]
         odd.append((j, s.mults[j] >= rhs - tol, float(s.mults[j]), float(rhs)))
-        cap = 1 + s.mults[j] * pi[j] / pi[0]
-        max_r = cap if max_r is None else min(max_r, cap)
     all_hold = all(ok for _, ok, _, _ in even + odd)
     return MultiplicityReport(r, tuple(even), tuple(odd), all_hold,
-                              math.floor(max_r + tol) if max_r is not None else s.n)
+                              math.floor(dminus1_cap(s) + tol) if odd else s.n)
 
 
 def spectral_excess(s: Spectrum) -> float:

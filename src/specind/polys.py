@@ -127,9 +127,14 @@ def predistance_polynomials(s: Spectrum) -> PredistanceFamily:
 
 def _theta_above(s: Spectrum, threshold: float, strict: bool) -> int:
     """Index of the smallest eigenvalue > threshold (or >= when not strict);
-    must leave room for a successor on the mesh."""
+    must leave room for a successor on the mesh.  An eigenvalue within
+    1e-9 max(1, |threshold|) of the threshold counts as equal to it (the
+    fuzz of ``bounds._SIGN_TOL``), so the index does not depend on how the
+    eigenvalue was rounded."""
     theta = s.distinct
-    ok = [i for i in range(1, s.d) if (theta[i] > threshold if strict else theta[i] >= threshold)]
+    tol = 1e-9 * max(1.0, abs(threshold))
+    ok = [i for i in range(1, s.d)
+          if (theta[i] > threshold + tol if strict else theta[i] >= threshold - tol)]
     if not ok:
         raise NoValidTheta(f"no mesh eigenvalue above {threshold}")
     return max(ok)  # smallest eigenvalue = largest index

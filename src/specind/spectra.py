@@ -4,6 +4,14 @@ A ``Spectrum`` carries what every layer derives from it: the order n, the
 trace tr p(A) = sum_i m_i p(theta_i) of a polynomial by its mesh values,
 pi_i = prod_{j != i} |theta_i - theta_j|, the top predistance polynomial p_d
 read off pi, and the predistance polynomials.
+
+Distance-regular graphs take the intersection-array path: one row-blocked
+product over the distance matrix reads the array (``intersection_array``),
+whose (d+1)-square tridiagonal intersection matrix and Biggs' formula give
+the spectrum (``array_spectrum``) and whose matrix powers give the closed
+walks (``array_regularity``), with no n x n eigensolver or walk ladder.
+Every other graph takes the eigensolver (``spectrum``) and the walk ladder
+(``walk_ladder``); ``classify_regularity`` picks the report's path.
 """
 
 from __future__ import annotations
@@ -220,6 +228,11 @@ def _exact_float(bound: int):
     return np.float64 if bound < 2 ** 53 else None
 
 
+# Entries of the intersection product formed at a time: a block of rows of
+# X and of X A is about 64 KiB in float32, small beside A's own copy.
+_PRODUCT_BLOCK = 2 ** 14
+
+
 def _intersection_numbers(a: np.ndarray, dm: DistanceMatrix):
     """Intersection numbers b_i, c_i from one product; None if not constant.
 
@@ -231,23 +244,123 @@ def _intersection_numbers(a: np.ndarray, dm: DistanceMatrix):
     is a non-negative integer below deg * B^2 < B^3, so the product is exact
     in float32 when B^3 < 2^24 and in float64 for degrees below 2^17.
     Every entry must equal row 0's at its distance (NaN, never equal, where
-    row 0 lacks one)."""
+    row 0 lacks one).  The product is formed a block of rows at a time, so
+    beside A's copy it holds one block, and it stops at the first block
+    with an entry off row 0's."""
+    n = len(a)
     base = int(a.sum(axis=1).max()) + 1
     dtype = _exact_float(base ** 3) or np.float64
     table = (base ** (np.arange(dm.diameter + 1) % 3)).astype(dtype)
-    code = table[dm.dist] @ a.astype(dtype, copy=False)
+    a = a.astype(dtype, copy=False)
     ref = np.full(dm.diameter + 1, np.nan, dtype=dtype)
-    ref[dm.dist[0]] = code[0]
-    if not np.array_equal(code, ref[dm.dist]):
-        return None
+    step = max(1, _PRODUCT_BLOCK // n)
+    for lo in range(0, n, step):
+        dist = dm.dist[lo:lo + step]
+        code = table[dist] @ a
+        if lo == 0:
+            ref[dist[0]] = code[0]
+        if not np.array_equal(code, ref[dist]):
+            return None
     digits = [[int(v) // base ** r % base for r in range(3)] for v in ref]
     return (tuple(digits[i][(i + 1) % 3] for i in range(dm.diameter)),
             tuple(digits[i][(i - 1) % 3] for i in range(1, dm.diameter + 1)))
 
 
+def intersection_array(g: Graph, dm: DistanceMatrix) -> tuple | None:
+    """The intersection array ((b_0..b_{D-1}), (c_1..c_D)) of a
+    distance-regular graph, else None: an irregular graph is answered from
+    its degrees, a regular one by one intersection product."""
+    deg = g.degrees()
+    if not np.all(deg == deg[0]):
+        return None
+    return _intersection_numbers(g.adjacency, dm)
+
+
+def _array_columns(inter: tuple) -> tuple:
+    """(a, b, c), each of length D + 1, with b_D = c_0 = 0 and
+    a_i = k - b_i - c_i: row i of the tridiagonal intersection matrix L is
+    c_i, a_i, b_i at columns i - 1, i, i + 1."""
+    b, c = inter[0] + (0,), (0,) + inter[1]
+    return tuple(b[0] - bi - ci for bi, ci in zip(b, c)), b, c
+
+
+def _biggs_multiplicities(inter: tuple, theta: np.ndarray) -> tuple:
+    """(n, m): the order n = sum_i k_i, with k_0 = 1, k_{i+1} =
+    k_i b_i / c_{i+1} the sizes of the distance classes, and Biggs'
+    m(theta) = n / sum_i k_i u_i(theta)^2 at each theta, u the cosine
+    sequence u_0 = 1, c_i u_{i-1} + a_i u_i + b_i u_{i+1} = theta u_i
+    (Biggs, Algebraic Graph Theory, 1993, ch. 21), in floats."""
+    a, b, c = _array_columns(inter)
+    d = len(a) - 1
+    sizes = [1]
+    for i in range(d):
+        sizes.append(sizes[-1] * b[i] // c[i + 1])
+    u = np.zeros((d + 1, len(theta)))
+    u[0] = 1.0
+    for i in range(d):  # u[i - 1] is the zero row u[d] at i = 0, where c_0 = 0
+        u[i + 1] = ((theta - a[i]) * u[i] - c[i] * u[i - 1]) / b[i]
+    n = sum(sizes)
+    return n, n / (np.asarray(sizes, dtype=float) @ u ** 2)
+
+
+def array_spectrum(inter: tuple) -> Spectrum | None:
+    """The spectrum of a distance-regular graph from its intersection array:
+    the distinct eigenvalues are those of the intersection matrix L, from
+    its (D+1)-square symmetric tridiagonal form (diagonal a_i, off-diagonal
+    sqrt(b_i c_{i+1})), and their multiplicities are Biggs'.  None unless
+    every multiplicity is within DEFAULT_TOL (relative) of a positive
+    integer and they sum to n; the caller then takes the eigensolver."""
+    a, b, c = _array_columns(inter)
+    off = np.sqrt(np.multiply(b[:-1], c[1:], dtype=float))
+    tri = np.diag(np.asarray(a, dtype=float)) + np.diag(off, 1) + np.diag(off, -1)
+    theta = np.linalg.eigvalsh(tri)[::-1].copy()
+    n, mults = _biggs_multiplicities(inter, theta)
+    rounded = np.rint(mults)
+    if (np.any(np.abs(mults - rounded) > DEFAULT_TOL * mults)
+            or np.any(rounded < 1) or int(rounded.sum()) != n):
+        return None
+    mults = rounded.astype(int)
+    return Spectrum(theta, mults, np.repeat(theta, mults))
+
+
+def array_regularity(inter: tuple) -> RegularityReport:
+    """The regularity report of a distance-regular graph from its array:
+    walk-regular at pwr level D, with closed walks (L^l)_00, l = 1..D, in
+    Python ints.  Since A A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}
+    for the distance matrices A_i, A^l = sum_i (L^l)_{i0} A_i, and A_0 = I.
+    (c_0 = b_D = 0 void the wrapped neighbours at either end.)"""
+    a, b, c = _array_columns(inter)
+    d = len(a) - 1
+    x, walks = [1] + [0] * d, []
+    for _ in range(d):
+        x = [c[i] * x[i - 1] + a[i] * x[i] + b[i] * x[(i + 1) % (d + 1)]
+             for i in range(d + 1)]
+        walks.append(x[0])
+    return RegularityReport(
+        is_regular=True,
+        degree=b[0],
+        pwr_level=d,
+        closed_walks=tuple(walks),
+        is_walk_regular=True,
+        is_distance_regular=True,
+        intersection_array=inter,
+    )
+
+
 def classify_regularity(g: Graph, s: Spectrum,
                         dm: DistanceMatrix) -> RegularityReport:
-    """Regularity ladder: regular / k-partially walk-regular / walk- / distance-."""
+    """Regularity ladder: regular / k-partially walk-regular / walk- / distance-.
+
+    A distance-regular graph has d = diameter, and its report is read off
+    its intersection array (``array_regularity``); every other graph
+    climbs the walk ladder (``walk_ladder``)."""
+    inter = intersection_array(g, dm) if dm.diameter == s.d else None
+    return walk_ladder(g, s) if inter is None else array_regularity(inter)
+
+
+def walk_ladder(g: Graph, s: Spectrum) -> RegularityReport:
+    """The regularity report of a graph that is not distance-regular, from
+    the constant diagonals of its adjacency powers."""
     deg = g.degrees()
     is_reg = bool(np.all(deg == deg[0]))
     d = s.d
@@ -282,18 +395,12 @@ def classify_regularity(g: Graph, s: Spectrum,
             walks.append(int(diag[0]))
         else:
             break
-    del half, up  # freed before the n x n intersection product below
-    pwr = len(walks)
-    is_wr = pwr == d
-    # is_dr needs both, and only then is the array reported
-    inter = _intersection_numbers(a, dm) if is_reg and dm.diameter == d else None
-    is_dr = inter is not None
     return RegularityReport(
         is_regular=is_reg,
         degree=int(deg[0]) if is_reg else None,
-        pwr_level=pwr,
+        pwr_level=len(walks),
         closed_walks=tuple(walks),
-        is_walk_regular=is_wr,
-        is_distance_regular=is_dr,
-        intersection_array=inter,
+        is_walk_regular=len(walks) == d,
+        is_distance_regular=False,
+        intersection_array=None,
     )

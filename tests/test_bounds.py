@@ -532,7 +532,8 @@ def test_keyword_forms_match_analysis(corpus_analyses, monkeypatch, label):
     want_exact = [alpha_k_exact(g, k) for k in ks]
     want_ch = [ch_classify(a, k) for k in ch_ks]
     assert ch_ks, label
-    for name in ("spectrum", "distance_matrix", "classify_regularity"):
+    for name in ("spectrum", "distance_matrix", "intersection_array",
+                 "walk_ladder"):
         monkeypatch.setattr(bounds, name, _seeded_only)
     monkeypatch.setattr(exact, "distance_matrix", _seeded_only)
     for k, want, want_x in zip(ks, want_bounds, want_exact):

@@ -4,11 +4,18 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-from conftest import relabelled
+from conftest import load_fixture, relabelled
 
 from specind import bounds, cli, exact, spectra
-from specind.graphs import FamilySpec, distance_matrix, generate, to_graph6
+from specind.graphs import (
+    FamilySpec,
+    distance_matrix,
+    from_adjacency,
+    generate,
+    to_graph6,
+)
 
 
 def run_cli(*args, check=True):
@@ -91,15 +98,22 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 def test_bounds_all_k_analyses_graph_once(monkeypatch, capsys):
-    """One Analysis serves every k: one distance matrix, spectrum and
-    regularity ladder per graph, each built through the names the analysis
-    calls, none by the CLI itself."""
+    """One Analysis serves every k: one distance matrix and at most one
+    intersection product, eigensolver call and walk ladder per graph, each
+    through the names the analysis calls, none by the CLI itself.  The
+    distance-regular hypercube:4 is read off its intersection array, with
+    no eigensolver or ladder; the regular prism:5 is not distance-regular,
+    so its product finds no array and it takes both."""
     monkeypatch.setattr(cli, "spectrum", _fail)
     calls = [_count_calls(monkeypatch, bounds, name)
-             for name in ("distance_matrix", "spectrum", "classify_regularity")]
-    assert cli.main(["bounds", "--family", "hypercube:4", "--k", "all"]) == 0
-    assert "best floor" in capsys.readouterr().out
-    assert [len(c) for c in calls] == [1, 1, 1]
+             for name in ("distance_matrix", "spectrum", "walk_ladder")]
+    calls.append(_count_calls(monkeypatch, spectra, "_intersection_numbers"))
+    for family, want in (("hypercube:4", [1, 0, 0, 1]), ("prism:5", [1, 1, 1, 1])):
+        assert cli.main(["bounds", "--family", family, "--k", "all"]) == 0
+        assert "best floor" in capsys.readouterr().out
+        assert [len(c) for c in calls] == want, family
+        for c in calls:
+            c.clear()
 
 
 def _csv_lines(capsys, *args):
@@ -255,6 +269,27 @@ def test_bounds_in_discovers_symmetry_once(tmp_path, monkeypatch, capsys):
     assert len(found) == 1
     assert read_in == _csv_lines(capsys, "--family", "hypercube:7", "--k",
                                  "all", "--exact")
+
+
+def test_bounds_csv_does_not_depend_on_labelling(tmp_path, capsys):
+    """hypercube:7 and middle-cube, each relabelled by one
+    ``numpy.random.default_rng(seed)`` permutation at seeds 7, 11 and 16,
+    print the identity labelling's CSV, MP3 reason text included.  The
+    eigensolver rounds the eigenvalues at the MP2 and MP4 thresholds (-1
+    and 0) to either side under these relabellings (hypercube:7 at 16,
+    middle-cube at 7); the index rules forgive that rounding, and the
+    hypercube's spectrum is read off its intersection array anyway."""
+    path = tmp_path / "g.g6"
+    for name, g in (("hypercube:7", generate(FamilySpec.parse("hypercube:7"))),
+                    ("middle-cube", load_fixture("middle-cube"))):
+        path.write_text(to_graph6(g) + "\n")
+        want = _csv_lines(capsys, "--in", str(path), "--k", "all")
+        for seed in (7, 11, 16):
+            perm = np.random.default_rng(seed).permutation(g.n)
+            path.write_text(to_graph6(from_adjacency(
+                g.adjacency[np.ix_(perm, perm)])) + "\n")
+            assert _csv_lines(capsys, "--in", str(path), "--k", "all") == want, (
+                name, seed)
 
 
 def test_table_unknown():

@@ -243,6 +243,25 @@ def test_mp4_index_selection():
     assert mp4_index(s6, 0.0) == 2  # zeros 2, -1 with theta_d = -5
 
 
+def _moved(s, i, steps):
+    """s with theta_i moved by ``steps`` ulp of max(1, |theta_i|)."""
+    theta = s.distinct.copy()
+    theta[i] += steps * np.spacing(max(1.0, abs(theta[i])))
+    return Spectrum(theta, s.mults.copy(), np.repeat(theta, s.mults))
+
+
+@pytest.mark.parametrize("steps", [-2, 2])
+def test_index_rules_ignore_rounding_at_their_threshold(steps):
+    """MP2's threshold -1 is an eigenvalue of odd:6 (mesh 6, 4, 2, -1, ...)
+    and MP4's threshold 0 one of hypercube:6 (bipartite, delta = 0): moved
+    2 ulp either way, as an eigensolver may round it, the eigenvalue still
+    counts as equal to the threshold, and neither index moves."""
+    odd6 = exact_family_spectrum(FamilySpec.parse("odd:6"))
+    cube = exact_family_spectrum(FamilySpec.parse("hypercube:6"))
+    assert mp2_index(_moved(odd6, 3, steps)) == mp2_index(odd6) == 2
+    assert mp4_index(_moved(cube, 3, steps), 0.0) == mp4_index(cube, 0.0) == 3
+
+
 def test_minor_closed_form_k0_k1():
     """At k = 1 the minor LP returns the closed form
     (x - theta_d)/(theta_0 - theta_d), here on the mesh (3, 1, -2)."""

@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 from conftest import check_hypercube_pi_ratios, relabelled, traced_peak
 
-from specind import spectra
+from specind import bounds, spectra
+from specind.bounds import Analysis
 from specind.errors import NoClosedForm
-from specind.graphs import FamilySpec, distance_matrix, generate
+from specind.graphs import FamilySpec, distance_matrix, from_adjacency, generate
 from specind.spectra import (
     RegularityReport,
     _intersection_numbers,
+    array_spectrum,
     classify_regularity,
     exact_family_spectrum,
+    intersection_array,
     spectrum,
     srg_raw_spectrum,
 )
@@ -246,9 +249,14 @@ def product_intersection_numbers(a, dm):
     return tuple(b[:-1]), tuple(c[1:])
 
 
-def test_intersection_numbers_match_loop(corpus_spectra):
+def test_intersection_numbers_match_loop(corpus_spectra, monkeypatch):
     """Every corpus graph (odd:6 and the non-regular ones included),
-    relabelled copies, complete:200 (B^3 = 8e6) and cycle:101 (D = 50)."""
+    relabelled copies, complete:200 (B^3 = 8e6) and cycle:101 (D = 50),
+    with the product's row blocks at their size and one row long.  With
+    one-row blocks a graph whose row 0 alone looks distance-regular is
+    answered only by a later block: in complete_bipartite:4,5, gray,
+    folkman and tietze vertex 0's distance partition is equitable, but not
+    every vertex's is."""
     graphs = [g for g, _, _, _ in corpus_spectra.values()]
     graphs += [relabelled(spec, seed) for spec, seed in
                [("odd:6", 7), ("hypercube:7", 31), ("prism:6", 7),
@@ -256,11 +264,13 @@ def test_intersection_numbers_match_loop(corpus_spectra):
     graphs += [generate(FamilySpec.parse(spec)) for spec in
                ["complete_bipartite:1,9", "complete:200", "cycle:101"]]
     seen = set()
-    for g in graphs:
-        a, dm = g.adjacency.astype(float), distance_matrix(g)
-        want = product_intersection_numbers(a, dm)
-        assert _intersection_numbers(a, dm) == want, g.label
-        seen.add(want is None)
+    for block in (spectra._PRODUCT_BLOCK, 1):
+        monkeypatch.setattr(spectra, "_PRODUCT_BLOCK", block)
+        for g in graphs:
+            a, dm = g.adjacency.astype(float), distance_matrix(g)
+            want = product_intersection_numbers(a, dm)
+            assert _intersection_numbers(a, dm) == want, (g.label, block)
+            seen.add(want is None)
     assert seen == {True, False}  # both outcomes are exercised
 
 
@@ -327,9 +337,12 @@ def assert_same_report(g, s, dm):
 def test_regularity_tiers_match_float64_reference(corpus_spectra):
     """classify_regularity's narrowest-type ladder and intersection product
     give the float64 reference's report, field by field, on the corpus and
-    relabelled copies of odd:6 and hypercube:7."""
-    for g, s, dm, _ in corpus_spectra.values():
-        assert_same_report(g, s, dm)
+    relabelled copies of odd:6 and hypercube:7; on each of the 55 corpus
+    graphs so does its analysis's report, read off the intersection array
+    where the graph is distance-regular."""
+    for g, s, dm, reg in corpus_spectra.values():
+        assert assert_same_report(g, s, dm) == reg, g.label
+    assert len(corpus_spectra) == 55
     for spec in ("odd:6", "hypercube:7"):
         for seed in (7, 31):
             g = relabelled(spec, seed)
@@ -350,7 +363,10 @@ def test_regularity_tier_switches_match_float64_reference(spec, tier, monkeypatc
     when max_deg^d < 2^24, in float64 until max_deg^l reaches 2^53 and in
     Python ints beyond; the intersection product runs in float32 when
     (max_deg + 1)^3 < 2^24.  The tier is asserted both from the graph's
-    invariants and from the types classify_regularity picked."""
+    invariants and from the types classify_regularity picked.  The cycles
+    are distance-regular, so classify_regularity reads them off their
+    intersection product and picks no ladder type; the ladder run on them
+    directly picks its tier and gives the array's closed walks."""
     g = generate(FamilySpec.parse(spec))
     s, dm = spectrum(g), distance_matrix(g)
     top = int(g.degrees().max())
@@ -363,6 +379,11 @@ def test_regularity_tier_switches_match_float64_reference(spec, tier, monkeypatc
     monkeypatch.setattr(spectra, "_exact_float", spy)
     rep = assert_same_report(g, s, dm)
     part, kind = tier.split()
+    if part == "ladder" and rep.is_distance_regular:
+        assert picked == [((top + 1) ** 3, np.float32)], spec
+        picked.clear()
+        ladder = spectra.walk_ladder(g, s)
+        assert ladder.closed_walks == rep.closed_walks, spec
     if part == "ladder":
         bound = top ** s.d
         assert (kind == "float32") == (bound < 2 ** 24), spec
@@ -379,14 +400,29 @@ def test_regularity_tier_switches_match_float64_reference(spec, tier, monkeypatc
 
 
 def test_regularity_transient_memory():
-    """On odd:6 (n = 462) the float32 ladder and intersection product keep
-    classify_regularity's traced peak above its inputs within 14 bytes per
-    vertex pair; the float64 products took 25."""
+    """On kneser:12,5 (n = 792, not distance-regular) the float32 ladder
+    keeps classify_regularity's traced peak above its inputs within 14
+    bytes per vertex pair; the float64 products took 25.  On odd:6
+    (n = 462, distance-regular) the row-blocked intersection product alone
+    serves classify_regularity, and the analysis's spectrum and report
+    together, taken after its distance matrix, within 6 bytes per pair:
+    one float32 copy of A and a block (13.07 with the eigensolver, the
+    ladder and the whole product)."""
+    g = generate(FamilySpec.parse("kneser:12,5"))
+    s, dm = spectrum(g), distance_matrix(g)
+    rep, peak = traced_peak(classify_regularity, g, s, dm)
+    assert rep.is_walk_regular and not rep.is_distance_regular
+    assert peak <= 14 * g.n ** 2, peak / g.n ** 2
     g = generate(FamilySpec.parse("odd:6"))
     s, dm = spectrum(g), distance_matrix(g)
     rep, peak = traced_peak(classify_regularity, g, s, dm)
     assert rep.is_distance_regular
-    assert peak <= 14 * g.n ** 2, peak / g.n ** 2
+    assert peak <= 6 * g.n ** 2, peak / g.n ** 2
+    a = Analysis(g)
+    a.dm
+    (s, rep), peak = traced_peak(lambda: (a.s, a.reg))
+    assert rep.is_distance_regular
+    assert peak <= 6 * g.n ** 2, peak / g.n ** 2
 
 
 def test_intersection_array_skipped_when_diameter_below_d(monkeypatch):
@@ -418,3 +454,72 @@ def test_walk_regular_constant_poly_diagonal(corpus_spectra):
         mean = float(np.dot(s.mults, vals)) / s.n
         assert w == pytest.approx(W, abs=1e-8)
         assert w == pytest.approx(mean, rel=1e-9)
+
+
+def test_array_spectrum_matches_eigensolver(corpus_analyses):
+    """On every distance-regular corpus graph, and on copies relabelled by
+    one ``numpy.random.default_rng(seed)`` permutation at seeds 7 and 11,
+    the intersection array's spectrum has the eigensolver's multiplicities,
+    its eigenvalues within 1e-12, and raw eigenvalues repeated by
+    multiplicity."""
+    dr = [a.g for a in corpus_analyses.values() if a.array is not None]
+    graphs = list(dr)
+    for g in dr:
+        for seed in (7, 11):
+            perm = np.random.default_rng(seed).permutation(g.n)
+            graphs.append(from_adjacency(g.adjacency[np.ix_(perm, perm)],
+                                         f"{g.label}@{seed}"))
+    for g in graphs:
+        got = array_spectrum(intersection_array(g, distance_matrix(g)))
+        want = spectrum(g)
+        assert got.mults.tolist() == want.mults.tolist(), g.label
+        assert np.abs(got.distinct - want.distinct).max() <= 1e-12, g.label
+        assert np.array_equal(got.raw, np.repeat(got.distinct, got.mults))
+    assert len(dr) == 28
+
+
+def test_array_spectrum_matches_closed_form():
+    """The array's spectrum is the closed form's on odd, hypercube, Kneser,
+    Petersen and cycle graphs (cycle:101 has d = 50)."""
+    for spec in ("odd:4", "odd:6", "hypercube:5", "hypercube:7", "kneser:7,2",
+                 "kneser:9,2", "petersen", "cycle:9", "cycle:101"):
+        g = generate(FamilySpec.parse(spec))
+        got = array_spectrum(intersection_array(g, distance_matrix(g)))
+        want = exact_family_spectrum(FamilySpec.parse(spec))
+        assert got.mults.tolist() == want.mults.tolist(), spec
+        assert np.abs(got.distinct - want.distinct).max() <= 1e-12, spec
+
+
+def test_analysis_takes_the_eigensolver_without_an_array(monkeypatch):
+    """kneser:8,3 and kneser:10,3 are regular but not distance-regular: the
+    product finds no array and the analysis calls the eigensolver.  When
+    Biggs' check fails (here a multiplicity off by 1/2 is patched in), the
+    Petersen graph's analysis falls back to the eigensolver too, and its
+    report is classify_regularity's on that spectrum."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return spectrum(g)
+
+    monkeypatch.setattr(bounds, "spectrum", counting)
+    for spec in ("kneser:8,3", "kneser:10,3"):
+        a = Analysis(generate(FamilySpec.parse(spec)))
+        assert a.array is None and a.reg.is_regular, spec
+        assert not a.reg.is_distance_regular, spec
+        assert calls == [a.g], spec
+        calls.clear()
+    biggs = spectra._biggs_multiplicities
+
+    def off_by_half(inter, theta):
+        n, mults = biggs(inter, theta)
+        return n, mults + np.eye(len(mults))[1] / 2
+
+    monkeypatch.setattr(spectra, "_biggs_multiplicities", off_by_half)
+    a = Analysis(generate(FamilySpec.parse("petersen")))
+    assert a.array == ((3, 2), (1, 1))
+    want = spectrum(a.g)
+    assert a.s.distinct.tobytes() == want.distinct.tobytes()
+    assert a.s.mults.tolist() == want.mults.tolist()
+    assert calls == [a.g]
+    assert a.reg == classify_regularity(a.g, want, a.dm)
