@@ -248,8 +248,8 @@ class Analysis:
     """A graph and its distance matrix, spectrum and regularity ladder, each
     computed on first use and kept: one analysis serves every k and caller.
     A distance-regular graph's spectrum and report are read off its
-    intersection array, found from ``dm`` by one product; any other graph
-    takes the eigensolver and the walk ladder, and an array whose
+    intersection array, found from ``dm`` by two sums of distance rows; any
+    other graph takes the eigensolver and the walk ladder, and an array whose
     multiplicities fail Biggs' check sends the spectrum alone to the
     eigensolver.  The exact oracle keeps its verdict
     on the graph's symmetry here too, as ``rooted`` (``exact._rooted``),

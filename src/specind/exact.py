@@ -30,6 +30,7 @@ import numpy as np
 
 from .bounds import Analysis
 from .errors import SearchTimeout, SizeLimitExceeded
+from .distances import adjacency_lists, row_blocks
 from .graphs import DistanceMatrix, Graph, distance_matrix
 
 SIZE_LIMIT = 600
@@ -62,7 +63,8 @@ def _degeneracy_order(adj: np.ndarray) -> list:
 def _max_clique(adj: np.ndarray, deadline: float):
     """Maximum clique of a boolean adjacency matrix; (size, clique, nodes)."""
     order = _degeneracy_order(adj)
-    packed = np.packbits(adj[np.ix_(order, order)], axis=1, bitorder="little")
+    packed = np.packbits(adj.take(order, axis=0).take(order, axis=1), axis=1,
+                         bitorder="little")
     bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
     # a colour class takes the lowest v, then drops v and its neighbours
     rest = [~(row | (1 << v)) for v, row in enumerate(bits)]
@@ -130,11 +132,20 @@ def _orbit_of_zero(gens: list, n: int) -> np.ndarray:
         orbit = grown
 
 
+def _edges(g: Graph) -> tuple:
+    """Each edge once, as index arrays (u, v) with u < v in row-major order
+    (``np.nonzero(np.triu(adjacency))``'s), read off the flat nonzeros of
+    the adjacency: no n x n copy."""
+    u, v = np.divmod(np.flatnonzero(g.adjacency), g.n)
+    upper = u < v
+    return u[upper], v[upper]
+
+
 def _transitive(g: Graph) -> bool:
     """True iff the claimed automorphisms move vertex 0 to every vertex.  A
     claim that is not an automorphism is a producer bug: RuntimeError."""
     gens = [np.asarray(p) for p in g.automorphisms]
-    edges = np.nonzero(np.triu(g.adjacency))
+    edges = _edges(g)
     if not all(_is_automorphism(g, p, edges) for p in gens):
         raise RuntimeError(f"claimed automorphism of {g.label!r} is not one")
     return bool(_orbit_of_zero(gens, g.n).all())
@@ -182,13 +193,17 @@ def _discover(g: Graph, dm: DistanceMatrix, deadline: float):
     SearchTimeout past ``deadline``.
     """
     n, width = g.n, dm.diameter + 1
-    profile = np.bincount((dm.dist + width * np.arange(n)[:, None]).ravel(),
-                          minlength=n * width).reshape(n, width)
-    if not (profile == profile[0]).all():
-        return None
-    rows, cols = np.nonzero(g.adjacency)
-    starts = np.searchsorted(rows, np.arange(n))
-    edges = np.nonzero(np.triu(g.adjacency))
+    # each row's distance counts, a block of rows at a time (row r's
+    # distances offset by r * width, so one bincount counts the block)
+    first = np.bincount(dm.dist[0], minlength=width)
+    for lo, hi in row_blocks(n, 8 * n):
+        keys = dm.dist[lo:hi] + width * np.arange(hi - lo)[:, None]
+        profile = np.bincount(keys.ravel(), minlength=(hi - lo) * width)
+        if not (profile.reshape(hi - lo, width) == first).all():
+            return None
+    starts, cols = adjacency_lists(g.adjacency)
+    starts = starts[:-1]
+    edges = _edges(g)
 
     def individualize(cells, point, base=None):
         """Refine after individualizing ``point``: (signatures, cells).  A
@@ -299,21 +314,55 @@ def alpha_k_exact(g: Graph | Analysis, k: int, dm: DistanceMatrix | None = None,
     if a.g.n > SIZE_LIMIT:
         raise SizeLimitExceeded(f"n={a.g.n} exceeds limit {SIZE_LIMIT}")
     start = time.monotonic()
-    # clique in the complement of G^k == pairs at distance > k
-    far = a.dm.dist > k
-    if not far.any():  # k >= diameter
+    if k >= a.dm.diameter:
         return ExactResult(1, (0,), k, time.monotonic() - start)
-    if _rooted(a, start + timeout):  # root the search at vertex 0
-        nb = np.flatnonzero(far[0])
-        size, sub, nodes = _max_clique(far[np.ix_(nb, nb)], start + timeout)
+    # clique in the complement of G^k == pairs at distance > k
+    dist = a.dm.dist
+    if _rooted(a, start + timeout):  # root the search at vertex 0, reading
+        # only dist[0] and dist[nb][:, nb], a row block at a time
+        nb = np.flatnonzero(dist[0] > k)
+        far = np.empty((len(nb), len(nb)), dtype=bool)
+        for lo, hi in row_blocks(len(nb), len(dist)):
+            np.greater(dist[nb[lo:hi]][:, nb], k, out=far[lo:hi])
+        size, sub, nodes = _max_clique(far, start + timeout)
         size, witness = size + 1, [0, *nb[sub]]
     else:
-        size, witness, nodes = _max_clique(far, start + timeout)
+        size, witness, nodes = _max_clique(dist > k, start + timeout)
     witness = tuple(sorted(int(v) for v in witness))
     if len(witness) != size or not verify_independent(a.g, k, witness, a.dm):
         # an oracle bug, not an inapplicable instance: no handler may catch it
         raise RuntimeError(f"exact witness {witness} is not {k}-independent")
     return ExactResult(size, witness, k, time.monotonic() - start, nodes)
+
+
+def greedy_witness(g: Graph | Analysis, k: int) -> tuple:
+    """A k-independent set by the dynamic min-degree greedy on G^k: take a
+    vertex of least degree among those left (the lowest index on ties),
+    drop it and every vertex within distance k of it, and lower the degrees
+    of those left by the dropped vertices next to them in G^k.  It reads
+    distance rows and builds no power graph; its size is a lower bound on
+    alpha_k, checked by ``verify_independent`` (a failure is a bug:
+    RuntimeError).  ``g`` is a graph or its analysis."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    a = Analysis.of(g)
+    dist, n = a.dm.dist, a.g.n
+    degree = np.empty(n, dtype=np.int64)
+    for lo, hi in row_blocks(n):
+        degree[lo:hi] = np.count_nonzero(dist[lo:hi] <= k, axis=1) - 1
+    left = np.ones(n, dtype=bool)
+    chosen = []
+    while left.any():
+        v = int(np.argmin(np.where(left, degree, n)))
+        chosen.append(v)
+        dropped = np.flatnonzero(left & (dist[v] <= k))
+        left[dropped] = False
+        for lo, hi in row_blocks(len(dropped), n):
+            degree -= np.count_nonzero(dist[dropped[lo:hi]] <= k, axis=0)
+    witness = tuple(sorted(chosen))
+    if not verify_independent(a.g, k, witness, a.dm):
+        raise RuntimeError(f"greedy witness {witness} is not {k}-independent")
+    return witness
 
 
 def verify_independent(g: Graph, k: int, vertices,

@@ -1,7 +1,11 @@
-"""Graph representation, graph6 I/O, named families, distances.
+"""Graph representation, graph6 I/O, named families; distances (from
+``distances``, whose names are re-exported here).
 
 Vertices are always 0..n-1.  Adjacency is a dense symmetric boolean matrix;
-target instances stay below ~1000 vertices, so dense storage is fine.
+target instances stay below ~1000 vertices, so dense storage is fine.  Each
+n x n pass here (the symmetry check, graph6 decoding, Kneser adjacency)
+works a block of rows at a time (``distances.row_blocks``), and a matrix
+the package builds itself is never copied.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from math import gcd
 
 import numpy as np
 
+from .distances import DistanceMatrix, distance_matrix, row_blocks  # noqa: F401
 from .errors import DisconnectedGraph, InvalidFamilyParameters, MalformedGraph6
 
 @dataclass(frozen=True)
@@ -29,8 +34,9 @@ class Graph:
         a = self.adjacency
         if a.shape != (self.n, self.n) or a.dtype != bool:
             raise ValueError("adjacency must be an (n, n) boolean matrix")
-        if np.any(a != a.T):
-            raise ValueError("adjacency must be symmetric")
+        for lo, hi in row_blocks(self.n):
+            if np.any(a[lo:hi] != a[:, lo:hi].T):
+                raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a)):
             raise ValueError("no loops allowed")
         a.setflags(write=False)
@@ -54,14 +60,6 @@ class Graph:
 
     def __hash__(self):
         return hash((self.n, self.adjacency.tobytes()))
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances of a connected graph."""
-
-    dist: np.ndarray  # (n, n), unsigned: uint8 up to n = 256, uint16 beyond
-    diameter: int
 
 
 @dataclass(frozen=True)
@@ -102,12 +100,18 @@ def _check_connected(adj: np.ndarray, label: str = "") -> None:
         raise DisconnectedGraph(f"graph {label!r} is not connected")
 
 
-def from_adjacency(adj: np.ndarray, label: str = "") -> Graph:
-    """Build a Graph (symmetry and loops checked first), then check connectivity."""
-    adj = np.asarray(adj, dtype=bool).copy()
-    g = Graph(adj.shape[0], adj, label)
+def _graph(adj: np.ndarray, label: str = "", automorphisms: tuple = ()) -> Graph:
+    """A Graph on a boolean matrix the package built itself, kept as it is
+    (symmetry and loops checked first), then its connectivity checked."""
+    g = Graph(adj.shape[0], adj, label, automorphisms)
     _check_connected(adj, label)
     return g
+
+
+def from_adjacency(adj: np.ndarray, label: str = "") -> Graph:
+    """Build a Graph on a copy of ``adj``, which the Graph makes read-only
+    (symmetry and loops checked first), then check connectivity."""
+    return _graph(np.array(adj, dtype=bool), label)
 
 
 def from_edges(n: int, edges, label: str = "") -> Graph:
@@ -116,7 +120,7 @@ def from_edges(n: int, edges, label: str = "") -> Graph:
         if u == v:
             raise ValueError("loops are not allowed")
         adj[u, v] = adj[v, u] = True
-    return from_adjacency(adj, label)
+    return _graph(adj, label)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +131,9 @@ _G6_HEADER = ">>graph6<<"
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line into a connected Graph."""
+    """Decode one graph6 line into a connected Graph, holding beside the
+    adjacency it returns only the bit string (half a byte per vertex pair)
+    and one block: the matrix is filled in place and not copied."""
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
@@ -149,14 +155,25 @@ def parse_graph6(text: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise MalformedGraph6("graph6 body has wrong length")
-    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()
+    # each byte's six bits, most significant first, moved to the top of the
+    # byte and unpacked in one contiguous bit string
+    bits = np.unpackbits((body << 2)[:, None], axis=1, count=6).ravel()
     if bits[nbits:].any():
         raise MalformedGraph6("nonzero padding bits")
-    # row-major (j, i), i < j: graph6's order, column j's bits i = 0..j-1,
-    # placed through a boolean strict-lower-triangle mask (1 byte a pair)
+    # graph6 lists column j's bits i = 0..j-1 in turn: row j of the strict
+    # lower triangle, so rows lo..hi-1 hold bits lo(lo-1)/2 up to
+    # hi(hi-1)/2.  Each block of rows is placed through its triangle mask (a
+    # masked assignment indexes its entries, hence blocks of ROW_BLOCK / 16
+    # pairs), and the triangle is then mirrored a row block at a time
     adj = np.zeros((n, n), dtype=bool)
-    adj[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
-    return from_adjacency(adj | adj.T)
+    bits = bits.view(bool)
+    cols = np.arange(n)
+    for lo, hi in row_blocks(n, 16 * n):
+        below = cols < np.arange(lo, hi)[:, None]
+        adj[lo:hi][below] = bits[lo * (lo - 1) // 2:hi * (hi - 1) // 2]
+    for lo, hi in row_blocks(n):
+        adj[lo:hi] |= adj[:, lo:hi].T
+    return _graph(adj)
 
 
 def to_graph6(g: Graph) -> str:
@@ -223,8 +240,9 @@ def _cycle(n: int) -> Graph:
 def _complete(n: int) -> Graph:
     if n < 2:
         raise InvalidFamilyParameters("complete needs n >= 2")
-    adj = ~np.eye(n, dtype=bool)
-    return replace(from_adjacency(adj, f"complete:{n}"), automorphisms=_rotation(n))
+    adj = np.ones((n, n), dtype=bool)
+    np.fill_diagonal(adj, False)
+    return _graph(adj, f"complete:{n}", _rotation(n))
 
 
 def _complete_bipartite(a: int, b: int) -> Graph:
@@ -233,8 +251,8 @@ def _complete_bipartite(a: int, b: int) -> Graph:
     adj = np.zeros((a + b, a + b), dtype=bool)
     adj[:a, a:] = True
     adj[a:, :a] = True
-    g = from_adjacency(adj, f"complete_bipartite:{a},{b}")
-    return replace(g, automorphisms=_two_parts(a)) if a == b else g
+    return _graph(adj, f"complete_bipartite:{a},{b}",
+                  _two_parts(a) if a == b else ())
 
 
 def _hypercube(m: int) -> Graph:
@@ -265,26 +283,33 @@ def kneser_vertices(n: int, k: int) -> list:
     return sorted(combinations(range(n), k), key=lambda s: tuple(reversed(s)))
 
 
-def _kneser(n: int, k: int) -> Graph:
+def _kneser_graph(n: int, k: int, label: str) -> Graph:
     if k < 1 or n <= 2 * k:
         raise InvalidFamilyParameters("kneser needs n > 2k >= 2 for connectivity")
     # adjacent exactly when the subsets, as n-bit masks, are disjoint; the
-    # smallest unsigned dtype that holds n bits (Python ints past 64)
+    # smallest unsigned dtype that holds n bits (Python ints past 64),
+    # compared a block of rows at a time
     masks = np.array([sum(1 << i for i in v) for v in kneser_vertices(n, k)],
                      dtype=np.min_scalar_type((1 << n) - 1))
-    adj = (masks[:, None] & masks[None, :]) == 0
+    adj = np.empty((len(masks), len(masks)), dtype=bool)
+    for lo, hi in row_blocks(len(masks), len(masks) * masks.itemsize):
+        np.equal(masks[lo:hi, None] & masks[None, :], 0, out=adj[lo:hi])
     # the ground-set transposition (0 1) and n-cycle i -> i+1 act on the
     # masks; colex order is increasing mask order, so searchsorted indexes
     swap = ((masks ^ (masks >> 1)) & 1) * 3
     turn = ((masks << 1) | (masks >> (n - 1))) & ((1 << n) - 1)
-    return replace(from_adjacency(adj, f"kneser:{n},{k}"), automorphisms=tuple(
-        np.searchsorted(masks, image) for image in (masks ^ swap, turn)))
+    return _graph(adj, label, tuple(np.searchsorted(masks, image)
+                                    for image in (masks ^ swap, turn)))
+
+
+def _kneser(n: int, k: int) -> Graph:
+    return _kneser_graph(n, k, f"kneser:{n},{k}")
 
 
 def _odd(ell: int) -> Graph:
     if ell < 2:
         raise InvalidFamilyParameters("odd graph needs ell >= 2")
-    return replace(_kneser(2 * ell - 1, ell - 1), label=f"odd:{ell}")
+    return _kneser_graph(2 * ell - 1, ell - 1, f"odd:{ell}")
 
 
 def _prism(m: int) -> Graph:
@@ -316,7 +341,7 @@ _CONSTRUCTORS = {
     "odd": _odd,
     "prism": _prism,
     "moebius_ladder": _moebius_ladder,
-    "petersen": lambda: replace(_kneser(5, 2), label="petersen"),
+    "petersen": lambda: _kneser_graph(5, 2, "petersen"),
 }
 FAMILIES = tuple(_CONSTRUCTORS)
 
@@ -330,47 +355,3 @@ def generate(spec: FamilySpec) -> Graph:
         return _CONSTRUCTORS[fam](*p)
     except TypeError as exc:
         raise InvalidFamilyParameters(f"bad parameter count for {fam}: {p}") from exc
-
-
-# ---------------------------------------------------------------------------
-
-
-def _bit_rows(rows: np.ndarray) -> np.ndarray:
-    """An (n, n) boolean matrix as rows of little-endian 64-bit words."""
-    n = rows.shape[0]
-    out = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
-    out[:, :(n + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
-    return out.view(np.uint64)
-
-
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Hop distances by a BFS from every source at once.  Row v of the bit
-    frontier holds the sources s whose level reaches v, so the next frontier
-    at v is the OR of the frontier rows at v's neighbours, one ``reduceat``
-    over the adjacency lists, among the pairs not yet reached: O(deg n^2 / 64)
-    word operations a level.  A graph built without ``from_adjacency``'s
-    check may be disconnected: an isolated vertex (whose empty adjacency
-    list ``reduceat`` cannot read) or a level that reaches nothing while
-    pairs are left raises DisconnectedGraph, so every off-diagonal entry of
-    the zero-initialised matrix is written.  Distances are below n, held in
-    the smallest unsigned type that fits n - 1."""
-    n = g.n
-    rows, cols = np.nonzero(g.adjacency)
-    starts = np.searchsorted(rows, np.arange(n))
-    nonempty = (starts[1:] > starts[:-1]).all() and starts[-1] < len(cols)
-    if n > 1 and not nonempty:
-        raise DisconnectedGraph(f"graph {g.label!r} has an isolated vertex")
-    frontier = _bit_rows(np.eye(n, dtype=bool))
-    unseen = _bit_rows(~np.eye(n, dtype=bool))
-    dist = np.zeros((n, n), dtype=np.min_scalar_type(n - 1))
-    d = 0
-    while unseen.any():
-        frontier = np.bitwise_or.reduceat(np.take(frontier, cols, axis=0),
-                                          starts, axis=0) & unseen
-        if not frontier.any():
-            raise DisconnectedGraph(f"graph {g.label!r} is not connected")
-        d += 1
-        unseen ^= frontier  # the frontier lies within the unseen pairs
-        dist[np.unpackbits(frontier.view(np.uint8), axis=1, count=n,
-                           bitorder="little").view(bool)] = d
-    return DistanceMatrix(dist, d)

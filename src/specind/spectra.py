@@ -5,8 +5,9 @@ trace tr p(A) = sum_i m_i p(theta_i) of a polynomial by its mesh values,
 pi_i = prod_{j != i} |theta_i - theta_j|, the top predistance polynomial p_d
 read off pi, and the predistance polynomials.
 
-Distance-regular graphs take the intersection-array path: one row-blocked
-product over the distance matrix reads the array (``intersection_array``),
+Distance-regular graphs take the intersection-array path: two integer sums
+of distance rows over each adjacency list read the array
+(``intersection_array``),
 whose (d+1)-square tridiagonal intersection matrix and Biggs' formula give
 the spectrum (``array_spectrum``) and whose matrix powers give the closed
 walks (``array_regularity``), with no n x n eigensolver or walk ladder.
@@ -228,51 +229,64 @@ def _exact_float(bound: int):
     return np.float64 if bound < 2 ** 53 else None
 
 
-# Entries of the intersection product formed at a time: a block of rows of
-# X and of X A is about 64 KiB in float32, small beside A's own copy.
-_PRODUCT_BLOCK = 2 ** 14
+# Bytes of distance rows the intersection sums gather at a time.
+_PRODUCT_BLOCK = 2 ** 16
 
 
 def _intersection_numbers(a: np.ndarray, dm: DistanceMatrix):
-    """Intersection numbers b_i, c_i from one product; None if not constant.
+    """Intersection numbers b_i, c_i from two neighbour sums; None if not
+    constant.
 
-    With B = max degree + 1, (X A)[u, v] for X[u, w] = B^(dist(u, w) mod 3)
-    sums B^(dist(u, w) mod 3) over the neighbours w of v.  At distance i from
-    u these lie at i-1, i, i+1, three residues mod 3, so the entry holds c_i,
-    a_i, b_i as base-B digits.  X is read from the table B^(i mod 3),
-    i = 0..diameter, indexed by the distances.  Every entry and partial sum
-    is a non-negative integer below deg * B^2 < B^3, so the product is exact
-    in float32 when B^3 < 2^24 and in float64 for degrees below 2^17.
-    Every entry must equal row 0's at its distance (NaN, never equal, where
-    row 0 lacks one).  The product is formed a block of rows at a time, so
-    beside A's copy it holds one block, and it stops at the first block
-    with an entry off row 0's."""
+    On a k-regular graph the neighbours w of v lie at distance i-1, i or
+    i+1 from u, i = dist(u, v): c, a and b of them, c + a + b = k.  So the
+    sum of dist(u, w) over them is i k + b - c, and the number of them at
+    odd distance is a for odd i and b + c for even i: with i, the two sums
+    give c, a and b.  Both are sums of the k distance rows dist[w] (dist is
+    symmetric), gathered from v's adjacency list a block of vertices v at a
+    time, in the smallest unsigned types that hold them, and kept as one
+    key s + M p, with M above every distance sum.  Every key must equal row
+    0's at its distance (the key (k + 1) M, which no sum gives, where row 0
+    lacks one); the sums stop at the first block with a key off row 0's.
+    This is the product X A with X = dist and X = dist mod 2, formed by
+    integer sums, so it holds no float copy of A and no matrix beside a
+    block.  A graph that is not regular is not distance-regular: None."""
     n = len(a)
-    base = int(a.sum(axis=1).max()) + 1
-    dtype = _exact_float(base ** 3) or np.float64
-    table = (base ** (np.arange(dm.diameter + 1) % 3)).astype(dtype)
-    a = a.astype(dtype, copy=False)
-    ref = np.full(dm.diameter + 1, np.nan, dtype=dtype)
-    step = max(1, _PRODUCT_BLOCK // n)
+    deg = np.count_nonzero(a, axis=1)
+    k = int(deg[0])
+    if not (deg == k).all():
+        return None
+    diameter, dist = dm.diameter, dm.dist
+    scale = k * diameter + 1  # above every distance sum
+    key_type = np.min_scalar_type((k + 1) * scale)
+    sum_type = np.promote_types(dist.dtype, np.min_scalar_type(k * diameter))
+    ref = np.full(diameter + 1, (k + 1) * scale, dtype=key_type)
+    nbrs = np.remainder(np.flatnonzero(a), n)  # v's: nbrs[k v:k (v + 1)]
+    step = max(1, _PRODUCT_BLOCK // max(1, k * n * dist.itemsize))
     for lo in range(0, n, step):
-        dist = dm.dist[lo:lo + step]
-        code = table[dist] @ a
+        hi = min(n, lo + step)
+        rows = dist[nbrs[k * lo:k * hi]].reshape(hi - lo, k, n)
+        key = rows.sum(axis=1, dtype=sum_type).astype(key_type, copy=False)
+        odd = np.bitwise_and(rows, 1, out=rows).sum(axis=1, dtype=key_type)
+        odd *= scale
+        key += odd
         if lo == 0:
-            ref[dist[0]] = code[0]
-        if not np.array_equal(code, ref[dist]):
+            ref[dist[0]] = key[0]
+        if not (key == np.take(ref, dist[lo:hi])).all():
             return None
-    digits = [[int(v) // base ** r % base for r in range(3)] for v in ref]
-    return (tuple(digits[i][(i + 1) % 3] for i in range(dm.diameter)),
-            tuple(digits[i][(i - 1) % 3] for i in range(1, dm.diameter + 1)))
+    numbers = []  # (b_i, c_i), i = 0..diameter
+    for i, code in enumerate(ref.tolist()):
+        total, parity = code % scale, code // scale
+        between = parity if i % 2 else k - parity  # a_i
+        numbers.append(((k - between + total - i * k) // 2,
+                        (k - between - total + i * k) // 2))
+    return (tuple(b for b, _ in numbers[:-1]),
+            tuple(c for _, c in numbers[1:]))
 
 
 def intersection_array(g: Graph, dm: DistanceMatrix) -> tuple | None:
     """The intersection array ((b_0..b_{D-1}), (c_1..c_D)) of a
     distance-regular graph, else None: an irregular graph is answered from
-    its degrees, a regular one by one intersection product."""
-    deg = g.degrees()
-    if not np.all(deg == deg[0]):
-        return None
+    its degrees, a regular one by the intersection sums."""
     return _intersection_numbers(g.adjacency, dm)
 
 

@@ -16,7 +16,7 @@ import pytest
 from specind.bounds import Analysis, best_bounds, reports_to_csv
 from specind.ch import mean_excess, spectral_excess
 from specind.errors import SearchTimeout
-from specind.exact import alpha_k_exact
+from specind.exact import alpha_k_exact, greedy_witness
 from specind.graphs import (
     FamilySpec,
     Graph,
@@ -100,18 +100,33 @@ def corpus_spectra(corpus_analyses):
             for label, a in corpus_analyses.items()}
 
 
+def assert_floors_cover_witness(a, k: int) -> None:
+    """Every applicable floor is at least the size of the greedy
+    k-independent set: the check left on a pair the oracle skips."""
+    size = len(greedy_witness(a, k))
+    for rep in best_bounds(a, k):
+        if rep.applicable:
+            assert rep.floor_value >= size, (a.g.label, k, rep.method,
+                                             rep.floor_value, size)
+
+
 @pytest.fixture(scope="session")
 def soundness_results(corpus_analyses):
     """Every applicable bound floor vs the exact oracle, corpus-wide.
 
     Returns (checked, skipped): checked rows are
     (label, k, method, floor, exact); skipped rows are (label, k, why).
+    On every skipped pair (every k of a graph over the size limit, and a k
+    whose oracle is over budget) each applicable floor is asserted to be at
+    least the size of ``greedy_witness``'s k-independent set.
     """
     checked, skipped = [], []
     for label, a in corpus_analyses.items():
         g, dm = a.g, a.dm
         if g.n > SWEEP_MAX_N:
             skipped.append((label, None, f"n={g.n} > {SWEEP_MAX_N}"))
+            for k in range(1, dm.diameter):
+                assert_floors_cover_witness(a, k)
             continue
         for k in range(1, dm.diameter):
             try:
@@ -119,6 +134,7 @@ def soundness_results(corpus_analyses):
                                       timeout=SWEEP_EXACT_TIMEOUT).alpha_k
             except SearchTimeout:
                 skipped.append((label, k, "exact oracle over budget"))
+                assert_floors_cover_witness(a, k)
                 continue
             for rep in best_bounds(a, k):
                 if rep.applicable:

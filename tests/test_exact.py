@@ -8,13 +8,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import FAMILY_SPECS, load_fixture, power_graph, relabelled
+from conftest import (
+    FAMILY_SPECS,
+    load_fixture,
+    power_graph,
+    relabelled,
+    traced_peak,
+)
 
 from specind import exact
 from specind.bounds import Analysis
 from specind.ch import ch_classify
 from specind.errors import SearchTimeout, SizeLimitExceeded
-from specind.exact import alpha_k_exact, verify_independent
+from specind.exact import alpha_k_exact, greedy_witness, verify_independent
 from specind.graphs import (
     FamilySpec,
     distance_matrix,
@@ -192,6 +198,51 @@ def test_odd6_alpha4():
     res = alpha_k_exact(g, 4)
     assert res.alpha_k == 11
     assert verify_independent(g, 4, res.witness)
+
+
+def test_rooted_search_transient_memory():
+    """The rooted k = 4 search on odd:6 (n = 462), its symmetry check
+    included, reads dist[0] and the 200 x 200 block dist[nb][:, nb] a row
+    block at a time, and takes each edge once from the adjacency's flat
+    nonzeros: within 1 byte per vertex pair above its analysis (0.65
+    measured; 3.0 with the n x n far matrix and a triangle copy of A)."""
+    a = Analysis(generate(FamilySpec.parse("odd:6")))
+    a.dm
+    res, peak = traced_peak(alpha_k_exact, a, 4)
+    assert res.alpha_k == 11 and a.rooted
+    assert peak <= a.g.n ** 2, peak / a.g.n ** 2
+
+
+@pytest.mark.parametrize("spec,sizes", [("odd:6", (210, 48, 14, 11)),
+                                        ("odd:5", (56, 11, 7))])
+def test_greedy_witness_sizes(spec, sizes):
+    """The min-degree greedy on G^k gives k-independent sets of these
+    sizes on odd:6 and odd:5 (alpha_1 = 210 and 56, Erdos-Ko-Rado), under
+    their family labels; ``greedy_witness`` checks each one."""
+    a = Analysis(generate(FamilySpec.parse(spec)))
+    for k, size in enumerate(sizes, start=1):
+        witness = greedy_witness(a, k)
+        assert len(witness) == size, k
+        assert verify_independent(a.g, k, witness, a.dm), k
+
+
+def test_greedy_witness_bounded_by_the_oracle(corpus_analyses):
+    """On every corpus graph with n <= 64 and every k below the diameter,
+    the greedy set is k-independent and no larger than exact alpha_k."""
+    for label, a in corpus_analyses.items():
+        if a.g.n > 64:
+            continue
+        for k in range(1, a.dm.diameter):
+            witness = greedy_witness(a, k)
+            assert verify_independent(a.g, k, witness, a.dm), (label, k)
+            assert len(witness) <= alpha_k_exact(a, k).alpha_k, (label, k)
+
+
+def test_bad_greedy_witness_is_a_bug(monkeypatch):
+    """A greedy set that fails the independence check raises RuntimeError."""
+    monkeypatch.setattr(exact, "verify_independent", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        greedy_witness(generate(FamilySpec.parse("petersen")), 1)
 
 
 def test_monotone_in_k():
@@ -375,6 +426,18 @@ def test_discovery_finds_vertex_transitive_corpus(corpus):
                 assert gens is not None, h.label
                 assert all(is_automorphism_reference(h, p) for p in gens)
                 assert exact._orbit_of_zero(gens, h.n).all(), h.label
+
+
+def test_discovery_transient_memory():
+    """Discovery on odd:6 relabelled by default_rng(7) counts each row's
+    distances a block of rows at a time and takes each edge once from the
+    adjacency's flat nonzeros: within 1.5 bytes per vertex pair above its
+    inputs (1.20 measured; 8.6 with an n x n int64 array of profile keys)."""
+    h = shuffled(generate(FamilySpec.parse("odd:6")), 7)
+    dm = distance_matrix(h)
+    gens, peak = traced_peak(exact._discover, h, dm, float("inf"))
+    assert gens is not None and exact._orbit_of_zero(gens, h.n).all()
+    assert peak <= 1.5 * h.n ** 2, peak / h.n ** 2
 
 
 def test_profile_test_passes_mcgee_and_fails_hoffman():

@@ -251,18 +251,19 @@ def product_intersection_numbers(a, dm):
 
 def test_intersection_numbers_match_loop(corpus_spectra, monkeypatch):
     """Every corpus graph (odd:6 and the non-regular ones included),
-    relabelled copies, complete:200 (B^3 = 8e6) and cycle:101 (D = 50),
-    with the product's row blocks at their size and one row long.  With
-    one-row blocks a graph whose row 0 alone looks distance-regular is
-    answered only by a later block: in complete_bipartite:4,5, gray,
-    folkman and tietze vertex 0's distance partition is equitable, but not
-    every vertex's is."""
+    relabelled copies, complete:200 and complete:300 (every row a neighbour
+    list of n - 1) and cycle:101 (D = 50), with the sums' vertex blocks at
+    their size and one vertex long.  With one-vertex blocks a graph whose
+    vertex 0 alone looks distance-regular is answered only by a later
+    block: in complete_bipartite:4,5, gray, folkman and tietze vertex 0's
+    distance partition is equitable, but not every vertex's is."""
     graphs = [g for g, _, _, _ in corpus_spectra.values()]
     graphs += [relabelled(spec, seed) for spec, seed in
                [("odd:6", 7), ("hypercube:7", 31), ("prism:6", 7),
                 ("complete_bipartite:3,4", 7)]]
     graphs += [generate(FamilySpec.parse(spec)) for spec in
-               ["complete_bipartite:1,9", "complete:200", "cycle:101"]]
+               ["complete_bipartite:1,9", "complete:200", "complete:300",
+                "cycle:101"]]
     seen = set()
     for block in (spectra._PRODUCT_BLOCK, 1):
         monkeypatch.setattr(spectra, "_PRODUCT_BLOCK", block)
@@ -355,18 +356,16 @@ def test_regularity_tiers_match_float64_reference(corpus_spectra):
     ("cycle:101", "ladder float64"),
     ("prism:40", "ladder int"),
     ("cycle:121", "ladder int"),
-    ("complete:200", "intersection float32"),
-    ("complete:300", "intersection float64"),
 ])
 def test_regularity_tier_switches_match_float64_reference(spec, tier, monkeypatch):
     """A graph on each side of each type switch: the ladder runs in float32
     when max_deg^d < 2^24, in float64 until max_deg^l reaches 2^53 and in
-    Python ints beyond; the intersection product runs in float32 when
-    (max_deg + 1)^3 < 2^24.  The tier is asserted both from the graph's
+    Python ints beyond.  The tier is asserted both from the graph's
     invariants and from the types classify_regularity picked.  The cycles
     are distance-regular, so classify_regularity reads them off their
-    intersection product and picks no ladder type; the ladder run on them
-    directly picks its tier and gives the array's closed walks."""
+    intersection numbers, integer sums that pick no float type; the ladder
+    run on them directly picks its tier and gives the array's closed
+    walks."""
     g = generate(FamilySpec.parse(spec))
     s, dm = spectrum(g), distance_matrix(g)
     top = int(g.degrees().max())
@@ -378,36 +377,30 @@ def test_regularity_tier_switches_match_float64_reference(spec, tier, monkeypatc
 
     monkeypatch.setattr(spectra, "_exact_float", spy)
     rep = assert_same_report(g, s, dm)
-    part, kind = tier.split()
-    if part == "ladder" and rep.is_distance_regular:
-        assert picked == [((top + 1) ** 3, np.float32)], spec
-        picked.clear()
+    kind = tier.split()[1]
+    if rep.is_distance_regular:
+        assert picked == [], spec
         ladder = spectra.walk_ladder(g, s)
         assert ladder.closed_walks == rep.closed_walks, spec
-    if part == "ladder":
-        bound = top ** s.d
-        assert (kind == "float32") == (bound < 2 ** 24), spec
-        assert (kind == "int") == (bound >= 2 ** 53), spec
-        want = {"float32": np.float32, "float64": np.float64, "int": None}
-        assert (bound, want[kind]) in picked, spec
-        assert any(t is None for _, t in picked) == (kind == "int"), spec
-        assert rep.is_walk_regular, spec
-    else:
-        bound = (top + 1) ** 3
-        assert (kind == "float32") == (bound < 2 ** 24), spec
-        assert (bound, getattr(np, kind)) in picked, spec
-        assert rep.is_distance_regular, spec
+    bound = top ** s.d
+    assert (kind == "float32") == (bound < 2 ** 24), spec
+    assert (kind == "int") == (bound >= 2 ** 53), spec
+    want = {"float32": np.float32, "float64": np.float64, "int": None}
+    assert (bound, want[kind]) in picked, spec
+    assert any(t is None for _, t in picked) == (kind == "int"), spec
+    assert rep.is_walk_regular, spec
 
 
 def test_regularity_transient_memory():
     """On kneser:12,5 (n = 792, not distance-regular) the float32 ladder
     keeps classify_regularity's traced peak above its inputs within 14
-    bytes per vertex pair; the float64 products took 25.  On odd:6
-    (n = 462, distance-regular) the row-blocked intersection product alone
-    serves classify_regularity, and the analysis's spectrum and report
-    together, taken after its distance matrix, within 6 bytes per pair:
-    one float32 copy of A and a block (13.07 with the eigensolver, the
-    ladder and the whole product)."""
+    bytes per vertex pair (12.02 measured); the float64 products took 25.
+    On odd:6 (n = 462, distance-regular) the intersection sums alone serve
+    classify_regularity, and the analysis's spectrum and report together,
+    taken after its distance matrix, within 1.5 bytes per pair: a block of
+    gathered distance rows and its sums, no copy of A (0.98 measured; 4.95
+    with a float32 copy of A and a block of the product, 13.07 with the
+    eigensolver, the ladder and the whole product)."""
     g = generate(FamilySpec.parse("kneser:12,5"))
     s, dm = spectrum(g), distance_matrix(g)
     rep, peak = traced_peak(classify_regularity, g, s, dm)
@@ -417,12 +410,12 @@ def test_regularity_transient_memory():
     s, dm = spectrum(g), distance_matrix(g)
     rep, peak = traced_peak(classify_regularity, g, s, dm)
     assert rep.is_distance_regular
-    assert peak <= 6 * g.n ** 2, peak / g.n ** 2
+    assert peak <= 1.5 * g.n ** 2, peak / g.n ** 2
     a = Analysis(g)
     a.dm
     (s, rep), peak = traced_peak(lambda: (a.s, a.reg))
     assert rep.is_distance_regular
-    assert peak <= 6 * g.n ** 2, peak / g.n ** 2
+    assert peak <= 1.5 * g.n ** 2, peak / g.n ** 2
 
 
 def test_intersection_array_skipped_when_diameter_below_d(monkeypatch):
