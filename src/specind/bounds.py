@@ -3,30 +3,22 @@
 All public reports use decreasing theta-indexing.  Values are reported both
 raw and floored; comparisons against exact values use floors, matching the
 usual table convention.  ``best_bounds`` decides every hypothesis
-(regularity, pwr level, walk-regularity); the bound functions assume them.
+(regularity, pwr level, walk-regularity) on the graph's ``Analysis`` (from
+``spectra``, re-exported here); the bound functions assume them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import optimize
 from .errors import BadNormalization, NoValidTheta, SpecindError, TraceNotZero
-from .graphs import DistanceMatrix, Graph, distance_matrix
+from .graphs import DistanceMatrix, Graph
 from .polys import MeshPolynomial, mp2_index, mp4_index
-from .spectra import (
-    RegularityReport,
-    Spectrum,
-    array_regularity,
-    array_spectrum,
-    intersection_array,
-    spectrum,
-    walk_ladder,
-)
+from .spectra import Analysis, RegularityReport, Spectrum
 
 _SIGN_TOL = 1e-9
 
@@ -241,52 +233,6 @@ def pd_ratio_bound(s: Spectrum) -> BoundReport:
 
 # ---------------------------------------------------------------------------
 # Aggregator
-
-
-@dataclass(frozen=True)
-class Analysis:
-    """A graph and its distance matrix, spectrum and regularity ladder, each
-    computed on first use and kept: one analysis serves every k and caller.
-    A distance-regular graph's spectrum and report are read off its
-    intersection array, found from ``dm`` by two sums of distance rows; any
-    other graph takes the eigensolver and the walk ladder, and an array whose
-    multiplicities fail Biggs' check sends the spectrum alone to the
-    eigensolver.  The exact oracle keeps its verdict
-    on the graph's symmetry here too, as ``rooted`` (``exact._rooted``),
-    since finding it takes a deadline."""
-
-    g: Graph
-
-    @classmethod
-    def of(cls, g: Graph | Analysis, **known) -> Analysis:
-        """``g`` if it is an analysis, else a new one; the ``known`` values (s,
-        dm, reg) not None go in its dict, where each cached_property looks."""
-        a = g if isinstance(g, cls) else cls(g)
-        a.__dict__.update({k: v for k, v in known.items() if v is not None})
-        return a
-
-    @cached_property
-    def dm(self) -> DistanceMatrix:
-        return distance_matrix(self.g)
-
-    @cached_property
-    def array(self) -> tuple | None:
-        """The intersection array if the graph is distance-regular."""
-        return intersection_array(self.g, self.dm)
-
-    @cached_property
-    def s(self) -> Spectrum:
-        known = self.array and array_spectrum(self.array)
-        return known or spectrum(self.g)
-
-    @cached_property
-    def reg(self) -> RegularityReport:
-        # classify_regularity's choice, on the array already found: a
-        # distance-regular graph has d = diameter, which a spectrum the
-        # caller supplied must meet too
-        if self.array is None or self.dm.diameter != self.s.d:
-            return walk_ladder(self.g, self.s)
-        return array_regularity(self.array)
 
 
 def best_bounds(g: Graph | Analysis, k: int, s: Spectrum | None = None,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimize
-from .bounds import Analysis, dminus1_cap, minor_to_sign, pwr_inertia, pwr_ratio
+from .bounds import dminus1_cap, minor_to_sign, pwr_inertia, pwr_ratio
 from .errors import (
     NegativeRadicand,
     NotApplicable,
@@ -28,7 +28,7 @@ from .errors import (
 from .exact import alpha_k_exact
 from .graphs import DistanceMatrix, Graph
 from .polys import MeshPolynomial
-from .spectra import Spectrum
+from .spectra import Analysis, Spectrum
 
 @dataclass(frozen=True)
 class CHVerdict:

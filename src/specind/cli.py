@@ -28,7 +28,7 @@ from .graphs import (
     to_graph6,
 )
 from .polys import as_fraction_string, mesh_to_coeffs
-from .spectra import exact_family_spectrum, spectrum, srg_raw_spectrum
+from .spectra import Analysis, exact_family_spectrum, spectrum, srg_raw_spectrum
 
 def fixtures_dir() -> Path:
     env = os.environ.get("SPECIND_FIXTURES")
@@ -69,7 +69,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    a = bounds_mod.Analysis(_graph_from_args(args))  # serves every k
+    a = Analysis(_graph_from_args(args))  # serves every k
     ks = range(1, a.dm.diameter + 1) if args.k == "all" else [int(args.k)]
     by_k, bare = {}, set()
     for k in ks:
@@ -124,12 +124,12 @@ def _resolve_source(source: str) -> Graph:
 
 
 def _t1_row(row):
-    a = bounds_mod.Analysis(_resolve_source(row["source"]))
+    a = Analysis(_resolve_source(row["source"]))
     s = a.s
     return {"alpha": alpha_k_exact(a, 1).alpha_k,
             "inertia": bounds_mod.cvetkovic_bound(s.raw).floor_value,
             "ratio_floor": bounds_mod.hoffman_bound(
-                a.g.n, float(s.distinct[0]), float(s.distinct[-1])).floor_value}
+                a.g.n, float(s.raw[0]), float(s.raw[-1])).floor_value}
 
 
 def _t2_row(row):
@@ -162,16 +162,15 @@ def _sign_odd6_row(row):
 
 
 def _t4_row(row):
-    """The (d-1) bounds read the family's closed-form spectrum, which the
-    row's analysis keeps as its own."""
-    spec = FamilySpec.parse(row["family"])
-    a = bounds_mod.Analysis.of(generate(spec), s=exact_family_spectrum(spec))
+    """The (d-1) bounds read the analysis's spectrum: an Odd graph's is
+    read off its intersection array."""
+    a = Analysis(generate(FamilySpec.parse(row["family"])))
     return {"alpha": alpha_k_exact(a, row["k"]).alpha_k,
             "bound": bounds_mod.minimum_floor(bounds_mod.dminus1_bounds(a.s))}
 
 
 def _t5_row(row):
-    a = bounds_mod.Analysis(_resolve_source(row["source"]))
+    a = Analysis(_resolve_source(row["source"]))
     _, rr = bounds_mod.qk_bounds(a.s, 2)
     return {"qk": rr.floor_value if rr.applicable else None,
             "alpha2": alpha_k_exact(a, 2).alpha_k}

@@ -12,13 +12,15 @@ Python ints, and each node colours its candidates class by class, taking the
 lowest set bit over and over; only vertices whose colour could beat the
 incumbent are branched on.
 
-When automorphisms move vertex 0 to every vertex, some maximum set contains
-0, so only 0's far neighbourhood is searched.  A graph's claimed automorphisms
-are checked edge by edge.  A graph that claims none (one read from a file, or
-relabelled) with at least DISCOVERY_MIN_N vertices gets them by
-individualization and refinement, each map checked the same way, under the
-call's deadline.  The answer is kept on the graph's ``Analysis``.  If no
-verified maps reach every vertex, the whole graph is searched.
+The searched graph joins the pairs at distance > k, formed a block of rows
+at a time.  When automorphisms move vertex 0 to every vertex, some maximum
+set contains 0, so only 0's far neighbourhood is searched.  A graph's
+claimed automorphisms are checked edge by edge.  A graph that claims none
+(one read from a file, or relabelled) with at least DISCOVERY_MIN_N
+vertices gets them by individualization and refinement, each map checked
+the same way, under the call's deadline.  The answer is kept on the
+graph's ``Analysis`` (from ``spectra``: the oracle needs no bounds layer).
+If no verified maps reach every vertex, the whole graph is searched.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import Analysis
-from .errors import SearchTimeout, SizeLimitExceeded
 from .distances import adjacency_lists, row_blocks
+from .errors import SearchTimeout, SizeLimitExceeded
 from .graphs import DistanceMatrix, Graph, distance_matrix
+from .spectra import Analysis
 
 SIZE_LIMIT = 600
 DEFAULT_TIMEOUT = 120.0
@@ -316,18 +318,17 @@ def alpha_k_exact(g: Graph | Analysis, k: int, dm: DistanceMatrix | None = None,
     start = time.monotonic()
     if k >= a.dm.diameter:
         return ExactResult(1, (0,), k, time.monotonic() - start)
-    # clique in the complement of G^k == pairs at distance > k
+    # clique in the complement of G^k == pairs at distance > k, among the
+    # vertices nb: all of them, or, rooted at vertex 0, those far from it,
+    # reading only dist[0] and dist[nb][:, nb]; a row block at a time
     dist = a.dm.dist
-    if _rooted(a, start + timeout):  # root the search at vertex 0, reading
-        # only dist[0] and dist[nb][:, nb], a row block at a time
-        nb = np.flatnonzero(dist[0] > k)
-        far = np.empty((len(nb), len(nb)), dtype=bool)
-        for lo, hi in row_blocks(len(nb), len(dist)):
-            np.greater(dist[nb[lo:hi]][:, nb], k, out=far[lo:hi])
-        size, sub, nodes = _max_clique(far, start + timeout)
-        size, witness = size + 1, [0, *nb[sub]]
-    else:
-        size, witness, nodes = _max_clique(dist > k, start + timeout)
+    root = [0] if _rooted(a, start + timeout) else []
+    nb = np.flatnonzero(dist[0] > k) if root else np.arange(a.g.n)
+    far = np.empty((len(nb), len(nb)), dtype=bool)
+    for lo, hi in row_blocks(len(nb), len(dist)):
+        np.greater(dist[nb[lo:hi]][:, nb], k, out=far[lo:hi])
+    size, sub, nodes = _max_clique(far, start + timeout)
+    size, witness = size + len(root), [*root, *nb[sub]]
     witness = tuple(sorted(int(v) for v in witness))
     if len(witness) != size or not verify_independent(a.g, k, witness, a.dm):
         # an oracle bug, not an inapplicable instance: no handler may catch it

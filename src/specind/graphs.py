@@ -3,7 +3,7 @@
 
 Vertices are always 0..n-1.  Adjacency is a dense symmetric boolean matrix;
 target instances stay below ~1000 vertices, so dense storage is fine.  Each
-n x n pass here (the symmetry check, graph6 decoding, Kneser adjacency)
+n x n pass here (the symmetry check, the graph6 codec, Kneser adjacency)
 works a block of rows at a time (``distances.row_blocks``), and a matrix
 the package builds itself is never copied.
 """
@@ -130,6 +130,19 @@ def from_edges(n: int, edges, label: str = "") -> Graph:
 _G6_HEADER = ">>graph6<<"
 
 
+def _triangle(n: int):
+    """The strict lower triangle in graph6's bit order, a block of rows at a
+    time: (lo, hi, the block's mask of entries below the diagonal, the slice
+    of its bits).  graph6 lists column j's bits i = 0..j-1 in turn: row j of
+    the strict lower triangle, so rows lo..hi-1 hold bits lo(lo-1)/2 up to
+    hi(hi-1)/2.  A masked read or write indexes its entries, hence blocks
+    of ROW_BLOCK / 16 pairs."""
+    cols = np.arange(n)
+    for lo, hi in row_blocks(n, 16 * n):
+        yield (lo, hi, cols < np.arange(lo, hi)[:, None],
+               slice(lo * (lo - 1) // 2, hi * (hi - 1) // 2))
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a connected Graph, holding beside the
     adjacency it returns only the bit string (half a byte per vertex pair)
@@ -160,24 +173,20 @@ def parse_graph6(text: str) -> Graph:
     bits = np.unpackbits((body << 2)[:, None], axis=1, count=6).ravel()
     if bits[nbits:].any():
         raise MalformedGraph6("nonzero padding bits")
-    # graph6 lists column j's bits i = 0..j-1 in turn: row j of the strict
-    # lower triangle, so rows lo..hi-1 hold bits lo(lo-1)/2 up to
-    # hi(hi-1)/2.  Each block of rows is placed through its triangle mask (a
-    # masked assignment indexes its entries, hence blocks of ROW_BLOCK / 16
-    # pairs), and the triangle is then mirrored a row block at a time
+    # the strict lower triangle is placed a block of rows at a time, then
+    # mirrored a row block at a time
     adj = np.zeros((n, n), dtype=bool)
     bits = bits.view(bool)
-    cols = np.arange(n)
-    for lo, hi in row_blocks(n, 16 * n):
-        below = cols < np.arange(lo, hi)[:, None]
-        adj[lo:hi][below] = bits[lo * (lo - 1) // 2:hi * (hi - 1) // 2]
+    for lo, hi, below, part in _triangle(n):
+        adj[lo:hi][below] = bits[part]
     for lo, hi in row_blocks(n):
         adj[lo:hi] |= adj[:, lo:hi].T
     return _graph(adj)
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode a Graph as a header-less graph6 line."""
+    """Encode a Graph as a header-less graph6 line, reading the strict lower
+    triangle a block of rows at a time."""
     n = g.n
     if n <= 62:
         head = [n]
@@ -187,7 +196,8 @@ def to_graph6(g: Graph) -> str:
         raise ValueError("graph too large for this encoder")
     nbits = n * (n - 1) // 2
     bits = np.zeros((nbits + 5) // 6 * 6, dtype=np.uint8)
-    bits[:nbits] = g.adjacency[np.tri(n, k=-1, dtype=bool)]  # parse's order
+    for lo, hi, below, part in _triangle(n):
+        bits[part] = g.adjacency[lo:hi][below]
     # packbits fills each 6-bit row out to a byte with two low zero bits
     body = np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2
     data = np.concatenate([np.array(head, dtype=np.uint8), body]) + 63

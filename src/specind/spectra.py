@@ -1,4 +1,5 @@
-"""Adjacency spectra, multiplicity grouping, regularity classes.
+"""Adjacency spectra, multiplicity grouping, regularity classes, and the
+``Analysis`` that holds a graph's distances, spectrum and regularity report.
 
 A ``Spectrum`` carries what every layer derives from it: the order n, the
 trace tr p(A) = sum_i m_i p(theta_i) of a polynomial by its mesh values,
@@ -7,12 +8,12 @@ read off pi, and the predistance polynomials.
 
 Distance-regular graphs take the intersection-array path: two integer sums
 of distance rows over each adjacency list read the array
-(``intersection_array``),
-whose (d+1)-square tridiagonal intersection matrix and Biggs' formula give
-the spectrum (``array_spectrum``) and whose matrix powers give the closed
-walks (``array_regularity``), with no n x n eigensolver or walk ladder.
-Every other graph takes the eigensolver (``spectrum``) and the walk ladder
-(``walk_ladder``); ``classify_regularity`` picks the report's path.
+(``intersection_array``), whose (d+1)-square tridiagonal intersection matrix
+and Biggs' formula give the spectrum (``array_spectrum``) and whose matrix
+powers give the closed walks (``array_regularity``), with no n x n
+eigensolver or walk ladder.  Every other graph takes the eigensolver
+(``spectrum``) and the walk ladder (``walk_ladder``).  ``Analysis`` decides
+each graph's path, once; ``classify_regularity`` reads its report.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from math import comb, cos, pi, sqrt
 
 import numpy as np
 
+from .distances import adjacency_lists, row_blocks
 from .errors import EigenFailure, GroupingAmbiguity, NoClosedForm
-from .graphs import DistanceMatrix, FamilySpec, Graph
+from .graphs import DistanceMatrix, FamilySpec, Graph, distance_matrix
 from .polys import PredistanceFamily, predistance_polynomials
 
 DEFAULT_TOL = 1e-8
@@ -229,29 +231,26 @@ def _exact_float(bound: int):
     return np.float64 if bound < 2 ** 53 else None
 
 
-# Bytes of distance rows the intersection sums gather at a time.
-_PRODUCT_BLOCK = 2 ** 16
-
-
-def _intersection_numbers(a: np.ndarray, dm: DistanceMatrix):
-    """Intersection numbers b_i, c_i from two neighbour sums; None if not
-    constant.
+def intersection_array(g: Graph, dm: DistanceMatrix) -> tuple | None:
+    """The intersection array ((b_0..b_{D-1}), (c_1..c_D)) of a
+    distance-regular graph, else None, from two neighbour sums.
 
     On a k-regular graph the neighbours w of v lie at distance i-1, i or
     i+1 from u, i = dist(u, v): c, a and b of them, c + a + b = k.  So the
     sum of dist(u, w) over them is i k + b - c, and the number of them at
     odd distance is a for odd i and b + c for even i: with i, the two sums
     give c, a and b.  Both are sums of the k distance rows dist[w] (dist is
-    symmetric), gathered from v's adjacency list a block of vertices v at a
-    time, in the smallest unsigned types that hold them, and kept as one
-    key s + M p, with M above every distance sum.  Every key must equal row
-    0's at its distance (the key (k + 1) M, which no sum gives, where row 0
-    lacks one); the sums stop at the first block with a key off row 0's.
-    This is the product X A with X = dist and X = dist mod 2, formed by
-    integer sums, so it holds no float copy of A and no matrix beside a
+    symmetric), gathered from v's adjacency list a row block of vertices v
+    at a time, in the smallest unsigned types that hold them, and kept as
+    one key s + M p, with M above every distance sum.  Every key must equal
+    row 0's at its distance (the key (k + 1) M, which no sum gives, where
+    row 0 lacks one); the sums stop at the first block with a key off row
+    0's.  This is the product X A with X = dist and X = dist mod 2, formed
+    by integer sums, so it holds no float copy of A and no matrix beside a
     block.  A graph that is not regular is not distance-regular: None."""
-    n = len(a)
-    deg = np.count_nonzero(a, axis=1)
+    n = g.n
+    starts, nbrs = adjacency_lists(g.adjacency)  # v's: nbrs[k v:k (v + 1)]
+    deg = np.diff(starts)
     k = int(deg[0])
     if not (deg == k).all():
         return None
@@ -260,10 +259,7 @@ def _intersection_numbers(a: np.ndarray, dm: DistanceMatrix):
     key_type = np.min_scalar_type((k + 1) * scale)
     sum_type = np.promote_types(dist.dtype, np.min_scalar_type(k * diameter))
     ref = np.full(diameter + 1, (k + 1) * scale, dtype=key_type)
-    nbrs = np.remainder(np.flatnonzero(a), n)  # v's: nbrs[k v:k (v + 1)]
-    step = max(1, _PRODUCT_BLOCK // max(1, k * n * dist.itemsize))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
+    for lo, hi in row_blocks(n, k * n * dist.itemsize):
         rows = dist[nbrs[k * lo:k * hi]].reshape(hi - lo, k, n)
         key = rows.sum(axis=1, dtype=sum_type).astype(key_type, copy=False)
         odd = np.bitwise_and(rows, 1, out=rows).sum(axis=1, dtype=key_type)
@@ -281,13 +277,6 @@ def _intersection_numbers(a: np.ndarray, dm: DistanceMatrix):
                         (k - between - total + i * k) // 2))
     return (tuple(b for b, _ in numbers[:-1]),
             tuple(c for _, c in numbers[1:]))
-
-
-def intersection_array(g: Graph, dm: DistanceMatrix) -> tuple | None:
-    """The intersection array ((b_0..b_{D-1}), (c_1..c_D)) of a
-    distance-regular graph, else None: an irregular graph is answered from
-    its degrees, a regular one by the intersection sums."""
-    return _intersection_numbers(g.adjacency, dm)
 
 
 def _array_columns(inter: tuple) -> tuple:
@@ -361,17 +350,6 @@ def array_regularity(inter: tuple) -> RegularityReport:
     )
 
 
-def classify_regularity(g: Graph, s: Spectrum,
-                        dm: DistanceMatrix) -> RegularityReport:
-    """Regularity ladder: regular / k-partially walk-regular / walk- / distance-.
-
-    A distance-regular graph has d = diameter, and its report is read off
-    its intersection array (``array_regularity``); every other graph
-    climbs the walk ladder (``walk_ladder``)."""
-    inter = intersection_array(g, dm) if dm.diameter == s.d else None
-    return walk_ladder(g, s) if inter is None else array_regularity(inter)
-
-
 def walk_ladder(g: Graph, s: Spectrum) -> RegularityReport:
     """The regularity report of a graph that is not distance-regular, from
     the constant diagonals of its adjacency powers."""
@@ -396,7 +374,8 @@ def walk_ladder(g: Graph, s: Spectrum) -> RegularityReport:
         exact = _exact_float(top ** level) is not None
         if not exact and up.dtype != object:
             half, up = (p.astype(np.int64).astype(object) for p in (half, up))
-            nbrs = [np.flatnonzero(col) for col in g.adjacency.T]
+            starts, cols = adjacency_lists(g.adjacency)
+            nbrs = np.split(cols, starts[1:-1])
         if level % 2 == 0:
             half = up
         else:
@@ -418,3 +397,60 @@ def walk_ladder(g: Graph, s: Spectrum) -> RegularityReport:
         is_distance_regular=False,
         intersection_array=None,
     )
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """A graph and its distance matrix, spectrum and regularity ladder, each
+    computed on first use and kept: one analysis serves every k and caller.
+    A distance-regular graph's spectrum and report are read off its
+    intersection array, found from ``dm`` by two sums of distance rows; any
+    other graph takes the eigensolver and the walk ladder, and an array whose
+    multiplicities fail Biggs' check sends the spectrum alone to the
+    eigensolver.  The exact oracle keeps its verdict on the graph's symmetry
+    here too, as ``rooted`` (``exact._rooted``), since finding it takes a
+    deadline."""
+
+    g: Graph
+
+    @classmethod
+    def of(cls, g: Graph | Analysis, **known) -> Analysis:
+        """``g`` if it is an analysis, else a new one with the ``known``
+        values (s, dm, reg) not None in its dict, where each cached_property
+        looks.  An existing analysis takes no values: every later caller
+        reads the ones it holds, so a seed there is a ValueError."""
+        known = {k: v for k, v in known.items() if v is not None}
+        if isinstance(g, cls) and known:
+            raise ValueError(f"an existing analysis takes no seeds: {sorted(known)}")
+        a = g if isinstance(g, cls) else cls(g)
+        a.__dict__.update(known)
+        return a
+
+    @cached_property
+    def dm(self) -> DistanceMatrix:
+        return distance_matrix(self.g)
+
+    @cached_property
+    def array(self) -> tuple | None:
+        """The intersection array if the graph is distance-regular."""
+        return intersection_array(self.g, self.dm)
+
+    @cached_property
+    def s(self) -> Spectrum:
+        known = self.array and array_spectrum(self.array)
+        return known or spectrum(self.g)
+
+    @cached_property
+    def reg(self) -> RegularityReport:
+        # a distance-regular graph has d = diameter, checked first: a seeded
+        # spectrum that fails it runs no neighbour sums
+        if self.dm.diameter != self.s.d or self.array is None:
+            return walk_ladder(self.g, self.s)
+        return array_regularity(self.array)
+
+
+def classify_regularity(g: Graph, s: Spectrum,
+                        dm: DistanceMatrix) -> RegularityReport:
+    """Regularity ladder: regular / k-partially walk-regular / walk- /
+    distance-regular, as ``Analysis.reg`` decides it on ``s`` and ``dm``."""
+    return Analysis.of(g, s=s, dm=dm).reg

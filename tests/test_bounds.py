@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import load_fixture
 
-from specind import bounds, exact
+from specind import bounds, exact, spectra
 from specind.bounds import (
     BoundReport,
     alpha2_bound,
@@ -534,7 +534,7 @@ def test_keyword_forms_match_analysis(corpus_analyses, monkeypatch, label):
     assert ch_ks, label
     for name in ("spectrum", "distance_matrix", "intersection_array",
                  "walk_ladder"):
-        monkeypatch.setattr(bounds, name, _seeded_only)
+        monkeypatch.setattr(spectra, name, _seeded_only)
     monkeypatch.setattr(exact, "distance_matrix", _seeded_only)
     for k, want, want_x in zip(ks, want_bounds, want_exact):
         got = best_bounds(g, k, s=s, dm=dm, reg=reg)
@@ -543,7 +543,7 @@ def test_keyword_forms_match_analysis(corpus_analyses, monkeypatch, label):
         assert (got_x.alpha_k, got_x.witness) == (want_x.alpha_k,
                                                   want_x.witness), (label, k)
     monkeypatch.undo()
-    monkeypatch.setattr(bounds, "spectrum", _seeded_only)
+    monkeypatch.setattr(spectra, "spectrum", _seeded_only)
     for k, want in zip(ch_ks, want_ch):
         assert ch_classify(g, k, s=s, timeout=60.0) == want, (label, k)
 

@@ -105,9 +105,9 @@ def test_bounds_all_k_analyses_graph_once(monkeypatch, capsys):
     no eigensolver or ladder; the regular prism:5 is not distance-regular,
     so its product finds no array and it takes both."""
     monkeypatch.setattr(cli, "spectrum", _fail)
-    calls = [_count_calls(monkeypatch, bounds, name)
-             for name in ("distance_matrix", "spectrum", "walk_ladder")]
-    calls.append(_count_calls(monkeypatch, spectra, "_intersection_numbers"))
+    calls = [_count_calls(monkeypatch, spectra, name)
+             for name in ("distance_matrix", "spectrum", "walk_ladder",
+                          "intersection_array")]
     for family, want in (("hypercube:4", [1, 0, 0, 1]), ("prism:5", [1, 1, 1, 1])):
         assert cli.main(["bounds", "--family", family, "--k", "all"]) == 0
         assert "best floor" in capsys.readouterr().out
@@ -132,7 +132,7 @@ def test_bounds_all_k_matches_per_k_runs(family, capsys):
 
 def test_bounds_k_at_least_diameter_skips_spectrum(monkeypatch, capsys):
     monkeypatch.setattr(cli, "spectrum", _fail)
-    monkeypatch.setattr(bounds, "spectrum", _fail)
+    monkeypatch.setattr(spectra, "spectrum", _fail)
     lines = _csv_lines(capsys, "--family", "complete:5", "--k", "3")
     assert lines[1:] == ["trivial,3,1,1,True,k >= diameter"]
 

@@ -2,6 +2,8 @@
 known values, monotonicity, witnesses, guard rails, and the search rooted
 at vertex 0 on vertex-transitive families."""
 
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -559,3 +561,15 @@ def test_one_discovery_per_analysis(monkeypatch):
     assert alphas == [64, 16, 8, 2, 2, 2, 1]
     assert ch_classify(a, 2).exact == 16
     assert len(calls) == 1
+
+
+def test_oracle_imports_no_bounds_layer():
+    """The oracle reads its Analysis from spectra: a fresh import of
+    specind.exact loads neither the bounds layer nor the optimizers."""
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, specind.exact; print(*(m for m "
+         "in sys.modules if m.startswith('specind.')))"],
+        capture_output=True, text=True, check=True)
+    loaded = set(res.stdout.split())
+    assert "specind.spectra" in loaded
+    assert not loaded & {"specind.bounds", "specind.optimize"}, loaded

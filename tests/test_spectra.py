@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from conftest import check_hypercube_pi_ratios, relabelled, traced_peak
 
-from specind import bounds, spectra
+from specind import bounds, distances, spectra
 from specind.bounds import Analysis
 from specind.errors import NoClosedForm
 from specind.graphs import FamilySpec, distance_matrix, from_adjacency, generate
 from specind.spectra import (
     RegularityReport,
-    _intersection_numbers,
     array_spectrum,
     classify_regularity,
     exact_family_spectrum,
@@ -264,13 +263,13 @@ def test_intersection_numbers_match_loop(corpus_spectra, monkeypatch):
     graphs += [generate(FamilySpec.parse(spec)) for spec in
                ["complete_bipartite:1,9", "complete:200", "complete:300",
                 "cycle:101"]]
+    cases = [(g, distance_matrix(g)) for g in graphs]
     seen = set()
-    for block in (spectra._PRODUCT_BLOCK, 1):
-        monkeypatch.setattr(spectra, "_PRODUCT_BLOCK", block)
-        for g in graphs:
-            a, dm = g.adjacency.astype(float), distance_matrix(g)
-            want = product_intersection_numbers(a, dm)
-            assert _intersection_numbers(a, dm) == want, (g.label, block)
+    for block in (distances.ROW_BLOCK, 1):
+        monkeypatch.setattr(distances, "ROW_BLOCK", block)
+        for g, dm in cases:
+            want = product_intersection_numbers(g.adjacency.astype(float), dm)
+            assert intersection_array(g, dm) == want, (g.label, block)
             seen.add(want is None)
     assert seen == {True, False}  # both outcomes are exercised
 
@@ -425,7 +424,7 @@ def test_intersection_array_skipped_when_diameter_below_d(monkeypatch):
         raise AssertionError("intersection numbers computed")
 
     g = generate(FamilySpec.parse("kneser:8,3"))
-    monkeypatch.setattr(spectra, "_intersection_numbers", _fail)
+    monkeypatch.setattr(spectra, "intersection_array", _fail)
     s = spectrum(g)
     dm = distance_matrix(g)
     rep = classify_regularity(g, s, dm)
@@ -495,7 +494,7 @@ def test_analysis_takes_the_eigensolver_without_an_array(monkeypatch):
         calls.append(g)
         return spectrum(g)
 
-    monkeypatch.setattr(bounds, "spectrum", counting)
+    monkeypatch.setattr(spectra, "spectrum", counting)
     for spec in ("kneser:8,3", "kneser:10,3"):
         a = Analysis(generate(FamilySpec.parse(spec)))
         assert a.array is None and a.reg.is_regular, spec
@@ -516,3 +515,22 @@ def test_analysis_takes_the_eigensolver_without_an_array(monkeypatch):
     assert a.s.mults.tolist() == want.mults.tolist()
     assert calls == [a.g]
     assert a.reg == classify_regularity(a.g, want, a.dm)
+
+
+def test_seeds_go_only_on_a_new_analysis():
+    """A seed on an existing analysis would replace a value that every later
+    caller of it reads: Analysis.of, and the keyword forms through it, raise
+    ValueError and leave the analysis as it was."""
+    g = generate(FamilySpec.parse("petersen"))
+    a = Analysis(g)
+    s, dm, reg = a.s, a.dm, a.reg
+    other = spectrum(generate(FamilySpec.parse("cycle:5")))
+    for seed in ({"s": other}, {"dm": dm}, {"reg": reg}, {"s": s, "dm": None}):
+        with pytest.raises(ValueError):
+            Analysis.of(a, **seed)
+    with pytest.raises(ValueError):
+        bounds.best_bounds(a, 1, s=other)
+    assert (a.s, a.dm, a.reg) == (s, dm, reg)
+    assert Analysis.of(a, s=None, dm=None, reg=None) is a
+    seeded = Analysis.of(g, s=other)
+    assert seeded is not a and seeded.s is other
