@@ -202,8 +202,11 @@ def dminus1_cap(s: Spectrum) -> float:
 
 
 def qk_bounds(s: Spectrum, k: int) -> tuple:
-    """Inertia and ratio bounds driven by q'_k = p_1 + ... + p_k."""
-    qk = s.predistance.rows(k)[1:].sum(axis=0)
+    """Inertia and ratio bounds driven by q'_k = p_1 + ... + p_k, for
+    1 <= k <= d."""
+    if not 1 <= k <= s.d:
+        raise ValueError(f"need 1 <= k <= d, got k={k}")
+    qk = s.predistance[1:k + 1].sum(axis=0)
     rep_i = BoundReport("qk_inertia", k, float(min(_sign_counts(s.mults, qk))),
                         MeshPolynomial(s.distinct, qk))
     lam = float(qk[1:].min())

@@ -15,7 +15,8 @@
 The sign polynomial is written in the predistance basis, y = sum_i c_i
 p_i(theta) with free c_i: since p_0 = 1 and the p_i are orthogonal under
 the spectral inner product, "trace zero and degree <= k" is the span of
-p_1..p_k, with no constraint (divided-difference rows would be
+p_1..p_k (rows 1..k of the spectrum's predistance table), with no
+constraint (divided-difference rows would be
 ill-conditioned at large d, 30 for Tutte).  Its sign vectors are the cells
 of the central arrangement of the d+1 hyperplanes c.P_j = 0 in R^k, P_j
 the column of p_1..p_k at theta_j, and the optimum is the first cell in
@@ -45,7 +46,7 @@ from math import comb
 import numpy as np
 
 from .errors import Infeasible, NumericalInstability, SearchTimeout, Unbounded
-from .polys import MeshPolynomial, PredistanceFamily
+from .polys import MeshPolynomial
 from .spectra import Spectrum
 
 _TOL = 1e-9
@@ -300,12 +301,12 @@ def _negative_sets(mults, k: int):
                 heapq.heappush(heap, (-(nw + after[j]), key + (-nb,), nw, left))
 
 
-def _margin_rows(pd: PredistanceFamily, k: int):
+def _margin_rows(pd: np.ndarray, k: int):
     """P = p_1..p_k on the mesh, rows scaled to max 1, and the max-margin
     LPs' dual rows over all d+1 mesh points: [1, 0, 0; P, P, -P], whose
     column blocks are lambda, u and v.  Each row's largest |entry| is
     exactly 1.0 (x / x), so ``_tableau`` leaves the rows as they are."""
-    P = pd.rows(k)[1:]
+    P = pd[1:k + 1]
     P = P / np.abs(P).max(axis=1, keepdims=True)
     d1 = P.shape[1]
     total = np.repeat([1.0, 0.0], [d1, 2 * d1])  # sum(lambda) = 1

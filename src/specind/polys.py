@@ -4,13 +4,13 @@ The mesh-value representation (values at theta_0 > ... > theta_d) is primary:
 every bound is linear in mesh values.  The predistance polynomials, orthogonal
 under the spectral inner product <p, q> = tr(p(A) q(A)) / n (``Spectrum.trace``
 of the product of mesh values), are the basis both optimization programs
-build their polynomials in; each spectrum keeps its family as
-``Spectrum.predistance``, whose rows are built only as far as a caller
-reads them.  Every certificate a report carries is a ``MeshPolynomial``;
-coefficient form (``mesh_to_coeffs``, by Newton expansion) is computed only
-for the sign-odd6 table replay, which prints it.  The closed-form alpha_2
-and alpha_3 bounds in ``bounds`` pick their zeros with the MP2 and MP4 index
-rules kept here.
+build their polynomials in, and q'_k sums them; each spectrum keeps them as
+``Spectrum.predistance``, one read-only (d+1)-square table built whole by
+the discretized Stieltjes procedure.  Every certificate a report carries is
+a ``MeshPolynomial``; coefficient form (``mesh_to_coeffs``, by Newton
+expansion) is computed only for the sign-odd6 table replay, which prints it.
+The closed-form alpha_2 and alpha_3 bounds in ``bounds`` pick their zeros
+with the MP2 and MP4 index rules kept here.
 """
 
 from __future__ import annotations
@@ -47,43 +47,6 @@ class MeshPolynomial:
                 "values": list(map(float, self.values))}
 
 
-class PredistanceFamily:
-    """Orthogonal polynomials p_0..p_d for the spectral inner product, by
-    their values on the mesh, built row by row on demand: in the modified
-    Gram-Schmidt, row i depends only on rows < i, so a caller that needs
-    p_0..p_m never pays for the rows above m."""
-
-    def __init__(self, s: Spectrum):
-        self._s = s
-        d1 = s.d + 1
-        # the orthogonal basis built from monomials, each row's <b_j, b_j>
-        # (computed once), and the scaled rows p_i; rows below _built are done
-        self._basis = np.zeros((d1, d1))
-        self._sq = np.zeros(d1)
-        self._values = np.zeros((d1, d1))
-        self._built = 0
-
-    def rows(self, m: int) -> np.ndarray:
-        """p_0..p_m on the mesh, an (m+1, d+1) read-only array; row i is
-        scaled so that p_i(theta_0) = ||p_i||^2.  A degenerate row among
-        them raises ``DegenerateInnerProduct``."""
-        s, basis, sq = self._s, self._basis, self._sq
-        for i in range(self._built, m + 1):
-            vec = s.distinct ** i
-            for _ in range(2):  # re-orthogonalize once for stability
-                for j in range(i):
-                    vec = vec - spectral_inner(s, vec, basis[j]) / sq[j] * basis[j]
-            basis[i] = vec
-            sq[i] = spectral_inner(s, vec, vec)
-            if sq[i] <= 0 or abs(vec[0]) < 1e-13 * np.abs(vec).max():
-                raise DegenerateInnerProduct("degenerate spectral inner product")
-            self._values[i] = vec[0] / sq[i] * vec
-            self._built = i + 1
-        out = self._values[:m + 1]
-        out.setflags(write=False)
-        return out
-
-
 def divided_differences(p: MeshPolynomial) -> np.ndarray:
     """Leading Newton divided differences f[theta_0..theta_m], m = 0..d."""
     x = p.mesh
@@ -110,15 +73,28 @@ def mesh_to_coeffs(p: MeshPolynomial) -> np.ndarray:
     return out
 
 
-def spectral_inner(s: Spectrum, u: np.ndarray, v: np.ndarray) -> float:
-    """<p, q>_G = (1/n) sum m_i p(theta_i) q(theta_i) on mesh values."""
-    return s.trace(u * v) / s.n
-
-
-def predistance_polynomials(s: Spectrum) -> PredistanceFamily:
-    """Gram-Schmidt on 1, x, x^2, ... under the spectral inner product, its
-    rows built as callers ask for them; ``s.predistance`` keeps it."""
-    return PredistanceFamily(s)
+def predistance_polynomials(s: Spectrum) -> np.ndarray:
+    """p_0..p_d on the mesh, a (d+1, d+1) read-only array, orthogonal under
+    <p, q> = tr(p(A) q(A)) / n and scaled so that p_i(theta_0) = ||p_i||^2;
+    ``s.predistance`` keeps it.  Row i starts from theta p_{i-1} (the
+    discretized Stieltjes procedure), so it has degree i by construction:
+    the three-term step removes p_{i-1} and p_{i-2}, and one Gram-Schmidt
+    pass against all lower rows removes what rounding left of them.  A
+    degenerate row raises ``DegenerateInnerProduct``."""
+    theta, w = s.distinct, s.mults / s.n
+    P = np.ones((s.d + 1, s.d + 1))
+    sq = np.ones(s.d + 1)  # ||p_i||^2
+    for i in range(1, s.d + 1):
+        vec = theta * P[i - 1]
+        for lo in (max(i - 2, 0), 0):  # the three-term step, then all rows
+            vec -= ((P[lo:i] * w) @ vec / sq[lo:i]) @ P[lo:i]
+        norm = (w * vec) @ vec
+        if norm <= 0 or abs(vec[0]) < 1e-13 * np.abs(vec).max():
+            raise DegenerateInnerProduct("degenerate spectral inner product")
+        P[i] = vec[0] / norm * vec
+        sq[i] = (w * P[i]) @ P[i]
+    P.setflags(write=False)
+    return P
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 A ``Spectrum`` carries what every layer derives from it: the order n, the
 trace tr p(A) = sum_i m_i p(theta_i) of a polynomial by its mesh values,
 pi_i = prod_{j != i} |theta_i - theta_j|, the top predistance polynomial p_d
-read off pi, and the predistance polynomials.
+read off pi (closer to exact than the top row of the recurrence), and the
+table of predistance polynomials p_0..p_d, built whole on first use.
 
 Distance-regular graphs take the intersection-array path: two integer sums
 of distance rows over each adjacency list read the array
@@ -27,7 +28,7 @@ import numpy as np
 from .distances import adjacency_lists, row_blocks
 from .errors import EigenFailure, GroupingAmbiguity, NoClosedForm
 from .graphs import DistanceMatrix, FamilySpec, Graph, distance_matrix
-from .polys import PredistanceFamily, predistance_polynomials
+from .polys import predistance_polynomials
 
 DEFAULT_TOL = 1e-8
 
@@ -80,9 +81,9 @@ class Spectrum:
         return out
 
     @cached_property
-    def predistance(self) -> PredistanceFamily:
-        """The predistance polynomials p_0..p_d on the mesh, each row built
-        once, on first use."""
+    def predistance(self) -> np.ndarray:
+        """The predistance polynomials p_0..p_d on the mesh, one row each,
+        read-only (``polys.predistance_polynomials``)."""
         return predistance_polynomials(self)
 
     def to_json_dict(self) -> dict:

@@ -26,7 +26,6 @@ from specind.graphs import (
     parse_graph6,
 )
 from specind.optimize import minor_polynomial, sign_polynomial
-from specind.polys import spectral_inner
 from specind.spectra import exact_family_spectrum
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "specind" / "data"
@@ -173,13 +172,13 @@ def check_predistance_structure(corpus_spectra):
     for label, (_, s, _, _) in corpus_spectra.items():
         if s.d < 1:
             continue
-        V = s.predistance.rows(s.d)
+        V = s.predistance
         scale = max(1.0, float(np.abs(V).max()))
         for i in range(s.d + 1):
-            assert V[i, 0] == pytest.approx(spectral_inner(s, V[i], V[i]),
+            assert V[i, 0] == pytest.approx(s.trace(V[i] * V[i]) / s.n,
                                             rel=1e-8, abs=1e-8), label
             for j in range(i + 1, s.d + 1):
-                ip = spectral_inner(s, V[i], V[j])
+                ip = s.trace(V[i] * V[j]) / s.n
                 assert abs(ip) < 1e-8 * scale, (label, i, j)
         total = V.sum(axis=0)
         assert total[0] == pytest.approx(s.n, rel=1e-8), label

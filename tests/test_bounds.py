@@ -367,6 +367,45 @@ def test_qk_k1_matches_classics_on_regular(corpus_spectra):
         assert rep_r.value == pytest.approx(want, rel=1e-9)
 
 
+def test_qk_bounds_needs_k_from_1_to_d(corpus_spectra):
+    """q'_k sums rows 1..k of the (d+1)-row table: k = 0 or k > d raises
+    ValueError instead of summing fewer rows."""
+    s = corpus_spectra["petersen"][1]
+    for k in (-1, 0, s.d + 1):
+        with pytest.raises(ValueError):
+            qk_bounds(s, k)
+    assert qk_bounds(s, s.d)[0].applicable
+
+
+def test_qk_bounds_on_cycle_101_meshes():
+    """On C_101 (d = 50, alpha_k = floor(101 / (k + 1))) the q'_k floors are
+    the same on the closed-form mesh and on the intersection-array mesh that
+    ``bounds --family cycle:101`` reads, for k = 1..49, and each is >=
+    alpha_k; qk_inertia is 23, 23, 29, 31, 29, 35 at k = 20, 30, 40, 45, 48,
+    49.  Rows orthogonalized from the monomials x^i gave floor 1 at k = 48
+    and 49 on the closed-form mesh."""
+    spec = FamilySpec.parse("cycle:101")
+    meshes = (exact_family_spectrum(spec), bounds.Analysis(generate(spec)).s)
+    for k in range(1, 50):
+        floors = [[r.floor_value for r in qk_bounds(s, k)] for s in meshes]
+        assert floors[0] == floors[1], k
+        assert min(floors[0]) >= 101 // (k + 1), k
+    inertia = [qk_bounds(meshes[1], k)[0].value for k in (20, 30, 40, 45, 48, 49)]
+    assert inertia == [23, 23, 29, 31, 29, 35]
+
+
+def test_pwr_inertia_on_cycle_61():
+    """On C_61 (d = 30) the sign polynomial's inertia bound applies at
+    k = 15, 16, 18 and 27, each floor >= alpha_k = floor(61 / (k + 1)); on
+    rows orthogonalized from the monomials its max-margin LP broke down
+    there.  At k = 25, 26 and 29 it still breaks down (a kernel matter)."""
+    a = bounds.Analysis(generate(FamilySpec.parse("cycle:61")))
+    for k in (15, 16, 18, 27):
+        rep, = [r for r in best_bounds(a, k) if r.method == "pwr_inertia"]
+        assert rep.applicable, (k, rep.reason)
+        assert rep.floor_value >= 61 // (k + 1), k
+
+
 def test_pwr_inertia_k1_is_cvetkovic(corpus_analyses):
     """At k = 1, p_1 is a multiple of x (tr A = 0), so the sign polynomials
     are +-x and pwr_inertia is min(n_0 + n_+, n_0 + n_-), the Cvetkovic
@@ -404,7 +443,7 @@ def test_certificates_rederive_their_values(corpus_analyses):
                     want = counts[0] if r.method == "pwr_inertia" else min(counts)
                     assert r.value == float(want), (label, k, r.method)
                 if r.method == "qk_inertia":
-                    qk = s.predistance.rows(k)[1:].sum(axis=0)
+                    qk = s.predistance[1:k + 1].sum(axis=0)
                     assert p.values.tobytes() == qk.tobytes(), (label, k)
                 cert = r.to_json_dict()["certificate"]
                 assert set(cert) == {"mesh", "values"}, (label, k)
@@ -440,7 +479,8 @@ def test_pd_from_pi_is_chebyshev_on_cycle_101():
 def test_pd_ratio_on_long_cycles(spec, k):
     """On the cycle C_{2d+1}, p_d(theta_0) = 2 and the p_d ratio bound is
     1 + p_d(theta_0) = 3, on the spectrum ``bounds`` computes; d = 30 and 50
-    are past the degree (~22) where Gram-Schmidt rows lose their degree."""
+    are past the degree (~22) where rows orthogonalized from the monomials
+    lose their degree."""
     s = bounds.Analysis(generate(FamilySpec.parse(spec))).s
     rep = pd_ratio_bound(s)
     assert rep.k == k

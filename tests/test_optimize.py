@@ -395,7 +395,7 @@ def test_minor_polynomial_vs_scipy_oracle(corpus_spectra):
     for label, (_, s, _, _) in corpus_spectra.items():
         pd = predistance_polynomials(s)
         for k in range(1, s.d + 1):
-            P = pd.rows(k)
+            P = pd[:k + 1]
             P = P / np.abs(P).max(axis=1, keepdims=True)
             res = scipy_opt.linprog(P @ s.mults, A_eq=P[:, :1].T, b_eq=[1.0],
                                     A_ub=-P[:, 1:].T, b_ub=np.zeros(s.d),
@@ -418,7 +418,7 @@ def predistance_lp_reference(pd, degrees, objective, lo, hi, rows=(), rhs=()):
     rows y_j - sum_i c_i p_i(theta_j) = 0, then ``rows``, then
     y_j + slack = hi_j.
     """
-    basis = pd.rows(degrees.stop - 1)[degrees]
+    basis = pd[degrees]
     basis = basis / np.abs(basis).max(axis=1, keepdims=True)
     nc, d1 = basis.shape
     objective = np.asarray(objective, dtype=float)
@@ -450,7 +450,7 @@ def primal_max_margin(pd, k, neg):
     """Reference: the former primal ``_max_margin``, max t with y_j <= -t on
     ``neg``, |y| <= 1 and y in span(p_1..p_k), with d+1 definition rows,
     d+1 box rows and one margin row per element of ``neg``."""
-    d1 = pd.rows(k).shape[1]
+    d1 = pd.shape[1]
     # variables: y_0..y_d, t, one slack per margin row y_j + t + slack = 0
     rows = np.hstack([np.eye(d1)[list(neg)], np.ones((len(neg), 1)),
                       np.eye(len(neg))])
@@ -585,7 +585,7 @@ def test_pruned_search_matches_unpruned_reference(corpus_spectra):
                 assert got == want, (label, k)
             checked += 1
     assert checked == 163
-    assert (lps, visited) == (671, 2465)  # 673 on the eigensolver mesh
+    assert (lps, visited) == (674, 2465)
 
 
 def test_vertex_rays_match_search(corpus_spectra, monkeypatch):
@@ -815,7 +815,7 @@ def lp_minor_reference(s, k):
     = -[j = 0], then u_0 + slack = 0, which holds y_0 at 1.  The objectives
     are the trace, then y_1, ..., y_{d-1}."""
     d = s.d
-    P = s.predistance.rows(k)
+    P = s.predistance[:k + 1]
     P = P / np.abs(P).max(axis=1, keepdims=True)
     d1, nc = d + 1, 2 * (k + 1)
     A = np.zeros((d1 + 1, d1 + nc + 1))
@@ -951,36 +951,24 @@ def chebyshev_minor_trace(s, k):
 
 
 def test_cycle_101_pwr_ratio_is_sound(cycle_101):
-    """The former LP's vertex stops being a polynomial of degree <= k on
-    C_101 at high k: at k = 49 its trace 1.768 gives floor 1 < alpha_49 = 2,
-    and at k = 45 it reports 2.0393 where the optimum is 2.0399 (1.339 and
-    2.0452 on the eigensolver's mesh).  The closed
-    form's floor is >= alpha_k for k = 40..49, its trace is scipy's optimum
-    within 1e-9 relative, and wherever the LP's trace is lower by more than
-    that (k = 41, 42, 45, 46, 49 on the intersection-array mesh; 42, 43, 46,
-    49 on the eigensolver's), the LP's values are off the polynomial of its
-    own zero set by more than 1e-5: that vertex is not feasible."""
+    """On C_101 at k = 40..49 the closed form's floor is >= alpha_k and its
+    trace is scipy's optimum within 1e-9 relative.  The former LP, on the
+    same degree-exact predistance rows, ends at the closed form's vertex:
+    its values are within 1e-9 of it and its floor is >= alpha_k too.  On
+    rows orthogonalized from the monomials x^i, whose rows past degree ~22
+    were no longer of degree i, the LP's vertex at k = 41, 42, 45, 46, 49
+    was off the polynomial of its own zero set, and at k = 49 its floor
+    was 1 < alpha_49 = 2."""
     s = cycle_101
-    theta = s.distinct
-    below = []
     for k in range(40, 50):
         f = minor_polynomial(s, k)
         rep = pwr_ratio(s, f, k)
         assert rep.floor_value >= 101 // (k + 1), k
         optimum = chebyshev_minor_trace(s, k)
         assert abs(rep.value - optimum) <= 1e-9 * optimum, k
-        lp = lp_minor_reference(s, k)
-        if s.trace(lp) < rep.value * (1 - 1e-9):
-            below.append(k)
-            Z = np.flatnonzero(lp[1:] == 0) + 1
-            f_Z = np.prod([(theta - theta[j]) / (theta[0] - theta[j])
-                           for j in Z], axis=0)
-            assert np.abs(lp - f_Z).max() > 1e-5, k
-    assert below == [41, 42, 45, 46, 49]
-    lp49 = MeshPolynomial(theta, lp_minor_reference(s, 49))
-    assert pwr_ratio(s, lp49, 49).floor_value == 1
-    assert s.trace(lp_minor_reference(s, 45)) == pytest.approx(2.0393, abs=1e-4)
-    assert s.trace(minor_polynomial(s, 45).values) == pytest.approx(2.0399, abs=1e-4)
+        lp = MeshPolynomial(s.distinct, lp_minor_reference(s, k))
+        assert np.abs(lp.values - f.values).max() <= 1e-9, k
+        assert pwr_ratio(s, lp, k).floor_value >= 101 // (k + 1), k
 
 
 def test_swap_walk_finishes_on_cycle_101(cycle_101):
@@ -1072,7 +1060,7 @@ def test_carried_reduced_costs_match_recomputed(corpus_spectra, monkeypatch):
         for k in range(1, min(s.d, reg.pwr_level + 1)):
             _sign_search(s, k, 30.0)
             sign += 1
-    assert (sign, optima) == (163, 1342)  # 1346 on the eigensolver mesh
+    assert (sign, optima) == (163, 1348)
     assert worst <= 1e-9, worst  # 1.04e-10 when written
 
 

@@ -18,7 +18,6 @@ from specind.polys import (
     mp2_index,
     mp4_index,
     predistance_polynomials,
-    spectral_inner,
 )
 from specind.spectra import Spectrum, exact_family_spectrum
 
@@ -75,18 +74,21 @@ def test_round_trip_random_polynomials():
         assert np.allclose(back.values, vals, atol=1e-9)
 
 
+def inner(s, u, v):
+    """<p, q> = tr(p(A) q(A)) / n on mesh values."""
+    return s.trace(u * v) / s.n
+
+
 def test_predistance_family_properties(corpus_spectra):
     for label in ["petersen", "odd:4", "hypercube:5", "cycle:9",
                   "prism:6", "hoffman", "nauru", "frucht"]:
         _, s, _, _ = corpus_spectra[label]
-        fam = predistance_polynomials(s)
-        V = fam.rows(s.d)
+        V = predistance_polynomials(s)
         # orthogonality and normalization p_i(theta_0) = ||p_i||^2
         for i in range(s.d + 1):
             for j in range(i + 1, s.d + 1):
-                assert abs(spectral_inner(s, V[i], V[j])) < 1e-8, (label, i, j)
-            assert V[i, 0] == pytest.approx(spectral_inner(s, V[i], V[i]),
-                                            rel=1e-8)
+                assert abs(inner(s, V[i], V[j])) < 1e-8, (label, i, j)
+            assert V[i, 0] == pytest.approx(inner(s, V[i], V[i]), rel=1e-8)
         # sum p_i = Hoffman polynomial (mesh values (n, 0, ..., 0))
         total = V.sum(axis=0)
         assert total[0] == pytest.approx(s.n, rel=1e-8)
@@ -97,73 +99,78 @@ def test_predistance_family_properties(corpus_spectra):
             assert degree(poly) == i, (label, i)
 
 
-def per_pass_predistance_reference(s):
-    """Reference: the former ``predistance_polynomials``, which recomputed
-    <b_j, b_j> for every (i, pass) through ``spectral_inner``."""
-    d = s.d
-    basis = np.zeros((d + 1, d + 1))
-    for i in range(d + 1):
-        vec = s.distinct ** i
-        for _ in range(2):
-            for j in range(i):
-                proj = (spectral_inner(s, vec, basis[j])
-                        / spectral_inner(s, basis[j], basis[j]))
-                vec = vec - proj * basis[j]
-        basis[i] = vec
-    values = np.zeros((d + 1, d + 1))
-    norms = np.zeros(d + 1)
-    for i in range(d + 1):
-        q = basis[i]
-        values[i] = q[0] / spectral_inner(s, q, q) * q
-        norms[i] = spectral_inner(s, values[i], values[i])
-    return values, norms
-
-
-def test_predistance_matches_per_pass_reference(corpus_spectra):
-    """Each <b_j, b_j> computed once gives the same bytes as the per-pass
-    form on every corpus spectrum, Tutte's d = 30 included."""
+def test_predistance_table_is_cached_and_read_only(corpus_spectra):
+    """The whole (d+1)-square table is built at once, kept by the spectrum,
+    and read-only; a rebuild gives its bytes."""
     for label, (_, s, _, _) in corpus_spectra.items():
-        fam = predistance_polynomials(s)
-        values, norms = per_pass_predistance_reference(s)
-        assert fam.rows(s.d).tobytes() == values.tobytes(), label
-        fam_norms = np.array([spectral_inner(s, v, v) for v in fam.rows(s.d)])
-        assert fam_norms.tobytes() == norms.tobytes(), label
+        V = s.predistance
+        assert V is s.predistance, label
+        assert V.shape == (s.d + 1, s.d + 1), label
+        assert not V.flags.writeable, label
+        assert predistance_polynomials(s).tobytes() == V.tobytes(), label
 
 
-def test_rows_on_demand_match_full_family(corpus_spectra):
-    """p_0..p_m built only as far as asked, for every m and in any order of
-    requests, give the full family's bytes on every corpus spectrum."""
-    for label, (_, s, _, _) in corpus_spectra.items():
-        full = per_pass_predistance_reference(s)[0]
-        for m in range(s.d + 1):
-            rows = predistance_polynomials(s).rows(m)
-            assert rows.shape == (m + 1, s.d + 1), (label, m)
-            assert rows.tobytes() == full[:m + 1].tobytes(), (label, m)
-            assert not rows.flags.writeable
-        fam = predistance_polynomials(s)
-        for m in (s.d // 2, 0, s.d, 1 if s.d else 0):
-            assert fam.rows(m).tobytes() == full[:m + 1].tobytes(), (label, m)
+def distance_polynomials(inter, theta):
+    """Reference: the distance polynomials of a distance-regular graph on the
+    mesh, from its intersection array ((b_0..b_{D-1}), (c_1..c_D)) by
+    v_0 = 1, v_1 = x, v_{i+1} = ((x - a_i) v_i - b_{i-1} v_{i-1}) / c_{i+1}."""
+    b = list(inter[0]) + [0]
+    c = [0] + list(inter[1])
+    a = [b[0] - b[i] - c[i] for i in range(len(b))]
+    v = [np.ones_like(theta), theta.copy()]
+    for i in range(1, len(b) - 1):
+        v.append(((theta - a[i]) * v[i] - b[i - 1] * v[i - 1]) / c[i + 1])
+    return np.array(v)
 
 
-def test_degenerate_row_raises_only_when_requested():
+def test_predistance_matches_array_distance_polynomials(corpus_analyses):
+    """On a distance-regular graph p_i is the distance-i polynomial: on every
+    distance-regular corpus graph the rows equal the polynomials read off
+    ``Analysis.array``, on the same mesh, to 1e-9 relative."""
+    checked = 0
+    for label, a in corpus_analyses.items():
+        if a.array is None or a.s.d < 1:
+            continue
+        want = distance_polynomials(a.array, a.s.distinct)
+        got = a.s.predistance
+        assert got.shape == want.shape, label
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert (np.abs(got - want) <= 1e-9 * scale).all(), label
+        checked += 1
+    assert checked == 28
+
+
+@pytest.mark.parametrize("spec", ["cycle:61", "cycle:101"])
+def test_predistance_rows_are_chebyshev_on_odd_cycles(spec):
+    """On an odd cycle p_i(x) = 2 T_i(x / 2) for i >= 1: on the closed-form
+    mesh 2 cos(2 pi j / n) every row, d = 30 and 50 included, is that
+    polynomial to 1e-12.  Rows orthogonalized from the monomials x^i were
+    off it by up to 1.4e-6 (cycle:61) and 4.35 (cycle:101)."""
+    s = exact_family_spectrum(FamilySpec.parse(spec))
+    phi = np.arccos(np.clip(s.distinct / 2, -1.0, 1.0))
+    cheb = 2 * np.cos(np.outer(np.arange(s.d + 1), phi))
+    V = predistance_polynomials(s)
+    assert np.abs(V[1:] - cheb[1:]).max() <= 1e-12
+    assert (V[0] == 1.0).all()
+
+
+def test_degenerate_row_raises():
     """A spectrum whose last two eigenvalues coincide to 1e-14 has a
-    degenerate top row: the rows below it are still served, and asking for
-    the top row raises DegenerateInnerProduct."""
+    degenerate top row, and building its table raises
+    DegenerateInnerProduct."""
     s = Spectrum(np.array([3.0, 1.0, 1.0 - 1e-14]), np.array([1, 5, 4]),
                  np.array([3.0] + [1.0] * 9))
-    fam = predistance_polynomials(s)
-    assert fam.rows(1).shape == (2, 3)
     with pytest.raises(DegenerateInnerProduct):
-        fam.rows(2)
+        predistance_polynomials(s)
 
 
 def test_predistance_qk_max_at_theta0(corpus_spectra):
     """q'_k = p_1 + ... + p_k attains its maximum at theta_0."""
     for label in ["petersen", "odd:4", "hypercube:4", "nauru", "gray"]:
         _, s, _, _ = corpus_spectra[label]
-        fam = predistance_polynomials(s)
+        V = predistance_polynomials(s)
         for k in range(1, s.d + 1):
-            qk = fam.rows(k)[1:].sum(axis=0)
+            qk = V[1:k + 1].sum(axis=0)
             assert qk[0] >= qk[1:].max() - 1e-8 * abs(qk[0]), (label, k)
 
 
@@ -173,10 +180,10 @@ def test_predistance_equals_distance_polynomials_on_drg(corpus_spectra):
     for label in ["petersen", "hypercube:4", "odd:4", "dodecahedron"]:
         g, s, dm, reg = corpus_spectra[label]
         assert reg.is_distance_regular
-        fam = predistance_polynomials(s)
+        V = predistance_polynomials(s)
         for i in range(s.d + 1):
             k_i = int(np.sum(dm.dist[0] == i))
-            assert fam.rows(s.d)[i, 0] == pytest.approx(k_i, rel=1e-8)
+            assert V[i, 0] == pytest.approx(k_i, rel=1e-8)
 
 
 def polyadd_coeffs_reference(p: MeshPolynomial) -> np.ndarray:
@@ -202,7 +209,7 @@ def test_mesh_to_coeffs_matches_polyadd_reference(corpus_spectra):
     report can reach (k < d, k <= pwr_level; Tutte k <= 3)."""
     checked = 0
     for label, (_, s, _, reg) in corpus_spectra.items():
-        V = s.predistance.rows(s.d)
+        V = s.predistance
         meshes = [*V, *(V[1:k + 1].sum(axis=0) for k in range(1, s.d + 1))]
         meshes += [minor_polynomial(s, k).values for k in range(1, s.d + 1)]
         meshes += [sign_polynomial(s, k).sign_mesh.values
