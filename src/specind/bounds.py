@@ -203,10 +203,11 @@ def dminus1_cap(s: Spectrum) -> float:
 
 def qk_bounds(s: Spectrum, k: int) -> tuple:
     """Inertia and ratio bounds driven by q'_k = p_1 + ... + p_k, for
-    1 <= k <= d."""
+    1 <= k <= d; DegenerateInnerProduct when the predistance table stops
+    below row k."""
     if not 1 <= k <= s.d:
         raise ValueError(f"need 1 <= k <= d, got k={k}")
-    qk = s.predistance[1:k + 1].sum(axis=0)
+    qk = s.predistance_rows(k)[1:].sum(axis=0)
     rep_i = BoundReport("qk_inertia", k, float(min(_sign_counts(s.mults, qk))),
                         MeshPolynomial(s.distinct, qk))
     lam = float(qk[1:].min())

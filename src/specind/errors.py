@@ -33,14 +33,6 @@ class DegenerateInnerProduct(SpecindError):
     """Spectral inner product is degenerate (upstream grouping error)."""
 
 
-class Infeasible(SpecindError):
-    """Linear program has an empty feasible region."""
-
-
-class Unbounded(SpecindError):
-    """Linear program objective is unbounded below."""
-
-
 class NumericalInstability(SpecindError):
     """Solver produced an inconsistent solution; re-solve advised."""
 

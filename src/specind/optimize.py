@@ -1,38 +1,37 @@
-"""A deterministic dense simplex and the two optimization programs:
+"""The two optimization programs, both decided on the facets of a cyclic
+polytope, with no LP solver.
 
-* the minor polynomial (least multiplicity-weighted trace among the
-  degree-<= k polynomials with f(theta_0) = 1 and f >= 0 elsewhere), read
-  off its zero set with no LP solver: each vertex of its LP is the product
-  of k factors (x - theta_j) / (theta_0 - theta_j), one for each j in a
-  Gale-even zero set;
-* the sign polynomial (least multiplicity-weighted count of non-negative
-  mesh values of a trace-zero polynomial of degree <= k): at k <= 3 its
-  negative set is read off the vertex rays of its sign arrangement and one
-  max-margin LP gives the certificate; at k >= 4, and wherever a sign test
-  on a ray is undecided or that LP leaves the set unrealized, an exact
-  enumeration of its sign patterns that skips proven conflicts answers.
+The facet program, for a mesh subset N anchored at its first point a:
+minimize tr q(A) = sum_i m_i q(theta_i) over the polynomials q of degree
+<= k with q >= 0 on theta_N and q(theta_a) = 1.  When |N| > k its vertices
+are the products f_Z = prod_{z in Z} (x - theta_z) / (theta_a - theta_z)
+over the k-subsets Z of N - {a} that meet Gale's evenness condition (each
+point of N outside Z has an even number of members of Z before it), and
+each vertex has k edges, one for each zero it drops: a single swap of Z,
+or, where the edge is unbounded, a recession ray whose zeros are Z with a
+in place of the dropped one.  The least trace is found by scoring every
+vertex when there are at most k(|N|-1-k) + 1, one swap neighbourhood, and
+otherwise by a walk along single swaps that lower the trace.
 
-The sign polynomial is written in the predistance basis, y = sum_i c_i
-p_i(theta) with free c_i: since p_0 = 1 and the p_i are orthogonal under
-the spectral inner product, "trace zero and degree <= k" is the span of
-p_1..p_k (rows 1..k of the spectrum's predistance table), with no
-constraint (divided-difference rows would be
-ill-conditioned at large d, 30 for Tutte).  Its sign vectors are the cells
-of the central arrangement of the d+1 hyperplanes c.P_j = 0 in R^k, P_j
-the column of p_1..p_k at theta_j, and the optimum is the first cell in
-the search's order.  At k <= 3 each open cell has an extreme ray among
-+-1 (k = 1), +-P_j^perp (k = 2) and +-P_i x P_j (k = 3), read in closed
-form, with no SVD.  Each max-margin LP is solved as
-its dual in standard form min c.u, Au = b, u >= 0, one row per unknown (t
-and c_1..c_k): the final basis gives the certificate; on an unrealized set
-N the vertex's lambda is a Gordan certificate that no polynomial of the
-span is negative on all of S = supp(lambda), so every later N' containing S
-is skipped.  The dual rows and their phase-1 tableau are built once per
-search, over all d+1 mesh points; each set solves a copy with the lambda
-columns off N held at zero, which takes the pivots of its own, smaller
-standard form.  The simplex keeps its reduced costs as the tableau's last
-row, updated by every pivot.  The optima need not be unique, so the vertex,
-and with it the certificate, depends on the path from the artificial basis.
+* The minor polynomial (least trace among the degree-<= k polynomials with
+  f(theta_0) = 1 and f >= 0 elsewhere) is the facet program on the whole
+  mesh, anchored at theta_0: its vertex is the lexicographic minimum of
+  (trace, f(theta_1), ..., f(theta_{d-1})) over every vertex whose trace
+  can tie with the least.
+* The sign polynomial (least multiplicity-weighted count of non-negative
+  mesh values of a trace-zero polynomial of degree <= k) is decided one
+  candidate negative set N at a time: some trace-zero y of degree <= k is
+  negative on N exactly when some q >= 0 on theta_N has tr q(A) < 0
+  (Farkas), and then y = tr(q)/n - q is one.  The facet test
+  (``_facet_test``) decides that with the facet program anchored at N[0]
+  when |N| > k, and with the multiples of prod_{j in N} (x - theta_j) and
+  N's Lagrange basis otherwise; on an unrealized N it leaves a positive
+  quadrature of the trace with at most k+1 nodes in N, whose support no
+  trace-zero polynomial is negative on (Gordan), and the search skips
+  every later set that contains it.  At k <= 3 the negative set is read off the vertex rays of the sign
+  arrangement (the hyperplanes c.P_j = 0 in R^k, P_j the column of
+  predistance rows p_1..p_k at theta_j) in closed form, with no SVD, and
+  the facet test on it gives the certificate.
 """
 
 from __future__ import annotations
@@ -45,117 +44,19 @@ from math import comb
 
 import numpy as np
 
-from .errors import Infeasible, NumericalInstability, SearchTimeout, Unbounded
+from .errors import NumericalInstability, SearchTimeout
 from .polys import MeshPolynomial
 from .spectra import Spectrum
 
-_TOL = 1e-9
-
-
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int):
-    """Make column ``col`` basic in ``row``: scale the row to a unit pivot and
-    subtract its multiples from the rows with a nonzero entry in ``col``, the
-    reduced-cost row included; rows with a zero entry are left untouched,
-    signed zeros included.
-
-    The pivot entry becomes x / x = 1 and every other entry of the column
-    y - y * 1 = 0, both exact in floating point, and later pivots leave such
-    a column as it is.  So each basic column stays an exact unit vector: its
-    reduced cost is exactly zero, and it is never a candidate to enter."""
-    T[row] /= T[row, col]
-    multiplier = T[:, col].copy()
-    multiplier[row] = 0.0
-    np.subtract(T, multiplier[:, None] * T[row], out=T,
-                where=(multiplier != 0)[:, None])
-    basis[row] = col
-
-
-def _price(T: np.ndarray, basis: np.ndarray, cost: np.ndarray):
-    """Write the reduced costs c - c_B T of ``cost`` into T's last row; the
-    columns past ``len(cost)`` cost 0."""
-    T[-1] = 0.0
-    T[-1, :len(cost)] = cost
-    T[-1] -= cost[basis] @ T[:-1]
-
-
-def _bland(T: np.ndarray, basis: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """Pivot the tableau T = [A | b; r | -z] to optimality over its first
-    ``len(fixed)`` columns, the ``fixed`` ones excluded, by Bland's rule: the
-    first improving column enters, the row of the minimum (ratio, basic
-    index) leaves.  The last row r holds the reduced costs, which every
-    pivot updates; returns them at the optimum."""
-    ncols = len(fixed)
-    reduced = T[-1, :ncols]
-    free = ~fixed
-    while True:
-        improving = (reduced < -_TOL) & free
-        enter = int(improving.argmax())
-        if not improving[enter]:
-            return reduced
-        leave, least = -1, None
-        for i, (a, rhs, j) in enumerate(zip(T[:-1, enter].tolist(),
-                                            T[:-1, -1].tolist(),
-                                            basis.tolist())):
-            if a > _TOL and (least is None or (rhs / a, j) < least):
-                leave, least = i, (rhs / a, j)
-        if leave < 0:
-            raise Unbounded("LP objective unbounded below")
-        _pivot(T, basis, leave, enter)
-
-
-def _tableau(A: np.ndarray, b: np.ndarray):
-    """Phase-1 tableau (T, basis) of Ax = b, x >= 0: [A | I | b; r | -z]
-    with b >= 0, each row scaled by its largest entry (which does not change
-    the vertex Bland's rule reaches), one basic artificial column per row,
-    and r the reduced costs of their sum."""
-    m, n = A.shape
-    Ab = np.hstack([A, b[:, None]])
-    Ab[b < 0] *= -1.0
-    scale = np.abs(Ab).max(axis=1)
-    Ab /= np.where(scale == 0, 1.0, scale)[:, None]
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m] = np.hstack([Ab[:, :n], np.eye(m), Ab[:, n:]])
-    basis = np.arange(n, n + m)
-    _price(T, basis, np.repeat([0.0, 1.0], [n, m]))
-    return T, basis
-
-
-def _solve(T: np.ndarray, basis: np.ndarray, c: np.ndarray, fixed: np.ndarray):
-    """Minimize c.x on the tableau T = [A | I | b; r | -z], in place, over
-    the n columns of A (c has n entries), the ``fixed`` ones held at zero.
-    The I block holds the artificial columns; ``fixed`` spans A and I.
-    Returns (x, basis): ``basis`` holds the final basic columns of A, one
-    per row that is not redundant.
-
-    While an artificial is basic, phase 1 minimizes their sum, priced in r.
-    The artificials that ``fixed`` leaves free may enter again.  The ones
-    still basic at its optimum are driven out where a column of A that is
-    not fixed can replace them, the first such one; the rows where none can
-    are redundant and dropped.  In phase 2 every artificial is fixed."""
-    n = len(c)
-    if (basis >= n).any():
-        _bland(T, basis, fixed)
-        artificial = basis >= n
-        if T[:-1, -1][artificial].sum() > 1e-7:
-            raise Infeasible("phase-1 optimum positive: empty feasible region")
-        if artificial.any():
-            active = (~fixed[:n]).nonzero()[0]
-            for i in artificial.nonzero()[0]:
-                cand = active[np.abs(T[i, active]) > _TOL]
-                if len(cand):
-                    _pivot(T, basis, i, cand[0])
-            keep = basis < n
-            T = T[np.append(keep, True)]  # the reduced-cost row stays last
-            basis = basis[keep]
-    _price(T, basis, c)
-    _bland(T, basis, fixed | (np.arange(len(fixed)) >= n))
-    x = np.zeros(n)
-    x[basis] = T[:-1, -1]
-    return x, basis
-
 
 # ---------------------------------------------------------------------------
-# Minor polynomial: the lexicographic vertex over its zero sets
+# The facet program: the vertices f_Z of a mesh subset N anchored at N[0]
+
+
+def _ratios(theta: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """(theta_i - theta_j) / (theta_a - theta_j), one row per mesh point i
+    and one column per point j of N after its anchor a = N[0]."""
+    return (theta[:, None] - theta[N[1:]]) / (theta[N[0]] - theta[N[1:]])
 
 
 def _family_size(d: int, k: int) -> int:
@@ -165,10 +66,11 @@ def _family_size(d: int, k: int) -> int:
 
 
 def _gale_even(d: int, k: int) -> np.ndarray:
-    """The k-subsets Z of 1..d in which each index outside Z has an even
-    number of members below it, as sorted rows: a tail {d-t+1..d} and
-    p = (k-t)/2 disjoint pairs {a, a+1} in 1..d-t-1, whose starts
-    a_i = c_i + i + 1 run over the p-subsets c of range(d-t-1-p)."""
+    """The k-subsets Z of positions 1..d of N (position 0 its anchor) in
+    which each position outside Z has an even number of members below it,
+    as sorted rows: a tail {d-t+1..d} and p = (k-t)/2 disjoint pairs
+    {a, a+1} in 1..d-t-1, whose starts a_i = c_i + i + 1 run over the
+    p-subsets c of range(d-t-1-p)."""
     rows = []
     for t in range(k % 2, k + 1, 2):
         p = (k - t) // 2
@@ -179,13 +81,54 @@ def _gale_even(d: int, k: int) -> np.ndarray:
 
 
 def _mesh_values(ratios: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-    """f_Z on the mesh, one column per row Z of ``zeros`` (mesh index - 1):
-    the product of the ratios (theta_i - theta_j) / (theta_0 - theta_j)
-    over j in Z in increasing order, exactly zero on Z."""
+    """f_Z on the mesh, one column per row Z of ``zeros`` (columns of
+    ``ratios``, position - 1): the product of the ratios over j in Z in
+    increasing order, exactly zero on Z."""
     Y = ratios[:, zeros[:, 0]]
     for j in zeros[:, 1:].T:
         Y = Y * ratios[:, j]
     return Y
+
+
+def _swaps(ratios: np.ndarray, mults: np.ndarray, z: np.ndarray):
+    """The Gale-even sets one swap from z (member indicators over the
+    columns of ``ratios``), and their traces."""
+    m, k = len(z), int(z.sum())
+    flip = np.eye(m, dtype=bool)
+    w = (z ^ flip[np.repeat(np.flatnonzero(z), m - k)]
+         ^ flip[np.tile(np.flatnonzero(~z), k)])
+    w = w[~(np.logical_xor.accumulate(w, axis=1) & ~w).any(axis=1)]
+    return w, mults @ _mesh_values(ratios, np.nonzero(w)[1].reshape(-1, k))
+
+
+def _descend(ratios: np.ndarray, mults: np.ndarray, k: int):
+    """(z, trace) of a vertex of least trace: from the tail, the walk takes
+    the single swap of least trace while it lowers the trace.  A bounded
+    edge from a vertex is a single swap, so the walk stops where no bounded
+    edge lowers the trace."""
+    m = ratios.shape[1]
+    z = np.arange(m) >= m - k
+    tr = mults @ _mesh_values(ratios, np.flatnonzero(z)[None])[:, 0]
+    while True:
+        w, t = _swaps(ratios, mults, z)
+        if not len(t) or t.min() >= tr:  # no swap, or none lowers the trace
+            return z, tr
+        z, tr = w[t.argmin()], t.min()
+
+
+def _facet(ratios: np.ndarray, mults: np.ndarray, k: int) -> np.ndarray:
+    """The zero set (columns of ``ratios``) of a vertex of least trace:
+    every vertex scored when there are at most k(m-k) + 1 of them, m the
+    columns, the first of least trace winning; otherwise ``_descend``."""
+    m = ratios.shape[1]
+    if _family_size(m, k) <= k * (m - k) + 1:
+        zeros = _gale_even(m, k) - 1
+        return zeros[(mults @ _mesh_values(ratios, zeros)).argmin()]
+    return np.flatnonzero(_descend(ratios, mults, k)[0])
+
+
+# ---------------------------------------------------------------------------
+# Minor polynomial: the lexicographic vertex over the whole mesh
 
 
 def _lexmin(mults: np.ndarray, Y: np.ndarray) -> int:
@@ -202,32 +145,16 @@ def _lexmin(mults: np.ndarray, Y: np.ndarray) -> int:
     return int(cand[0])
 
 
-def _swap_walk(ratios: np.ndarray, mults: np.ndarray, k: int) -> np.ndarray:
-    """Member indicators (mesh index - 1) of every vertex whose trace is
-    within 2e-9 relative of the least.  From the tail {d-k+1..d} the walk
-    takes the single swap of least trace while it lowers the trace; a local
-    minimum of a linear objective is global.  The simplex reaches that
-    minimum from any vertex of the slab by swaps that lower the trace, so a
-    search of the slab along swaps from the minimum finds all of them."""
-    d = ratios.shape[1]
-    flip = np.eye(d, dtype=bool)
-
-    def swaps(z):  # the Gale-even sets one swap from z, and their traces
-        w = (z ^ flip[np.repeat(np.flatnonzero(z), d - k)]
-             ^ flip[np.tile(np.flatnonzero(~z), k)])
-        w = w[~(np.logical_xor.accumulate(w, axis=1) & ~w).any(axis=1)]
-        return w, mults @ _mesh_values(ratios, np.nonzero(w)[1].reshape(-1, k))
-
-    z = np.arange(d) >= d - k
-    tr = mults @ _mesh_values(ratios, np.flatnonzero(z)[None])[:, 0]
-    while True:
-        w, t = swaps(z)
-        if not len(t) or t.min() >= tr:  # no swap, or none lowers the trace
-            break
-        z, tr = w[t.argmin()], t.min()
+def _slab(ratios: np.ndarray, mults: np.ndarray, k: int) -> np.ndarray:
+    """Member indicators of every vertex whose trace is within 2e-9
+    relative of the least.  On the whole mesh every edge is bounded, so
+    ``_descend`` ends at the least trace; the simplex reaches it from any
+    vertex of the slab by swaps that lower the trace, so a search of the
+    slab along swaps from it finds all of them."""
+    z, tr = _descend(ratios, mults, k)
     slab, todo = {z.tobytes(): z}, [z]
     while todo:
-        w, t = swaps(todo.pop())
+        w, t = _swaps(ratios, mults, todo.pop())
         for v in w[t <= tr + 2e-9 * abs(tr)]:
             if slab.setdefault(v.tobytes(), v) is v:  # not seen before
                 todo.append(v)
@@ -235,19 +162,19 @@ def _swap_walk(ratios: np.ndarray, mults: np.ndarray, k: int) -> np.ndarray:
 
 
 def minor_polynomial(s: Spectrum, k: int) -> MeshPolynomial:
-    """Optimal minor polynomial of degree <= k: the ``_lexmin`` of the LP's
-    vertices f_Z, Z Gale-even, scored in increasing order of their members.
-    All are scored when there are at most k(d-k) + 1, one swap
-    neighbourhood; otherwise those that can tie on the trace, which
-    ``_swap_walk`` finds along the polytope's edges, the single swaps."""
+    """Optimal minor polynomial of degree <= k: the ``_lexmin`` of the facet
+    program's vertices f_Z on the whole mesh, scored in increasing order of
+    their members.  All are scored when there are at most k(d-k) + 1, one
+    swap neighbourhood; otherwise those that can tie on the trace, which
+    ``_slab`` finds along the polytope's edges, the single swaps."""
     d = s.d
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}")
-    ratios = (s.distinct[:, None] - s.distinct[1:]) / (s.distinct[0] - s.distinct[1:])
+    ratios = _ratios(s.distinct, np.arange(d + 1))
     if _family_size(d, k) <= k * (d - k) + 1:
         zeros = _gale_even(d, k) - 1
     else:
-        zeros = np.nonzero(_swap_walk(ratios, s.mults, k))[1].reshape(-1, k)
+        zeros = np.nonzero(_slab(ratios, s.mults, k))[1].reshape(-1, k)
     Y = _mesh_values(ratios, zeros[np.lexsort(zeros.T[::-1])])
     return MeshPolynomial(s.distinct, Y[:, _lexmin(s.mults, Y)])
 
@@ -261,11 +188,13 @@ class SignSolution:
     sign_mesh: MeshPolynomial
     b: tuple
     objective: int
-    lps: int  # max-margin LPs solved
+    facet_tests: int  # candidate sets decided by the facet test
     skipped: int  # candidate sets pruned by a stored conflict
 
 
-_MARGIN = 1e-7  # a negative set is realized when its max margin exceeds this
+# relative to sum_i m_i |f(theta_i)|: a trace below -_NEGLIGIBLE times it is
+# negative, a quadrature weight above +_NEGLIGIBLE times it positive
+_NEGLIGIBLE = 1e-9
 
 
 def _negative_sets(mults, k: int):
@@ -301,64 +230,66 @@ def _negative_sets(mults, k: int):
                 heapq.heappush(heap, (-(nw + after[j]), key + (-nb,), nw, left))
 
 
-def _margin_rows(pd: np.ndarray, k: int):
-    """P = p_1..p_k on the mesh, rows scaled to max 1, and the max-margin
-    LPs' dual rows over all d+1 mesh points: [1, 0, 0; P, P, -P], whose
-    column blocks are lambda, u and v.  Each row's largest |entry| is
-    exactly 1.0 (x / x), so ``_tableau`` leaves the rows as they are."""
-    P = pd[1:k + 1]
-    P = P / np.abs(P).max(axis=1, keepdims=True)
-    d1 = P.shape[1]
-    total = np.repeat([1.0, 0.0], [d1, 2 * d1])  # sum(lambda) = 1
-    return P, np.vstack([total, np.hstack([P, P, -P])])
+def _lagrange(theta: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The Lagrange basis of the nodes on the mesh, one column per node x:
+    prod_{y != x} (theta_i - theta_y) / (theta_x - theta_y), exactly 1 at x
+    and 0 at the other nodes."""
+    X = theta[nodes]
+    r = len(X)
+    off = ~np.eye(r, dtype=bool)
+    others = np.broadcast_to(X, (r, r))[off].reshape(r, r - 1)
+    return ((theta[:, None, None] - others) / (X[:, None] - others)).prod(axis=2)
 
 
-def _max_margin(P: np.ndarray, A: np.ndarray, phase1: tuple, neg: tuple):
-    """max t with y_j <= -t on ``neg``, |y| <= 1 and y = P^T c, with P and
-    the dual rows A from ``_margin_rows`` and ``phase1`` = ``_tableau`` of
-    A, which this solves on a copy; returns (y, t, lambda), y = None unless
-    t > _MARGIN.
+def _facet_test(s: Spectrum, neg: tuple, k: int):
+    """Decide whether some trace-zero polynomial of degree <= k is negative
+    on the mesh points ``neg`` (N, r = |N|): (q, None) with q >= 0 on N and
+    tr q(A) < 0 if one is, else (None, S), S the nodes of a positive
+    quadrature tr q(A) = sum_{x in S} w_x q(theta_x) on degree <= k (None
+    when the weights do not prove it).  A trace is negative below
+    -_NEGLIGIBLE sum_i m_i |f(theta_i)|, a weight positive above
+    _NEGLIGIBLE sum_i m_i |l_x(theta_i)|.
 
-    Solved as its dual, k+1 rows in the unknowns (t, c): min sum(u + v)
-    over lambda, u, v >= 0 with sum(lambda) = 1 and
-    P_N lambda + P (u - v) = 0: A's lambda columns on N and all of its u
-    and v columns, the other lambda columns held at zero.  It is feasible
-    and bounded below by 0, its optimum is t, and (t, c) are its duals on
-    the final basis.  The rows are independent (the p_i are), so none is
-    dropped and that basis is square: at most k+1 entries of lambda are
-    nonzero.
-    """
-    d1 = P.shape[1]
-    T, basis = phase1
-    fixed = np.zeros(T.shape[1] - 1, dtype=bool)
-    fixed[:d1] = True
-    fixed[list(neg)] = False  # lambda is held at zero off N
-    cost = np.zeros(3 * d1)
-    cost[d1:] = 1.0  # sum(u + v)
-    x, basis = _solve(T.copy(), basis.copy(), cost, fixed)
-    cols = np.concatenate([neg, np.arange(d1, 3 * d1)])  # the active columns
-    t = cost[cols] @ x[cols]  # c.x summed as the set's own standard form sums it
-    y = None
-    if t > _MARGIN:
-        y = P.T @ np.linalg.solve(A[:, basis].T, cost[basis])[1:]
-    return y, t, x[cols[:len(neg)]]
+    r > k: the facet program anchored at a = N[0].  At its vertex f_Z* of
+    least trace the Lagrange basis of {a} + Z* holds f_Z* (the column of a)
+    and, for each z in Z*, the direction l_z of the edge that drops z, a
+    recession ray when l_z >= 0 on N; their traces are the weights w.  N is
+    realized by f_Z* or by such a ray of negative trace.  Otherwise no edge
+    lowers the trace (the walk took every bounded one), so f_Z* is optimal
+    with tr f_Z* = w_a >= 0 and w >= 0: the program's dual.
+
+    r <= k: the multiples omega_N x^i (i <= k - r) of omega_N =
+    prod_{j in N} (x - theta_j) vanish on N, and one of nonzero trace, sign
+    chosen, realizes N.  When all have trace zero, tr q(A) is
+    sum_{x in N} w_x q(theta_x), w the traces of N's Lagrange basis, which
+    is >= 0 on N: a negative weight realizes N, and otherwise the weights
+    are the quadrature."""
+    theta, mults = s.distinct, s.mults
+    N = np.array(neg)
+    if len(N) > k:
+        nodes = N[np.r_[0, _facet(_ratios(theta, N), mults, k) + 1]]
+    else:
+        Q = (np.prod(theta[:, None] - theta[N], axis=1)[:, None]
+             * theta[:, None] ** np.arange(k - len(N) + 1))
+        t = mults @ Q
+        live = np.flatnonzero(np.abs(t) > _NEGLIGIBLE * (mults @ np.abs(Q)))
+        if len(live):
+            return -np.sign(t[live[0]]) * Q[:, live[0]], None
+        nodes = N
+    L = _lagrange(theta, nodes)
+    w, tol = mults @ L, _NEGLIGIBLE * (mults @ np.abs(L))
+    hit = np.flatnonzero((L[N] >= 0).all(axis=0) & (w < -tol))
+    if len(hit):
+        return L[:, hit[0]], None
+    return None, (nodes[w > tol] if (w >= -tol).all() else None)
 
 
-def _margin(P: np.ndarray, A: np.ndarray, phase1: tuple, neg: tuple):
-    """``_max_margin``, with an Unbounded raised as NumericalInstability: the
-    dual is bounded below by 0, so an unbounded one is a numerical
-    breakdown."""
-    try:
-        return _max_margin(P, A, phase1, neg)
-    except Unbounded as exc:
-        raise NumericalInstability(f"max-margin LP broke down numerically ({exc})") from exc
-
-
-def _solution(s: Spectrum, y: np.ndarray, best: tuple, lps: int,
+def _solution(s: Spectrum, q: np.ndarray, best: tuple, tests: int,
               skipped: int) -> SignSolution:
-    """The solution whose certificate y realizes the negative set ``best``:
-    y rescaled so that min_{i>=1} y_i = -1, b_j = 0 on ``best``, after the
-    indicator and trace checks."""
+    """The solution whose certificate y = tr(q)/n - q realizes the negative
+    set ``best``: y rescaled so that min_{i>=1} y_i = -1, b_j = 0 on
+    ``best``, after the indicator and trace checks."""
+    y = s.trace(q) / s.n - q
     low = y[1:].min()
     if low < -1e-12:
         y = y / abs(low)
@@ -371,38 +302,36 @@ def _solution(s: Spectrum, y: np.ndarray, best: tuple, lps: int,
     if abs(tr) > 1e-7 * max(1.0, np.abs(y).max()):
         raise NumericalInstability("certificate trace is not zero")
     objective = int(sum(m for m, bj in zip(s.mults, bvec) if bj))
-    return SignSolution(mesh, bvec, objective, lps, skipped)
+    return SignSolution(mesh, bvec, objective, tests, skipped)
 
 
 def _sign_search(s: Spectrum, k: int, time_budget: float) -> SignSolution:
     """The search over every candidate negative set, heaviest first: the
-    first one a polynomial in span(p_1..p_k) realizes with margin t > 1e-7 is
-    optimal, and that max-margin polynomial (in the box |y| <= 1) is the
+    first one the facet test realizes is optimal, and its q gives the
     certificate.  It gives up with SearchTimeout after ``time_budget``
-    wall-clock seconds.  An unrealized set N leaves the conflict
-    S = supp(lambda) of its dual vertex.  For any later N' that contains S,
-    that vertex is feasible in the dual for N' with objective t_N, so
-    t_N' <= t_N <= 1e-7: N' is skipped without an LP, and the first realized
-    set is the one the unpruned search finds."""
-    P, A = _margin_rows(s.predistance, k)
-    phase1 = _tableau(A, np.eye(len(A))[0])  # built once, each set solves a copy
+    wall-clock seconds.  An unrealized set N leaves the conflict S, the
+    nodes of a positive quadrature of the trace on degree <= k: a
+    trace-zero polynomial is not negative on all of S, so every later N'
+    that contains S is skipped without a test, and the first realized set
+    is the one the unpruned search finds."""
     deadline = time.monotonic() + time_budget
-    y = np.zeros(s.d + 1)  # s = 0 certificate: no negative mesh value
+    q = np.zeros(s.d + 1)  # s = 0 certificate: no negative mesh value
     best = ()
-    conflicts, lps, tried = [], 0, 0  # conflicts: each S as a mesh bitmask
+    conflicts, tests, tried = [], 0, 0  # conflicts: each S as a mesh bitmask
     for tried, neg in enumerate(_negative_sets(s.mults, k), 1):
         if time.monotonic() > deadline:
             raise SearchTimeout("sign-pattern search exceeded its time budget")
         outside = ~sum(1 << j for j in neg)
         if any(S & outside == 0 for S in conflicts):
             continue
-        cand, t, lam = _margin(P, A, phase1, neg)
-        lps += 1
-        if t > _MARGIN:
-            y, best = cand, neg
+        cand, S = _facet_test(s, neg, k)
+        tests += 1
+        if cand is not None:
+            q, best = cand, neg
             break
-        conflicts.append(sum(1 << j for j, w in zip(neg, lam) if w > 0))
-    return _solution(s, y, best, lps, tried - lps)
+        if S is not None:
+            conflicts.append(sum(1 << int(j) for j in S))
+    return _solution(s, q, best, tests, tried - tests)
 
 
 _ZERO, _SURE = 1e-12, 1e-7  # a cosine |c| <= _ZERO is a zero, |c| > _SURE a sign
@@ -546,33 +475,34 @@ def sign_polynomial(s: Spectrum, k: int,
     """Optimal sign polynomial: the trace-zero polynomial of degree <= k
     whose negative mesh points carry the most multiplicity.
 
-    Its certificate is the max-margin polynomial (in the box |y| <= 1) on
-    the first negative set, in ``_negative_sets``' order, that a polynomial
-    in span(p_1..p_k) realizes with margin t > 1e-7, rescaled so that
-    min_{i>=1} s(theta_i) = -1; b_j = 0 marks the negative set.
+    Its negative set is the first, in ``_negative_sets``' order, that the
+    facet test realizes, and its certificate is y = tr(q)/n - q from that
+    test's q, rescaled so that min_{i>=1} s(theta_i) = -1; b_j = 0 marks
+    the negative set.
 
     Every realizable set lies inside the negative set of an open cell of
     the sign arrangement, and every such cell set is realizable, so that
     set is the first cell set.  At k <= 3 it is read off the arrangement's
-    vertex rays (``_first_cell``), and one max-margin LP on the search's
-    phase-1 tableau gives its certificate, the search's byte for byte;
-    ``lps`` then reads 1 and ``skipped`` 0.  When that LP leaves the set
-    unrealized or a sign test falls in the undecided band (1e-12, 1e-7],
-    and at every k >= 4, ``_sign_search`` answers.  The clock is read after
-    the vertex rays: SearchTimeout once ``time_budget`` wall-clock seconds
-    are spent, and the search gets what remains.  An Unbounded dual is
-    raised as NumericalInstability.
+    vertex rays (``_first_cell``, on the predistance rows p_1..p_k, each
+    scaled to max 1), and the facet test on it gives the certificate, the
+    search's byte for byte; ``facet_tests`` then reads 1 and ``skipped``
+    0.  When that test leaves the set unrealized or a sign test on a ray
+    falls in the undecided band (1e-12, 1e-7], and at every k >= 4,
+    ``_sign_search`` answers.  The clock is read after the vertex rays:
+    SearchTimeout once ``time_budget`` wall-clock seconds are spent, and
+    the search gets what remains.  A predistance table that stops below
+    row k raises DegenerateInnerProduct at k <= 3.
     """
     if not 1 <= k < s.d:
         raise ValueError(f"need 1 <= k < d, got k={k}")
     deadline = time.monotonic() + time_budget
     if k <= 3:
-        P, A = _margin_rows(s.predistance, k)
-        neg = _vertex_ray_set(P, s.mults)
+        P = s.predistance_rows(k)[1:]
+        neg = _vertex_ray_set(P / np.abs(P).max(axis=1, keepdims=True), s.mults)
         if time.monotonic() > deadline:
             raise SearchTimeout("sign-pattern search exceeded its time budget")
         if neg is not None:
-            y, t, _ = _margin(P, A, _tableau(A, np.eye(len(A))[0]), neg)
-            if t > _MARGIN:
-                return _solution(s, y, neg, 1, 0)
+            q, _ = _facet_test(s, neg, k)
+            if q is not None:
+                return _solution(s, q, neg, 1, 0)
     return _sign_search(s, k, deadline - time.monotonic())

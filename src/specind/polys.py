@@ -3,12 +3,13 @@
 The mesh-value representation (values at theta_0 > ... > theta_d) is primary:
 every bound is linear in mesh values.  The predistance polynomials, orthogonal
 under the spectral inner product <p, q> = tr(p(A) q(A)) / n (``Spectrum.trace``
-of the product of mesh values), are the basis both optimization programs
-build their polynomials in, and q'_k sums them; each spectrum keeps them as
-``Spectrum.predistance``, one read-only (d+1)-square table built whole by
-the discretized Stieltjes procedure.  Every certificate a report carries is
-a ``MeshPolynomial``; coefficient form (``mesh_to_coeffs``, by Newton
-expansion) is computed only for the sign-odd6 table replay, which prints it.
+of the product of mesh values), span the sign arrangement whose vertex rays
+give the sign polynomial's negative set at k <= 3, and q'_k sums them; each
+spectrum keeps them as ``Spectrum.predistance``, one read-only table of up
+to d+1 rows built whole by the discretized Stieltjes procedure.  Every
+certificate a report carries is a ``MeshPolynomial``; coefficient form
+(``mesh_to_coeffs``, by Newton expansion) is computed only for the
+sign-odd6 table replay, which prints it.
 The closed-form alpha_2 and alpha_3 bounds in ``bounds`` pick their zeros
 with the MP2 and MP4 index rules kept here.
 """
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateInnerProduct, NoValidTheta
+from .errors import NoValidTheta
 
 if TYPE_CHECKING:  # spectra imports this module for Spectrum.predistance
     from .spectra import Spectrum
@@ -74,13 +75,17 @@ def mesh_to_coeffs(p: MeshPolynomial) -> np.ndarray:
 
 
 def predistance_polynomials(s: Spectrum) -> np.ndarray:
-    """p_0..p_d on the mesh, a (d+1, d+1) read-only array, orthogonal under
+    """p_0..p_d on the mesh, a (d+1, d+1) read-only array (fewer rows when
+    one is degenerate, see below), orthogonal under
     <p, q> = tr(p(A) q(A)) / n and scaled so that p_i(theta_0) = ||p_i||^2;
     ``s.predistance`` keeps it.  Row i starts from theta p_{i-1} (the
     discretized Stieltjes procedure), so it has degree i by construction:
     the three-term step removes p_{i-1} and p_{i-2}, and one Gram-Schmidt
-    pass against all lower rows removes what rounding left of them.  A
-    degenerate row raises ``DegenerateInnerProduct``."""
+    pass against all lower rows removes what rounding left of them.  The
+    table stops below the first degenerate row (norm <= 0, or
+    |p_i(theta_0)| < 1e-13 max|p_i|): rows 0..i-1 are returned, and
+    ``Spectrum.predistance_rows`` raises ``DegenerateInnerProduct`` for a
+    caller that reads row i or above."""
     theta, w = s.distinct, s.mults / s.n
     P = np.ones((s.d + 1, s.d + 1))
     sq = np.ones(s.d + 1)  # ||p_i||^2
@@ -90,7 +95,8 @@ def predistance_polynomials(s: Spectrum) -> np.ndarray:
             vec -= ((P[lo:i] * w) @ vec / sq[lo:i]) @ P[lo:i]
         norm = (w * vec) @ vec
         if norm <= 0 or abs(vec[0]) < 1e-13 * np.abs(vec).max():
-            raise DegenerateInnerProduct("degenerate spectral inner product")
+            P = P[:i]
+            break
         P[i] = vec[0] / norm * vec
         sq[i] = (w * P[i]) @ P[i]
     P.setflags(write=False)

@@ -5,7 +5,8 @@ A ``Spectrum`` carries what every layer derives from it: the order n, the
 trace tr p(A) = sum_i m_i p(theta_i) of a polynomial by its mesh values,
 pi_i = prod_{j != i} |theta_i - theta_j|, the top predistance polynomial p_d
 read off pi (closer to exact than the top row of the recurrence), and the
-table of predistance polynomials p_0..p_d, built whole on first use.
+table of predistance polynomials p_0..p_d, built whole on first use
+(stopping below a degenerate row).
 
 Distance-regular graphs take the intersection-array path: two integer sums
 of distance rows over each adjacency list read the array
@@ -26,7 +27,12 @@ from math import comb, cos, pi, sqrt
 import numpy as np
 
 from .distances import adjacency_lists, row_blocks
-from .errors import EigenFailure, GroupingAmbiguity, NoClosedForm
+from .errors import (
+    DegenerateInnerProduct,
+    EigenFailure,
+    GroupingAmbiguity,
+    NoClosedForm,
+)
 from .graphs import DistanceMatrix, FamilySpec, Graph, distance_matrix
 from .polys import predistance_polynomials
 
@@ -83,8 +89,17 @@ class Spectrum:
     @cached_property
     def predistance(self) -> np.ndarray:
         """The predistance polynomials p_0..p_d on the mesh, one row each,
-        read-only (``polys.predistance_polynomials``)."""
+        read-only, stopping below the first degenerate row
+        (``polys.predistance_polynomials``)."""
         return predistance_polynomials(self)
+
+    def predistance_rows(self, k: int) -> np.ndarray:
+        """Rows p_0..p_k of the predistance table; DegenerateInnerProduct
+        when the table stops below row k."""
+        if k >= len(self.predistance):
+            raise DegenerateInnerProduct(
+                f"degenerate spectral inner product at row {len(self.predistance)}")
+        return self.predistance[:k + 1]
 
     def to_json_dict(self) -> dict:
         def num(x):

@@ -2,6 +2,7 @@
 (d-1) bounds, predistance-driven bounds, and the aggregator."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -149,22 +150,22 @@ def test_pwr_inertia_applicable_on_large_mesh_spread(corpus_spectra, label, k, w
 def test_pwr_programs_on_tutte(corpus_spectra, soundness_results):
     """d = 30: both programs solve in the predistance basis, and each ratio
     floor and sign objective is at least alpha_k = 19, 10, 6 (Tutte graph,
-    k = 1, 2, 3); the k = 3 sign search (1144 candidate sets, 1057 of them
-    skipped by conflict pruning, 87 LPs) fits the soundness sweep's 5 s
-    budget, and the vertex rays give its answer with one LP, so the sweep
-    checks its floor."""
+    k = 1, 2, 3); the k = 3 sign search (1144 candidate sets, 1084 of them
+    skipped by conflict pruning, 60 facet tests) fits the soundness sweep's
+    5 s budget, and the vertex rays give its answer with one facet test, so
+    the sweep checks its floor."""
     _, s, _, _ = corpus_spectra["tutte"]
-    for k, floor, sign, alpha, lps, skipped in [(1, 21, 21, 19, 2, 25),
-                                                (2, 11, 13, 10, 37, 231),
-                                                (3, 7, 10, 6, 87, 1057)]:
+    for k, floor, sign, alpha, tests, skipped in [(1, 21, 21, 19, 27, 0),
+                                                  (2, 11, 13, 10, 37, 231),
+                                                  (3, 7, 10, 6, 60, 1084)]:
         rep = pwr_ratio(s, minor_polynomial(s, k), k)
         assert rep.applicable and rep.floor_value == floor >= alpha, k
         sol = sign_polynomial(s, k, time_budget=5.0)
-        assert (sol.objective, sol.lps, sol.skipped) == (sign, 1, 0), k
+        assert (sol.objective, sol.facet_tests, sol.skipped) == (sign, 1, 0), k
         assert sign >= alpha, k
         ref = _sign_search(s, k, 5.0)
         assert (ref.objective, ref.b) == (sol.objective, sol.b), k
-        assert (ref.lps, ref.skipped) == (lps, skipped), k
+        assert (ref.facet_tests, ref.skipped) == (tests, skipped), k
     checked, _ = soundness_results
     assert ("tutte", 3, "pwr_inertia", 10, 6) in checked
 
@@ -395,15 +396,26 @@ def test_qk_bounds_on_cycle_101_meshes():
 
 
 def test_pwr_inertia_on_cycle_61():
-    """On C_61 (d = 30) the sign polynomial's inertia bound applies at
-    k = 15, 16, 18 and 27, each floor >= alpha_k = floor(61 / (k + 1)); on
-    rows orthogonalized from the monomials its max-margin LP broke down
-    there.  At k = 25, 26 and 29 it still breaks down (a kernel matter)."""
+    """On C_61 (d = 30) the sign polynomial's inertia bound is alpha_k =
+    floor(61 / (k + 1)) at every k = 8..29.  The former max-margin LP broke
+    down at k = 25, 26 and 29, and on rows orthogonalized from the
+    monomials also at k = 15, 16, 18 and 27."""
     a = bounds.Analysis(generate(FamilySpec.parse("cycle:61")))
-    for k in (15, 16, 18, 27):
+    for k in range(8, 30):
         rep, = [r for r in best_bounds(a, k) if r.method == "pwr_inertia"]
         assert rep.applicable, (k, rep.reason)
-        assert rep.floor_value >= 61 // (k + 1), k
+        assert rep.floor_value == 61 // (k + 1), k
+
+
+def test_pwr_inertia_on_cycle_101():
+    """On C_101 (d = 50) the sign polynomial's inertia bound is alpha_k =
+    floor(101 / (k + 1)) = 4, 2 and 2 at k = 20, 33 and 49, where the former
+    max-margin LP broke down."""
+    a = bounds.Analysis(generate(FamilySpec.parse("cycle:101")))
+    for k, alpha in ((20, 4), (33, 2), (49, 2)):
+        rep, = [r for r in best_bounds(a, k) if r.method == "pwr_inertia"]
+        assert rep.applicable, (k, rep.reason)
+        assert rep.floor_value == alpha == 101 // (k + 1), k
 
 
 def test_pwr_inertia_k1_is_cvetkovic(corpus_analyses):
@@ -601,3 +613,60 @@ def test_reports_serialization():
             assert d["floor"] == r.floor_value
     # exact excluded from the aggregate minimum
     assert minimum_floor(reps) == 4
+
+
+def circulant_classes(n: int) -> list:
+    """One connection set S of {1..n/2} per connected circulant C_n(S) up to
+    the multipliers u in Z_n^*: the least sorted {min(us, n - us) mod n}."""
+    half = n // 2
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    seen = set()
+    for r in range(1, half + 1):
+        for S in combinations(range(1, half + 1), r):
+            if math.gcd(n, *S) == 1:
+                seen.add(min(tuple(sorted({min(u * s % n, n - u * s % n)
+                                           for s in S})) for u in units))
+    return sorted(seen)
+
+
+def test_circulant_corpus_is_sound():
+    """Every connected circulant with 5 <= n <= 22, one per multiplier
+    class (1445 graphs), at every k below its diameter: ``best_bounds``
+    raises no package error, both pwr rows apply (a circulant is
+    vertex-transitive, so every bound of the paper applies), every floor is
+    >= the exact alpha_k, and two checks that need no solver hold.
+
+    * Ratio side: f = K_j(x, theta_0)^2 / K_j(theta_0, theta_0)^2, K_j the
+      Christoffel-Darboux kernel and j = floor(k/2), is a feasible minor
+      polynomial of trace n / s_j(theta_0), s_j = p_0 + ... + p_j; so
+      ``pwr_ratio`` <= n / s_j(theta_0).
+    * Inertia side: ``minor_to_sign`` of the optimal minor polynomial f* is
+      a feasible sign polynomial, so ``pwr_inertia`` <= the multiplicity of
+      {theta : f*(theta) >= tr f*(A) / n}.
+
+    Before the predistance table stopped below its first degenerate row,
+    circulant:22,1,2,3,4,5,6,7 (d = 11, diameter 2) raised
+    DegenerateInnerProduct at row 11, which no bound at k = 1 reads."""
+    graphs = pairs = 0
+    for n in range(5, 23):
+        for S in circulant_classes(n):
+            spec = f"circulant:{n}," + ",".join(map(str, S))
+            a = bounds.Analysis(generate(FamilySpec.parse(spec)))
+            graphs += 1
+            for k in range(1, a.dm.diameter):
+                exact = alpha_k_exact(a, k).alpha_k
+                rows = best_bounds(a, k)
+                for rep in rows:
+                    if rep.applicable:
+                        assert rep.floor_value >= exact, (n, S, k, rep.method)
+                pwr = {r.method: r for r in rows if r.method.startswith("pwr_")}
+                assert len(pwr) == 2, (n, S, k)
+                assert all(r.applicable for r in pwr.values()), (n, S, k)
+                s = a.s
+                ball = s.predistance_rows(k // 2)[:, 0].sum()
+                assert pwr["pwr_ratio"].value <= s.n / ball * (1 + 1e-9), (n, S, k)
+                f = minor_polynomial(s, k)
+                feasible = bounds._sign_counts(s.mults, minor_to_sign(f, s).values)[0]
+                assert pwr["pwr_inertia"].value <= feasible, (n, S, k)
+                pairs += 1
+    assert (graphs, pairs) == (1445, 1875)

@@ -131,8 +131,9 @@ def ch_pairs(corpus_spectra):
 
 def test_linearly_related_contains_least_squares(corpus_spectra):
     """Every pair the least-squares fit of the certificate called related
-    is related by the count test; 33 more are, and on each of those s_f
-    or -s_f attains the optimum."""
+    is related by the count test; 32 more are, and on each of those s_f
+    or -s_f attains the optimum.  How many the fit calls related depends on
+    the certificate (33 more with the former max-margin certificates)."""
     pairs = was = more = 0
     for label, s, k in ch_pairs(corpus_spectra):
         sol = sign_polynomial(s, k)
@@ -144,7 +145,7 @@ def test_linearly_related_contains_least_squares(corpus_spectra):
         pairs += 1
         was += old
         more += new and not old
-    assert (pairs, more) == (158, 33) and was > 0
+    assert (pairs, more) == (158, 32) and was > 0
 
 
 @pytest.mark.parametrize("label,k", [("nauru", 2), ("tutte", 2), ("dyck", 3),

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from specind.bounds import qk_bounds
 from specind.errors import DegenerateInnerProduct, NoValidTheta
 from specind.graphs import FamilySpec, generate
 from specind.optimize import minor_polynomial, sign_polynomial
@@ -156,12 +157,18 @@ def test_predistance_rows_are_chebyshev_on_odd_cycles(spec):
 
 def test_degenerate_row_raises():
     """A spectrum whose last two eigenvalues coincide to 1e-14 has a
-    degenerate top row, and building its table raises
-    DegenerateInnerProduct."""
+    degenerate top row: its table stops below it, with rows 0 and 1, and a
+    caller that reads row 2 (q'_2, the k = 2 vertex rays) gets
+    DegenerateInnerProduct, while one that reads rows 0..1 does not."""
     s = Spectrum(np.array([3.0, 1.0, 1.0 - 1e-14]), np.array([1, 5, 4]),
                  np.array([3.0] + [1.0] * 9))
-    with pytest.raises(DegenerateInnerProduct):
-        predistance_polynomials(s)
+    V = predistance_polynomials(s)
+    assert V.shape == (2, 3) and not V.flags.writeable
+    assert s.predistance_rows(1).tobytes() == V.tobytes()
+    assert qk_bounds(s, 1)[0].applicable
+    for read in (lambda: s.predistance_rows(2), lambda: qk_bounds(s, 2)):
+        with pytest.raises(DegenerateInnerProduct):
+            read()
 
 
 def test_predistance_qk_max_at_theta0(corpus_spectra):
