@@ -2,9 +2,12 @@
 
 All public reports use decreasing theta-indexing.  Values are reported both
 raw and floored; comparisons against exact values use floors, matching the
-usual table convention.  ``best_bounds`` decides every hypothesis
-(regularity, pwr level, walk-regularity) on the graph's ``Analysis`` (from
-``spectra``, re-exported here); the bound functions assume them.
+usual table convention.  Every bound reads only the mesh theta_0 > ... >
+theta_d and its multiplicities: the Cvetkovic bound counts multiplicities
+by sign, and the Hoffman bound takes theta_0 and theta_d.  ``best_bounds``
+decides every hypothesis (regularity, pwr level, walk-regularity) on the
+graph's ``Analysis`` (from ``spectra``, re-exported here); the bound
+functions assume them.
 """
 
 from __future__ import annotations
@@ -66,11 +69,9 @@ def _sign_counts(mults: np.ndarray, values: np.ndarray) -> tuple:
 # Classic k=1 bounds
 
 
-def cvetkovic_bound(raw: np.ndarray) -> BoundReport:
+def cvetkovic_bound(s: Spectrum) -> BoundReport:
     """Inertia bound: zeros count on both sides."""
-    raw = np.asarray(raw, dtype=float)
-    return BoundReport("cvetkovic", 1,
-                       float(min(_sign_counts(np.ones(len(raw), dtype=int), raw))))
+    return BoundReport("cvetkovic", 1, float(min(_sign_counts(s.mults, s.distinct))))
 
 
 def hoffman_bound(n: int, lam1: float, lamn: float) -> BoundReport:
@@ -253,9 +254,9 @@ def best_bounds(g: Graph | Analysis, k: int, s: Spectrum | None = None,
     d = s.d
     out = []
     if k == 1:
-        out.append(cvetkovic_bound(s.raw))
+        out.append(cvetkovic_bound(s))
         if reg.is_regular:
-            out.append(hoffman_bound(a.g.n, float(s.raw[0]), float(s.raw[-1])))
+            out.append(hoffman_bound(s.n, float(s.distinct[0]), float(s.distinct[-1])))
     if reg.pwr_level >= k and k < d:
         try:
             sol = optimize.sign_polynomial(s, k)

@@ -28,7 +28,14 @@ from .graphs import (
     to_graph6,
 )
 from .polys import as_fraction_string, mesh_to_coeffs
-from .spectra import Analysis, exact_family_spectrum, spectrum, srg_raw_spectrum
+from .spectra import (
+    Analysis,
+    exact_family_spectrum,
+    group_eigenvalues,
+    spectrum,
+    srg_raw_spectrum,
+)
+
 
 def fixtures_dir() -> Path:
     env = os.environ.get("SPECIND_FIXTURES")
@@ -57,7 +64,7 @@ def _graph_from_args(args) -> Graph:
 
 def cmd_spectrum(args) -> int:
     g = _graph_from_args(args)
-    s = spectrum(g, tol=args.tol)
+    s = spectrum(g)
     print(json.dumps(s.to_json_dict(), indent=2))
     return 0
 
@@ -123,21 +130,20 @@ def _resolve_source(source: str) -> Graph:
     raise ValueError(f"unknown row source {source!r}")
 
 
+def _classic_columns(s) -> dict:
+    """The Cvetkovic and Hoffman floors of a spectrum."""
+    return {"inertia": bounds_mod.cvetkovic_bound(s).floor_value,
+            "ratio_floor": bounds_mod.hoffman_bound(
+                s.n, float(s.distinct[0]), float(s.distinct[-1])).floor_value}
+
+
 def _t1_row(row):
     a = Analysis(_resolve_source(row["source"]))
-    s = a.s
-    return {"alpha": alpha_k_exact(a, 1).alpha_k,
-            "inertia": bounds_mod.cvetkovic_bound(s.raw).floor_value,
-            "ratio_floor": bounds_mod.hoffman_bound(
-                a.g.n, float(s.raw[0]), float(s.raw[-1])).floor_value}
+    return {"alpha": alpha_k_exact(a, 1).alpha_k, **_classic_columns(a.s)}
 
 
 def _t2_row(row):
-    n, deg, lam, mu = row["params"]
-    raw = srg_raw_spectrum(n, deg, lam, mu)
-    return {"inertia": bounds_mod.cvetkovic_bound(raw).floor_value,
-            "ratio_floor": bounds_mod.hoffman_bound(
-                n, float(raw.max()), float(raw.min())).floor_value}
+    return _classic_columns(group_eigenvalues(srg_raw_spectrum(*row["params"])))
 
 
 def _minor_row(row):
@@ -274,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="eigenvalues and multiplicities")
     add_input(sp)
-    sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("gen", help="emit a named family as graph6")

@@ -27,6 +27,9 @@ from .errors import NoValidTheta
 if TYPE_CHECKING:  # spectra imports this module for Spectrum.predistance
     from .spectra import Spectrum
 
+FRACTION_MAX_DEN = 10_000  # as_fraction_string: the largest denominator
+FRACTION_TOL = 1e-9        # and the distance within which p/q stands for x
+
 
 @dataclass(frozen=True)
 class MeshPolynomial:
@@ -135,9 +138,10 @@ def mp4_index(s: Spectrum, delta: float) -> int:
     return _theta_above(s, threshold, strict=False)
 
 
-def as_fraction_string(x: float, max_den: int = 10_000, tol: float = 1e-9) -> str:
-    """Render a value as p/q when it is within tol of a small rational."""
-    fr = Fraction(x).limit_denominator(max_den)
-    if abs(float(fr) - x) < tol:
+def as_fraction_string(x: float) -> str:
+    """Render a value as p/q when it is within FRACTION_TOL of a rational
+    with denominator at most FRACTION_MAX_DEN."""
+    fr = Fraction(x).limit_denominator(FRACTION_MAX_DEN)
+    if abs(float(fr) - x) < FRACTION_TOL:
         return str(fr)
     return repr(x)

@@ -1,7 +1,10 @@
 """Adjacency spectra, multiplicity grouping, regularity classes, and the
 ``Analysis`` that holds a graph's distances, spectrum and regularity report.
 
-A ``Spectrum`` carries what every layer derives from it: the order n, the
+A ``Spectrum`` is a mesh of distinct eigenvalues and their multiplicities,
+with no list of all n eigenvalues; every such list, from the eigensolver or
+a closed form, is grouped by one rule (``group_eigenvalues``).  It carries
+what every layer derives from it: the order n, the
 trace tr p(A) = sum_i m_i p(theta_i) of a polynomial by its mesh values,
 pi_i = prod_{j != i} |theta_i - theta_j|, the top predistance polynomial p_d
 read off pi (closer to exact than the top row of the recurrence), and the
@@ -41,14 +44,21 @@ DEFAULT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Distinct eigenvalues theta_0 > ... > theta_d with multiplicities."""
+    """Distinct eigenvalues theta_0 > ... > theta_d with multiplicities:
+    a strictly decreasing mesh and positive multiplicities of its length,
+    checked here (ValueError), since every layer reads them."""
 
-    distinct: np.ndarray  # decreasing
+    distinct: np.ndarray  # strictly decreasing
     mults: np.ndarray     # positive ints, same length
-    raw: np.ndarray       # all n eigenvalues, decreasing
 
     def __post_init__(self):
-        for arr in (self.distinct, self.mults, self.raw):
+        if len(self.distinct) != len(self.mults):
+            raise ValueError("a mesh and its multiplicities differ in length")
+        if np.any(np.diff(self.distinct) >= 0):
+            raise ValueError("the mesh is not strictly decreasing")
+        if np.any(self.mults < 1):
+            raise ValueError("a multiplicity is below 1")
+        for arr in (self.distinct, self.mults):
             arr.setflags(write=False)
 
     @cached_property
@@ -123,64 +133,43 @@ class RegularityReport:
     intersection_array: tuple | None
 
 
-def _spectrum_from_raw(raw: np.ndarray, tol: float) -> Spectrum:
-    """Group sorted raw eigenvalues into distinct values + multiplicities."""
-    raw = np.sort(raw)[::-1].copy()
-    scale = tol * max(1.0, abs(float(raw[0])))
-    gaps = raw[:-1] - raw[1:] if len(raw) > 1 else np.array([])
+def group_eigenvalues(raw) -> Spectrum:
+    """The one grouping rule: sorted eigenvalues whose gap is at most
+    DEFAULT_TOL max(1, theta_0) form one mesh point, their mean, with their
+    count as its multiplicity; GroupingAmbiguity when the gaps straddle that
+    threshold."""
+    raw = np.sort(np.asarray(raw, dtype=float))[::-1].copy()
+    scale = DEFAULT_TOL * max(1.0, abs(float(raw[0])))
+    gaps = raw[:-1] - raw[1:]
     merged = gaps <= scale
     # ambiguity: a merged and an unmerged gap within a factor 10 of each other
-    if len(gaps):
-        small = gaps[merged]
-        big = gaps[~merged]
-        small = small[small > 0]
-        if len(small) and len(big) and big.min() < 10 * max(small.max(), scale / 10) \
-                and small.max() > big.min() / 10:
-            raise GroupingAmbiguity(
-                "eigenvalue gaps straddle the grouping threshold; "
-                "supply an exact spectrum instead"
-            )
-    distinct, mults = [], []
-    start = 0
-    for i in range(len(raw)):
-        if i == len(raw) - 1 or not merged[i]:
-            group = raw[start:i + 1]
-            distinct.append(float(group.mean()))
-            mults.append(len(group))
-            start = i + 1
-    return Spectrum(np.array(distinct), np.array(mults, dtype=int), raw)
+    small = gaps[merged]
+    big = gaps[~merged]
+    small = small[small > 0]
+    if len(small) and len(big) and big.min() < 10 * max(small.max(), scale / 10) \
+            and small.max() > big.min() / 10:
+        raise GroupingAmbiguity(
+            "eigenvalue gaps straddle the grouping threshold; "
+            "supply an exact spectrum instead"
+        )
+    groups = np.split(raw, np.flatnonzero(~merged) + 1)
+    return Spectrum(np.array([float(grp.sum()) / len(grp) for grp in groups]),
+                    np.array([len(grp) for grp in groups]))
 
 
-def spectrum(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:
+def spectrum(g: Graph) -> Spectrum:
     """Eigenvalues of the adjacency matrix, grouped into the distinct mesh."""
     try:
         raw = np.linalg.eigvalsh(g.adjacency.astype(float))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    return _spectrum_from_raw(raw, tol)
-
-
-def _from_pairs(pairs) -> Spectrum:
-    """Build a Spectrum from (eigenvalue, multiplicity) pairs, merging equals."""
-    agg: dict = {}
-    for val, m in pairs:
-        key = round(float(val), 9)
-        if key not in agg:
-            agg[key] = 0.0, float(val)
-        cur, v = agg[key]
-        agg[key] = cur + m, v
-    items = sorted(((v, int(m)) for m, v in agg.values()), reverse=True)
-    distinct = np.array([v for v, _ in items])
-    mults = np.array([m for _, m in items], dtype=int)
-    raw = np.concatenate([[v] * m for v, m in items])
-    return Spectrum(distinct, mults, raw)
+    return group_eigenvalues(raw)
 
 
 def exact_family_spectrum(spec: FamilySpec) -> Spectrum:
-    """Closed-form spectra, bypassing numerical grouping.
-
-    Kneser/Odd eigenvalues come in the classical mu-indexing, which is not
-    decreasing; this routine re-sorts into decreasing theta-indexing.
+    """Closed-form spectra: each (eigenvalue, multiplicity) pair listed once
+    per multiplicity, then grouped by ``group_eigenvalues``, the
+    eigensolver's rule, which merges equal values that cosines round apart.
     """
     fam, p = spec.family, spec.parameters
     if fam == "petersen":
@@ -193,35 +182,33 @@ def exact_family_spectrum(spec: FamilySpec) -> Spectrum:
         pairs = [((-1) ** j * comb(n - k - j, k - j),
                   comb(n, j) - comb(n, j - 1) if j else 1)
                  for j in range(k + 1)]
-        return _from_pairs(pairs)
-    if fam == "complete":
+    elif fam == "complete":
         (n,) = p
-        return _from_pairs([(n - 1, 1), (-1, n - 1)])
-    if fam == "complete_bipartite":
+        pairs = [(n - 1, 1), (-1, n - 1)]
+    elif fam == "complete_bipartite":
         a, b = p
-        return _from_pairs([(sqrt(a * b), 1), (0, a + b - 2), (-sqrt(a * b), 1)])
-    if fam == "cycle":
+        pairs = [(sqrt(a * b), 1), (0, a + b - 2), (-sqrt(a * b), 1)]
+    elif fam == "cycle":
         (n,) = p
-        return _from_pairs([(2 * cos(2 * pi * j / n), 1) for j in range(n)])
-    if fam == "hypercube":
+        pairs = [(2 * cos(2 * pi * j / n), 1) for j in range(n)]
+    elif fam == "hypercube":
         (m,) = p
-        return _from_pairs([(m - 2 * i, comb(m, i)) for i in range(m + 1)])
-    if fam == "circulant":
+        pairs = [(m - 2 * i, comb(m, i)) for i in range(m + 1)]
+    elif fam == "circulant":
         n, *steps = p
-        return _from_pairs(
-            [(sum(2 * cos(2 * pi * j * s / n) for s in steps), 1) for j in range(n)]
-        )
-    if fam == "prism":
+        pairs = [(sum(2 * cos(2 * pi * j * s / n) for s in steps), 1)
+                 for j in range(n)]
+    elif fam == "prism":
         (m,) = p
         pairs = [(2 * cos(2 * pi * j / m) + e, 1) for j in range(m) for e in (1, -1)]
-        return _from_pairs(pairs)
-    if fam == "moebius_ladder":
+    elif fam == "moebius_ladder":
         (m,) = p
         n = 2 * m
-        return _from_pairs(
-            [(2 * cos(2 * pi * j / n) + cos(pi * j), 1) for j in range(n)]
-        )
-    raise NoClosedForm(f"no closed-form spectrum for family {fam!r}")
+        pairs = [(2 * cos(2 * pi * j / n) + cos(pi * j), 1) for j in range(n)]
+    else:
+        raise NoClosedForm(f"no closed-form spectrum for family {fam!r}")
+    values, mults = zip(*pairs)
+    return group_eigenvalues(np.repeat(values, mults))
 
 
 def srg_raw_spectrum(n: int, k: int, lam: int, mu: int) -> np.ndarray:
@@ -338,8 +325,7 @@ def array_spectrum(inter: tuple) -> Spectrum | None:
     if (np.any(np.abs(mults - rounded) > DEFAULT_TOL * mults)
             or np.any(rounded < 1) or int(rounded.sum()) != n):
         return None
-    mults = rounded.astype(int)
-    return Spectrum(theta, mults, np.repeat(theta, mults))
+    return Spectrum(theta, rounded.astype(int))
 
 
 def array_regularity(inter: tuple) -> RegularityReport:

@@ -24,6 +24,7 @@ from specind.optimize import minor_polynomial, sign_polynomial
 from specind.polys import mesh_to_coeffs
 from specind.spectra import (
     exact_family_spectrum,
+    group_eigenvalues,
     spectrum,
     srg_raw_spectrum,
 )
@@ -49,8 +50,8 @@ def test_criterion_01_classic_bounds_table1_subset():
         t0 = time.monotonic()
         s = spectrum(g)
         assert alpha_k_exact(g, 1).alpha_k == alpha, spec
-        assert cvetkovic_bound(s.raw).value == inertia, spec
-        hb = hoffman_bound(g.n, float(s.raw[0]), float(s.raw[-1]))
+        assert cvetkovic_bound(s).value == inertia, spec
+        hb = hoffman_bound(g.n, float(s.distinct[0]), float(s.distinct[-1]))
         assert hb.floor_value == ratio_floor, spec
         assert time.monotonic() - t0 < 1.0, spec
 
@@ -62,9 +63,9 @@ def test_criterion_02_srg_spectra_table2_subset():
         ((100, 22, 0, 6), 22, 26),  # Higman-Sims (no exact alpha required)
     ]
     for params, inertia, ratio_floor in cases:
-        raw = srg_raw_spectrum(*params)
-        assert cvetkovic_bound(raw).value == inertia, params
-        hb = hoffman_bound(params[0], float(raw[0]), float(raw[-1]))
+        s = group_eigenvalues(srg_raw_spectrum(*params))
+        assert cvetkovic_bound(s).value == inertia, params
+        hb = hoffman_bound(s.n, float(s.distinct[0]), float(s.distinct[-1]))
         assert hb.floor_value == ratio_floor, params
 
 

@@ -34,6 +34,7 @@ from specind.polys import MeshPolynomial, mesh_to_coeffs
 from specind.spectra import (
     classify_regularity,
     exact_family_spectrum,
+    group_eigenvalues,
     spectrum,
     srg_raw_spectrum,
 )
@@ -48,17 +49,17 @@ def odd_spectrum(ell):
 
 
 def test_cvetkovic_known():
-    pet = np.array([3.0] + [1.0] * 5 + [-2.0] * 4)
+    pet = group_eigenvalues([3.0] + [1.0] * 5 + [-2.0] * 4)
     assert cvetkovic_bound(pet).value == 4
-    hs = srg_raw_spectrum(50, 7, 0, 1)
+    hs = group_eigenvalues(srg_raw_spectrum(50, 7, 0, 1))
     assert cvetkovic_bound(hs).value == 21
-    kn = np.array([5.0] + [-1.0] * 5)  # K_6
+    kn = group_eigenvalues([5.0] + [-1.0] * 5)  # K_6
     assert cvetkovic_bound(kn).value == 1
 
 
 def test_cvetkovic_zeros_count_both_sides():
-    raw = np.array([2.0, 0.0, 0.0, -2.0])
-    assert cvetkovic_bound(raw).value == 3  # zeros join both counts
+    s = group_eigenvalues([2.0, 0.0, 0.0, -2.0])
+    assert cvetkovic_bound(s).value == 3  # zeros join both counts
 
 
 def test_hoffman_known():
@@ -81,11 +82,12 @@ def test_general_bounds_on_o6_milp_lp():
     g = generate(FamilySpec.parse("odd:6"))
     s = spectrum(g)
     a = g.adjacency.astype(float)
+    eigenvalues = np.linalg.eigvalsh(a)[::-1]
 
     def diagonal_and_values(p):
         diag = sum(c * np.diag(np.linalg.matrix_power(a, i))
                    for i, c in enumerate(p))
-        return diag, np.polynomial.polynomial.polyval(s.raw, p)
+        return diag, np.polynomial.polynomial.polyval(eigenvalues, p)
 
     diag, vals = diagonal_and_values(
         mesh_to_coeffs(sign_polynomial(s, 4).sign_mesh))
@@ -207,7 +209,7 @@ def test_bipartite_sign_x_gives_half():
     s = spectrum(generate(FamilySpec.parse("hypercube:3")))
     sp = MeshPolynomial(s.distinct, s.distinct.copy())
     assert pwr_inertia(s, sp, 1).value == 4  # = n/2
-    assert cvetkovic_bound(s.raw).value == 4
+    assert cvetkovic_bound(s).value == 4
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +264,8 @@ def test_minor_lp_beats_every_closed_form(corpus_spectra):
             lp = pwr_ratio(s, minor_polynomial(s, k), k).value
             closed = []
             if k == 1:
-                closed.append(hoffman_bound(g.n, float(s.raw[0]),
-                                            float(s.raw[-1])))
+                closed.append(hoffman_bound(g.n, float(s.distinct[0]),
+                                            float(s.distinct[-1])))
             if k == 2:
                 closed.append(alpha2_bound(s))
             if k == 3:
@@ -363,8 +365,8 @@ def test_qk_k1_matches_classics_on_regular(corpus_spectra):
     for label in ["petersen", "cycle:9", "hypercube:4"]:
         g, s, _, _ = corpus_spectra[label]
         rep_i, rep_r = qk_bounds(s, 1)
-        assert rep_i.value == cvetkovic_bound(s.raw).value
-        want = hoffman_bound(g.n, float(s.raw[0]), float(s.raw[-1])).value
+        assert rep_i.value == cvetkovic_bound(s).value
+        want = hoffman_bound(g.n, float(s.distinct[0]), float(s.distinct[-1])).value
         assert rep_r.value == pytest.approx(want, rel=1e-9)
 
 

@@ -160,8 +160,7 @@ def test_degenerate_row_raises():
     degenerate top row: its table stops below it, with rows 0 and 1, and a
     caller that reads row 2 (q'_2, the k = 2 vertex rays) gets
     DegenerateInnerProduct, while one that reads rows 0..1 does not."""
-    s = Spectrum(np.array([3.0, 1.0, 1.0 - 1e-14]), np.array([1, 5, 4]),
-                 np.array([3.0] + [1.0] * 9))
+    s = Spectrum(np.array([3.0, 1.0, 1.0 - 1e-14]), np.array([1, 5, 4]))
     V = predistance_polynomials(s)
     assert V.shape == (2, 3) and not V.flags.writeable
     assert s.predistance_rows(1).tobytes() == V.tobytes()
@@ -261,7 +260,7 @@ def _moved(s, i, steps):
     """s with theta_i moved by ``steps`` ulp of max(1, |theta_i|)."""
     theta = s.distinct.copy()
     theta[i] += steps * np.spacing(max(1.0, abs(theta[i])))
-    return Spectrum(theta, s.mults.copy(), np.repeat(theta, s.mults))
+    return Spectrum(theta, s.mults.copy())
 
 
 @pytest.mark.parametrize("steps", [-2, 2])

@@ -2,7 +2,8 @@
 
 import warnings
 from dataclasses import fields
-from math import comb
+from itertools import combinations
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -41,6 +42,11 @@ def test_odd6_spectrum():
     "cycle:9", "complete:6", "complete_bipartite:3,4", "hypercube:5",
     "circulant:13,1,5", "kneser:7,3", "odd:5", "prism:6",
     "moebius_ladder:5", "petersen",
+    # K_2: its a + b - 2 = 0 zeros give no mesh point
+    "complete_bipartite:1,1",
+    # d = 19: cosines equal in exact arithmetic round up to 2e-14 apart
+    "circulant:38,1,6,17", "circulant:38,1,9,16", "circulant:38,3,10,18",
+    "circulant:38,3,13,18", "circulant:38,4,5,7", "circulant:38,11,14,15",
 ])
 def test_closed_form_matches_numeric(spec):
     fs = FamilySpec.parse(spec)
@@ -63,6 +69,34 @@ def test_closed_form_large_family():
 def test_no_closed_form():
     with pytest.raises(NoClosedForm):
         exact_family_spectrum(FamilySpec("kneser_like_unknown", ()))
+
+
+def test_closed_form_circulants_group_equal_eigenvalues():
+    """Every connected circulant C_n(S) with 5 <= n <= 40 and |S| <= 3
+    (12561 graphs): no two mesh points of the closed form lie within 1e-7.
+    Cosine sums that are equal in exact arithmetic round apart by up to
+    2e-14 (six circulants at n = 38), and the grouping merges them."""
+    count = 0
+    for n in range(5, 41):
+        for size in (1, 2, 3):
+            for steps in combinations(range(1, n // 2 + 1), size):
+                if gcd(n, *steps) != 1:
+                    continue
+                s = exact_family_spectrum(FamilySpec("circulant", (n, *steps)))
+                assert np.diff(s.distinct).max() < -1e-7, (n, steps)
+                count += 1
+    assert count == 12561
+
+
+@pytest.mark.parametrize("distinct,mults,message", [
+    ([3.0, 1.0, 1.0], [1, 5, 4], "strictly decreasing"),
+    ([-2.0, 1.0, 3.0], [4, 5, 1], "strictly decreasing"),
+    ([1.0, 0.0, -1.0], [1, 0, 1], "below 1"),
+    ([3.0, 1.0, -2.0], [1, 5], "length"),
+], ids=["repeated", "increasing", "empty-point", "short-mults"])
+def test_spectrum_rejects_a_malformed_mesh(distinct, mults, message):
+    with pytest.raises(ValueError, match=message):
+        spectra.Spectrum(np.array(distinct), np.array(mults))
 
 
 def test_spectrum_invariants(corpus_spectra):
@@ -99,7 +133,7 @@ def test_pi_is_cached_read_only_and_needs_two_eigenvalues():
     assert s.pi is s.pi
     with pytest.raises(ValueError):
         s.pi[0] = 1.0
-    one = spectra._from_pairs([(0.0, 3)])  # the edgeless graph on 3 vertices
+    one = spectra.group_eigenvalues(np.zeros(3))  # the edgeless graph on 3 vertices
     with pytest.raises(ValueError, match="two distinct eigenvalues"):
         one.pi
 
@@ -451,9 +485,8 @@ def test_walk_regular_constant_poly_diagonal(corpus_spectra):
 def test_array_spectrum_matches_eigensolver(corpus_analyses):
     """On every distance-regular corpus graph, and on copies relabelled by
     one ``numpy.random.default_rng(seed)`` permutation at seeds 7 and 11,
-    the intersection array's spectrum has the eigensolver's multiplicities,
-    its eigenvalues within 1e-12, and raw eigenvalues repeated by
-    multiplicity."""
+    the intersection array's spectrum has the eigensolver's multiplicities
+    and its eigenvalues within 1e-12."""
     dr = [a.g for a in corpus_analyses.values() if a.array is not None]
     graphs = list(dr)
     for g in dr:
@@ -466,7 +499,6 @@ def test_array_spectrum_matches_eigensolver(corpus_analyses):
         want = spectrum(g)
         assert got.mults.tolist() == want.mults.tolist(), g.label
         assert np.abs(got.distinct - want.distinct).max() <= 1e-12, g.label
-        assert np.array_equal(got.raw, np.repeat(got.distinct, got.mults))
     assert len(dr) == 28
 
 
