@@ -1,8 +1,8 @@
 """Command-line surface: spectra, bounds, classification, and table replays.
 
 Exit codes: 0 success (and, for ``table``, every computed row matches), 1 for
-mismatches, internal failures or a search over its time budget, 2 for invalid
-input.
+mismatches, internal failures or a search over its budget (``--timeout``,
+the one clock, or a count of work), 2 for invalid input.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .spectra import (
     Analysis,
     exact_family_spectrum,
     group_eigenvalues,
-    spectrum,
     srg_raw_spectrum,
 )
 
@@ -63,8 +62,7 @@ def _graph_from_args(args) -> Graph:
 
 
 def cmd_spectrum(args) -> int:
-    g = _graph_from_args(args)
-    s = spectrum(g)
+    s = Analysis(_graph_from_args(args)).s  # the bounds' spectrum
     print(json.dumps(s.to_json_dict(), indent=2))
     return 0
 

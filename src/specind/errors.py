@@ -78,7 +78,7 @@ class SizeLimitExceeded(SpecindError):
 
 
 class SearchTimeout(SpecindError):
-    """Exact search exceeded its wall-clock budget."""
+    """A search exceeded its budget: a wall-clock timeout or a work count."""
 
 
 class UnknownTable(SpecindError):

@@ -18,9 +18,10 @@ set contains 0, so only 0's far neighbourhood is searched.  A graph's
 claimed automorphisms are checked edge by edge.  A graph that claims none
 (one read from a file, or relabelled) with at least DISCOVERY_MIN_N
 vertices gets them by individualization and refinement, each map checked
-the same way, under the call's deadline.  The answer is kept on the
-graph's ``Analysis`` (from ``spectra``: the oracle needs no bounds layer).
-If no verified maps reach every vertex, the whole graph is searched.
+the same way, within a budget of steps: only the clique search reads the
+clock.  The answer is kept on the graph's ``Analysis`` (from ``spectra``:
+the oracle needs no bounds layer).  If no verified maps reach every
+vertex, the whole graph is searched.
 """
 
 from __future__ import annotations
@@ -171,7 +172,35 @@ class _OutOfSteps(Exception):
     """The discovery used up its step budget."""
 
 
-def _discover(g: Graph, dm: DistanceMatrix, deadline: float):
+def _individualize(dist: np.ndarray, starts: np.ndarray, cols: np.ndarray,
+                   cells: np.ndarray, point: int, base=None):
+    """Refine after individualizing ``point``: (signatures, cells).  A
+    round's signature is its sorted (cell, label) keys and their counts,
+    and cell ids are the keys' ranks, so partitions with equal signatures
+    number their cells alike.  Given the base's signatures, it replays as
+    many rounds and returns None at the first mismatch."""
+    sigs = []
+    labels = dist[point]
+    while True:
+        keys, cells, sizes = np.unique((cells << 32) | labels,
+                                       return_inverse=True,
+                                       return_counts=True)
+        cells = cells.ravel()
+        if base is not None and not (
+                np.array_equal(keys, base[len(sigs)][0])
+                and np.array_equal(sizes, base[len(sigs)][1])):
+            return None
+        sigs.append((keys, sizes))
+        if base is None:  # stop after the first round that splits nothing
+            done = len(sigs) > 1 and len(keys) == len(sigs[-2][0])
+        else:
+            done = len(sigs) == len(base)
+        if done:
+            return sigs, cells
+        labels = np.add.reduceat(_cell_hash(cells)[cols], starts[:-1])
+
+
+def _discover(g: Graph, dm: DistanceMatrix):
     """Verified automorphisms whose group moves 0 to every vertex, or None.
 
     Individualization and refinement (McKay-Piperno, Practical graph
@@ -191,8 +220,7 @@ def _discover(g: Graph, dm: DistanceMatrix, deadline: float):
     steps.  So the budget is 16 steps per bit of n, which bounds the cost
     at O(log n (n log n + m)) per refinement round.  None when the rows of
     ``dm.dist`` differ in distance profile (no vertex-transitive graph's
-    do), when some v has no such map, or when the budget runs out;
-    SearchTimeout past ``deadline``.
+    do), when some v has no such map, or when the budget runs out.
     """
     n, width = g.n, dm.diameter + 1
     # each row's distance counts, a block of rows at a time (row r's
@@ -204,50 +232,20 @@ def _discover(g: Graph, dm: DistanceMatrix, deadline: float):
         if not (profile.reshape(hi - lo, width) == first).all():
             return None
     starts, cols = adjacency_lists(g.adjacency)
-    starts = starts[:-1]
     edges = _edges(g)
-
-    def individualize(cells, point, base=None):
-        """Refine after individualizing ``point``: (signatures, cells).  A
-        round's signature is its sorted (cell, label) keys and their counts,
-        and cell ids are the keys' ranks, so partitions with equal
-        signatures number their cells alike.  Given the base's signatures,
-        it replays as many rounds and returns None at the first mismatch."""
-        sigs = []
-        labels = dm.dist[point]
-        while True:
-            keys, cells, sizes = np.unique((cells << 32) | labels,
-                                           return_inverse=True,
-                                           return_counts=True)
-            cells = cells.ravel()
-            if base is not None and not (
-                    np.array_equal(keys, base[len(sigs)][0])
-                    and np.array_equal(sizes, base[len(sigs)][1])):
-                return None
-            sigs.append((keys, sizes))
-            if base is None:  # stop after the first round that splits nothing
-                done = len(sigs) > 1 and len(keys) == len(sigs[-2][0])
-            else:
-                done = len(sigs) == len(base)
-            if done:
-                return sigs, cells
-            labels = np.add.reduceat(_cell_hash(cells)[cols], starts)
-
     steps = 0
 
-    def step():
+    def individualize(cells, point, base=None):
+        """One step: ``_individualize``, or _OutOfSteps past the budget."""
         nonlocal steps
         steps += 1
         if steps > 16 * n.bit_length():
             raise _OutOfSteps
-        if time.monotonic() > deadline:
-            raise SearchTimeout("automorphism search exceeded its "
-                                "wall-clock budget")
+        return _individualize(dm.dist, starts, cols, cells, point, base)
 
     def search(level, cells, target):
         cell, sigs = levels[level]
         for c in [target] if level == 0 else np.flatnonzero(cells == cell):
-            step()
             found = individualize(cells, c, sigs)
             if found is None:
                 continue
@@ -267,7 +265,6 @@ def _discover(g: Graph, dm: DistanceMatrix, deadline: float):
     orbit = _orbit_of_zero(gens, n)
     try:
         while True:
-            step()
             sigs, after = individualize(cells, point)
             levels.append((cells[point], sigs))
             cells = after
@@ -288,11 +285,10 @@ def _discover(g: Graph, dm: DistanceMatrix, deadline: float):
     return gens
 
 
-def _rooted(a: Analysis, deadline: float) -> bool:
+def _rooted(a: Analysis) -> bool:
     """True iff verified automorphisms move vertex 0 to every vertex, so a
     maximum k-independent set may be taken through 0: the claimed ones, else
-    discovered ones when n >= DISCOVERY_MIN_N.  Decided once per analysis;
-    a discovery past ``deadline`` raises SearchTimeout and decides nothing."""
+    discovered ones when n >= DISCOVERY_MIN_N.  Decided once per analysis."""
     rooted = a.__dict__.get("rooted")
     if rooted is None:
         g = a.g
@@ -300,7 +296,7 @@ def _rooted(a: Analysis, deadline: float) -> bool:
             rooted = _transitive(g)
         else:
             rooted = (g.n >= DISCOVERY_MIN_N
-                      and _discover(g, a.dm, deadline) is not None)
+                      and _discover(g, a.dm) is not None)
         a.__dict__["rooted"] = rooted
     return rooted
 
@@ -322,7 +318,7 @@ def alpha_k_exact(g: Graph | Analysis, k: int, dm: DistanceMatrix | None = None,
     # vertices nb: all of them, or, rooted at vertex 0, those far from it,
     # reading only dist[0] and dist[nb][:, nb]; a row block at a time
     dist = a.dm.dist
-    root = [0] if _rooted(a, start + timeout) else []
+    root = [0] if _rooted(a) else []
     nb = np.flatnonzero(dist[0] > k) if root else np.arange(a.g.n)
     far = np.empty((len(nb), len(nb)), dtype=bool)
     for lo, hi in row_blocks(len(nb), len(dist)):

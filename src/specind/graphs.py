@@ -275,16 +275,22 @@ def _hypercube(m: int) -> Graph:
                    automorphisms=tuple(u ^ (1 << b) for b in range(m)))
 
 
+def circulant_steps(n: int, steps) -> tuple:
+    """The step set of C_n(steps), sorted: s and n - s join the same pairs,
+    so each is min(s mod n, n - s mod n); step n/2 gives one neighbour."""
+    return tuple(sorted({min(s % n, -s % n) for s in steps}))
+
+
 def _circulant(n: int, *steps: int) -> Graph:
     if n < 3 or not steps:
         raise InvalidFamilyParameters("circulant needs n >= 3 and at least one step")
-    steps = tuple(sorted({s % n for s in steps}))
-    if any(s == 0 for s in steps):
+    steps = circulant_steps(n, steps)
+    if steps[0] == 0:
         raise InvalidFamilyParameters("circulant steps must be nonzero mod n")
     if gcd(n, *steps) != 1:
         raise DisconnectedGraph("circulant with gcd(n, s_1, ..., s_m) > 1")
     edges = [(u, (u + s) % n) for u in range(n) for s in steps]
-    g = from_edges(n, [(u, v) for u, v in edges if u != v], f"circulant:{n}," + ",".join(map(str, steps)))
+    g = from_edges(n, edges, f"circulant:{n}," + ",".join(map(str, steps)))
     return replace(g, automorphisms=_rotation(n))
 
 

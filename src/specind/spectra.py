@@ -36,7 +36,7 @@ from .errors import (
     GroupingAmbiguity,
     NoClosedForm,
 )
-from .graphs import DistanceMatrix, FamilySpec, Graph, distance_matrix
+from .graphs import DistanceMatrix, FamilySpec, Graph, circulant_steps, distance_matrix
 from .polys import predistance_polynomials
 
 DEFAULT_TOL = 1e-8
@@ -170,10 +170,14 @@ def exact_family_spectrum(spec: FamilySpec) -> Spectrum:
     """Closed-form spectra: each (eigenvalue, multiplicity) pair listed once
     per multiplicity, then grouped by ``group_eigenvalues``, the
     eigensolver's rule, which merges equal values that cosines round apart.
+    A circulant's is read on the graph's step set (``circulant_steps``).
     """
     fam, p = spec.family, spec.parameters
     if fam == "petersen":
         fam, p = "kneser", (5, 2)
+    if fam in ("cycle", "moebius_ladder"):  # C_n(1) and C_2m(1, m)
+        (m,) = p
+        fam, p = "circulant", (m, 1) if fam == "cycle" else (2 * m, 1, m)
     if fam == "odd":
         (ell,) = p
         fam, p = "kneser", (2 * ell - 1, ell - 1)
@@ -188,23 +192,17 @@ def exact_family_spectrum(spec: FamilySpec) -> Spectrum:
     elif fam == "complete_bipartite":
         a, b = p
         pairs = [(sqrt(a * b), 1), (0, a + b - 2), (-sqrt(a * b), 1)]
-    elif fam == "cycle":
-        (n,) = p
-        pairs = [(2 * cos(2 * pi * j / n), 1) for j in range(n)]
     elif fam == "hypercube":
         (m,) = p
         pairs = [(m - 2 * i, comb(m, i)) for i in range(m + 1)]
-    elif fam == "circulant":
+    elif fam == "circulant":  # step n/2 contributes cos(pi j), one neighbour
         n, *steps = p
-        pairs = [(sum(2 * cos(2 * pi * j * s / n) for s in steps), 1)
-                 for j in range(n)]
+        steps = circulant_steps(n, steps)
+        pairs = [(sum(2 * cos(2 * pi * j * s / n) if 2 * s < n else cos(pi * j)
+                      for s in steps), 1) for j in range(n)]
     elif fam == "prism":
         (m,) = p
         pairs = [(2 * cos(2 * pi * j / m) + e, 1) for j in range(m) for e in (1, -1)]
-    elif fam == "moebius_ladder":
-        (m,) = p
-        n = 2 * m
-        pairs = [(2 * cos(2 * pi * j / n) + cos(pi * j), 1) for j in range(n)]
     else:
         raise NoClosedForm(f"no closed-form spectrum for family {fam!r}")
     values, mults = zip(*pairs)
@@ -411,7 +409,7 @@ class Analysis:
     multiplicities fail Biggs' check sends the spectrum alone to the
     eigensolver.  The exact oracle keeps its verdict on the graph's symmetry
     here too, as ``rooted`` (``exact._rooted``), since finding it takes a
-    deadline."""
+    search."""
 
     g: Graph
 

@@ -153,19 +153,19 @@ def test_pwr_programs_on_tutte(corpus_spectra, soundness_results):
     """d = 30: both programs solve in the predistance basis, and each ratio
     floor and sign objective is at least alpha_k = 19, 10, 6 (Tutte graph,
     k = 1, 2, 3); the k = 3 sign search (1144 candidate sets, 1084 of them
-    skipped by conflict pruning, 60 facet tests) fits the soundness sweep's
-    5 s budget, and the vertex rays give its answer with one facet test, so
-    the sweep checks its floor."""
+    skipped by conflict pruning, 60 facet tests) is far inside SIGN_BUDGET,
+    and the vertex rays give its answer with one facet test, so the sweep
+    checks its floor."""
     _, s, _, _ = corpus_spectra["tutte"]
     for k, floor, sign, alpha, tests, skipped in [(1, 21, 21, 19, 27, 0),
                                                   (2, 11, 13, 10, 37, 231),
                                                   (3, 7, 10, 6, 60, 1084)]:
         rep = pwr_ratio(s, minor_polynomial(s, k), k)
         assert rep.applicable and rep.floor_value == floor >= alpha, k
-        sol = sign_polynomial(s, k, time_budget=5.0)
+        sol = sign_polynomial(s, k)
         assert (sol.objective, sol.facet_tests, sol.skipped) == (sign, 1, 0), k
         assert sign >= alpha, k
-        ref = _sign_search(s, k, 5.0)
+        ref = _sign_search(s, k)
         assert (ref.objective, ref.b) == (sol.objective, sol.b), k
         assert (ref.facet_tests, ref.skipped) == (tests, skipped), k
     checked, _ = soundness_results

@@ -104,7 +104,7 @@ def test_bounds_all_k_analyses_graph_once(monkeypatch, capsys):
     distance-regular hypercube:4 is read off its intersection array, with
     no eigensolver or ladder; the regular prism:5 is not distance-regular,
     so its product finds no array and it takes both."""
-    monkeypatch.setattr(cli, "spectrum", _fail)
+    assert not hasattr(cli, "spectrum")  # the CLI runs no eigensolver itself
     calls = [_count_calls(monkeypatch, spectra, name)
              for name in ("distance_matrix", "spectrum", "walk_ladder",
                           "intersection_array")]
@@ -131,7 +131,6 @@ def test_bounds_all_k_matches_per_k_runs(family, capsys):
 
 
 def test_bounds_k_at_least_diameter_skips_spectrum(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "spectrum", _fail)
     monkeypatch.setattr(spectra, "spectrum", _fail)
     lines = _csv_lines(capsys, "--family", "complete:5", "--k", "3")
     assert lines[1:] == ["trivial,3,1,1,True,k >= diameter"]
@@ -308,6 +307,25 @@ def test_bounds_csv_does_not_depend_on_labelling(tmp_path, capsys):
                 g.adjacency[np.ix_(perm, perm)])) + "\n")
             assert _csv_lines(capsys, "--in", str(path), "--k", "all") == want, (
                 name, seed)
+
+
+def test_spectrum_json_does_not_depend_on_labelling(tmp_path, capsys):
+    """``spectrum`` prints the analysis's spectrum: on the distance-regular
+    dodecahedron and Coxeter graph it is read off the intersection array,
+    so the bundled file and its ``tools/relabel.py`` copy at seed 7 print
+    the same JSON.  The eigensolver moved the last bits of theta with the
+    labelling (2.2360679774997902 against 2.2360679774997894 on the
+    dodecahedron)."""
+    path = tmp_path / "g.g6"
+    for name in ("dodecahedron", "coxeter"):
+        g = load_fixture(name)
+        perm = np.random.default_rng(7).permutation(g.n)
+        out = []
+        for h in (g, from_adjacency(g.adjacency[np.ix_(perm, perm)])):
+            path.write_text(to_graph6(h) + "\n")
+            assert cli.main(["spectrum", "--in", str(path)]) == 0
+            out.append(capsys.readouterr().out)
+        assert out[0] == out[1], name
 
 
 def test_table_unknown():

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -421,7 +420,7 @@ def test_discovery_finds_vertex_transitive_corpus(corpus):
     for g in corpus:
         for seed in (7, 31, 101):
             h = shuffled(g, seed)
-            gens = exact._discover(h, distance_matrix(h), float("inf"))
+            gens = exact._discover(h, distance_matrix(h))
             if g.label in NOT_VERTEX_TRANSITIVE:
                 assert gens is None, h.label
             else:
@@ -437,7 +436,7 @@ def test_discovery_transient_memory():
     inputs (1.20 measured; 8.6 with an n x n int64 array of profile keys)."""
     h = shuffled(generate(FamilySpec.parse("odd:6")), 7)
     dm = distance_matrix(h)
-    gens, peak = traced_peak(exact._discover, h, dm, float("inf"))
+    gens, peak = traced_peak(exact._discover, h, dm)
     assert gens is not None and exact._orbit_of_zero(gens, h.n).all()
     assert peak <= 1.5 * h.n ** 2, peak / h.n ** 2
 
@@ -466,7 +465,7 @@ def test_decoy_maps_are_never_accepted(monkeypatch):
               generate(FamilySpec.parse("moebius_ladder:6")),
               load_fixture("hoffman-singleton"), load_fixture("mcgee")):
         h = shuffled(g, 7)
-        gens = exact._discover(h, distance_matrix(h), float("inf"))
+        gens = exact._discover(h, distance_matrix(h))
         # the two ladders are still found, past their decoys
         assert (gens is not None) == (g.n == 12), g.label
         assert gens is None or all(is_automorphism_reference(h, p) for p in gens)
@@ -488,19 +487,15 @@ def test_is_automorphism_rejects_non_maps():
         assert not is_automorphism_reference(g, bad)
 
 
-def test_discovery_honours_the_deadline():
-    """A discovery past its deadline raises SearchTimeout, decides nothing,
-    and a later call with time left roots the search."""
-    h = relabelled("hypercube:7", 7)
-    dm = distance_matrix(h)
-    with pytest.raises(SearchTimeout):
-        exact._discover(h, dm, time.monotonic() - 1.0)
-    a = Analysis.of(h, dm=dm)
+def test_discovery_outlives_a_clique_search_timeout():
+    """Discovery reads no clock: with no time at all, the clique search
+    raises SearchTimeout, and the analysis is rooted all the same, for a
+    later call with time left."""
+    a = Analysis(relabelled("hypercube:7", 7))
     with pytest.raises(SearchTimeout):
         alpha_k_exact(a, 2, timeout=0.0)
-    assert "rooted" not in a.__dict__
-    assert alpha_k_exact(a, 2).alpha_k == 16
     assert a.__dict__["rooted"] is True
+    assert alpha_k_exact(a, 2).alpha_k == 16
 
 
 def test_search_honours_its_time_budget():
@@ -519,13 +514,14 @@ def test_search_honours_its_time_budget():
 def test_discovery_gives_up_at_its_step_budget(monkeypatch):
     """K_{40,40}'s cells split one vertex per individualization, so its
     discovery would take n^2 steps: it stops after 16 per bit of n, each
-    step one look at the clock, and returns None."""
-    clock = []
-    monkeypatch.setattr(exact, "time", SimpleNamespace(
-        monotonic=lambda: clock.append(0) or time.monotonic()))
+    step one individualization, and returns None."""
+    steps = []
+    individualize = exact._individualize
+    monkeypatch.setattr(exact, "_individualize",
+                        lambda *args: steps.append(0) or individualize(*args))
     h = relabelled("complete_bipartite:40,40", 7)
-    assert exact._discover(h, distance_matrix(h), float("inf")) is None
-    assert len(clock) == 16 * h.n.bit_length()
+    assert exact._discover(h, distance_matrix(h)) is None
+    assert len(steps) == 16 * h.n.bit_length()
 
 
 @pytest.mark.parametrize("spec,rooted", [("hypercube:7", True),

@@ -7,7 +7,6 @@ every conflict it stores, its walk against the scored family, and the
 sign-polynomial search against scipy solving the mesh formulation."""
 
 from itertools import combinations, product
-from types import SimpleNamespace
 from math import comb
 
 import numpy as np
@@ -220,7 +219,7 @@ def test_pruned_search_matches_unpruned_reference(corpus_spectra):
         pd = predistance_polynomials(s)
         for k in range(1, min(s.d, reg.pwr_level + 1)):
             obj, b, ref_visited = unpruned_sign_reference(s, k, pd)
-            sol = _sign_search(s, k, 30.0)
+            sol = _sign_search(s, k)
             assert (sol.objective, sol.b) == (obj, b), (label, k)
             assert sol.facet_tests + sol.skipped == ref_visited, (label, k)
             tests += sol.facet_tests
@@ -248,15 +247,15 @@ def test_vertex_rays_match_search(corpus_spectra, monkeypatch):
         spectra.append((g.label, a.s, a.reg.pwr_level))
     fallbacks = []
 
-    def record(s, k, time_budget):
+    def record(s, k):
         fallbacks.append(k)
-        return _sign_search(s, k, time_budget)
+        return _sign_search(s, k)
 
     monkeypatch.setattr(optimize, "_sign_search", record)
     pairs = 0
     for label, s, level in spectra:
         for k in range(1, min(s.d, level + 1, 4)):
-            want = _sign_search(s, k, 30.0)
+            want = _sign_search(s, k)
             sol = sign_polynomial(s, k)
             assert (sol.objective, sol.b) == (want.objective, want.b), (label, k)
             assert (sol.sign_mesh.values.tobytes()
@@ -274,7 +273,7 @@ def test_vertex_rays_fall_back_to_search(corpus_spectra, monkeypatch):
     for label in ("odd:5", "flower-snark"):
         _, s, _, reg = corpus_spectra[label]
         for k in range(1, min(s.d, reg.pwr_level + 1, 4)):
-            want = _sign_search(s, k, 30.0)
+            want = _sign_search(s, k)
             for name, value in (("_SURE", 1.0),
                                 ("_vertex_ray_set",
                                  lambda P, mults: tuple(range(len(mults))))):
@@ -361,7 +360,7 @@ def test_conflicts_are_gordan_certificates(corpus_spectra, monkeypatch):
         pd = predistance_polynomials(s)
         for k in range(1, s.d):
             calls.clear()
-            sol = _sign_search(s, k, 30.0)
+            sol = _sign_search(s, k)
             tested = {neg for neg, _ in calls}
             assert len(calls) == len(tested) == sol.facet_tests, (label, k)
             for neg, (q, S) in calls:
@@ -401,7 +400,7 @@ def test_every_stored_conflict_is_unrealizable(corpus_spectra, monkeypatch):
     for label, (_, s, _, reg) in corpus_spectra.items():
         for k in range(1, min(s.d, reg.pwr_level + 1)):
             calls.clear()
-            _sign_search(s, k, 30.0)
+            _sign_search(s, k)
             for neg, (q, S) in calls:
                 if q is None:
                     assert S is not None, (label, k, neg)
@@ -421,7 +420,7 @@ def test_facet_walk_matches_scored_family(corpus_spectra, monkeypatch):
     for label, (_, s, _, reg) in corpus_spectra.items():
         for k in range(1, min(s.d, reg.pwr_level + 1)):
             calls.clear()
-            _sign_search(s, k, 30.0)
+            _sign_search(s, k)
             sets += [(label, s, k, neg) for neg, _ in calls if len(neg) > k]
     monkeypatch.undo()
     for label, s, k, neg in sets:
@@ -473,34 +472,25 @@ def test_sign_failure_is_an_inapplicable_row(corpus_spectra, monkeypatch):
     assert others(rows) == want
 
 
-def test_skipped_sets_count_against_the_deadline(corpus_spectra, monkeypatch):
-    """The search reads the deadline once per candidate, skipped ones
-    included.  On Tutte k = 3 it runs 60 facet tests and skips 1084 sets; a
-    clock that advances 1 s per read runs out at the 1144th candidate, the
-    realized one, long after the 60th test.  A real budget of 1e-4 s times
-    out too.  ``sign_polynomial`` reads the clock once more, after the
-    vertex rays: a budget of 0.5 ticks times out there, and 1 tick is
-    enough for its one facet test."""
+def test_skipped_sets_count_against_the_budget(corpus_spectra, monkeypatch):
+    """The search counts every candidate against SIGN_BUDGET, skipped ones
+    included.  On Tutte k = 3 it runs 60 facet tests and skips 1084 sets: a
+    budget of 1143 sets runs out at the 1144th candidate, the realized one,
+    long after the 60th test, and 1144 sets are enough.  The vertex rays of
+    ``sign_polynomial`` count nothing: with no budget at all, its one facet
+    test answers."""
     s = corpus_spectra["tutte"][1]
-    with pytest.raises(SearchTimeout):
-        _sign_search(s, 3, 1e-4)
-    # reads: one to set the deadline, then one per candidate (1144) for the
-    # search, and one after the vertex rays for sign_polynomial
-    for search, budget, reads, counts in (
-            (_sign_search, 1143.5, 1145, None),
-            (_sign_search, 1144.0, 1145, (60, 1084, 10)),
-            (sign_polynomial, 0.5, 2, None),
-            (sign_polynomial, 1.0, 2, (1, 0, 10))):
-        ticks = iter(range(10 ** 6))
-        monkeypatch.setattr(optimize, "time",
-                            SimpleNamespace(monotonic=lambda: next(ticks)))
+    for budget, counts in ((1143, None), (1144, (60, 1084, 10))):
+        monkeypatch.setattr(optimize, "SIGN_BUDGET", budget)
         if counts is None:
-            with pytest.raises(SearchTimeout):
-                search(s, 3, budget)
+            with pytest.raises(SearchTimeout, match="tried 1143 candidate sets"):
+                _sign_search(s, 3)
         else:
-            sol = search(s, 3, budget)
+            sol = _sign_search(s, 3)
             assert (sol.facet_tests, sol.skipped, sol.objective) == counts
-        assert next(ticks) == reads
+    monkeypatch.setattr(optimize, "SIGN_BUDGET", 0)
+    sol = sign_polynomial(s, 3)
+    assert (sol.facet_tests, sol.skipped, sol.objective) == (1, 0, 10)
 
 
 def pinned_minor_reference(s, k):

@@ -88,6 +88,29 @@ def test_closed_form_circulants_group_equal_eigenvalues():
     assert count == 12561
 
 
+
+def test_closed_form_circulants_read_the_graphs_step_set():
+    """The closed form works on the graph's step set, in which s and n - s
+    are one step and step n/2 gives one neighbour: its d and multiplicities
+    are the eigensolver's, and its mesh within 1e-9, on every connected
+    circulant with n <= 24 that has step n/2 (4015 graphs), its first step
+    written as n - s, and on every one with one or two steps and no step
+    n/2, its first step written as s + n (481 graphs)."""
+    count = 0
+    for n in range(3, 25):
+        for size in range(1, n // 2 + 1):
+            for steps in combinations(range(1, n // 2 + 1), size):
+                half = 2 * steps[-1] == n
+                if gcd(n, *steps) != 1 or not (half or size <= 2):
+                    continue
+                first = n - steps[0] if half else steps[0] + n
+                spec = FamilySpec("circulant", (n, first, *steps[1:]))
+                want, s = spectrum(generate(spec)), exact_family_spectrum(spec)
+                assert (s.d, s.mults.tolist()) == (want.d, want.mults.tolist()), spec
+                assert np.abs(s.distinct - want.distinct).max() <= 1e-9, spec
+                count += 1
+    assert count == 4015 + 481
+
 @pytest.mark.parametrize("distinct,mults,message", [
     ([3.0, 1.0, 1.0], [1, 5, 4], "strictly decreasing"),
     ([-2.0, 1.0, 3.0], [4, 5, 1], "strictly decreasing"),
