@@ -211,12 +211,10 @@ def qk_bounds(s: Spectrum, k: int) -> tuple:
     qk = s.predistance_rows(k)[1:].sum(axis=0)
     rep_i = BoundReport("qk_inertia", k, float(min(_sign_counts(s.mults, qk))),
                         MeshPolynomial(s.distinct, qk))
+    # sum_j m_j q'_k(theta_j) = 0, as p_1..p_k are orthogonal to p_0 = 1,
+    # and q'_k(theta_0) > 0: so lambda(q'_k), the least over j >= 1, is < 0
     lam = float(qk[1:].min())
-    if lam >= 0:
-        rep_r = _inapplicable("qk_ratio", k, "lambda(q'_k) >= 0")
-    else:
-        rep_r = BoundReport("qk_ratio", k, s.n / (1.0 - qk[0] / lam))
-    return rep_i, rep_r
+    return rep_i, BoundReport("qk_ratio", k, s.n / (1.0 - qk[0] / lam))
 
 
 def pd_ratio_bound(s: Spectrum) -> BoundReport:

@@ -25,7 +25,7 @@ from .errors import (
     NotWalkRegular,
     SpecindError,
 )
-from .exact import alpha_k_exact
+from .exact import DEFAULT_TIMEOUT, alpha_k_exact
 from .graphs import DistanceMatrix, Graph
 from .polys import MeshPolynomial
 from .spectra import Analysis, Spectrum
@@ -104,7 +104,7 @@ def linearly_related(sol: optimize.SignSolution, f: MeshPolynomial,
 
 def ch_classify(g: Graph | Analysis, k: int, s: Spectrum | None = None,
                 with_exact: bool = True,
-                timeout: float = 120.0) -> CHVerdict:
+                timeout: float = DEFAULT_TIMEOUT) -> CHVerdict:
     """Compare the bounds of the optimal sign and minor polynomials of ``g``."""
     a = Analysis.of(g, s=s)
     s, reg = a.s, a.reg

@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from . import optimize
 from .ch import ch_classify
 from .errors import SearchTimeout, SpecindError, UnknownTable
-from .exact import alpha_k_exact
+from .exact import DEFAULT_TIMEOUT, alpha_k_exact
 from .graphs import (
     FamilySpec,
     Graph,
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(sp)
     sp.add_argument("--k", default="1", help="target distance, or 'all'")
     sp.add_argument("--exact", action="store_true", help="append the exact oracle value")
-    sp.add_argument("--timeout", type=float, default=120.0)
+    sp.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sp.set_defaults(func=cmd_bounds)
 
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(sp)
     sp.add_argument("--k", default="1")
     sp.add_argument("--no-exact", action="store_true", help="skip the exact oracle")
-    sp.add_argument("--timeout", type=float, default=120.0)
+    sp.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("table", help="replay a published table against computed values")

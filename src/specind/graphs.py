@@ -10,7 +10,7 @@ the package builds itself is never copied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
@@ -83,6 +83,19 @@ class FamilySpec:
             raise InvalidFamilyParameters(f"unknown family {name!r}")
         params = tuple(int(p) for p in rest.split(",") if p.strip()) if rest else ()
         return FamilySpec(name, params)
+
+    def canonical(self) -> "FamilySpec":
+        """The spec an alias in ``_ALIASES`` stands for (cycle:n is
+        circulant:n,1, odd:ell is kneser:2ell-1,ell-1, ...); any other
+        spec, known or not, as it is.  A wrong parameter count for an alias
+        raises TypeError, which ``generate`` reports."""
+        if self.family not in _ALIASES:
+            return self
+        least, message, target = _ALIASES[self.family]
+        family, params = target(*self.parameters)
+        if least is not None and self.parameters[0] < least:
+            raise InvalidFamilyParameters(message)
+        return FamilySpec(family, params)
 
 
 def _check_connected(adj: np.ndarray, label: str = "") -> None:
@@ -228,6 +241,8 @@ def parse_edge_list(text: str, label: str = "") -> Graph:
 # byte-stable: integers 0..n-1 for circulant-like families, binary counting
 # order for hypercubes, colexicographic subsets for Kneser/Odd.  Each
 # vertex-transitive family carries automorphisms that move 0 to every vertex.
+# A constructor returns its boolean matrix, built with index arrays, its
+# label and its claimed generators; ``generate`` alone makes the Graph.
 
 
 def _rotation(n: int) -> tuple:
@@ -240,39 +255,37 @@ def _two_parts(m: int) -> tuple:
     return (np.concatenate([r, r + m]), np.roll(np.arange(2 * m), m))
 
 
-def _cycle(n: int) -> Graph:
-    if n < 3:
-        raise InvalidFamilyParameters("cycle needs n >= 3")
-    g = from_edges(n, [(i, (i + 1) % n) for i in range(n)], f"cycle:{n}")
-    return replace(g, automorphisms=_rotation(n))
+def _joined(n: int, u, v) -> np.ndarray:
+    """The n x n matrix that joins u[i] and v[i] for every i."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[u, v] = adj[v, u] = True
+    return adj
 
 
-def _complete(n: int) -> Graph:
+def _complete(n: int) -> tuple:
     if n < 2:
         raise InvalidFamilyParameters("complete needs n >= 2")
     adj = np.ones((n, n), dtype=bool)
     np.fill_diagonal(adj, False)
-    return _graph(adj, f"complete:{n}", _rotation(n))
+    return adj, f"complete:{n}", _rotation(n)
 
 
-def _complete_bipartite(a: int, b: int) -> Graph:
+def _complete_bipartite(a: int, b: int) -> tuple:
     if a < 1 or b < 1:
         raise InvalidFamilyParameters("complete_bipartite needs positive parts")
     adj = np.zeros((a + b, a + b), dtype=bool)
     adj[:a, a:] = True
     adj[a:, :a] = True
-    return _graph(adj, f"complete_bipartite:{a},{b}",
-                  _two_parts(a) if a == b else ())
+    return adj, f"complete_bipartite:{a},{b}", _two_parts(a) if a == b else ()
 
 
-def _hypercube(m: int) -> Graph:
+def _hypercube(m: int) -> tuple:
     if m < 1:
         raise InvalidFamilyParameters("hypercube needs dimension >= 1")
-    n = 1 << m
-    edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(m) if u < u ^ (1 << b)]
-    u = np.arange(n)
-    return replace(from_edges(n, edges, f"hypercube:{m}"),
-                   automorphisms=tuple(u ^ (1 << b) for b in range(m)))
+    u = np.arange(1 << m)
+    flips = tuple(u ^ (1 << b) for b in range(m))
+    return (_joined(len(u), u[:, None], np.stack(flips, axis=1)),
+            f"hypercube:{m}", flips)
 
 
 def circulant_steps(n: int, steps) -> tuple:
@@ -281,7 +294,7 @@ def circulant_steps(n: int, steps) -> tuple:
     return tuple(sorted({min(s % n, -s % n) for s in steps}))
 
 
-def _circulant(n: int, *steps: int) -> Graph:
+def _circulant(n: int, *steps: int) -> tuple:
     if n < 3 or not steps:
         raise InvalidFamilyParameters("circulant needs n >= 3 and at least one step")
     steps = circulant_steps(n, steps)
@@ -289,9 +302,9 @@ def _circulant(n: int, *steps: int) -> Graph:
         raise InvalidFamilyParameters("circulant steps must be nonzero mod n")
     if gcd(n, *steps) != 1:
         raise DisconnectedGraph("circulant with gcd(n, s_1, ..., s_m) > 1")
-    edges = [(u, (u + s) % n) for u in range(n) for s in steps]
-    g = from_edges(n, edges, f"circulant:{n}," + ",".join(map(str, steps)))
-    return replace(g, automorphisms=_rotation(n))
+    u = np.arange(n)[:, None]
+    return (_joined(n, u, (u + steps) % n),
+            f"circulant:{n}," + ",".join(map(str, steps)), _rotation(n))
 
 
 def kneser_vertices(n: int, k: int) -> list:
@@ -299,7 +312,7 @@ def kneser_vertices(n: int, k: int) -> list:
     return sorted(combinations(range(n), k), key=lambda s: tuple(reversed(s)))
 
 
-def _kneser_graph(n: int, k: int, label: str) -> Graph:
+def _kneser(n: int, k: int) -> tuple:
     if k < 1 or n <= 2 * k:
         raise InvalidFamilyParameters("kneser needs n > 2k >= 2 for connectivity")
     # adjacent exactly when the subsets, as n-bit masks, are disjoint; the
@@ -314,60 +327,51 @@ def _kneser_graph(n: int, k: int, label: str) -> Graph:
     # masks; colex order is increasing mask order, so searchsorted indexes
     swap = ((masks ^ (masks >> 1)) & 1) * 3
     turn = ((masks << 1) | (masks >> (n - 1))) & ((1 << n) - 1)
-    return _graph(adj, label, tuple(np.searchsorted(masks, image)
-                                    for image in (masks ^ swap, turn)))
+    return adj, f"kneser:{n},{k}", tuple(np.searchsorted(masks, image)
+                                         for image in (masks ^ swap, turn))
 
 
-def _kneser(n: int, k: int) -> Graph:
-    return _kneser_graph(n, k, f"kneser:{n},{k}")
-
-
-def _odd(ell: int) -> Graph:
-    if ell < 2:
-        raise InvalidFamilyParameters("odd graph needs ell >= 2")
-    return _kneser_graph(2 * ell - 1, ell - 1, f"odd:{ell}")
-
-
-def _prism(m: int) -> Graph:
+def _prism(m: int) -> tuple:
     # C_m square K_2 on 2m vertices; outer cycle 0..m-1, inner m..2m-1
     if m < 3:
         raise InvalidFamilyParameters("prism needs m >= 3")
-    edges = [(i, (i + 1) % m) for i in range(m)]
-    edges += [(m + i, m + (i + 1) % m) for i in range(m)]
-    edges += [(i, m + i) for i in range(m)]
-    return replace(from_edges(2 * m, edges, f"prism:{m}"), automorphisms=_two_parts(m))
-
-
-def _moebius_ladder(m: int) -> Graph:
-    # cycle C_{2m} plus the m main diagonals
-    if m < 3:
-        raise InvalidFamilyParameters("moebius_ladder needs m >= 3")
-    n = 2 * m
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + m) for i in range(m)]
-    return replace(from_edges(n, edges, f"moebius_ladder:{m}"), automorphisms=_rotation(n))
+    i = np.arange(m)
+    j = (i + 1) % m
+    return (_joined(2 * m, np.concatenate([i, i + m, i]),
+                    np.concatenate([j, j + m, i + m])),
+            f"prism:{m}", _two_parts(m))
 
 
 _CONSTRUCTORS = {
-    "cycle": _cycle,
     "complete": _complete,
     "complete_bipartite": _complete_bipartite,
     "hypercube": _hypercube,
     "circulant": _circulant,
     "kneser": _kneser,
-    "odd": _odd,
     "prism": _prism,
-    "moebius_ladder": _moebius_ladder,
-    "petersen": lambda: _kneser_graph(5, 2, "petersen"),
 }
-FAMILIES = tuple(_CONSTRUCTORS)
+
+# An alias names a graph of another family, under its own label: its least
+# parameter (None for none), the message below it, and the canonical spec.
+_ALIASES = {
+    "cycle": (3, "cycle needs n >= 3", lambda n: ("circulant", (n, 1))),
+    "moebius_ladder": (3, "moebius_ladder needs m >= 3",  # C_2m plus diagonals
+                       lambda m: ("circulant", (2 * m, 1, m))),
+    "odd": (2, "odd graph needs ell >= 2",
+            lambda ell: ("kneser", (2 * ell - 1, ell - 1))),
+    "petersen": (None, None, lambda: ("kneser", (5, 2))),
+}
+FAMILIES = (*_CONSTRUCTORS, *_ALIASES)
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph of a family spec with its documented vertex ordering."""
-    fam, p = spec.family, spec.parameters
-    if fam not in _CONSTRUCTORS:
-        raise InvalidFamilyParameters(f"unknown family {fam!r}")
+    if spec.family not in FAMILIES:
+        raise InvalidFamilyParameters(f"unknown family {spec.family!r}")
     try:
-        return _CONSTRUCTORS[fam](*p)
+        base = spec.canonical()
+        adj, label, gens = _CONSTRUCTORS[base.family](*base.parameters)
     except TypeError as exc:
-        raise InvalidFamilyParameters(f"bad parameter count for {fam}: {p}") from exc
+        raise InvalidFamilyParameters(
+            f"bad parameter count for {spec.family}: {spec.parameters}") from exc
+    return _graph(adj, str(spec) if base is not spec else label, gens)

@@ -170,17 +170,11 @@ def exact_family_spectrum(spec: FamilySpec) -> Spectrum:
     """Closed-form spectra: each (eigenvalue, multiplicity) pair listed once
     per multiplicity, then grouped by ``group_eigenvalues``, the
     eigensolver's rule, which merges equal values that cosines round apart.
-    A circulant's is read on the graph's step set (``circulant_steps``).
+    An alias's is its canonical spec's (``FamilySpec.canonical``), and a
+    circulant's is read on the graph's step set (``circulant_steps``).
     """
+    spec = spec.canonical()
     fam, p = spec.family, spec.parameters
-    if fam == "petersen":
-        fam, p = "kneser", (5, 2)
-    if fam in ("cycle", "moebius_ladder"):  # C_n(1) and C_2m(1, m)
-        (m,) = p
-        fam, p = "circulant", (m, 1) if fam == "cycle" else (2 * m, 1, m)
-    if fam == "odd":
-        (ell,) = p
-        fam, p = "kneser", (2 * ell - 1, ell - 1)
     if fam == "kneser":
         n, k = p
         pairs = [((-1) ** j * comb(n - k - j, k - j),

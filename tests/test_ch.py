@@ -18,7 +18,13 @@ from specind.ch import (
     spectral_excess,
     srg_tightness_check,
 )
-from specind.errors import NegativeRadicand, NotApplicable, NotRegular, NotSRG
+from specind.errors import (
+    NegativeRadicand,
+    NotApplicable,
+    NotRegular,
+    NotSRG,
+    NotWalkRegular,
+)
 from specind.exact import alpha_k_exact
 from specind.graphs import FamilySpec, generate
 from specind.optimize import minor_polynomial, sign_polynomial
@@ -47,6 +53,15 @@ def test_odd5_k3_not_tight():
     assert v.inertia_value == 8 and v.ratio_value == 8
     assert v.exact == 7
     assert not v.is_tight_ch
+
+
+def test_classify_keeps_the_bounds_when_exact_times_out(corpus_analyses):
+    """An oracle over its budget leaves the exact value and tightness
+    unknown and says why; the two bounds are still compared."""
+    v = ch_classify(corpus_analyses["petersen"], 1, timeout=0.0)
+    assert v.inertia_value == v.ratio_value == 4 and v.is_ch
+    assert v.exact is None and v.is_tight_ch is None
+    assert v.exact_note.startswith("exact unavailable: ")
 
 
 @pytest.mark.parametrize("spec", ["complete_bipartite:4,5",
@@ -246,6 +261,13 @@ def test_antipodal_q4_and_prism():
     g = generate(FamilySpec.parse("hypercube:4"))
     v = antipodal_check(Analysis(g))
     assert v.is_antipodal and v.r == 2
+
+
+def test_antipodal_check_needs_walk_regularity(corpus_analyses):
+    a = corpus_analyses["frucht"]
+    assert a.reg.pwr_level == 2 and not a.reg.is_walk_regular
+    with pytest.raises(NotWalkRegular):
+        antipodal_check(a)
 
 
 def test_not_antipodal(corpus_analyses):

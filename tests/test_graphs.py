@@ -22,6 +22,7 @@ from specind.graphs import (
     parse_graph6,
     to_graph6,
 )
+from specind.spectra import exact_family_spectrum
 
 
 def test_petersen_is_kneser_5_2():
@@ -73,6 +74,72 @@ def test_bad_parameter_count(bad):
     (which takes none) included."""
     with pytest.raises(InvalidFamilyParameters, match="bad parameter count"):
         generate(FamilySpec.parse(bad))
+
+
+def edge_list_family(spec):
+    """Reference: the family's edges written out pair by pair (the former
+    constructors of the families built from index arrays)."""
+    fam, p = spec.split(":")
+    p = [int(x) for x in p.split(",")]
+    if fam == "cycle":
+        n, edges = p[0], [(i, (i + 1) % p[0]) for i in range(p[0])]
+    elif fam == "moebius_ladder":
+        m = p[0]
+        n = 2 * m
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + m) for i in range(m)]
+    elif fam == "prism":
+        n, m = 2 * p[0], p[0]
+        edges = [(i, (i + 1) % m) for i in range(m)]
+        edges += [(m + i, m + (i + 1) % m) for i in range(m)]
+        edges += [(i, m + i) for i in range(m)]
+    elif fam == "hypercube":
+        n = 1 << p[0]
+        edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(p[0])]
+    else:  # circulant
+        n = p[0]
+        edges = [(u, (u + s) % n) for u in range(n) for s in p[1:]]
+    return from_edges(n, edges)
+
+
+@pytest.mark.parametrize("spec", [
+    "cycle:3", "cycle:8", "moebius_ladder:3", "moebius_ladder:5", "prism:3",
+    "prism:7", "hypercube:1", "hypercube:5", "circulant:12,1,6",
+    "circulant:13,1,5", "circulant:10,11,3",
+])
+def test_families_match_edge_list_reference(spec):
+    g = generate(FamilySpec.parse(spec))
+    assert g == edge_list_family(spec)
+    for p in g.automorphisms:  # each claimed generator is an automorphism
+        assert np.array_equal(g.adjacency[np.ix_(p, p)], g.adjacency), spec
+
+
+@pytest.mark.parametrize("alias,base", [
+    ("cycle:7", "circulant:7,1"), ("moebius_ladder:4", "circulant:8,1,4"),
+    ("odd:4", "kneser:7,3"), ("petersen", "kneser:5,2"),
+])
+def test_alias_is_its_canonical_spec(alias, base):
+    """An alias builds its canonical spec's graph, generators and closed
+    form, under its own label."""
+    spec = FamilySpec.parse(alias)
+    assert spec.canonical() == FamilySpec.parse(base)
+    g, h = generate(spec), generate(FamilySpec.parse(base))
+    assert g == h and g.label == alias and h.label == base
+    assert all(np.array_equal(p, q) for p, q in zip(g.automorphisms,
+                                                     h.automorphisms, strict=True))
+    s, t = (exact_family_spectrum(FamilySpec.parse(x)) for x in (alias, base))
+    assert (s.distinct.tobytes(), s.mults.tolist()) == (t.distinct.tobytes(),
+                                                        t.mults.tolist())
+
+
+def test_generate_checks_each_graph_once(monkeypatch):
+    """Every family graph is checked (symmetry, loops) and made once."""
+    checks = []
+    check = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__",
+                        lambda g: checks.append(g.label) or check(g))
+    for spec in FAMILY_SPECS:
+        generate(FamilySpec.parse(spec))
+    assert checks == FAMILY_SPECS
 
 
 def test_disconnected_circulant_rejected():

@@ -6,6 +6,7 @@ against scipy's primal max-margin LP on every set the search visits and
 every conflict it stores, its walk against the scored family, and the
 sign-polynomial search against scipy solving the mesh formulation."""
 
+import sys
 from itertools import combinations, product
 from math import comb
 
@@ -27,7 +28,7 @@ from specind.optimize import (
     minor_polynomial,
     sign_polynomial,
 )
-from specind.spectra import exact_family_spectrum
+from specind.spectra import Spectrum, exact_family_spectrum
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -289,6 +290,52 @@ def test_vertex_rays_fall_back_to_search(corpus_spectra, monkeypatch):
     assert checked == 12
 
 
+def test_undecided_band_at_each_sign_test_falls_back_to_search(
+        corpus_spectra, monkeypatch):
+    """A sign test that falls in the undecided band, wherever the vertex
+    rays meet it (the norms of the cross products and their cosines at
+    k = 3, a planar cosine at k = 2 or at a degenerate ray at k = 3),
+    sends ``sign_polynomial`` to the search, whose answer it returns byte
+    for byte, counters included: ``_decided`` answers False at its n-th
+    call, n = 2, 3, 4, on gray, coxeter and nauru."""
+    decided = optimize._decided
+    sites = set()
+    fired = 0
+    for label in ("gray", "coxeter", "nauru"):
+        s = corpus_spectra[label][1]
+        for k in (2, 3):
+            want = _sign_search(s, k)
+            for n in (2, 3, 4):
+                calls = []
+
+                def undecided_at_n(a):
+                    calls.append(None)
+                    if len(calls) < n:
+                        return decided(a)
+                    caller = sys._getframe(1)
+                    sites.add((caller.f_code.co_name, caller.f_lineno,
+                               caller.f_back.f_code.co_name))
+                    return False
+
+                monkeypatch.setattr(optimize, "_decided", undecided_at_n)
+                sol = sign_polynomial(s, k)
+                monkeypatch.undo()
+                assert (sol.objective, sol.b) == (want.objective, want.b), (label, k, n)
+                assert (sol.sign_mesh.values.tobytes()
+                        == want.sign_mesh.values.tobytes()), (label, k, n)
+                if len(calls) >= n:
+                    assert (sol.facet_tests, sol.skipped) == (
+                        want.facet_tests, want.skipped), (label, k, n)
+                    fired += 1
+    assert fired == 12
+    # both sign tests of _space_cells, and _plane_cells under _first_cell
+    # (k = 2) and under _space_cells (a degenerate ray)
+    assert len(sites) == 4
+    assert {(name, up) for name, _, up in sites} == {
+        ("_plane_cells", "_first_cell"), ("_plane_cells", "_space_cells"),
+        ("_space_cells", "_first_cell")}
+
+
 def test_first_cell_matches_brute_force():
     """On arrangements with parallel, opposite and (k = 3) coplanar columns,
     ``_first_cell`` returns the first open cell in ``_negative_sets``' order
@@ -436,6 +483,35 @@ def test_facet_walk_matches_scored_family(corpus_spectra, monkeypatch):
         else:
             assert q_walk.tobytes() == q_all.tobytes(), (label, k, neg)
     assert len(sets) == 717
+
+
+def test_facet_test_on_few_points_with_trace_zero_omega():
+    """|N| <= k with tr omega_N(A) = 0, omega_N = prod_{j in N} (x - theta_j),
+    so the facet test reads N's Lagrange weights: on the first spectrum one
+    is negative and its basis polynomial realizes N (q >= 0 on N,
+    tr q(A) = -3; scipy's max-margin LP gives N a positive margin), on the
+    second all are >= 0 and the nodes of positive weight, a positive
+    quadrature of the trace on degree <= k, are the conflict (margin 0)."""
+    N, k = (1, 3, 4), 3
+    s = Spectrum(np.array([4.0, 2, 1, 0, -1]), np.array([1, 1, 20, 1, 1]))
+    omega = np.prod(s.distinct[:, None] - s.distinct[list(N)], axis=1)
+    assert s.trace(omega) == 0
+    q, S = _facet_test(s, N, k)
+    assert S is None and (q[list(N)] >= 0).all()
+    assert s.trace(q) == pytest.approx(-3.0, abs=1e-12)
+    assert primal_max_margin(predistance_polynomials(s), k, N)[1] > MARGIN
+
+    s = Spectrum(np.array([6.0, 5, 4, 3, 2]), np.array([1, 1, 6, 1, 1]))
+    omega = np.prod(s.distinct[:, None] - s.distinct[list(N)], axis=1)
+    assert s.trace(omega) == 0
+    q, S = _facet_test(s, N, k)
+    assert q is None and S.tolist() == [1, 3]
+    pd = predistance_polynomials(s)
+    V = pd[:k + 1, S]
+    w = np.linalg.lstsq(V, s.n * np.eye(k + 1)[0], rcond=None)[0]
+    assert w.min() > 0
+    assert np.abs(V @ w - s.n * np.eye(k + 1)[0]).max() <= 1e-9 * s.n
+    assert primal_max_margin(pd, k, N)[1] <= MARGIN
 
 
 def test_lagrange_basis_is_exact_at_its_nodes():
