@@ -93,8 +93,11 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
                                            heads, axis=0, out=reached[lo:hi])
             level &= unseen[lo:hi]
             unseen[lo:hi] ^= level
-            dist[lo:hi][np.unpackbits(level.view(np.uint8), axis=1, count=n,
-                                      bitorder="little").view(bool)] = d
+            # each pair is reached at one level, so adding d times its 0/1
+            # bit writes the level, with no boolean scatter
+            bits = np.unpackbits(level.view(np.uint8), axis=1, count=n,
+                                 bitorder="little")
+            dist[lo:hi] += np.multiply(bits, d, dtype=dist.dtype)
         if not reached.any():
             raise DisconnectedGraph(f"graph {g.label!r} is not connected")
         frontier = reached

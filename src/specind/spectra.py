@@ -11,14 +11,19 @@ read off pi (closer to exact than the top row of the recurrence), and the
 table of predistance polynomials p_0..p_d, built whole on first use
 (stopping below a degenerate row).
 
-Distance-regular graphs take the intersection-array path: two integer sums
-of distance rows over each adjacency list read the array
-(``intersection_array``), whose (d+1)-square tridiagonal intersection matrix
-and Biggs' formula give the spectrum (``array_spectrum``) and whose matrix
-powers give the closed walks (``array_regularity``), with no n x n
-eigensolver or walk ladder.  Every other graph takes the eigensolver
-(``spectrum``) and the walk ladder (``walk_ladder``).  ``Analysis`` decides
-each graph's path, once; ``classify_regularity`` reads its report.
+A graph takes one of three paths.  Distance-regular graphs take the
+intersection-array path: two integer sums of distance rows over each
+adjacency list read the array (``intersection_array``), whose (d+1)-square
+tridiagonal intersection matrix and Biggs' formula give the spectrum
+(``array_spectrum``) and whose matrix powers give the closed walks
+(``array_regularity``).  A graph that is not distance-regular, has n >=
+DISCOVERY_MIN_N and whose verified automorphisms move vertex 0 to every
+vertex (``Analysis.rooted``, from ``symmetry``) is walk-regular, and reads
+both off the integer quotient of the equitable partition around vertex 0
+(``quotient_analysis``).  Neither runs an n x n eigensolver, walk ladder or
+matrix product.  Every other graph takes the eigensolver (``spectrum``) and
+the walk ladder (``walk_ladder``).  ``Analysis`` decides each graph's path,
+once; ``classify_regularity`` reads its report.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from math import comb, cos, pi, sqrt
 
 import numpy as np
 
+from . import symmetry
 from .distances import adjacency_lists, row_blocks
 from .errors import (
     DegenerateInnerProduct,
@@ -133,12 +139,14 @@ class RegularityReport:
     intersection_array: tuple | None
 
 
-def group_eigenvalues(raw) -> Spectrum:
+def _grouped(raw, weights) -> tuple:
     """The one grouping rule: sorted eigenvalues whose gap is at most
-    DEFAULT_TOL max(1, theta_0) form one mesh point, their mean, with their
-    count as its multiplicity; GroupingAmbiguity when the gaps straddle that
-    threshold."""
-    raw = np.sort(np.asarray(raw, dtype=float))[::-1].copy()
+    DEFAULT_TOL max(1, theta_0) form one mesh point, their mean;
+    GroupingAmbiguity when the gaps straddle that threshold.  (mesh, the
+    sum of each point's eigenvalues' weights)."""
+    raw = np.asarray(raw, dtype=float)
+    order = np.argsort(raw)[::-1]
+    raw, weights = raw[order], np.asarray(weights)[order]
     scale = DEFAULT_TOL * max(1.0, abs(float(raw[0])))
     gaps = raw[:-1] - raw[1:]
     merged = gaps <= scale
@@ -152,9 +160,15 @@ def group_eigenvalues(raw) -> Spectrum:
             "eigenvalue gaps straddle the grouping threshold; "
             "supply an exact spectrum instead"
         )
-    groups = np.split(raw, np.flatnonzero(~merged) + 1)
-    return Spectrum(np.array([float(grp.sum()) / len(grp) for grp in groups]),
-                    np.array([len(grp) for grp in groups]))
+    cuts = np.flatnonzero(~merged) + 1
+    mesh = np.array([float(grp.sum()) / len(grp) for grp in np.split(raw, cuts)])
+    return mesh, np.add.reduceat(weights, np.concatenate([[0], cuts]))
+
+
+def group_eigenvalues(raw) -> Spectrum:
+    """A list of all n eigenvalues as a Spectrum: by the one grouping rule
+    (``_grouped``), each mesh point's multiplicity is its count."""
+    return Spectrum(*_grouped(raw, np.ones(len(raw), dtype=int)))
 
 
 def spectrum(g: Graph) -> Spectrum:
@@ -306,13 +320,21 @@ def array_spectrum(inter: tuple) -> Spectrum | None:
     the distinct eigenvalues are those of the intersection matrix L, from
     its (D+1)-square symmetric tridiagonal form (diagonal a_i, off-diagonal
     sqrt(b_i c_{i+1})), and their multiplicities are Biggs'.  None unless
-    every multiplicity is within DEFAULT_TOL (relative) of a positive
-    integer and they sum to n; the caller then takes the eigensolver."""
+    they pass ``_integral_spectrum``'s check; the caller then takes the
+    eigensolver."""
     a, b, c = _array_columns(inter)
     off = np.sqrt(np.multiply(b[:-1], c[1:], dtype=float))
     tri = np.diag(np.asarray(a, dtype=float)) + np.diag(off, 1) + np.diag(off, -1)
     theta = np.linalg.eigvalsh(tri)[::-1].copy()
     n, mults = _biggs_multiplicities(inter, theta)
+    return _integral_spectrum(theta, mults, n)
+
+
+def _integral_spectrum(theta: np.ndarray, mults: np.ndarray,
+                       n: int) -> Spectrum | None:
+    """The Spectrum of mesh theta and the multiplicities rounded, or None
+    unless every one is within DEFAULT_TOL (relative) of a positive integer
+    and they sum to n."""
     rounded = np.rint(mults)
     if (np.any(np.abs(mults - rounded) > DEFAULT_TOL * mults)
             or np.any(rounded < 1) or int(rounded.sum()) != n):
@@ -341,6 +363,63 @@ def array_regularity(inter: tuple) -> RegularityReport:
         is_walk_regular=True,
         is_distance_regular=True,
         intersection_array=inter,
+    )
+
+
+def quotient_analysis(g: Graph, dm: DistanceMatrix) -> tuple | None:
+    """(s, reg) of a walk-regular graph read off the quotient Q of the
+    equitable partition around vertex 0, or None when a check fails.
+
+    The partition starts from the distances to vertex 0, and each cell
+    splits by its vertices' sorted lists of neighbour cells until none
+    splits: every vertex of a cell then has Q[X, Y] neighbours in cell Y,
+    so it is equitable by construction.  Cell ids are ranks of keys that
+    name no vertex, so Q does not depend on the labelling, and vertex 0 is
+    cell 0, alone.  B = D^1/2 Q D^-1/2 = sqrt(Q o Q^T), D the cell sizes, is
+    symmetric, and each of its eigenvalues is one of A's; on a walk-regular
+    graph m(theta) = n (E_theta)_00 = n sum v_0^2 over B's unit
+    eigenvectors v at theta (Fiol and Garriga's local multiplicities;
+    Godsil, Algebraic Combinatorics, 1993, ch. 5), summed over each mesh
+    point's whole group, since a repeated eigenvalue of B splits its
+    weight.  The multiplicities must pass ``_integral_spectrum``'s check.
+    The report is walk-regular at pwr level d, with closed walks (Q^l)_00,
+    l = 1..d, in Python ints.  No n x n eigensolver or product runs."""
+    n = g.n
+    starts, cols = adjacency_lists(g.adjacency)
+    deg = np.diff(starts)
+    k = int(deg[0])
+    if not (deg == k).all():
+        return None
+    cells = dm.dist[0].astype(np.int64)
+    while True:  # a vertex's key: its cell, then its neighbours' cells sorted
+        keys = np.column_stack([cells, np.sort(cells[cols].reshape(n, k), axis=1)])
+        order = np.lexsort(keys.T[::-1])  # the keys in order, cell first
+        new = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+        if new.sum() == cells.max():  # no cell split: one key a cell
+            break
+        cells[order] = np.concatenate([[0], np.cumsum(new)])
+    size = int(cells.max()) + 1
+    near = keys[order[np.flatnonzero(np.concatenate([[True], new]))], 1:]
+    q = np.bincount((near + size * np.arange(size)[:, None]).ravel(),
+                    minlength=size * size).reshape(size, size)
+    theta, vectors = np.linalg.eigh(np.sqrt(q * q.T))
+    mesh, weights = _grouped(theta, n * vectors[0] ** 2)
+    s = _integral_spectrum(mesh, weights, n)
+    if s is None:
+        return None
+    q = q.astype(object)  # Python ints: walk counts pass 2^63
+    x, walks = np.eye(size, 1, dtype=np.int64).astype(object), []  # e_0
+    for _ in range(s.d):
+        x = q @ x  # Q^l e_0, whose entry 0 is (Q^l)_00
+        walks.append(int(x[0, 0]))
+    return s, RegularityReport(
+        is_regular=True,
+        degree=k,
+        pwr_level=s.d,
+        closed_walks=tuple(walks),
+        is_walk_regular=True,
+        is_distance_regular=False,
+        intersection_array=None,
     )
 
 
@@ -397,13 +476,14 @@ def walk_ladder(g: Graph, s: Spectrum) -> RegularityReport:
 class Analysis:
     """A graph and its distance matrix, spectrum and regularity ladder, each
     computed on first use and kept: one analysis serves every k and caller.
-    A distance-regular graph's spectrum and report are read off its
-    intersection array, found from ``dm`` by two sums of distance rows; any
-    other graph takes the eigensolver and the walk ladder, and an array whose
-    multiplicities fail Biggs' check sends the spectrum alone to the
-    eigensolver.  The exact oracle keeps its verdict on the graph's symmetry
-    here too, as ``rooted`` (``exact._rooted``), since finding it takes a
-    search."""
+    The spectrum and report take one of three paths.  A distance-regular
+    graph's are read off its intersection array, found from ``dm`` by two
+    sums of distance rows.  A graph that is not, has n >= DISCOVERY_MIN_N
+    and is ``rooted`` (vertex-transitive, hence walk-regular) reads them off
+    the quotient around vertex 0 (``quotient_analysis``).  Any other graph
+    takes the eigensolver and the walk ladder; an array whose multiplicities
+    fail Biggs' check sends the spectrum alone to the eigensolver, and a
+    quotient that fails a check sends both."""
 
     g: Graph
 
@@ -430,17 +510,45 @@ class Analysis:
         return intersection_array(self.g, self.dm)
 
     @cached_property
+    def rooted(self) -> bool:
+        """True iff verified automorphisms move vertex 0 to every vertex: the
+        claimed ones (``symmetry.transitive``), else discovered ones
+        (``symmetry.discover``) when n >= DISCOVERY_MIN_N.  The exact oracle
+        then searches through vertex 0, and the quotient path may run."""
+        g = self.g
+        if g.automorphisms:
+            return symmetry.transitive(g)
+        return (g.n >= symmetry.DISCOVERY_MIN_N
+                and symmetry.discover(g, self.dm) is not None)
+
+    @cached_property
+    def quotient(self) -> tuple | None:
+        """(s, reg) off the quotient around vertex 0 for a graph that is not
+        distance-regular, has n >= DISCOVERY_MIN_N and is rooted; else None,
+        as when one of ``quotient_analysis``'s checks fails."""
+        if (self.g.n < symmetry.DISCOVERY_MIN_N or self.array is not None
+                or not self.rooted):
+            return None
+        return quotient_analysis(self.g, self.dm)
+
+    @cached_property
     def s(self) -> Spectrum:
-        known = self.array and array_spectrum(self.array)
+        if self.array is not None:
+            known = array_spectrum(self.array)
+        else:
+            known = self.quotient and self.quotient[0]
         return known or spectrum(self.g)
 
     @cached_property
     def reg(self) -> RegularityReport:
         # a distance-regular graph has d = diameter, checked first: a seeded
-        # spectrum that fails it runs no neighbour sums
-        if self.dm.diameter != self.s.d or self.array is None:
-            return walk_ladder(self.g, self.s)
-        return array_regularity(self.array)
+        # spectrum that fails it runs no neighbour sums; a seeded spectrum
+        # reads the quotient's report only if their d agree
+        if self.dm.diameter == self.s.d and self.array is not None:
+            return array_regularity(self.array)
+        if self.quotient and self.quotient[0].d == self.s.d:
+            return self.quotient[1]
+        return walk_ladder(self.g, self.s)
 
 
 def classify_regularity(g: Graph, s: Spectrum,

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -60,6 +61,20 @@ def relabelled(spec: str, seed: int):
     g = generate(FamilySpec.parse(spec))
     perm = np.random.default_rng(seed).permutation(g.n)
     return from_adjacency(g.adjacency[np.ix_(perm, perm)], f"{spec}@{seed}")
+
+
+def circulant_classes(n: int) -> list:
+    """One connection set S of {1..n/2} per connected circulant C_n(S) up to
+    the multipliers u in Z_n^*: the least sorted {min(us, n - us) mod n}."""
+    half = n // 2
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    seen = set()
+    for r in range(1, half + 1):
+        for S in combinations(range(1, half + 1), r):
+            if math.gcd(n, *S) == 1:
+                seen.add(min(tuple(sorted({min(u * s % n, n - u * s % n)
+                                           for s in S})) for u in units))
+    return sorted(seen)
 
 
 def fixture_names():
@@ -140,6 +155,18 @@ def soundness_results(corpus_analyses):
                     checked.append((label, k, rep.method,
                                     rep.floor_value, exact))
     return checked, skipped
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` with a wrapper that records each call."""
+    calls, fn = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def traced_peak(fn, *args):

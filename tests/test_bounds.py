@@ -2,11 +2,10 @@
 (d-1) bounds, predistance-driven bounds, and the aggregator."""
 
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import load_fixture
+from conftest import circulant_classes, load_fixture
 
 from specind import bounds, exact, spectra
 from specind.bounds import (
@@ -615,20 +614,6 @@ def test_reports_serialization():
             assert d["floor"] == r.floor_value
     # exact excluded from the aggregate minimum
     assert minimum_floor(reps) == 4
-
-
-def circulant_classes(n: int) -> list:
-    """One connection set S of {1..n/2} per connected circulant C_n(S) up to
-    the multipliers u in Z_n^*: the least sorted {min(us, n - us) mod n}."""
-    half = n // 2
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    seen = set()
-    for r in range(1, half + 1):
-        for S in combinations(range(1, half + 1), r):
-            if math.gcd(n, *S) == 1:
-                seen.add(min(tuple(sorted({min(u * s % n, n - u * s % n)
-                                           for s in S})) for u in units))
-    return sorted(seen)
 
 
 def test_circulant_corpus_is_sound():

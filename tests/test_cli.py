@@ -6,9 +6,9 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import load_fixture, relabelled, traced_peak
+from conftest import count_calls, load_fixture, relabelled, traced_peak
 
-from specind import bounds, cli, exact, spectra
+from specind import bounds, cli, spectra, symmetry
 from specind.graphs import (
     FamilySpec,
     distance_matrix,
@@ -85,18 +85,6 @@ def _fail(*args, **kwargs):
     raise AssertionError("the graph was analysed again")
 
 
-def _count_calls(monkeypatch, module, name) -> list:
-    """Replace ``module.name`` with a wrapper that records each call."""
-    calls, fn = [], getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 def test_bounds_all_k_analyses_graph_once(monkeypatch, capsys):
     """One Analysis serves every k: one distance matrix and at most one
     intersection product, eigensolver call and walk ladder per graph, each
@@ -105,7 +93,7 @@ def test_bounds_all_k_analyses_graph_once(monkeypatch, capsys):
     no eigensolver or ladder; the regular prism:5 is not distance-regular,
     so its product finds no array and it takes both."""
     assert not hasattr(cli, "spectrum")  # the CLI runs no eigensolver itself
-    calls = [_count_calls(monkeypatch, spectra, name)
+    calls = [count_calls(monkeypatch, spectra, name)
              for name in ("distance_matrix", "spectrum", "walk_ladder",
                           "intersection_array")]
     for family, want in (("hypercube:4", [1, 0, 0, 1]), ("prism:5", [1, 1, 1, 1])):
@@ -153,7 +141,7 @@ def test_one_parser_serves_every_call(capsys):
 
 def test_bounds_all_k_builds_predistance_family_once(monkeypatch, capsys):
     """Every k reads the one family its spectrum keeps."""
-    built = _count_calls(monkeypatch, spectra, "predistance_polynomials")
+    built = count_calls(monkeypatch, spectra, "predistance_polynomials")
     assert cli.main(["bounds", "--family", "odd:5", "--k", "all"]) == 0
     assert "best floor" in capsys.readouterr().out
     assert len(built) == 1
@@ -263,11 +251,29 @@ def test_bounds_in_discovers_symmetry_once(tmp_path, monkeypatch, capsys):
     is the generated graph's."""
     path = tmp_path / "q7.g6"
     path.write_text(to_graph6(relabelled("hypercube:7", 7)) + "\n")
-    found = _count_calls(monkeypatch, exact, "_discover")
+    found = count_calls(monkeypatch, symmetry, "discover")
     read_in = _csv_lines(capsys, "--in", str(path), "--k", "all", "--exact")
     assert len(found) == 1
     assert read_in == _csv_lines(capsys, "--family", "hypercube:7", "--k",
                                  "all", "--exact")
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+def test_bounds_in_reads_a_vertex_transitive_graph_off_its_quotient(
+        seed, tmp_path, monkeypatch, capsys):
+    """``bounds --in`` on kneser:10,3 relabelled (n = 120, not
+    distance-regular, no claimed automorphisms): one discovery serves the
+    spectrum and every k of the exact oracle, no eigensolver or walk ladder
+    runs, and the output is the generated graph's."""
+    path = tmp_path / "k10-3.g6"
+    path.write_text(to_graph6(relabelled("kneser:10,3", seed)) + "\n")
+    found = count_calls(monkeypatch, symmetry, "discover")
+    solved = [count_calls(monkeypatch, spectra, name)
+              for name in ("spectrum", "walk_ladder")]
+    read_in = _csv_lines(capsys, "--in", str(path), "--k", "all", "--exact")
+    assert read_in == _csv_lines(capsys, "--family", "kneser:10,3", "--k",
+                                 "all", "--exact")
+    assert len(found) == 1 and solved == [[], []]
 
 
 def test_bounds_in_transient_memory(tmp_path, capsys):

@@ -17,7 +17,7 @@ from conftest import (
     traced_peak,
 )
 
-from specind import exact
+from specind import exact, symmetry
 from specind.bounds import Analysis
 from specind.ch import ch_classify
 from specind.errors import SearchTimeout, SizeLimitExceeded
@@ -308,7 +308,7 @@ def test_deterministic_result():
 def test_family_automorphisms_move_zero_everywhere():
     for spec in FAMILY_SPECS:
         g = generate(FamilySpec.parse(spec))
-        assert exact._transitive(g) == (spec != "complete_bipartite:4,5"), spec
+        assert symmetry.transitive(g) == (spec != "complete_bipartite:4,5"), spec
 
 
 def test_false_automorphism_is_a_producer_bug():
@@ -332,7 +332,7 @@ def test_small_orbit_falls_back_to_full_search(spec, keep, monkeypatch):
     two cycles apart; three bit flips reach 8 of 16) leave the full search."""
     g = generate(FamilySpec.parse(spec))
     h = replace(g, automorphisms=g.automorphisms[:keep])
-    assert exact._transitive(g) and not exact._transitive(h)
+    assert symmetry.transitive(g) and not symmetry.transitive(h)
     sizes = []
     search = exact._max_clique
     monkeypatch.setattr(exact, "_max_clique",
@@ -420,13 +420,13 @@ def test_discovery_finds_vertex_transitive_corpus(corpus):
     for g in corpus:
         for seed in (7, 31, 101):
             h = shuffled(g, seed)
-            gens = exact._discover(h, distance_matrix(h))
+            gens = symmetry.discover(h, distance_matrix(h))
             if g.label in NOT_VERTEX_TRANSITIVE:
                 assert gens is None, h.label
             else:
                 assert gens is not None, h.label
                 assert all(is_automorphism_reference(h, p) for p in gens)
-                assert exact._orbit_of_zero(gens, h.n).all(), h.label
+                assert symmetry._orbit_of_zero(gens, h.n).all(), h.label
 
 
 def test_discovery_transient_memory():
@@ -436,8 +436,8 @@ def test_discovery_transient_memory():
     inputs (1.20 measured; 8.6 with an n x n int64 array of profile keys)."""
     h = shuffled(generate(FamilySpec.parse("odd:6")), 7)
     dm = distance_matrix(h)
-    gens, peak = traced_peak(exact._discover, h, dm)
-    assert gens is not None and exact._orbit_of_zero(gens, h.n).all()
+    gens, peak = traced_peak(symmetry.discover, h, dm)
+    assert gens is not None and symmetry._orbit_of_zero(gens, h.n).all()
     assert peak <= 1.5 * h.n ** 2, peak / h.n ** 2
 
 
@@ -456,16 +456,16 @@ def test_decoy_maps_are_never_accepted(monkeypatch):
     edge check turns every one of them down, and every map it accepts is an
     automorphism."""
     offered = []
-    check = exact._is_automorphism
-    monkeypatch.setattr(exact, "_cell_hash", np.zeros_like)
-    monkeypatch.setattr(exact, "_is_automorphism",
+    check = symmetry._is_automorphism
+    monkeypatch.setattr(symmetry, "_cell_hash", np.zeros_like)
+    monkeypatch.setattr(symmetry, "_is_automorphism",
                         lambda g, p, edges: offered.append((g, p, check(g, p, edges)))
                         or offered[-1][2])
     for g in (generate(FamilySpec.parse("prism:6")),
               generate(FamilySpec.parse("moebius_ladder:6")),
               load_fixture("hoffman-singleton"), load_fixture("mcgee")):
         h = shuffled(g, 7)
-        gens = exact._discover(h, distance_matrix(h))
+        gens = symmetry.discover(h, distance_matrix(h))
         # the two ladders are still found, past their decoys
         assert (gens is not None) == (g.n == 12), g.label
         assert gens is None or all(is_automorphism_reference(h, p) for p in gens)
@@ -480,10 +480,10 @@ def test_is_automorphism_rejects_non_maps():
     swap = np.arange(g.n)
     swap[[0, 1]] = [1, 0]
     for p in g.automorphisms:
-        assert exact._is_automorphism(g, p, edges)
+        assert symmetry._is_automorphism(g, p, edges)
     for bad in (swap, np.zeros(g.n, dtype=int), np.arange(g.n - 1),
                 np.arange(1, g.n + 1), np.arange(g.n)[::-1]):
-        assert not exact._is_automorphism(g, bad, edges)
+        assert not symmetry._is_automorphism(g, bad, edges)
         assert not is_automorphism_reference(g, bad)
 
 
@@ -516,11 +516,11 @@ def test_discovery_gives_up_at_its_step_budget(monkeypatch):
     discovery would take n^2 steps: it stops after 16 per bit of n, each
     step one individualization, and returns None."""
     steps = []
-    individualize = exact._individualize
-    monkeypatch.setattr(exact, "_individualize",
+    individualize = symmetry._individualize
+    monkeypatch.setattr(symmetry, "_individualize",
                         lambda *args: steps.append(0) or individualize(*args))
     h = relabelled("complete_bipartite:40,40", 7)
-    assert exact._discover(h, distance_matrix(h)) is None
+    assert symmetry.discover(h, distance_matrix(h)) is None
     assert len(steps) == 16 * h.n.bit_length()
 
 
@@ -534,14 +534,14 @@ def test_read_in_graphs_are_rooted_from_the_size_gate(spec, rooted,
     neighbourhood only; a smaller one is searched in full, without a
     discovery."""
     sizes, found = [], []
-    search, discover = exact._max_clique, exact._discover
+    search, discover = exact._max_clique, symmetry.discover
     monkeypatch.setattr(exact, "_max_clique", lambda adj, deadline:
                         sizes.append(len(adj)) or search(adj, deadline))
-    monkeypatch.setattr(exact, "_discover", lambda *args:
+    monkeypatch.setattr(symmetry, "discover", lambda *args:
                         found.append(discover(*args)) or found[-1])
     h = relabelled(spec, 31)
     res = alpha_k_exact(h, 3 if spec == "odd:5" else 1)
-    assert (h.n >= exact.DISCOVERY_MIN_N) == rooted == bool(found)
+    assert (h.n >= symmetry.DISCOVERY_MIN_N) == rooted == bool(found)
     assert (sizes[-1] < h.n) == rooted
     assert verify_independent(h, res.k, res.witness)
 
@@ -549,8 +549,8 @@ def test_read_in_graphs_are_rooted_from_the_size_gate(spec, rooted,
 def test_one_discovery_per_analysis(monkeypatch):
     """An analysis keeps its symmetry for every k and every caller."""
     calls = []
-    discover = exact._discover
-    monkeypatch.setattr(exact, "_discover",
+    discover = symmetry.discover
+    monkeypatch.setattr(symmetry, "discover",
                         lambda *args: calls.append(args) or discover(*args))
     a = Analysis(relabelled("hypercube:7", 7))
     alphas = [alpha_k_exact(a, k).alpha_k for k in range(1, 8)]

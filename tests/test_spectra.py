@@ -7,9 +7,16 @@ from math import comb, gcd
 
 import numpy as np
 import pytest
-from conftest import check_hypercube_pi_ratios, relabelled, traced_peak
+from conftest import (
+    FAMILY_SPECS,
+    check_hypercube_pi_ratios,
+    circulant_classes,
+    count_calls,
+    relabelled,
+    traced_peak,
+)
 
-from specind import bounds, distances, spectra
+from specind import bounds, distances, spectra, symmetry
 from specind.bounds import Analysis
 from specind.errors import NoClosedForm
 from specind.graphs import FamilySpec, distance_matrix, from_adjacency, generate
@@ -417,11 +424,12 @@ def test_regularity_tier_switches_match_float64_reference(spec, tier, monkeypatc
     """A graph on each side of each type switch: the ladder runs in float32
     when max_deg^d < 2^24, in float64 until max_deg^l reaches 2^53 and in
     Python ints beyond.  The tier is asserted both from the graph's
-    invariants and from the types classify_regularity picked.  The cycles
-    are distance-regular, so classify_regularity reads them off their
-    intersection numbers, integer sums that pick no float type; the ladder
-    run on them directly picks its tier and gives the array's closed
-    walks."""
+    invariants and from the types the ladder picked.  The cycles are
+    distance-regular, so classify_regularity reads them off their
+    intersection numbers, and kneser:12,5 and prism:40 are vertex-transitive
+    with n >= DISCOVERY_MIN_N, so it reads them off their quotient; neither
+    picks a float type, and the ladder run on them directly picks its tier
+    and gives the same closed walks."""
     g = generate(FamilySpec.parse(spec))
     s, dm = spectrum(g), distance_matrix(g)
     top = int(g.degrees().max())
@@ -434,7 +442,7 @@ def test_regularity_tier_switches_match_float64_reference(spec, tier, monkeypatc
     monkeypatch.setattr(spectra, "_exact_float", spy)
     rep = assert_same_report(g, s, dm)
     kind = tier.split()[1]
-    if rep.is_distance_regular:
+    if rep.is_distance_regular or g.n >= symmetry.DISCOVERY_MIN_N:
         assert picked == [], spec
         ladder = spectra.walk_ladder(g, s)
         assert ladder.closed_walks == rep.closed_walks, spec
@@ -449,17 +457,20 @@ def test_regularity_tier_switches_match_float64_reference(spec, tier, monkeypatc
 
 def test_regularity_transient_memory():
     """On kneser:12,5 (n = 792, not distance-regular) the float32 ladder
-    keeps classify_regularity's traced peak above its inputs within 14
-    bytes per vertex pair (12.02 measured); the float64 products took 25.
-    On odd:6 (n = 462, distance-regular) the intersection sums alone serve
-    classify_regularity, and the analysis's spectrum and report together,
-    taken after its distance matrix, within 1.5 bytes per pair: a block of
-    gathered distance rows and its sums, no copy of A (0.98 measured; 4.95
-    with a float32 copy of A and a block of the product, 13.07 with the
-    eigensolver, the ladder and the whole product)."""
+    keeps its traced peak above its inputs within 14 bytes per vertex pair
+    (12.02 measured); the float64 products took 25.  On odd:6 (n = 462,
+    distance-regular) the intersection sums alone serve
+    classify_regularity.  The analysis's spectrum and report together,
+    taken after its distance matrix, stay within 1.5 bytes per pair on
+    both: on odd:6 a block of gathered distance rows and its sums, no copy
+    of A (0.98 measured; 4.95 with a float32 copy of A and a block of the
+    product, 13.07 with the eigensolver, the ladder and the whole product),
+    and on kneser:12,5 the adjacency lists, the refinement around vertex 0
+    and its quotient (0.95 measured; 12.04 with the eigensolver and the
+    ladder)."""
     g = generate(FamilySpec.parse("kneser:12,5"))
-    s, dm = spectrum(g), distance_matrix(g)
-    rep, peak = traced_peak(classify_regularity, g, s, dm)
+    s = spectrum(g)
+    rep, peak = traced_peak(spectra.walk_ladder, g, s)
     assert rep.is_walk_regular and not rep.is_distance_regular
     assert peak <= 14 * g.n ** 2, peak / g.n ** 2
     g = generate(FamilySpec.parse("odd:6"))
@@ -467,11 +478,12 @@ def test_regularity_transient_memory():
     rep, peak = traced_peak(classify_regularity, g, s, dm)
     assert rep.is_distance_regular
     assert peak <= 1.5 * g.n ** 2, peak / g.n ** 2
-    a = Analysis(g)
-    a.dm
-    (s, rep), peak = traced_peak(lambda: (a.s, a.reg))
-    assert rep.is_distance_regular
-    assert peak <= 1.5 * g.n ** 2, peak / g.n ** 2
+    for spec, dr in (("odd:6", True), ("kneser:12,5", False)):
+        a = Analysis(generate(FamilySpec.parse(spec)))
+        a.dm
+        (s, rep), peak = traced_peak(lambda: (a.s, a.reg))
+        assert rep.is_distance_regular == dr and rep.is_walk_regular, spec
+        assert peak <= 1.5 * a.g.n ** 2, (spec, peak / a.g.n ** 2)
 
 
 def test_intersection_array_skipped_when_diameter_below_d(monkeypatch):
@@ -539,10 +551,12 @@ def test_array_spectrum_matches_closed_form():
 
 def test_analysis_takes_the_eigensolver_without_an_array(monkeypatch):
     """kneser:8,3 and kneser:10,3 are regular but not distance-regular: the
-    product finds no array and the analysis calls the eigensolver.  When
-    Biggs' check fails (here a multiplicity off by 1/2 is patched in), the
-    Petersen graph's analysis falls back to the eigensolver too, and its
-    report is classify_regularity's on that spectrum."""
+    product finds no array, and the analysis calls the eigensolver on
+    kneser:8,3 (n = 56, below DISCOVERY_MIN_N) and reads kneser:10,3
+    (n = 120, vertex-transitive) off its quotient.  When Biggs' check fails
+    (here a multiplicity off by 1/2 is patched in), the Petersen graph's
+    analysis falls back to the eigensolver too, and its report is
+    classify_regularity's on that spectrum."""
     calls = []
 
     def counting(g):
@@ -550,11 +564,12 @@ def test_analysis_takes_the_eigensolver_without_an_array(monkeypatch):
         return spectrum(g)
 
     monkeypatch.setattr(spectra, "spectrum", counting)
-    for spec in ("kneser:8,3", "kneser:10,3"):
+    for spec, solved in (("kneser:8,3", True), ("kneser:10,3", False)):
         a = Analysis(generate(FamilySpec.parse(spec)))
         assert a.array is None and a.reg.is_regular, spec
         assert not a.reg.is_distance_regular, spec
-        assert calls == [a.g], spec
+        assert calls == ([a.g] if solved else []), spec
+        assert (a.quotient is None) == solved, spec
         calls.clear()
     biggs = spectra._biggs_multiplicities
 
@@ -570,6 +585,55 @@ def test_analysis_takes_the_eigensolver_without_an_array(monkeypatch):
     assert a.s.mults.tolist() == want.mults.tolist()
     assert calls == [a.g]
     assert a.reg == classify_regularity(a.g, want, a.dm)
+
+
+def test_quotient_matches_eigensolver_and_ladder():
+    """Called directly, with no gate: on every vertex-transitive corpus
+    family, kneser:10,3, kneser:12,5, prism:40 and every connected
+    circulant with 5 <= n <= 22 (one per multiplier class), the quotient
+    around vertex 0 gives the eigensolver's multiplicities, its mesh within
+    1e-12, and the walk ladder's report on the eigensolver's spectrum."""
+    specs = FAMILY_SPECS + ["kneser:10,3", "kneser:12,5", "prism:40"] + [
+        f"circulant:{n}," + ",".join(map(str, steps))
+        for n in range(5, 23) for steps in circulant_classes(n)]
+    checked = 0
+    for spec in specs:
+        g = generate(FamilySpec.parse(spec))
+        if not symmetry.transitive(g):
+            continue
+        s, reg = spectra.quotient_analysis(g, distance_matrix(g))
+        want = spectrum(g)
+        assert s.mults.tolist() == want.mults.tolist(), spec
+        assert np.abs(s.distinct - want.distinct).max() <= 1e-12, spec
+        assert reg == spectra.walk_ladder(g, want), spec
+        checked += 1
+    assert checked == len(specs) - 1  # all but complete_bipartite:4,5
+
+
+def test_quotient_falls_back_to_the_eigensolver(monkeypatch):
+    """When kneser:10,3's multiplicities from the quotient fail the integer
+    check (here one off by 1/2 is patched in), its analysis takes the
+    eigensolver and the walk ladder, each once."""
+    g = generate(FamilySpec.parse("kneser:10,3"))
+    want = spectrum(g)
+    ladder = spectra.walk_ladder(g, want)
+    grouped = spectra._grouped
+
+    def off_by_half(raw, weights):
+        mesh, sums = grouped(raw, weights)
+        if sums.dtype.kind == "f":  # the quotient's, not the eigensolver's
+            sums = sums + np.eye(len(sums))[1] / 2
+        return mesh, sums
+
+    monkeypatch.setattr(spectra, "_grouped", off_by_half)
+    calls = [count_calls(monkeypatch, spectra, name)
+             for name in ("spectrum", "walk_ladder")]
+    a = Analysis(g)
+    assert a.rooted and a.array is None and a.quotient is None
+    assert a.s.distinct.tobytes() == want.distinct.tobytes()
+    assert a.s.mults.tolist() == want.mults.tolist()
+    assert a.reg == ladder
+    assert [len(c) for c in calls] == [1, 1]
 
 
 def test_seeds_go_only_on_a_new_analysis():
