@@ -167,7 +167,7 @@ def _sign_odd6_row(row):
 
 def _t4_row(row):
     """The (d-1) bounds read the analysis's spectrum: an Odd graph's is
-    read off its intersection array."""
+    read off its intersection matrix."""
     a = Analysis(generate(FamilySpec.parse(row["family"])))
     return {"alpha": alpha_k_exact(a, row["k"]).alpha_k,
             "bound": bounds_mod.minimum_floor(bounds_mod.dminus1_bounds(a.s))}

@@ -11,19 +11,18 @@ read off pi (closer to exact than the top row of the recurrence), and the
 table of predistance polynomials p_0..p_d, built whole on first use
 (stopping below a degenerate row).
 
-A graph takes one of three paths.  Distance-regular graphs take the
-intersection-array path: two integer sums of distance rows over each
-adjacency list read the array (``intersection_array``), whose (d+1)-square
-tridiagonal intersection matrix and Biggs' formula give the spectrum
-(``array_spectrum``) and whose matrix powers give the closed walks
-(``array_regularity``).  A graph that is not distance-regular, has n >=
-DISCOVERY_MIN_N and whose verified automorphisms move vertex 0 to every
-vertex (``Analysis.rooted``, from ``symmetry``) is walk-regular, and reads
-both off the integer quotient of the equitable partition around vertex 0
-(``quotient_analysis``).  Neither runs an n x n eigensolver, walk ladder or
-matrix product.  Every other graph takes the eigensolver (``spectrum``) and
-the walk ladder (``walk_ladder``).  ``Analysis`` decides each graph's path,
-once; ``classify_regularity`` reads its report.
+A graph takes one of two paths.  A graph with a quotient around vertex 0
+reads its spectrum and closed walks off it (``quotient_analysis``), with no
+n x n eigensolver, walk ladder or matrix product.  The quotient has two
+producers: a distance-regular graph's intersection matrix
+(``intersection_matrix``), its array read off two integer sums of distance
+rows over each adjacency list (``intersection_array``), and else, for a
+graph with n >= DISCOVERY_MIN_N whose verified automorphisms move vertex 0
+to every vertex (``Analysis.rooted``, from ``symmetry``), the quotient of
+the equitable partition around vertex 0 (``equitable_quotient``).  Every
+other graph takes the eigensolver (``spectrum``) and the walk ladder
+(``walk_ladder``).  ``Analysis`` decides each graph's path, once;
+``classify_regularity`` reads its report.
 """
 
 from __future__ import annotations
@@ -288,48 +287,6 @@ def intersection_array(g: Graph, dm: DistanceMatrix) -> tuple | None:
             tuple(c for _, c in numbers[1:]))
 
 
-def _array_columns(inter: tuple) -> tuple:
-    """(a, b, c), each of length D + 1, with b_D = c_0 = 0 and
-    a_i = k - b_i - c_i: row i of the tridiagonal intersection matrix L is
-    c_i, a_i, b_i at columns i - 1, i, i + 1."""
-    b, c = inter[0] + (0,), (0,) + inter[1]
-    return tuple(b[0] - bi - ci for bi, ci in zip(b, c)), b, c
-
-
-def _biggs_multiplicities(inter: tuple, theta: np.ndarray) -> tuple:
-    """(n, m): the order n = sum_i k_i, with k_0 = 1, k_{i+1} =
-    k_i b_i / c_{i+1} the sizes of the distance classes, and Biggs'
-    m(theta) = n / sum_i k_i u_i(theta)^2 at each theta, u the cosine
-    sequence u_0 = 1, c_i u_{i-1} + a_i u_i + b_i u_{i+1} = theta u_i
-    (Biggs, Algebraic Graph Theory, 1993, ch. 21), in floats."""
-    a, b, c = _array_columns(inter)
-    d = len(a) - 1
-    sizes = [1]
-    for i in range(d):
-        sizes.append(sizes[-1] * b[i] // c[i + 1])
-    u = np.zeros((d + 1, len(theta)))
-    u[0] = 1.0
-    for i in range(d):  # u[i - 1] is the zero row u[d] at i = 0, where c_0 = 0
-        u[i + 1] = ((theta - a[i]) * u[i] - c[i] * u[i - 1]) / b[i]
-    n = sum(sizes)
-    return n, n / (np.asarray(sizes, dtype=float) @ u ** 2)
-
-
-def array_spectrum(inter: tuple) -> Spectrum | None:
-    """The spectrum of a distance-regular graph from its intersection array:
-    the distinct eigenvalues are those of the intersection matrix L, from
-    its (D+1)-square symmetric tridiagonal form (diagonal a_i, off-diagonal
-    sqrt(b_i c_{i+1})), and their multiplicities are Biggs'.  None unless
-    they pass ``_integral_spectrum``'s check; the caller then takes the
-    eigensolver."""
-    a, b, c = _array_columns(inter)
-    off = np.sqrt(np.multiply(b[:-1], c[1:], dtype=float))
-    tri = np.diag(np.asarray(a, dtype=float)) + np.diag(off, 1) + np.diag(off, -1)
-    theta = np.linalg.eigvalsh(tri)[::-1].copy()
-    n, mults = _biggs_multiplicities(inter, theta)
-    return _integral_spectrum(theta, mults, n)
-
-
 def _integral_spectrum(theta: np.ndarray, mults: np.ndarray,
                        n: int) -> Spectrum | None:
     """The Spectrum of mesh theta and the multiplicities rounded, or None
@@ -342,48 +299,25 @@ def _integral_spectrum(theta: np.ndarray, mults: np.ndarray,
     return Spectrum(theta, rounded.astype(int))
 
 
-def array_regularity(inter: tuple) -> RegularityReport:
-    """The regularity report of a distance-regular graph from its array:
-    walk-regular at pwr level D, with closed walks (L^l)_00, l = 1..D, in
-    Python ints.  Since A A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}
-    for the distance matrices A_i, A^l = sum_i (L^l)_{i0} A_i, and A_0 = I.
-    (c_0 = b_D = 0 void the wrapped neighbours at either end.)"""
-    a, b, c = _array_columns(inter)
-    d = len(a) - 1
-    x, walks = [1] + [0] * d, []
-    for _ in range(d):
-        x = [c[i] * x[i - 1] + a[i] * x[i] + b[i] * x[(i + 1) % (d + 1)]
-             for i in range(d + 1)]
-        walks.append(x[0])
-    return RegularityReport(
-        is_regular=True,
-        degree=b[0],
-        pwr_level=d,
-        closed_walks=tuple(walks),
-        is_walk_regular=True,
-        is_distance_regular=True,
-        intersection_array=inter,
-    )
+def intersection_matrix(inter: tuple) -> np.ndarray:
+    """The (D+1)-square tridiagonal intersection matrix L of an array
+    ((b_0..b_{D-1}), (c_1..c_D)): row i is c_i, a_i = b_0 - b_i - c_i, b_i
+    at columns i - 1, i, i + 1.  It is the quotient of the distance
+    partition around any vertex."""
+    b, c = np.array(inter[0] + (0,)), np.array((0,) + inter[1])
+    return np.diag(b[0] - b - c) + np.diag(b[:-1], 1) + np.diag(c[1:], -1)
 
 
-def quotient_analysis(g: Graph, dm: DistanceMatrix) -> tuple | None:
-    """(s, reg) of a walk-regular graph read off the quotient Q of the
-    equitable partition around vertex 0, or None when a check fails.
+def equitable_quotient(g: Graph, dm: DistanceMatrix) -> np.ndarray | None:
+    """The integer quotient Q of the equitable partition around vertex 0 of
+    a regular graph, else None.
 
     The partition starts from the distances to vertex 0, and each cell
     splits by its vertices' sorted lists of neighbour cells until none
     splits: every vertex of a cell then has Q[X, Y] neighbours in cell Y,
     so it is equitable by construction.  Cell ids are ranks of keys that
     name no vertex, so Q does not depend on the labelling, and vertex 0 is
-    cell 0, alone.  B = D^1/2 Q D^-1/2 = sqrt(Q o Q^T), D the cell sizes, is
-    symmetric, and each of its eigenvalues is one of A's; on a walk-regular
-    graph m(theta) = n (E_theta)_00 = n sum v_0^2 over B's unit
-    eigenvectors v at theta (Fiol and Garriga's local multiplicities;
-    Godsil, Algebraic Combinatorics, 1993, ch. 5), summed over each mesh
-    point's whole group, since a repeated eigenvalue of B splits its
-    weight.  The multiplicities must pass ``_integral_spectrum``'s check.
-    The report is walk-regular at pwr level d, with closed walks (Q^l)_00,
-    l = 1..d, in Python ints.  No n x n eigensolver or product runs."""
+    cell 0, alone."""
     n = g.n
     starts, cols = adjacency_lists(g.adjacency)
     deg = np.diff(starts)
@@ -400,26 +334,63 @@ def quotient_analysis(g: Graph, dm: DistanceMatrix) -> tuple | None:
         cells[order] = np.concatenate([[0], np.cumsum(new)])
     size = int(cells.max()) + 1
     near = keys[order[np.flatnonzero(np.concatenate([[True], new]))], 1:]
-    q = np.bincount((near + size * np.arange(size)[:, None]).ravel(),
-                    minlength=size * size).reshape(size, size)
-    theta, vectors = np.linalg.eigh(np.sqrt(q * q.T))
-    mesh, weights = _grouped(theta, n * vectors[0] ** 2)
-    s = _integral_spectrum(mesh, weights, n)
-    if s is None:
-        return None
-    q = q.astype(object)  # Python ints: walk counts pass 2^63
-    x, walks = np.eye(size, 1, dtype=np.int64).astype(object), []  # e_0
-    for _ in range(s.d):
-        x = q @ x  # Q^l e_0, whose entry 0 is (Q^l)_00
-        walks.append(int(x[0, 0]))
+    return np.bincount((near + size * np.arange(size)[:, None]).ravel(),
+                       minlength=size * size).reshape(size, size)
+
+
+def quotient_analysis(q: np.ndarray, n: int,
+                      inter: tuple | None = None) -> tuple:
+    """(s, reg) of a walk-regular graph on n vertices read off the integer
+    quotient q of an equitable partition around vertex 0, cell 0 = {0}: the
+    intersection matrix of a distance-regular graph with array ``inter``
+    (``intersection_matrix``), or a vertex-transitive graph's
+    ``equitable_quotient``.  No n x n eigensolver or product runs.
+
+    B = D^1/2 Q D^-1/2 = sqrt(Q o Q^T), D the cell sizes, is symmetric, and
+    each of its eigenvalues is one of A's; on a walk-regular graph
+    m(theta) = n (E_theta)_00 = n sum v_0^2 over B's unit eigenvectors v at
+    theta (Fiol and Garriga's local multiplicities; Godsil, Algebraic
+    Combinatorics, 1993, ch. 5).  On a tridiagonal q (a distance
+    partition) each eigenvalue of B is simple and the mesh is
+    ``eigvalsh(B)``; the eigenvector at theta is the cosine sequence v_0 =
+    1, B_{i,i-1} v_{i-1} + B_ii v_i + B_{i,i+1} v_{i+1} = theta v_i, so
+    m(theta) = n / sum_i v_i^2: Biggs' formula (Algebraic Graph Theory,
+    1993, ch. 21).  On any other q, ``eigh(B)``'s weights n v_0^2 are summed
+    over each mesh point's whole group, since a repeated eigenvalue of B
+    splits its weight.  s is None unless the multiplicities pass
+    ``_integral_spectrum``'s check.  The report is walk-regular at pwr
+    level d (len(q) - 1 when s is None), with closed walks (Q^l)_00, l =
+    1..d, in Python ints, summed over q's nonzero entries by row."""
+    size = len(q)
+    rows, cols = np.nonzero(q)
+    b = np.sqrt(q * q.T)
+    if (np.abs(rows - cols) <= 1).all():
+        theta = np.linalg.eigvalsh(b)[::-1].copy()
+        v = np.zeros((size, size))
+        v[0] = 1.0
+        for i in range(size - 1):  # v[i - 1] is the zero row v[-1] at i = 0
+            v[i + 1] = ((theta - b[i, i]) * v[i] - b[i, i - 1] * v[i - 1]) / b[i, i + 1]
+        s = _integral_spectrum(theta, n / (v ** 2).sum(axis=0), n)
+    else:
+        theta, vectors = np.linalg.eigh(b)
+        s = _integral_spectrum(*_grouped(theta, n * vectors[0] ** 2), n)
+    # every cell has a neighbour, so each row of q holds a nonzero entry,
+    # and np.nonzero lists them row by row: row i's run starts at firsts[i]
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+    entries = q[rows, cols].astype(object)  # Python ints: walks pass 2^63
+    x, walks = np.zeros(size, dtype=object), []
+    x[0] = 1
+    for _ in range(size - 1 if s is None else s.d):
+        x = np.add.reduceat(entries * x[cols], firsts)  # Q^l e_0
+        walks.append(int(x[0]))
     return s, RegularityReport(
         is_regular=True,
-        degree=k,
-        pwr_level=s.d,
+        degree=int(q[0].sum()),
+        pwr_level=len(walks),
         closed_walks=tuple(walks),
         is_walk_regular=True,
-        is_distance_regular=False,
-        intersection_array=None,
+        is_distance_regular=inter is not None,
+        intersection_array=inter,
     )
 
 
@@ -476,14 +447,15 @@ def walk_ladder(g: Graph, s: Spectrum) -> RegularityReport:
 class Analysis:
     """A graph and its distance matrix, spectrum and regularity ladder, each
     computed on first use and kept: one analysis serves every k and caller.
-    The spectrum and report take one of three paths.  A distance-regular
-    graph's are read off its intersection array, found from ``dm`` by two
-    sums of distance rows.  A graph that is not, has n >= DISCOVERY_MIN_N
-    and is ``rooted`` (vertex-transitive, hence walk-regular) reads them off
-    the quotient around vertex 0 (``quotient_analysis``).  Any other graph
-    takes the eigensolver and the walk ladder; an array whose multiplicities
-    fail Biggs' check sends the spectrum alone to the eigensolver, and a
-    quotient that fails a check sends both."""
+    The spectrum and report take one of two paths.  A graph with a quotient
+    around vertex 0 reads both off it (``quotient``, ``quotient_analysis``):
+    a distance-regular graph's intersection matrix, its array found from
+    ``dm`` by two sums of distance rows, or else the equitable quotient of
+    a graph with n >= DISCOVERY_MIN_N that is ``rooted`` (vertex-transitive,
+    hence walk-regular).  Any other graph takes the eigensolver and the
+    walk ladder.  Multiplicities that fail the quotient's check send a
+    distance-regular graph's spectrum alone to the eigensolver, and a
+    rooted graph's spectrum and report both."""
 
     g: Graph
 
@@ -506,7 +478,12 @@ class Analysis:
 
     @cached_property
     def array(self) -> tuple | None:
-        """The intersection array if the graph is distance-regular."""
+        """The intersection array if the graph is distance-regular.  A
+        distance-regular graph has d = diameter, so a seeded spectrum
+        with another d gives None before the neighbour sums run."""
+        s = self.__dict__.get("s")
+        if s is not None and s.d != self.dm.diameter:
+            return None
         return intersection_array(self.g, self.dm)
 
     @cached_property
@@ -523,30 +500,31 @@ class Analysis:
 
     @cached_property
     def quotient(self) -> tuple | None:
-        """(s, reg) off the quotient around vertex 0 for a graph that is not
-        distance-regular, has n >= DISCOVERY_MIN_N and is rooted; else None,
-        as when one of ``quotient_analysis``'s checks fails."""
-        if (self.g.n < symmetry.DISCOVERY_MIN_N or self.array is not None
-                or not self.rooted):
+        """(s, reg) off the quotient around vertex 0 (``quotient_analysis``):
+        the intersection matrix of a distance-regular graph, whose s is None
+        when its multiplicities fail their check, else the equitable
+        quotient of a rooted graph with n >= DISCOVERY_MIN_N; None off both,
+        or when the rooted graph's multiplicities fail."""
+        g = self.g
+        if self.array is not None:
+            return quotient_analysis(intersection_matrix(self.array), g.n, self.array)
+        if g.n < symmetry.DISCOVERY_MIN_N or not self.rooted:
             return None
-        return quotient_analysis(self.g, self.dm)
+        q = equitable_quotient(g, self.dm)
+        if q is None:
+            return None
+        s, reg = quotient_analysis(q, g.n)
+        return None if s is None else (s, reg)
 
     @cached_property
     def s(self) -> Spectrum:
-        if self.array is not None:
-            known = array_spectrum(self.array)
-        else:
-            known = self.quotient and self.quotient[0]
-        return known or spectrum(self.g)
+        return (self.quotient and self.quotient[0]) or spectrum(self.g)
 
     @cached_property
     def reg(self) -> RegularityReport:
-        # a distance-regular graph has d = diameter, checked first: a seeded
-        # spectrum that fails it runs no neighbour sums; a seeded spectrum
-        # reads the quotient's report only if their d agree
-        if self.dm.diameter == self.s.d and self.array is not None:
-            return array_regularity(self.array)
-        if self.quotient and self.quotient[0].d == self.s.d:
+        # the quotient's report holds at its own d: a seeded spectrum with
+        # another d takes the ladder
+        if self.quotient and self.quotient[1].pwr_level == self.s.d:
             return self.quotient[1]
         return walk_ladder(self.g, self.s)
 

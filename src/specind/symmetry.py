@@ -7,8 +7,11 @@ least DISCOVERY_MIN_N vertices gets them by individualization and
 refinement (``discover``), each map checked the same way, within a budget
 of steps; nothing here reads the clock.  ``Analysis.rooted`` (``spectra``)
 keeps the verdict once per graph: the exact oracle then searches through
-vertex 0, and a graph that is not distance-regular reads its spectrum off
-the quotient around vertex 0.
+vertex 0, and a graph that is not distance-regular reads its spectrum and
+closed walks off its equitable quotient around vertex 0, through the one
+quotient path (``spectra.quotient_analysis``) that a distance-regular
+graph's intersection matrix takes too; any other graph takes the
+eigensolver and the walk ladder.
 """
 
 from __future__ import annotations

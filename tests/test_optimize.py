@@ -634,7 +634,7 @@ def lp_minor_reference(s, k):
     return y
 
 
-def test_minor_start_basis_matches_two_phase(corpus_spectra):
+def test_minor_closed_form_matches_scipy_lexicographic_lp(corpus_spectra):
     """The closed form has the zero set of the former lexicographic LP
     (``lp_minor_reference``, solved by scipy), and its values within 1e-9,
     on every corpus pair (k = 1..d, Tutte's 30 included) but Tutte's

@@ -22,10 +22,11 @@ from specind.errors import NoClosedForm
 from specind.graphs import FamilySpec, distance_matrix, from_adjacency, generate
 from specind.spectra import (
     RegularityReport,
-    array_spectrum,
     classify_regularity,
     exact_family_spectrum,
     intersection_array,
+    intersection_matrix,
+    quotient_analysis,
     spectrum,
     srg_raw_spectrum,
 )
@@ -487,18 +488,20 @@ def test_regularity_transient_memory():
 
 
 def test_intersection_array_skipped_when_diameter_below_d(monkeypatch):
-    """kneser:8,3 is regular with diameter 2 < d = 3: not distance-regular,
-    and the intersection product is never formed."""
+    """kneser:8,3 and kneser:10,3 are regular with diameter 2 < d = 3: not
+    distance-regular, and the intersection product is never formed, also
+    on kneser:10,3 (n = 120), whose report comes off its quotient."""
     def _fail(*args):
         raise AssertionError("intersection numbers computed")
 
-    g = generate(FamilySpec.parse("kneser:8,3"))
     monkeypatch.setattr(spectra, "intersection_array", _fail)
-    s = spectrum(g)
-    dm = distance_matrix(g)
-    rep = classify_regularity(g, s, dm)
-    assert rep.is_regular and dm.diameter != s.d
-    assert rep.intersection_array is None and not rep.is_distance_regular
+    for spec in ("kneser:8,3", "kneser:10,3"):
+        g = generate(FamilySpec.parse(spec))
+        s = spectrum(g)
+        dm = distance_matrix(g)
+        rep = classify_regularity(g, s, dm)
+        assert rep.is_regular and dm.diameter != s.d, spec
+        assert rep.intersection_array is None and not rep.is_distance_regular, spec
 
 
 def test_walk_regular_constant_poly_diagonal(corpus_spectra):
@@ -520,7 +523,7 @@ def test_walk_regular_constant_poly_diagonal(corpus_spectra):
 def test_array_spectrum_matches_eigensolver(corpus_analyses):
     """On every distance-regular corpus graph, and on copies relabelled by
     one ``numpy.random.default_rng(seed)`` permutation at seeds 7 and 11,
-    the intersection array's spectrum has the eigensolver's multiplicities
+    the spectrum off the intersection matrix has the eigensolver's multiplicities
     and its eigenvalues within 1e-12."""
     dr = [a.g for a in corpus_analyses.values() if a.array is not None]
     graphs = list(dr)
@@ -530,7 +533,8 @@ def test_array_spectrum_matches_eigensolver(corpus_analyses):
             graphs.append(from_adjacency(g.adjacency[np.ix_(perm, perm)],
                                          f"{g.label}@{seed}"))
     for g in graphs:
-        got = array_spectrum(intersection_array(g, distance_matrix(g)))
+        inter = intersection_array(g, distance_matrix(g))
+        got, _ = quotient_analysis(intersection_matrix(inter), g.n, inter)
         want = spectrum(g)
         assert got.mults.tolist() == want.mults.tolist(), g.label
         assert np.abs(got.distinct - want.distinct).max() <= 1e-12, g.label
@@ -538,25 +542,57 @@ def test_array_spectrum_matches_eigensolver(corpus_analyses):
 
 
 def test_array_spectrum_matches_closed_form():
-    """The array's spectrum is the closed form's on odd, hypercube, Kneser,
-    Petersen and cycle graphs (cycle:101 has d = 50)."""
+    """The spectrum off the intersection matrix is the closed form's on
+    odd, hypercube, Kneser, Petersen and cycle graphs (cycle:101 has d =
+    50)."""
     for spec in ("odd:4", "odd:6", "hypercube:5", "hypercube:7", "kneser:7,2",
                  "kneser:9,2", "petersen", "cycle:9", "cycle:101"):
         g = generate(FamilySpec.parse(spec))
-        got = array_spectrum(intersection_array(g, distance_matrix(g)))
+        inter = intersection_array(g, distance_matrix(g))
+        got, _ = quotient_analysis(intersection_matrix(inter), g.n, inter)
         want = exact_family_spectrum(FamilySpec.parse(spec))
         assert got.mults.tolist() == want.mults.tolist(), spec
         assert np.abs(got.distinct - want.distinct).max() <= 1e-12, spec
+
+
+def test_array_mesh_is_the_tridiagonal_eigvalsh(corpus_analyses):
+    """On every distance-regular corpus graph, cycle:101 and cycle:1000,
+    the analysis's mesh has the bytes of the reversed ``eigvalsh`` of the
+    symmetric tridiagonal form of the intersection matrix (diagonal a_i,
+    off-diagonal sqrt(b_i c_{i+1})), built apart from the quotient."""
+    analyses = [a for a in corpus_analyses.values() if a.array is not None]
+    analyses += [Analysis(generate(FamilySpec.parse(spec)))
+                 for spec in ("cycle:101", "cycle:1000")]
+    for a in analyses:
+        b, c = a.array[0] + (0,), (0,) + a.array[1]
+        diag = np.array([b[0] - bi - ci for bi, ci in zip(b, c)], dtype=float)
+        off = np.sqrt(np.multiply(b[:-1], c[1:], dtype=float))
+        tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        want = np.linalg.eigvalsh(tri)[::-1]
+        assert a.s.distinct.tobytes() == want.tobytes(), a.g.label
+    assert len(analyses) == 30
+
+
+def test_cycle_closed_walks_are_central_binomials():
+    """cycle:1000 has d = 500: its closed walks off the intersection matrix
+    are C(l, l/2) at even l <= 500, past 2^63 from l = 68, and 0 at odd
+    l."""
+    reg = Analysis(generate(FamilySpec.parse("cycle:1000"))).reg
+    assert reg.is_distance_regular and reg.pwr_level == 500
+    assert reg.closed_walks == tuple(comb(l, l // 2) if l % 2 == 0 else 0
+                                     for l in range(1, 501))
+    assert reg.closed_walks[66] < 2 ** 63 < reg.closed_walks[67]
 
 
 def test_analysis_takes_the_eigensolver_without_an_array(monkeypatch):
     """kneser:8,3 and kneser:10,3 are regular but not distance-regular: the
     product finds no array, and the analysis calls the eigensolver on
     kneser:8,3 (n = 56, below DISCOVERY_MIN_N) and reads kneser:10,3
-    (n = 120, vertex-transitive) off its quotient.  When Biggs' check fails
-    (here a multiplicity off by 1/2 is patched in), the Petersen graph's
-    analysis falls back to the eigensolver too, and its report is
-    classify_regularity's on that spectrum."""
+    (n = 120, vertex-transitive) off its quotient.  When the multiplicity
+    check fails (here a multiplicity off by 1/2 is patched in), the
+    Petersen graph's analysis falls back to the eigensolver for its
+    spectrum, and its report stays the one off its intersection matrix:
+    distance-regular, with array ((3, 2), (1, 1))."""
     calls = []
 
     def counting(g):
@@ -571,19 +607,21 @@ def test_analysis_takes_the_eigensolver_without_an_array(monkeypatch):
         assert calls == ([a.g] if solved else []), spec
         assert (a.quotient is None) == solved, spec
         calls.clear()
-    biggs = spectra._biggs_multiplicities
+    want_reg = Analysis(generate(FamilySpec.parse("petersen"))).reg
+    integral = spectra._integral_spectrum
 
-    def off_by_half(inter, theta):
-        n, mults = biggs(inter, theta)
-        return n, mults + np.eye(len(mults))[1] / 2
+    def off_by_half(theta, mults, n):
+        return integral(theta, mults + np.eye(len(mults))[1] / 2, n)
 
-    monkeypatch.setattr(spectra, "_biggs_multiplicities", off_by_half)
+    monkeypatch.setattr(spectra, "_integral_spectrum", off_by_half)
     a = Analysis(generate(FamilySpec.parse("petersen")))
     assert a.array == ((3, 2), (1, 1))
     want = spectrum(a.g)
     assert a.s.distinct.tobytes() == want.distinct.tobytes()
     assert a.s.mults.tolist() == want.mults.tolist()
     assert calls == [a.g]
+    assert a.quotient[0] is None and a.reg == want_reg
+    assert a.reg.is_distance_regular and a.reg.intersection_array == ((3, 2), (1, 1))
     assert a.reg == classify_regularity(a.g, want, a.dm)
 
 
@@ -601,7 +639,8 @@ def test_quotient_matches_eigensolver_and_ladder():
         g = generate(FamilySpec.parse(spec))
         if not symmetry.transitive(g):
             continue
-        s, reg = spectra.quotient_analysis(g, distance_matrix(g))
+        q = spectra.equitable_quotient(g, distance_matrix(g))
+        s, reg = quotient_analysis(q, g.n)
         want = spectrum(g)
         assert s.mults.tolist() == want.mults.tolist(), spec
         assert np.abs(s.distinct - want.distinct).max() <= 1e-12, spec
